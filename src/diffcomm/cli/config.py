@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from ..codec import compressed_length, k_from_channel_count
-from ..errors import ConfigurationError
-from ..schedule import build_linear_schedule, sigma2_to_step, step_to_sigma2
+from ..errors import ConfigurationError, SaturationError
+from ..schedule import Schedule, build_linear_schedule, sigma2_to_step, step_to_sigma2
 
 __all__ = [
     "Cell",
@@ -535,6 +535,16 @@ def _cross_validate(cfg: ExperimentConfig):
 # resolved copy
 
 
+def _nominal_step_u(schedule: Schedule, sigma2: float) -> Optional[int]:
+    """Step a cell's nominal variance maps to, or None past the schedule's
+    last step.  A saturating cell can still run: a fixed Rayleigh fade maps
+    every trial at ``sigma2 * |h|^2``."""
+    try:
+        return sigma2_to_step(schedule, sigma2).step_u
+    except SaturationError:
+        return None
+
+
 def resolved_config(cfg: ExperimentConfig) -> dict:
     """Plain-dict view of the config with defaults and derived values filled."""
     sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
@@ -542,11 +552,8 @@ def resolved_config(cfg: ExperimentConfig) -> dict:
     cells = []
     for cell in cfg.channel.cells:
         entry: dict[str, Any] = {"snr_db": cell.snr_db, "sigma2": cell.sigma2}
-        try:
-            mapping = sigma2_to_step(sch, cell.sigma2)
-            entry["step_u"] = mapping.step_u
-        except Exception:
-            entry["step_u"] = None
+        entry["step_u"] = _nominal_step_u(sch, cell.sigma2)
+        if entry["step_u"] is None:
             entry["saturates"] = True
         cells.append(entry)
 

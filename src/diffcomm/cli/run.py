@@ -1,10 +1,14 @@
 """Seeded experiment drivers: simulation grids, training, sweeps, CSV.
 
-Every random draw comes from a generator derived by hashing the run seed
-together with the coordinates of the work item (channel type, noise
-variance, trial index; or sweep parameter and value).  Cells are
-therefore order-independent and individually replayable, grids can run
-on a thread pool without affecting results, and repeated runs produce
+Simulate and sweep share one per-trial pipeline, ``_run_trials``: source
+draw -> codec downsample -> channel -> decode -> adaptive, fixed-step or
+compare receive -> MSE/SSIM.  Every random draw comes from a generator
+derived by hashing the run seed together with the coordinates of the
+work item.  Trial ``i`` of a simulate cell uses the key
+``(seed, channel type, sigma2, i)``; trial ``i`` of a sweep point uses
+``(seed, "sweep-eval", param, value, i)``.  Cells are therefore
+order-independent and individually replayable, grids can run on a
+thread pool without affecting results, and repeated runs produce
 byte-identical CSV files.
 
 Float columns are written at 6 significant digits.  Each driver writes
@@ -56,8 +60,8 @@ from ..diffusion import (
 from ..errors import ConfigurationError
 from ..loss import LossWeights, TrainConfig, train_codec
 from ..metrics import MetricReport, psnr_from_mse, ssim
-from ..schedule import Schedule, build_linear_schedule, sigma2_to_step
-from .config import Cell, ExperimentConfig, resolved_config
+from ..schedule import Schedule, build_linear_schedule
+from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
 __all__ = [
     "RunResult",
@@ -95,6 +99,12 @@ class RunResult:
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
     reports: Optional[tuple[MetricReport, ...]] = None
+
+
+def _metric_report(psnr_db: float, ssim_value: Optional[float], mse: float, n: int):
+    """Report for one row's metric triple; SSIM reads 1.0 when the row has none."""
+    ssim_value = 1.0 if ssim_value is None else ssim_value
+    return MetricReport(psnr_db=psnr_db, ssim=ssim_value, mse=mse, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +158,14 @@ def _make_source_draw(cfg: ExperimentConfig) -> Callable[[int, np.random.Generat
     return draw_gaussian
 
 
+def _train_source(cfg: ExperimentConfig):
+    if cfg.source.kind == "file":
+        draw = _make_source_draw(cfg)
+        rng = _derive_rng(cfg.seed, "dataset")
+        return [draw(i, rng) for i in range(cfg.source.count)]
+    return GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v)
+
+
 def _ssim_window(shape: tuple[int, int, int]) -> Optional[int]:
     side = min(7, shape[0], shape[1])
     if side % 2 == 0:
@@ -155,11 +173,26 @@ def _ssim_window(shape: tuple[int, int, int]) -> Optional[int]:
     return side if side >= 3 else None
 
 
-def _simulate_codec(cfg: ExperimentConfig, schedule: Schedule) -> Optional[CodecParams]:
-    if not cfg.codec.enabled:
-        return None
+# ---------------------------------------------------------------------------
+# codec and trainer set-up
+
+
+def _init_codec(cfg: ExperimentConfig, k: float, rng: np.random.Generator) -> CodecParams:
+    return init_codec(
+        cfg.source.shape,
+        k,
+        CodecArch(hidden=cfg.codec.hidden, blocks=cfg.codec.blocks),
+        rng,
+        power_norm=cfg.codec.power_norm,
+        snr_conditioning=cfg.codec.snr_conditioning,
+        snr_to_mu=cfg.codec.snr_to_mu,
+        snr_db_range=cfg.codec.snr_db_range,
+    )
+
+
+def _codec_params(cfg: ExperimentConfig) -> CodecParams:
+    """Stored weights from ``codec.params_path``, else a seeded initialization."""
     k = cfg.codec_k()
-    arch = CodecArch(hidden=cfg.codec.hidden, blocks=cfg.codec.blocks)
     if cfg.codec.params_path is not None:
         params = load_codec(cfg.codec.params_path)
         if params.shape != cfg.source.shape:
@@ -173,15 +206,18 @@ def _simulate_codec(cfg: ExperimentConfig, schedule: Schedule) -> Optional[Codec
                 f"stored length {params.m} does not match configured compression",
             )
         return params
-    return init_codec(
-        cfg.source.shape,
-        k,
-        arch,
-        _derive_rng(cfg.seed, "codec-init"),
-        power_norm=cfg.codec.power_norm,
-        snr_conditioning=cfg.codec.snr_conditioning,
-        snr_to_mu=cfg.codec.snr_to_mu,
-        snr_db_range=cfg.codec.snr_db_range,
+    return _init_codec(cfg, k, _derive_rng(cfg.seed, "codec-init"))
+
+
+def _train_config(cfg: ExperimentConfig, steps: int, eval_every: int) -> TrainConfig:
+    return TrainConfig(
+        steps=steps,
+        batch=cfg.train.batch,
+        lr=cfg.train.lr,
+        momentum=cfg.train.momentum,
+        eval_every=eval_every,
+        holdout=cfg.train.holdout,
+        common_noise=cfg.train.common_noise,
     )
 
 
@@ -230,19 +266,19 @@ class _TrialSetup:
     schedule: Schedule
     denoiser: AnalyticGaussianDenoiser
     draw: Callable[[int, np.random.Generator], Latent]
-    params: Optional[CodecParams]
+    params: Optional[CodecParams] = None
 
 
-def _receive_base(
-    setup: _TrialSetup, out: ChannelOutput, n: int, snr_nominal: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Channel output -> latent-domain estimate (decode if compressed)."""
-    received = out.received.to_real()
-    if setup.params is None:
-        return received[:n]
-    z_hat = Latent(data=received[: setup.params.m], shape=(setup.params.m, 1, 1))
-    _, decoded = upsample(z_hat, snr_nominal, setup.params, rng)
-    return decoded.data
+def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
+    schedule = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
+    return _TrialSetup(
+        cfg=cfg,
+        schedule=schedule,
+        denoiser=AnalyticGaussianDenoiser(
+            GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v), schedule
+        ),
+        draw=_make_source_draw(cfg),
+    )
 
 
 def _denoise_streams(
@@ -277,76 +313,79 @@ def _compensate_streams(
     return recon
 
 
-def _trial_metrics(
-    setup: _TrialSetup, y0: Latent, recon: np.ndarray, window: Optional[int]
-) -> tuple[float, Optional[float]]:
-    diff = recon - y0.data
-    err = float(np.mean(diff * diff))
-    s = None
-    if window is not None:
-        s = ssim(y0, y0.with_data(recon), window=window)
-    return err, s
+def _run_trials(
+    setup: _TrialSetup, sigma2: float, kind: str, trials: int, key: tuple
+) -> tuple[float, Optional[float], list[float], list[float]]:
+    """Run ``trials`` latents through the receiver chain at noise ``sigma2``.
 
-
-def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
-    cfg = setup.cfg
+    Trial ``i`` draws everything from ``_derive_rng(*key, i)``.  ``kind``
+    picks the receive route: ``adaptive`` denoises each stream from its
+    mapped step, ``fixed_step`` tops it up to ``mode.t_target`` first, and
+    ``compare`` runs the adaptive route, then the fixed-step one, then a
+    pure forward draw to the target.  Returns the mean MSE and SSIM (None
+    without an SSIM window) of the adaptive or fixed-step reconstruction,
+    and in compare mode the per-trial MSEs of the compensate and forward
+    routes.
+    """
+    cfg, params, schedule = setup.cfg, setup.params, setup.schedule
+    sigma = math.sqrt(sigma2)
+    snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
     window = _ssim_window(cfg.source.shape)
-    sigma = math.sqrt(cell.sigma2)
-    snr_nominal = math.inf if cell.sigma2 == 0.0 else 1.0 / cell.sigma2
-    kind = cfg.mode.kind
-    n = cfg.source.n
+    t_target = cfg.mode.t_target
 
     mses: list[float] = []
     ssims: list[float] = []
     comp_mses: list[float] = []
     fwd_mses: list[float] = []
-    deltas: list[float] = []
-
-    for trial in range(cfg.source.count):
-        rng = _derive_rng(cfg.seed, cfg.channel.type, cell.sigma2, trial)
+    for trial in range(trials):
+        rng = _derive_rng(*key, trial)
         y0 = setup.draw(trial, rng)
-        transmitted = y0.data if setup.params is None else downsample(y0, setup.params).data
-        out = _transmit(cfg, transmitted, sigma, rng, setup.schedule)
-        base = _receive_base(setup, out, n, snr_nominal, rng)
+        transmitted = y0.data if params is None else downsample(y0, params).data
+        out = _transmit(cfg, transmitted, sigma, rng, schedule)
+        base = out.received.to_real()
+        if params is None:
+            base = base[: cfg.source.n]
+        else:
+            z_hat = Latent(data=base[: params.m], shape=(params.m, 1, 1))
+            base = upsample(z_hat, snr_nominal, params, rng)[1].data
 
-        if kind == "adaptive":
-            recon = _denoise_streams(setup, base, out, rng)
-        elif kind == "fixed_step":
-            recon = _compensate_streams(setup, base, out, cfg.mode.t_target, rng)
+        if kind == "fixed_step":
+            recon = _compensate_streams(setup, base, out, t_target, rng)
         else:
             recon = _denoise_streams(setup, base, out, rng)
-            comp = _compensate_streams(setup, base, out, cfg.mode.t_target, rng)
-            fwd_t = forward_sample(y0, cfg.mode.t_target, setup.schedule, rng)
-            fwd = denoise_from_step(
-                fwd_t, cfg.mode.t_target, setup.denoiser, setup.schedule, rng
-            ).data
-            comp_err = float(np.mean((comp - y0.data) ** 2))
-            fwd_err = float(np.mean((fwd - y0.data) ** 2))
-            comp_mses.append(comp_err)
-            fwd_mses.append(fwd_err)
-            deltas.append(10.0 * math.log10(fwd_err / comp_err))
+        if kind == "compare":
+            comp = _compensate_streams(setup, base, out, t_target, rng)
+            fwd_t = forward_sample(y0, t_target, schedule, rng)
+            fwd = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng).data
+            comp_mses.append(float(np.mean((comp - y0.data) ** 2)))
+            fwd_mses.append(float(np.mean((fwd - y0.data) ** 2)))
 
-        err, s = _trial_metrics(setup, y0, recon, window)
-        mses.append(err)
-        if s is not None:
-            ssims.append(s)
+        diff = recon - y0.data
+        mses.append(float(np.mean(diff * diff)))
+        if window is not None:
+            ssims.append(ssim(y0, y0.with_data(recon), window=window))
 
-    mean_mse = float(np.mean(mses))
     mean_ssim = float(np.mean(ssims)) if ssims else None
+    return float(np.mean(mses)), mean_ssim, comp_mses, fwd_mses
+
+
+def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
+    cfg = setup.cfg
+    kind = cfg.mode.kind
+    mse, mean_ssim, comp_mses, fwd_mses = _run_trials(
+        setup, cell.sigma2, kind, cfg.source.count, (cfg.seed, cfg.channel.type, cell.sigma2)
+    )
+    coords = (cfg.channel.type, cell.snr_db, cell.sigma2)
 
     if kind == "compare":
-        comp_mse = float(np.mean(comp_mses))
-        fwd_mse = float(np.mean(fwd_mses))
-        p_ad = psnr_from_mse(mean_mse)
-        p_comp = psnr_from_mse(comp_mse)
-        p_fwd = psnr_from_mse(fwd_mse)
-        d = np.asarray(deltas)
+        p_ad = psnr_from_mse(mse)
+        p_comp = psnr_from_mse(float(np.mean(comp_mses)))
+        p_fwd = psnr_from_mse(float(np.mean(fwd_mses)))
+        d = np.asarray([10.0 * math.log10(f / c) for c, f in zip(comp_mses, fwd_mses)])
         half = 1.96 * float(np.std(d, ddof=1)) / math.sqrt(d.size) if d.size > 1 else 0.0
         center = float(np.mean(d))
         return (
-            cfg.channel.type,
-            cell.snr_db,
-            cell.sigma2,
+            *coords,
             cfg.source.count,
             p_ad,
             p_comp,
@@ -358,42 +397,30 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
         )
 
     if kind == "adaptive":
-        try:
-            step_u: Optional[int] = sigma2_to_step(setup.schedule, cell.sigma2).step_u
-        except Exception:
-            step_u = None
+        step_u = _nominal_step_u(setup.schedule, cell.sigma2)
     else:
         step_u = cfg.mode.t_target
-    return (
-        cfg.channel.type,
-        cell.snr_db,
-        cell.sigma2,
-        step_u,
-        cfg.source.count,
-        psnr_from_mse(mean_mse),
-        mean_ssim,
-        mean_mse,
-    )
+    return (*coords, step_u, cfg.source.count, psnr_from_mse(mse), mean_ssim, mse)
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def _cell_worker(setup: _TrialSetup, cell: Cell) -> tuple:
-    try:
-        return _run_cell(setup, cell)
-    except Exception as exc:
-        raise RuntimeError(
-            f"cell channel={setup.cfg.channel.type} snr_db={cell.snr_db:.6g}: {exc}"
-        ) from exc
+def _map_cells(worker, items, label: Callable[..., str], threads: int) -> list:
+    """``worker`` over ``items``, on a thread pool when ``threads > 1``.
+    A failure is re-raised as RuntimeError prefixed with ``label(item)``."""
 
+    def labelled(item):
+        try:
+            return worker(item)
+        except Exception as exc:
+            raise RuntimeError(f"{label(item)}: {exc}") from exc
 
-def _map_cells(worker, items, threads: int) -> list:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
+            return list(pool.map(labelled, items))
+    return [labelled(item) for item in items]
 
 
 def _write_text(path: str, text: str):
@@ -424,30 +451,20 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     confidence interval on compensate-vs-forward.  Failures carry the
     coordinates of the offending cell.
     """
-    schedule = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
-    setup = _TrialSetup(
-        cfg=cfg,
-        schedule=schedule,
-        denoiser=AnalyticGaussianDenoiser(
-            GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v), schedule
-        ),
-        draw=_make_source_draw(cfg),
-        params=_simulate_codec(cfg, schedule),
+    setup = _trial_setup(cfg)
+    if cfg.codec.enabled:
+        setup = replace(setup, params=_codec_params(cfg))
+    rows = _map_cells(
+        lambda cell: _run_cell(setup, cell),
+        cfg.channel.cells,
+        lambda cell: f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g}",
+        threads,
     )
-    rows = _map_cells(lambda cell: _cell_worker(setup, cell), cfg.channel.cells, threads)
 
     header = _COMPARE_HEADER if cfg.mode.kind == "compare" else _SIMULATE_HEADER
     reports = None
     if cfg.mode.kind != "compare":
-        reports = tuple(
-            MetricReport(
-                psnr_db=row[5],
-                ssim=(row[6] if row[6] is not None else 1.0),
-                mse=row[7],
-                n=row[4],
-            )
-            for row in rows
-        )
+        reports = tuple(_metric_report(*row[5:8], n=row[4]) for row in rows)
     log_lines = [f"simulate mode={cfg.mode.kind} cells={len(rows)} trials={cfg.source.count}"]
     log_lines += [
         f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g} done"
@@ -456,14 +473,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     table = (list(header), [list(r) for r in rows])
     _write_run_files(cfg, out_dir, table, log_lines)
     return RunResult(header=tuple(header), rows=tuple(tuple(r) for r in rows), reports=reports)
-
-
-def _train_source(cfg: ExperimentConfig):
-    if cfg.source.kind == "file":
-        draw = _make_source_draw(cfg)
-        rng = _derive_rng(cfg.seed, "dataset")
-        return [draw(i, rng) for i in range(cfg.source.count)]
-    return GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v)
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, RunResult]:
@@ -475,18 +484,9 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     """
     if cfg.codec.C is None and cfg.codec.k is None:
         raise ConfigurationError("codec.C, codec.k", "training needs a compression setting")
-    schedule = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
-    params0 = _simulate_codec_required(cfg, schedule)
+    params0 = _codec_params(cfg)
     sigma = math.sqrt(10.0 ** (-cfg.train.snr_db / 10.0))
-    tcfg = TrainConfig(
-        steps=cfg.train.steps,
-        batch=cfg.train.batch,
-        lr=cfg.train.lr,
-        momentum=cfg.train.momentum,
-        eval_every=cfg.train.eval_every,
-        holdout=cfg.train.holdout,
-        common_noise=cfg.train.common_noise,
-    )
+    tcfg = _train_config(cfg, cfg.train.steps, cfg.train.eval_every)
     weights = LossWeights(lam=cfg.loss.lam, gamma=cfg.loss.gamma)
     params, records = train_codec(
         _train_source(cfg), sigma, params0, weights, tcfg, _derive_rng(cfg.seed, "train")
@@ -509,23 +509,12 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     return params, RunResult(header=tuple(_TRAIN_HEADER), rows=tuple(tuple(r) for r in rows))
 
 
-def _simulate_codec_required(cfg: ExperimentConfig, schedule: Schedule) -> CodecParams:
-    params = _simulate_codec(
-        cfg if cfg.codec.enabled else _enable_codec(cfg), schedule
-    )
-    assert params is not None
-    return params
-
-
-def _enable_codec(cfg: ExperimentConfig) -> ExperimentConfig:
-    return replace(cfg, codec=replace(cfg.codec, enabled=True))
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> RunResult:
     """Train and evaluate one codec per hyperparameter grid value.
 
     Each grid point is seeded by (seed, parameter name, value), so
-    reordering the grid cannot change any row.  Evaluation transmits
+    reordering the grid cannot change any row.  Training and evaluation
+    draw from the configured source.  Evaluation transmits
     ``sweep.trials`` latents end to end (codec, channel at the training
     SNR, adaptive receive, denoise) and reports PSNR/SSIM/MSE.
     """
@@ -536,81 +525,33 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     if cfg.channel.type == "mimo":
         raise ConfigurationError("channel.type", "sweep evaluation does not support mimo")
 
-    schedule = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
-    model = GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v)
-    denoiser = AnalyticGaussianDenoiser(model, schedule)
+    setup = _trial_setup(cfg)
+    source = _train_source(cfg)
+    param = cfg.sweep.param
     steps = cfg.train.steps if cfg.sweep.steps is None else cfg.sweep.steps
     trials = cfg.source.count if cfg.sweep.trials is None else cfg.sweep.trials
+    tcfg = _train_config(cfg, steps, max(1, steps))
     sigma2 = 10.0 ** (-cfg.train.snr_db / 10.0)
-    sigma = math.sqrt(sigma2)
-    snr = 1.0 / sigma2
-    window = _ssim_window(cfg.source.shape)
-    arch = CodecArch(hidden=cfg.codec.hidden, blocks=cfg.codec.blocks)
 
     def run_point(value: float) -> list:
-        try:
-            lam, gamma = cfg.loss.lam, cfg.loss.gamma
-            if cfg.sweep.param == "lambda":
-                lam = value
-            elif cfg.sweep.param == "gamma":
-                gamma = value
-            if cfg.sweep.param == "C":
-                k = k_from_channel_count(int(value), cfg.source.n)
-            else:
-                k = cfg.codec_k()
-            rng = _derive_rng(cfg.seed, "sweep", cfg.sweep.param, value)
-            params0 = init_codec(
-                cfg.source.shape, k, arch, rng,
-                power_norm=cfg.codec.power_norm,
-                snr_conditioning=cfg.codec.snr_conditioning,
-                snr_to_mu=cfg.codec.snr_to_mu,
-                snr_db_range=cfg.codec.snr_db_range,
-            )
-            tcfg = TrainConfig(
-                steps=steps,
-                batch=cfg.train.batch,
-                lr=cfg.train.lr,
-                momentum=cfg.train.momentum,
-                eval_every=max(1, steps),
-                holdout=cfg.train.holdout,
-                common_noise=cfg.train.common_noise,
-            )
-            params, _ = train_codec(model, sigma, params0, LossWeights(lam, gamma), tcfg, rng)
-
-            mses, ssims = [], []
-            setup = _TrialSetup(
-                cfg=cfg, schedule=schedule, denoiser=denoiser,
-                draw=lambda trial, r: model.draw(cfg.source.shape, r), params=params,
-            )
-            for trial in range(trials):
-                trng = _derive_rng(cfg.seed, "sweep-eval", cfg.sweep.param, value, trial)
-                y0 = model.draw(cfg.source.shape, trng)
-                z = downsample(y0, params).data
-                out = _transmit(cfg, z, sigma, trng, schedule)
-                base = _receive_base(setup, out, cfg.source.n, snr, trng)
-                recon = _denoise_streams(setup, base, out, trng)
-                err, s = _trial_metrics(setup, y0, recon, window)
-                mses.append(err)
-                if s is not None:
-                    ssims.append(s)
-            mean_mse = float(np.mean(mses))
-            mean_ssim = float(np.mean(ssims)) if ssims else None
-            return [cfg.sweep.param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse]
-        except Exception as exc:
-            raise RuntimeError(f"grid {cfg.sweep.param}={value:.6g}: {exc}") from exc
-
-    rows = _map_cells(run_point, cfg.sweep.values, threads)
-    table = (list(_SWEEP_HEADER), rows)
-    log_lines = [
-        f"sweep param={cfg.sweep.param} points={len(rows)} steps={steps} trials={trials}"
-    ]
-    _write_run_files(cfg, out_dir, table, log_lines)
-    reports = tuple(
-        MetricReport(
-            psnr_db=row[2], ssim=(row[3] if row[3] is not None else 1.0), mse=row[4], n=trials
+        lam = value if param == "lambda" else cfg.loss.lam
+        gamma = value if param == "gamma" else cfg.loss.gamma
+        k = k_from_channel_count(int(value), cfg.source.n) if param == "C" else cfg.codec_k()
+        rng = _derive_rng(cfg.seed, "sweep", param, value)
+        params0 = _init_codec(cfg, k, rng)
+        weights = LossWeights(lam, gamma)
+        params, _ = train_codec(source, math.sqrt(sigma2), params0, weights, tcfg, rng)
+        mse, mean_ssim, _, _ = _run_trials(
+            replace(setup, params=params), sigma2, "adaptive", trials,
+            (cfg.seed, "sweep-eval", param, value),
         )
-        for row in rows
-    )
+        return [param, value, psnr_from_mse(mse), mean_ssim, mse]
+
+    rows = _map_cells(run_point, cfg.sweep.values, lambda v: f"grid {param}={v:.6g}", threads)
+    table = (list(_SWEEP_HEADER), rows)
+    log_lines = [f"sweep param={param} points={len(rows)} steps={steps} trials={trials}"]
+    _write_run_files(cfg, out_dir, table, log_lines)
+    reports = tuple(_metric_report(*row[2:5], n=trials) for row in rows)
     return RunResult(
         header=tuple(_SWEEP_HEADER), rows=tuple(tuple(r) for r in rows), reports=reports
     )

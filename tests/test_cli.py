@@ -243,6 +243,22 @@ def test_simulate_errors_carry_cell_coordinates(tmp_path):
         run_simulate(cfg, out_dir=str(tmp_path))
 
 
+def test_simulate_runs_cells_whose_nominal_variance_saturates(tmp_path):
+    # -44.5 dB is past the schedule's last step, but a fixed |h|^2 = 0.25
+    # maps every trial at sigma2 / 4, so the cell runs without a step_u
+    text = _cfg(channel={"type": "rayleigh", "snr_db": [-44.5, 0.0], "h": [0.5, 0.0]})
+    cfg = parse_config(text)
+    result = run_simulate(cfg, out_dir=str(tmp_path))
+    assert [row[1] for row in result.rows] == [-44.5, 0.0]
+    assert result.rows[0][3] is None and result.rows[1][3] is not None
+    assert all(math.isfinite(row[5]) for row in result.rows)
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[1].split(",")[3] == ""
+    cells = resolved_config(cfg)["channel"]["cells"]
+    assert cells[0]["saturates"] is True and cells[0]["step_u"] is None
+    assert "saturates" not in cells[1]
+
+
 def test_simulate_with_codec_round_trip(tmp_path):
     cfg = parse_config(_cfg(codec={"enabled": True, "k": 0.5},
                             source={"shape": [4, 4, 2], "count": 2}))
@@ -310,6 +326,27 @@ def test_sweep_errors_carry_grid_coordinates(tmp_path):
     # C=1 rounds to zero transmitted symbols for an 8-element latent
     with pytest.raises(RuntimeError, match="grid C=1"):
         run_sweep(parse_config(_sweep_cfg([1], param="C")), out_dir=str(tmp_path))
+
+
+def _file_sweep_cfg(tmp_path, **arrays):
+    path = tmp_path / "latents.npz"
+    np.savez(path, **arrays)
+    cfg = json.loads(_sweep_cfg([1.0]))
+    cfg["source"] = {**cfg["source"], "kind": "file", "path": str(path)}
+    return parse_config(json.dumps(cfg))
+
+
+def test_sweep_rejects_file_source_without_latents(tmp_path):
+    cfg = _file_sweep_cfg(tmp_path, other=np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ConfigurationError, match="source.path"):
+        run_sweep(cfg, out_dir=str(tmp_path / "out"))
+
+
+def test_sweep_trains_and_evaluates_on_file_source(tmp_path):
+    cfg = _file_sweep_cfg(tmp_path, latents=np.full((2, 2, 2, 2), 4.0))
+    from_file = run_sweep(cfg, out_dir=str(tmp_path / "file"))
+    gaussian = run_sweep(parse_config(_sweep_cfg([1.0])), out_dir=str(tmp_path / "gaussian"))
+    assert from_file.rows[0][4] > 4.0 * gaussian.rows[0][4]
 
 
 # ---------------------------------------------------------------------------
