@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffcomm.cli import parse_config, run_simulate, run_sweep
+from diffcomm.cli import parse_config, run_simulate, run_sweep, run_train
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -74,8 +74,23 @@ def _sweep_config(param: str, values: list, ctype: str = "awgn") -> dict:
     }
 
 
+def _train_config(train: dict, codec: dict) -> dict:
+    return {
+        "source": {"shape": SOURCE["shape"]},
+        "channel": {"type": "awgn", "snr_db": [5.0]},
+        "codec": {"k": 0.5, **codec},
+        "train": {"batch": 2, "holdout": 4, "snr_db": 5.0, **train},
+    }
+
+
 CONFIGS = {
     **_simulate_configs(),
+    "train-default": (run_train, _train_config({"steps": 12, "eval_every": 4}, {})),
+    # eval_every does not divide steps, so the last step is evaluated on its own
+    "train-momentum": (run_train, _train_config(
+        {"steps": 12, "eval_every": 5, "momentum": 0.9, "common_noise": True},
+        {"arch": {"hidden": 6, "blocks": 3}, "snr_to_mu": True, "power_norm": False},
+    )),
     "sweep-lambda": (run_sweep, _sweep_config("lambda", [0.1, 1.0])),
     "sweep-gamma": (run_sweep, _sweep_config("gamma", [0.0, 0.5])),
     # n = 16 caps the channel count at 769
@@ -96,7 +111,10 @@ def _run(name: str, work: Path, threads: int = 1) -> bytes:
     if cfg["source"].get("kind") == "file":
         cfg = {**cfg, "source": {**cfg["source"], "path": _write_latents(work)}}
     out_dir = work / "out"
-    runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir), threads=threads)
+    if runner is run_train:  # training is serial and takes no thread count
+        runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir))
+    else:
+        runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir), threads=threads)
     return (out_dir / "results.csv").read_bytes()
 
 
