@@ -67,6 +67,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "report":
             sys.stdout.write(render_report(args.csv))
             return 0
+        if args.command != "train" and args.threads < 1:
+            raise ConfigurationError("threads", f"must be >= 1, got {args.threads}")
         cfg = _load_config(args)
         if args.command == "simulate":
             run_simulate(cfg, out_dir=args.out, threads=args.threads)

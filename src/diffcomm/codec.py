@@ -9,6 +9,13 @@ codec is a fixed linear projection: block-mean pooling on the way down,
 nearest-neighbor repetition on the way up.  With ``k = 1`` both
 projections are the identity.
 
+All trainable state lives in one float64 vector, ``CodecParams.flat``,
+laid out layer by layer in :func:`_param_arrays` order (down blocks,
+down projection, up projection, up blocks, variance head; ``W`` before
+``b`` in each layer).  Every layer's ``W`` and ``b`` is a reshaped view
+into that vector, so the trainer updates ``flat`` in place and the
+gradients of :func:`backward_batch` share the same layout.
+
 The forward pass is written so that an exact reverse-mode backward pass
 (`backward_batch`) can mirror it layer by layer; the training loop and
 loss live in :mod:`diffcomm.loss`.  No autodiff framework is involved,
@@ -19,7 +26,7 @@ suite is load-bearing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -83,7 +90,8 @@ class ResidualBlock:
 
 @dataclass
 class CodecParams:
-    """All trainable state plus the switches that shape the forward pass."""
+    """All trainable state plus the switches that shape the forward pass;
+    every ``W`` and ``b`` is a view into ``flat`` (see the module docstring)."""
 
     shape: tuple[int, int, int]
     k: float
@@ -98,6 +106,7 @@ class CodecParams:
     snr_conditioning: bool = True
     snr_to_mu: bool = False
     snr_db_range: tuple[float, float] = (0.0, 12.0)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -223,7 +232,7 @@ def init_codec(
     lv_fc1 = LinearParams(W=0.05 * rng.standard_normal((arch.hidden, m + 1)), b=np.zeros(arch.hidden))
     lv_fc2 = LinearParams(W=0.05 * rng.standard_normal((n, arch.hidden)), b=np.zeros(n))
 
-    return CodecParams(
+    params = CodecParams(
         shape=shape,
         k=float(k),
         arch=arch,
@@ -238,6 +247,7 @@ def init_codec(
         snr_to_mu=bool(snr_to_mu),
         snr_db_range=(lo, hi),
     )
+    return _bind(params, np.concatenate([arr.ravel() for _, arr in _param_arrays(params)]))
 
 
 def snr_feature(params: CodecParams, snr: float) -> float:
@@ -281,19 +291,16 @@ def _block_forward(block: ResidualBlock, x: np.ndarray) -> tuple[np.ndarray, dic
 
 
 def _block_backward(
-    block: ResidualBlock, ctx: dict, dout: np.ndarray
-) -> tuple[np.ndarray, ResidualBlock]:
+    block: ResidualBlock, ctx: dict, dout: np.ndarray, grads: ResidualBlock
+) -> np.ndarray:
+    """Input gradient of one block; its parameter gradients go into ``grads``."""
     dh = dout @ block.fc2.W
-    dW2 = dout.T @ ctx["h"]
-    db2 = dout.sum(axis=0)
+    grads.fc2.W[...] = dout.T @ ctx["h"]
+    grads.fc2.b[...] = dout.sum(axis=0)
     da = dh * _lrelu_grad(ctx["a"])
-    dW1 = da.T @ ctx["x"]
-    db1 = da.sum(axis=0)
-    dx = dout + da @ block.fc1.W
-    grads = ResidualBlock(
-        fc1=LinearParams(W=dW1, b=db1), fc2=LinearParams(W=dW2, b=db2)
-    )
-    return dx, grads
+    grads.fc1.W[...] = da.T @ ctx["x"]
+    grads.fc1.b[...] = da.sum(axis=0)
+    return dout + da @ block.fc1.W
 
 
 def forward_down_batch(params: CodecParams, Y: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -358,23 +365,8 @@ def forward_up_batch(
 
 
 def zero_grads(params: CodecParams) -> CodecParams:
-    """Parameter-shaped container of zeros (gradients accumulate into copies)."""
-
-    def zlin(p: LinearParams) -> LinearParams:
-        return LinearParams(W=np.zeros_like(p.W), b=np.zeros_like(p.b))
-
-    def zblock(b: ResidualBlock) -> ResidualBlock:
-        return ResidualBlock(fc1=zlin(b.fc1), fc2=zlin(b.fc2))
-
-    return replace(
-        params,
-        down_blocks=[zblock(b) for b in params.down_blocks],
-        down_proj=zlin(params.down_proj),
-        up_mu_proj=zlin(params.up_mu_proj),
-        up_mu_blocks=[zblock(b) for b in params.up_mu_blocks],
-        lv_fc1=zlin(params.lv_fc1),
-        lv_fc2=zlin(params.lv_fc2),
-    )
+    """Parameter-shaped container of zeros over a fresh vector."""
+    return _bind(params, np.zeros_like(params.flat))
 
 
 def backward_batch(
@@ -390,7 +382,8 @@ def backward_batch(
     (after the caller has folded in the reparameterization chain).  The
     channel noise between encoder and decoder is additive, so the decoder
     input gradient passes straight through to the encoder output.
-    Returns a parameter-shaped structure of gradients.
+    Returns a parameter-shaped structure of gradients, whose ``flat``
+    lines up with ``params.flat``.
     """
     g = zero_grads(params)
     m = params.m
@@ -412,11 +405,7 @@ def backward_batch(
         reversed(up_ctx["mu_blocks"]),
         reversed(g.up_mu_blocks),
     ):
-        dx, grads = _block_backward(block, bctx, dx)
-        gblock.fc1.W[...] = grads.fc1.W
-        gblock.fc1.b[...] = grads.fc1.b
-        gblock.fc2.W[...] = grads.fc2.W
-        gblock.fc2.b[...] = grads.fc2.b
+        dx = _block_backward(block, bctx, dx, gblock)
     g.up_mu_proj.W[...] = dx.T @ up_ctx["mu_in"]
     g.up_mu_proj.b[...] = dx.sum(axis=0)
     dZhat = dZhat + (dx @ params.up_mu_proj.W)[:, :m]
@@ -438,11 +427,7 @@ def backward_batch(
         reversed(down_ctx["blocks"]),
         reversed(g.down_blocks),
     ):
-        dx, grads = _block_backward(block, bctx, dx)
-        gblock.fc1.W[...] = grads.fc1.W
-        gblock.fc1.b[...] = grads.fc1.b
-        gblock.fc2.W[...] = grads.fc2.W
-        gblock.fc2.b[...] = grads.fc2.b
+        dx = _block_backward(block, bctx, dx, gblock)
     return g
 
 
@@ -465,21 +450,14 @@ def downsample_with_scale(y: Latent, params: CodecParams) -> tuple[Latent, float
     """
     if y.shape != params.shape:
         raise ValueError(f"latent shape {y.shape} does not match codec shape {params.shape}")
-    x = y.data[None, :]
-    for i, block in enumerate(params.down_blocks):
-        x, _ = _block_forward(block, x)
+    Z, ctx = forward_down_batch(params, y.data[None, :])
+    # each block's output is the next block's input, the last one the projection's
+    outputs = [bctx["x"] for bctx in ctx["blocks"][1:]] + [ctx["x_proj_in"]]
+    for i, x in enumerate(outputs):
         _check_finite(f"down_block_{i}", x)
-    z_raw = x @ params.down_proj.W.T + params.down_proj.b
-    _check_finite("down_proj", z_raw)
-    if params.power_norm:
-        c = float(np.sqrt(np.mean(z_raw * z_raw)))
-        if c == 0.0:
-            raise ValueError("cannot power-normalize an all-zero transmit vector")
-        z = z_raw[0] / c
-    else:
-        c = 1.0
-        z = z_raw[0]
-    return Latent(data=z, shape=(params.m, 1, 1)), c
+    _check_finite("down_proj", ctx["z_raw"])
+    c = float(ctx["c"][0]) if params.power_norm else 1.0
+    return Latent(data=Z[0], shape=(params.m, 1, 1)), c
 
 
 def downsample(y: Latent, params: CodecParams) -> Latent:
@@ -516,7 +494,7 @@ def reparameterize(q: GaussianParams, eps: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parameter flattening and serialization
+# the flat parameter vector and serialization
 
 
 def _param_arrays(params: CodecParams) -> list[tuple[str, np.ndarray]]:
@@ -542,42 +520,52 @@ def _param_arrays(params: CodecParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _bind(template: CodecParams, flat: np.ndarray) -> CodecParams:
+    """``template``'s layers and switches with every ``W`` and ``b`` a view into ``flat``."""
+    count = sum(arr.size for _, arr in _param_arrays(template))
+    if flat.size != count:
+        raise ValueError(f"vector length {flat.size} does not match parameter count {count}")
+    offset = 0
+
+    def view(arr: np.ndarray) -> np.ndarray:
+        nonlocal offset
+        out = flat[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+        return out
+
+    def lin(p: LinearParams) -> LinearParams:
+        return LinearParams(W=view(p.W), b=view(p.b))
+
+    def block(b: ResidualBlock) -> ResidualBlock:
+        return ResidualBlock(fc1=lin(b.fc1), fc2=lin(b.fc2))
+
+    # keyword arguments are evaluated in _param_arrays order
+    params = replace(
+        template,
+        down_blocks=[block(b) for b in template.down_blocks],
+        down_proj=lin(template.down_proj),
+        up_mu_proj=lin(template.up_mu_proj),
+        up_mu_blocks=[block(b) for b in template.up_mu_blocks],
+        lv_fc1=lin(template.lv_fc1),
+        lv_fc2=lin(template.lv_fc2),
+    )
+    params.flat = flat
+    return params
+
+
 def params_to_vector(params: CodecParams) -> np.ndarray:
-    """Flatten all trainable arrays in a fixed documented order."""
-    return np.concatenate([arr.ravel() for _, arr in _param_arrays(params)])
+    """Copy of all trainable values in the fixed documented order."""
+    return params.flat.copy()
 
 
 def vector_to_params(template: CodecParams, vec: np.ndarray) -> CodecParams:
-    """Rebuild parameters from a flat vector (inverse of params_to_vector)."""
-    new = clone_params(template)
-    offset = 0
-    for _, arr in _param_arrays(new):
-        size = arr.size
-        arr[...] = vec[offset : offset + size].reshape(arr.shape)
-        offset += size
-    if offset != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match parameter count {offset}")
-    return new
+    """Parameters over a copy of a flat vector (inverse of params_to_vector)."""
+    return _bind(template, np.array(vec, dtype=np.float64))
 
 
 def clone_params(params: CodecParams) -> CodecParams:
     """Deep copy of the trainable state; switches are shared immutables."""
-
-    def clin(p: LinearParams) -> LinearParams:
-        return LinearParams(W=p.W.copy(), b=p.b.copy())
-
-    def cblock(b: ResidualBlock) -> ResidualBlock:
-        return ResidualBlock(fc1=clin(b.fc1), fc2=clin(b.fc2))
-
-    return replace(
-        params,
-        down_blocks=[cblock(b) for b in params.down_blocks],
-        down_proj=clin(params.down_proj),
-        up_mu_proj=clin(params.up_mu_proj),
-        up_mu_blocks=[cblock(b) for b in params.up_mu_blocks],
-        lv_fc1=clin(params.lv_fc1),
-        lv_fc2=clin(params.lv_fc2),
-    )
+    return _bind(params, params.flat.copy())
 
 
 def save_codec(params: CodecParams, path) -> None:

@@ -19,8 +19,8 @@ latent sizes.  Parameter updates, however, descend the summed objective
 (mean gradient scaled by batch * elements): with the documented default
 learning rate the mean-objective gradient is too small to move the
 parameters at all, and the summed objective is what makes that rate
-meaningful.  See the decisions log in the repository root for the
-trade-off.
+meaningful.  The price is that the effective step grows with batch and
+latent size, so ``lr`` is tied to both.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from .codec import (
     clone_params,
     forward_down_batch,
     forward_up_batch,
-    params_to_vector,
     snr_feature,
-    vector_to_params,
 )
 from .diffusion import GaussianSourceModel, Latent
 from .errors import TrainingDivergedError
@@ -319,8 +317,7 @@ def train_codec(
     hold_eps2 = rng.standard_normal((cfg.holdout, m))
     hold_eps_y = rng.standard_normal((cfg.holdout, n))
 
-    vec = params_to_vector(params)
-    velocity = np.zeros_like(vec)
+    velocity = np.zeros_like(params.flat)
     grad_scale = cfg.batch * n  # updates descend the summed objective
     cursor = [0]
     records: list[TrainRecord] = []
@@ -337,13 +334,12 @@ def train_codec(
             raise TrainingDivergedError(step=step, last_finite_step=last_finite)
         last_finite = step
 
-        gvec = params_to_vector(grads) * grad_scale
+        gvec = grads.flat * grad_scale
         if cfg.momentum > 0.0:
             velocity = cfg.momentum * velocity - cfg.lr * gvec
-            vec = vec + velocity
+            params.flat += velocity
         else:
-            vec = vec - cfg.lr * gvec
-        params = vector_to_params(params, vec)
+            params.flat -= cfg.lr * gvec
 
         eval_psnr = None
         if step % cfg.eval_every == 0 or step == cfg.steps:

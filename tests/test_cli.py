@@ -419,6 +419,17 @@ def test_main_seed_override_changes_output(tmp_path):
     assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
 
 
+def test_main_rejects_thread_counts_below_one(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _cfg())
+    for command in ("simulate", "sweep"):
+        for threads in ("0", "-3"):
+            out = tmp_path / f"{command}{threads}"
+            argv = [command, "--config", cfg_path, "--out", str(out), "--threads", threads]
+            assert main(argv) == 2
+            assert "threads" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     bad = _write_cfg(tmp_path, '{"channel": {"snr_db": [5], "bogus": 1}}')
     assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2

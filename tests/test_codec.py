@@ -21,10 +21,12 @@ from diffcomm import (
     upsample,
 )
 from diffcomm.codec import (
+    clone_params,
     downsample_with_scale,
     params_to_vector,
     snr_feature,
     vector_to_params,
+    zero_grads,
 )
 
 SHAPE = (8, 8, 4)  # n = 256
@@ -217,6 +219,48 @@ def test_vector_round_trip():
     assert np.array_equal(params_to_vector(q), vec)
     with pytest.raises(ValueError):
         vector_to_params(p, vec[:-1])
+
+
+def _arrays(p):
+    return [
+        arr
+        for lin in [
+            *(l for blk in p.down_blocks for l in (blk.fc1, blk.fc2)),
+            p.down_proj,
+            p.up_mu_proj,
+            *(l for blk in p.up_mu_blocks for l in (blk.fc1, blk.fc2)),
+            p.lv_fc1,
+            p.lv_fc2,
+        ]
+        for arr in (lin.W, lin.b)
+    ]
+
+
+def test_vector_is_a_copy_and_layers_write_through():
+    p = _params(seed=23)
+    before = params_to_vector(p)
+    vec = params_to_vector(p)
+    vec += 1.0
+    assert np.array_equal(params_to_vector(p), before)
+    # layers are views into one vector laid out in the documented order
+    assert np.array_equal(np.concatenate([a.ravel() for a in _arrays(p)]), before)
+    p.down_proj.W[0, 0] += 1.0
+    assert not np.array_equal(params_to_vector(p), before)
+
+
+def test_rebuilt_params_do_not_alias_their_source():
+    p = _params(seed=24)
+    vec = params_to_vector(p)
+    q = vector_to_params(p, vec)
+    vec[:] = 0.0
+    assert np.array_equal(params_to_vector(q), params_to_vector(p))
+    assert not any(np.shares_memory(a, vec) for a in _arrays(q))
+    for other in (clone_params(p), zero_grads(p)):
+        for mine, theirs in zip(_arrays(other), _arrays(p)):
+            assert mine.shape == theirs.shape
+            assert not np.shares_memory(mine, theirs)
+    assert not np.any(params_to_vector(zero_grads(p)))
+    assert np.array_equal(params_to_vector(clone_params(p)), params_to_vector(p))
 
 
 def test_save_load_round_trip(tmp_path):
