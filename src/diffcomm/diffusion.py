@@ -17,7 +17,8 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -43,6 +44,27 @@ __all__ = [
 ]
 
 
+def _checked_data(data, shape: tuple[int, int, int]) -> np.ndarray:
+    """Latent data as a read-only flat float64 array, or ValueError.
+
+    The one check on latent values, shared by the constructor and
+    ``Latent.with_data``: one-dimensional, ``w * h * c`` elements for the
+    (already validated) ``shape``, all finite.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 1:
+        raise ValueError(f"latent data must be one-dimensional, got {data.ndim}")
+    w, h, c = shape
+    if w * h * c != data.size:
+        raise ValueError(
+            f"shape {shape} implies {w * h * c} elements, data has {data.size}"
+        )
+    if not np.isfinite(data).all():
+        raise ValueError("latent components must be finite")
+    data.flags.writeable = False
+    return data
+
+
 @dataclass(frozen=True)
 class Latent:
     """Flat real-valued latent with its logical (width, height, channels) shape."""
@@ -51,30 +73,27 @@ class Latent:
     shape: tuple[int, int, int]
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
-        shape = tuple(int(v) for v in self.shape)
-        object.__setattr__(self, "shape", shape)
-        if data.ndim != 1:
-            raise ValueError(f"latent data must be one-dimensional, got {data.ndim}")
-        if len(shape) != 3 or any(v < 1 for v in shape):
+        shape = tuple(map(int, self.shape))
+        if len(shape) != 3 or min(shape) < 1:
             raise ValueError(f"shape must be three positive integers, got {shape}")
-        w, h, c = shape
-        if w * h * c != data.size:
-            raise ValueError(
-                f"shape {shape} implies {w * h * c} elements, data has {data.size}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("latent components must be finite")
-        data.flags.writeable = False
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "data", _checked_data(self.data, shape))
 
     @property
     def n(self) -> int:
         return self.data.size
 
     def with_data(self, data: np.ndarray) -> "Latent":
-        """Same logical shape, new values."""
-        return Latent(data=data, shape=self.shape)
+        """Same logical shape, new values.
+
+        The shape is trusted: it was validated when this latent was
+        built.  The data get the constructor's checks (one-dimensional,
+        matching size, finite) and are read-only afterwards.
+        """
+        out = object.__new__(Latent)
+        object.__setattr__(out, "data", _checked_data(data, self.shape))
+        object.__setattr__(out, "shape", self.shape)
+        return out
 
     def as_image(self) -> np.ndarray:
         """View as a (width, height, channels) array for windowed metrics."""
@@ -125,19 +144,41 @@ class AnalyticGaussianDenoiser:
 
     model: GaussianSourceModel
     schedule: Schedule
+    # entry t: (sqrt(1 - ab_t), sqrt(ab_t) * m, ab_t * v + (1 - ab_t)), t = 0..T
+    _coefs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ab = np.concatenate(([1.0], self.schedule.alpha_bars))
+        m, v = self.model.mean, self.model.variance
+        coefs = zip(
+            np.sqrt(1.0 - ab).tolist(),
+            (np.sqrt(ab) * m).tolist(),
+            (ab * v + (1.0 - ab)).tolist(),
+        )
+        object.__setattr__(self, "_coefs", tuple(coefs))
 
     def predict_noise(self, y_t: Latent, t: int) -> Latent:
-        ab = self.schedule.alpha_bar(t)
-        m, v = self.model.mean, self.model.variance
-        denom = ab * v + (1.0 - ab)
-        eps = math.sqrt(1.0 - ab) * (y_t.data - math.sqrt(ab) * m) / denom
+        self.schedule._check_step(t, lo=0)
+        noise_sd, signal_mean, denom = self._coefs[t]
+        eps = y_t.data - signal_mean
+        eps *= noise_sd
+        eps /= denom
         return y_t.with_data(eps)
 
 
 def analytic_gaussian_denoiser(
     model: GaussianSourceModel, schedule: Schedule
 ) -> AnalyticGaussianDenoiser:
-    """Build the closed-form denoiser for an i.i.d. Gaussian source."""
+    """Build the closed-form denoiser for an i.i.d. Gaussian source.
+
+    Deprecated: call ``AnalyticGaussianDenoiser(model, schedule)``.
+    """
+    warnings.warn(
+        "analytic_gaussian_denoiser is deprecated; "
+        "use AnalyticGaussianDenoiser(model, schedule)",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     return AnalyticGaussianDenoiser(model=model, schedule=schedule)
 
 
@@ -173,18 +214,23 @@ def reverse_step(
     ``(1 - ab_{t-1}) * (1 - a_t) / (1 - ab_t)``.  At ``t = 1`` the
     previous state is noiseless (``ab_0 = 1``), the variance vanishes,
     and the step is deterministic.
+
+    The scalars come from ``schedule.reverse_coefs``, built once from the
+    same expressions, and the update runs in place on one new array, so
+    the result is bit-identical to evaluating the formulas above per
+    call.  Each step draws ``y_t.n`` standard normals from ``rng``
+    (none at ``t = 1``).
     """
-    if t < 1 or t > schedule.T:
-        raise IndexError(f"step {t} outside [1, {schedule.T}]")
-    a_t = schedule.alpha(t)
-    ab_t = schedule.alpha_bar(t)
-    ab_prev = schedule.alpha_bar(t - 1)
+    schedule._check_step(t, lo=1)
+    c_eps, sqrt_a, sd = schedule.reverse_coefs[t - 1]
     eps_hat = denoiser.predict_noise(y_t, t)
-    mu = (y_t.data - (1.0 - a_t) / math.sqrt(1.0 - ab_t) * eps_hat.data) / math.sqrt(a_t)
-    if t == 1:
-        return y_t.with_data(mu)
-    var = (1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab_t)
-    return y_t.with_data(mu + math.sqrt(var) * rng.standard_normal(y_t.n))
+    mu = y_t.data - c_eps * eps_hat.data
+    mu /= sqrt_a
+    if t > 1:
+        z = rng.standard_normal(y_t.n)
+        z *= sd
+        mu += z
+    return y_t.with_data(mu)
 
 
 def compensate_to_step(

@@ -20,7 +20,7 @@ Step indices are 1-based; ``u = 0`` is the explicit noiseless state with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,19 @@ class Schedule:
         ``1 - betas``.
     alpha_bars : ndarray
         Cumulative products of ``alphas``; strictly decreasing.
+    reverse_coefs : tuple
+        Derived, not a constructor argument.  Entry ``t - 1`` holds the
+        ancestral reverse step's scalars at step ``t`` as Python floats:
+        ``((1 - a_t) / sqrt(1 - ab_t), sqrt(a_t), sd_t)`` with
+        ``sd_t = sqrt((1 - ab_{t-1}) * (1 - a_t) / (1 - ab_t))``, which is
+        exactly 0 at ``t = 1``.
     """
 
     T: int
     betas: np.ndarray
     alphas: np.ndarray
     alpha_bars: np.ndarray
+    reverse_coefs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -78,6 +85,16 @@ class Schedule:
             raise ConfigurationError("alpha_bars", "must be strictly decreasing")
         for name in ("betas", "alphas", "alpha_bars"):
             getattr(self, name).flags.writeable = False
+        # numpy's elementwise +, -, *, / and sqrt are correctly rounded, as
+        # Python float arithmetic and math.sqrt are, so every entry equals
+        # its formula evaluated on the scalars bit for bit.
+        a_t = self.alphas
+        ab_t = self.alpha_bars
+        ab_prev = np.concatenate(([1.0], ab_t[:-1]))
+        c_eps = (1.0 - a_t) / np.sqrt(1.0 - ab_t)
+        sd = np.sqrt((1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab_t))
+        coefs = tuple(zip(c_eps.tolist(), np.sqrt(a_t).tolist(), sd.tolist()))
+        object.__setattr__(self, "reverse_coefs", coefs)
 
     def beta(self, t: int) -> float:
         """Noise rate at step ``t`` in ``[1, T]``."""

@@ -8,6 +8,7 @@ statistically tight, since every element is an independent replica.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,7 +58,27 @@ def test_latent_validation_and_views():
     with pytest.raises(ValueError):
         Latent(data=np.array([1.0, np.nan]), shape=(2, 1, 1))
     with pytest.raises(ValueError):
+        Latent(data=np.zeros(0), shape=(0, 1, 1))
+    with pytest.raises(ValueError):
         lat.data[0] = 99.0
+    # with_data trusts the shape but checks the data like the constructor
+    for value in (np.nan, np.inf, -np.inf):
+        data = np.zeros(12)
+        data[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            lat.with_data(data)
+    for data, message in (
+        (np.zeros((2, 6)), "one-dimensional"),
+        (np.zeros((12, 1)), "one-dimensional"),
+        (np.zeros(11), "implies 12 elements"),
+        (np.zeros(13), "implies 12 elements"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            lat.with_data(data)
+    out = lat.with_data(np.ones(12))
+    assert out.shape == lat.shape and out.n == 12
+    with pytest.raises(ValueError):
+        out.data[0] = 99.0
 
 
 def test_source_model_draw_statistics():
@@ -134,14 +155,20 @@ def test_reverse_step_range_check():
 
 
 def test_analytic_denoiser_satisfies_protocol():
-    den = analytic_gaussian_denoiser(GaussianSourceModel(), SCHEDULE)
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
     assert isinstance(den, Denoiser)
-    assert isinstance(den, AnalyticGaussianDenoiser)
+
+
+def test_analytic_gaussian_denoiser_alias_is_deprecated():
+    model = GaussianSourceModel(mean=0.5, variance=2.0)
+    with pytest.warns(DeprecationWarning, match="AnalyticGaussianDenoiser"):
+        den = analytic_gaussian_denoiser(model, SCHEDULE)
+    assert den == AnalyticGaussianDenoiser(model, SCHEDULE)
 
 
 def test_analytic_denoiser_formula_hand_check():
     model = GaussianSourceModel(mean=2.0, variance=3.0)
-    den = analytic_gaussian_denoiser(model, SCHEDULE)
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
     t = 100
     ab = SCHEDULE.alpha_bar(t)
     y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
@@ -153,7 +180,7 @@ def test_analytic_denoiser_recovers_noise_for_deterministic_source():
     """With source variance 0 the posterior collapses and the predicted
     noise equals the true noise exactly."""
     model = GaussianSourceModel(mean=1.5, variance=0.0)
-    den = analytic_gaussian_denoiser(model, SCHEDULE)
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
     rng = np.random.default_rng(5)
     t = 350
     eps = rng.standard_normal(512)
@@ -218,7 +245,7 @@ def test_adaptive_receive_clean_signal_passes_through():
 
 
 def test_denoise_from_step_zero_is_identity():
-    den = analytic_gaussian_denoiser(GaussianSourceModel(), SCHEDULE)
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
     y = Latent(data=np.ones(16), shape=(16, 1, 1))
     out = denoise_from_step(y, 0, den, SCHEDULE, np.random.default_rng(0))
     assert np.array_equal(out.data, y.data)
@@ -226,7 +253,7 @@ def test_denoise_from_step_zero_is_identity():
 
 def test_denoise_is_deterministic_given_generator():
     model = GaussianSourceModel()
-    den = analytic_gaussian_denoiser(model, SCHEDULE)
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
     y0 = model.draw((16, 16, 1), np.random.default_rng(10))
     y_u = forward_sample(y0, 150, SCHEDULE, np.random.default_rng(11))
     a = denoise_from_step(y_u, 150, den, SCHEDULE, np.random.default_rng(12))
@@ -236,7 +263,7 @@ def test_denoise_is_deterministic_given_generator():
 
 def test_chain_mse_matches_posterior_sampling_value():
     model = GaussianSourceModel()
-    den = analytic_gaussian_denoiser(model, SCHEDULE)
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
     sigma2 = step_to_sigma2(SCHEDULE, 259)  # nearest step to unit noise
     n = 20_000
     rng = np.random.default_rng(13)
@@ -251,7 +278,7 @@ def test_chain_mse_matches_posterior_sampling_value():
 
 def test_chain_mse_decreases_with_snr():
     model = GaussianSourceModel()
-    den = analytic_gaussian_denoiser(model, SCHEDULE)
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
     n = 4096
     errors = []
     for snr_db in (0.0, 6.0, 12.0):
@@ -263,3 +290,126 @@ def test_chain_mse_decreases_with_snr():
         rec = denoise_from_step(y_u, mapping.step_u, den, SCHEDULE, rng)
         errors.append(float(np.mean((rec.data - y0.data) ** 2)))
     assert errors[0] > errors[1] > errors[2]
+
+
+def _reference_chain(y_u, u, model, schedule, rng):
+    """The ancestral chain written out per step, out of place, from the
+    schedule accessors: the arithmetic ``denoise_from_step`` must match
+    bit for bit."""
+    m, v = model.mean, model.variance
+    y = y_u
+    for t in range(u, 0, -1):
+        ab = schedule.alpha_bar(t)
+        eps = math.sqrt(1.0 - ab) * (y.data - math.sqrt(ab) * m) / (ab * v + (1.0 - ab))
+        a_t = schedule.alpha(t)
+        ab_prev = schedule.alpha_bar(t - 1)
+        mu = (y.data - (1.0 - a_t) / math.sqrt(1.0 - ab) * eps) / math.sqrt(a_t)
+        if t > 1:
+            var = (1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab)
+            mu = mu + math.sqrt(var) * rng.standard_normal(y.n)
+        y = Latent(data=mu, shape=y.shape)
+    return y
+
+
+def test_chain_is_bit_identical_to_reference_chain():
+    model = GaussianSourceModel(mean=0.3, variance=2.5)
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
+    n = 257
+    for u in (1, 2, 145, 780, SCHEDULE.T):
+        y_u = forward_sample(
+            model.draw((n, 1, 1), np.random.default_rng(u)), u, SCHEDULE,
+            np.random.default_rng(u + 1),
+        )
+        ref_rng, rng = np.random.default_rng(20 + u), np.random.default_rng(20 + u)
+        expected = _reference_chain(y_u, u, model, SCHEDULE, ref_rng)
+        got = denoise_from_step(y_u, u, den, SCHEDULE, rng)
+        assert got.shape == y_u.shape
+        assert np.array_equal(got.data, expected.data), f"u={u}"
+        assert rng.standard_normal() == ref_rng.standard_normal(), f"u={u}"
+
+
+def test_coefficient_tables_match_step_formulas():
+    model = GaussianSourceModel(mean=-1.25, variance=0.4)
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
+    for t in (1, 2, SCHEDULE.T):
+        a_t, ab, ab_prev = SCHEDULE.alpha(t), SCHEDULE.alpha_bar(t), SCHEDULE.alpha_bar(t - 1)
+        assert SCHEDULE.reverse_coefs[t - 1] == (
+            (1.0 - a_t) / math.sqrt(1.0 - ab),
+            math.sqrt(a_t),
+            math.sqrt((1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab)),
+        )
+        y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
+        expected = math.sqrt(1.0 - ab) * (y.data - math.sqrt(ab) * -1.25) / (ab * 0.4 + (1.0 - ab))
+        assert np.array_equal(den.predict_noise(y, t).data, expected)
+    assert SCHEDULE.reverse_coefs[0][2] == 0.0
+    # t = 0 is the noiseless state: no noise to predict
+    y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
+    assert np.array_equal(den.predict_noise(y, 0).data, np.zeros(3))
+    with pytest.raises(IndexError):
+        den.predict_noise(y, -1)
+    with pytest.raises(IndexError):
+        den.predict_noise(y, SCHEDULE.T + 1)
+    with pytest.raises(TypeError):
+        den.predict_noise(y, 2.0)
+
+
+class _NanAtStep:
+    """Test denoiser whose prediction turns NaN at one step.  It hands back
+    a bare array holder, not a Latent, so only the reverse step's own check
+    on its output can catch the NaN."""
+
+    def __init__(self, bad_t):
+        self.bad_t = bad_t
+
+    def predict_noise(self, y_t, t):
+        return SimpleNamespace(data=np.full(y_t.n, np.nan if t == self.bad_t else 0.0))
+
+
+def test_chain_rejects_non_finite_prediction_mid_chain():
+    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    with pytest.raises(ValueError, match="finite"):
+        denoise_from_step(y, 50, _NanAtStep(20), SCHEDULE, np.random.default_rng(0))
+
+
+def _closed_form_mse(schedule, u, scale, sigma2, v):
+    """MSE of the analytic-denoiser chain (source mean 0) started at
+    ``y_u = scale * (x + noise)``, x ~ N(0, v), noise variance ``sigma2``.
+
+    Each step is affine, y_{t-1} = A_t y_t + s_t z_t, so y_0 given y_u is
+    N(P y_u, V) with P = prod A_t and V from the same recursion.
+    """
+    P, V = 1.0, 0.0
+    for t in range(u, 0, -1):
+        a_t, ab, ab_prev = schedule.alpha(t), schedule.alpha_bar(t), schedule.alpha_bar(t - 1)
+        gain = (1.0 - a_t) / (ab * v + 1.0 - ab)  # c_eps * sqrt(1 - ab) / denom
+        A = (1.0 - gain) / math.sqrt(a_t)
+        P, V = A * P, A * A * V + (1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab)
+    return (P * scale - 1.0) ** 2 * v + P * P * scale * scale * sigma2 + V
+
+
+@pytest.mark.parametrize(
+    "snr_db, route, expected",
+    [(0.0, "adaptive", 0.9921), (6.0, "adaptive", 0.3951), (12.0, "adaptive", 0.1158),
+     (6.0, "compensate", None)],
+)
+def test_chain_mse_matches_closed_form_law(snr_db, route, expected):
+    model = GaussianSourceModel()
+    den = AnalyticGaussianDenoiser(model, SCHEDULE)
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    n = 20_000
+    rng = np.random.default_rng(int(30 + snr_db))
+    y0 = model.draw((n, 1, 1), rng)
+    s_hat = y0.with_data(y0.data + math.sqrt(sigma2) * rng.standard_normal(n))
+    if route == "adaptive":
+        y_u, mapping = adaptive_receive(s_hat, sigma2, SCHEDULE)
+        u, scale, carried = mapping.step_u, mapping.scale, sigma2
+    else:
+        u = 300
+        y_u = compensate_to_step(s_hat, sigma2, u, SCHEDULE, rng)
+        scale, carried = math.sqrt(SCHEDULE.alpha_bar(u)), step_to_sigma2(SCHEDULE, u)
+    law = _closed_form_mse(SCHEDULE, u, scale, carried, model.variance)
+    if expected is not None:
+        assert law == pytest.approx(expected, abs=5e-5)
+    sq = (denoise_from_step(y_u, u, den, SCHEDULE, rng).data - y0.data) ** 2
+    se = float(np.std(sq, ddof=1)) / math.sqrt(n)
+    assert abs(float(np.mean(sq)) - law) < 4.0 * se
