@@ -7,6 +7,16 @@ source of shape 8x8x4, loss weights 0.1/0.1, batch 4 at learning rate
 1e-4.  Unknown keys anywhere, type mismatches, and invariant violations
 are rejected with the dotted path of the offending field.
 
+The section dataclasses are the schema.  Each field states its default
+and, through ``_field``, its JSON key where that differs from the
+attribute name (``LossConfig.lam`` is ``"lambda"``) and the bounds its
+reader enforces; the reader itself follows from the field's annotation.
+``_take_fields`` parses a section from those fields and ``_plain``
+writes one back out.  Only the keys with a structure of their own
+(``source.shape``, the channel's noise grid and fade ``h``,
+``codec.arch``, ``codec.snr_db_range``, ``sweep.values``) and the checks
+that span fields are written out by hand.
+
 ``resolved_config`` renders the parsed config back to a plain dict with
 all defaults and derived quantities filled in (per-cell noise variances
 and diffusion steps, the compression fraction implied by a channel
@@ -14,12 +24,10 @@ count, the fixed-step mode's equivalent SNR).  Runners write it next to
 their outputs so any result file can be replayed.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional, Sequence
 
 from ..codec import compressed_length, k_from_channel_count
@@ -58,10 +66,11 @@ class _Section:
     def _pop(self, name: str):
         return self._data.pop(name, _MISSING)
 
-    def take_section(self, name: str) -> Optional["_Section"]:
+    def take_section(self, name: str) -> "_Section":
+        """The nested object ``name``; empty when it is missing or null."""
         raw = self._pop(name)
         if raw is _MISSING or raw is None:
-            return None
+            raw = {}
         if not isinstance(raw, dict):
             raise ConfigurationError(self.child(name), f"expected an object, got {type(raw).__name__}")
         return _Section(raw, self.child(name))
@@ -74,8 +83,7 @@ class _Section:
             raise ConfigurationError(self.child(name), f"expected a boolean, got {type(raw).__name__}")
         return raw
 
-    def take_int(self, name: str, default, minimum: Optional[int] = None,
-                 maximum: Optional[int] = None):
+    def take_int(self, name: str, default, minimum: Optional[int] = None):
         raw = self._pop(name)
         if raw is _MISSING:
             return default
@@ -83,8 +91,6 @@ class _Section:
             raise ConfigurationError(self.child(name), f"expected an integer, got {type(raw).__name__}")
         if minimum is not None and raw < minimum:
             raise ConfigurationError(self.child(name), f"must be >= {minimum}, got {raw}")
-        if maximum is not None and raw > maximum:
-            raise ConfigurationError(self.child(name), f"must be <= {maximum}, got {raw}")
         return raw
 
     def take_float(self, name: str, default, minimum: Optional[float] = None,
@@ -128,7 +134,8 @@ class _Section:
         return val
 
     def has(self, name: str) -> bool:
-        return name in self._data
+        """Whether ``name`` is given with a value other than null."""
+        return self._data.get(name) is not None
 
     def finish(self):
         if self._data:
@@ -136,28 +143,31 @@ class _Section:
             raise ConfigurationError(self.child(name), "unknown key")
 
 
-def _empty_section(path: str) -> _Section:
-    return _Section({}, path)
-
-
 # ---------------------------------------------------------------------------
-# section dataclasses
+# section dataclasses: the schema
+
+
+def _field(default, key: Optional[str] = None, **bounds):
+    """A config field: its default, its JSON key when that differs from the
+    attribute name, and the keyword bounds its ``_Section.take_*`` reader
+    enforces (``minimum``, ``exclusive_minimum``, ``choices``)."""
+    return field(default=default, metadata={"key": key, "bounds": bounds})
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    T: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    T: int = _field(1000, minimum=1)
+    beta_start: float = _field(1e-4, exclusive_minimum=0.0)
+    beta_end: float = _field(0.02, exclusive_minimum=0.0)
 
 
 @dataclass(frozen=True)
 class SourceConfig:
-    kind: str = "gaussian"
+    kind: str = _field("gaussian", choices=("gaussian", "file"))
     m: float = 0.0
-    v: float = 1.0
+    v: float = _field(1.0, exclusive_minimum=0.0)
     shape: tuple[int, int, int] = (8, 8, 4)
-    count: int = 8
+    count: int = _field(8, minimum=1)
     path: Optional[str] = None
 
     @property
@@ -176,20 +186,20 @@ class Cell:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    type: str = "awgn"
+    type: str = _field("awgn", choices=("awgn", "rayleigh", "mimo"))
     cells: tuple[Cell, ...] = ()
     h: Optional[complex] = None
-    M: int = 2
-    convention: str = "gain_weighted"
+    M: int = _field(2, minimum=1)
+    convention: str = _field("gain_weighted", choices=("gain_weighted", "mmse"))
 
 
 @dataclass(frozen=True)
 class CodecConfig:
     enabled: bool = False
-    C: Optional[int] = None
+    C: Optional[int] = _field(None, minimum=1)
     k: Optional[float] = None
-    hidden: int = 64
-    blocks: int = 2
+    hidden: int = _field(64, minimum=1)  # read from codec.arch
+    blocks: int = _field(2, minimum=1)  # read from codec.arch
     snr_conditioning: bool = True
     snr_to_mu: bool = False
     power_norm: bool = True
@@ -199,26 +209,26 @@ class CodecConfig:
 
 @dataclass(frozen=True)
 class LossConfig:
-    lam: float = 0.1
-    gamma: float = 0.1
+    lam: float = _field(0.1, key="lambda", minimum=0.0)
+    gamma: float = _field(0.1, minimum=0.0)
 
 
 @dataclass(frozen=True)
 class TrainSection:
-    steps: int = 2000
-    batch: int = 4
-    lr: float = 1e-4
-    momentum: float = 0.0
-    eval_every: int = 100
-    holdout: int = 64
+    steps: int = _field(2000, minimum=0)
+    batch: int = _field(4, minimum=1)
+    lr: float = _field(1e-4, exclusive_minimum=0.0)
+    momentum: float = _field(0.0, minimum=0.0)
+    eval_every: int = _field(100, minimum=1)
+    holdout: int = _field(64, minimum=1)
     snr_db: float = 5.0
     common_noise: bool = False
 
 
 @dataclass(frozen=True)
 class ModeConfig:
-    kind: str = "adaptive"
-    t_target: int = 200
+    kind: str = _field("adaptive", choices=("adaptive", "fixed_step", "compare"))
+    t_target: int = _field(200, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -230,10 +240,10 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    param: str = "lambda"
+    param: str = _field("lambda", choices=("lambda", "gamma", "C"))
     values: tuple[float, ...] = ()
-    steps: Optional[int] = None
-    trials: Optional[int] = None
+    steps: Optional[int] = _field(None, minimum=0)
+    trials: Optional[int] = _field(None, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -259,14 +269,35 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # parsing
 
+# the reader for each field annotation _take accepts; annotations are
+# evaluated types because this module does not postpone them
+_READERS = {
+    int: _Section.take_int, Optional[int]: _Section.take_int,
+    float: _Section.take_float, Optional[float]: _Section.take_float,
+    str: _Section.take_str, Optional[str]: _Section.take_str,
+    bool: _Section.take_bool,
+}
+
+
+def _key(f) -> str:
+    return f.metadata.get("key") or f.name
+
+
+def _take(sec: _Section, f):
+    """Field ``f`` from ``sec``: the reader for its type, with its key, default and bounds."""
+    return _READERS[f.type](sec, _key(f), f.default, **f.metadata.get("bounds", {}))
+
+
+def _take_fields(cls, sec: _Section, **given):
+    """A ``cls`` read from ``sec``: ``given`` values as they are, every
+    other field through ``_take``.  Keys left over are rejected."""
+    values = {f.name: _take(sec, f) for f in fields(cls) if f.name not in given}
+    sec.finish()
+    return cls(**values, **given)
+
 
 def _parse_schedule(sec: _Section) -> ScheduleConfig:
-    out = ScheduleConfig(
-        T=sec.take_int("T", 1000, minimum=1),
-        beta_start=sec.take_float("beta_start", 1e-4, exclusive_minimum=0.0),
-        beta_end=sec.take_float("beta_end", 0.02, exclusive_minimum=0.0),
-    )
-    sec.finish()
+    out = _take_fields(ScheduleConfig, sec)
     if not out.beta_start <= out.beta_end < 1.0:
         raise ConfigurationError(
             "schedule.beta_start, schedule.beta_end",
@@ -278,7 +309,7 @@ def _parse_schedule(sec: _Section) -> ScheduleConfig:
 def _parse_shape(sec: _Section) -> tuple[int, int, int]:
     raw = sec.take_float_list("shape")
     if raw is None:
-        return (8, 8, 4)
+        return SourceConfig.shape
     if len(raw) != 3:
         raise ConfigurationError(sec.child("shape"), f"expected 3 entries (w, h, c), got {len(raw)}")
     dims = []
@@ -290,16 +321,7 @@ def _parse_shape(sec: _Section) -> tuple[int, int, int]:
 
 
 def _parse_source(sec: _Section) -> SourceConfig:
-    shape = _parse_shape(sec)
-    out = SourceConfig(
-        kind=sec.take_str("kind", "gaussian", choices=("gaussian", "file")),
-        m=sec.take_float("m", 0.0),
-        v=sec.take_float("v", 1.0, exclusive_minimum=0.0),
-        shape=shape,
-        count=sec.take_int("count", 8, minimum=1),
-        path=sec.take_str("path", None),
-    )
-    sec.finish()
+    out = _take_fields(SourceConfig, sec, shape=_parse_shape(sec))
     if out.kind == "file":
         if out.path is None:
             raise ConfigurationError("source.path", "required when source.kind is 'file'")
@@ -310,8 +332,7 @@ def _parse_source(sec: _Section) -> SourceConfig:
     return out
 
 
-def _parse_channel(sec: _Section) -> ChannelConfig:
-    ctype = sec.take_str("type", "awgn", choices=("awgn", "rayleigh", "mimo"))
+def _parse_cells(sec: _Section) -> tuple[Cell, ...]:
     snr_db = sec.take_float_list("snr_db")
     sigma = sec.take_float_list("sigma")
     if (snr_db is None) == (sigma is None):
@@ -321,152 +342,86 @@ def _parse_channel(sec: _Section) -> ChannelConfig:
     if snr_db is not None:
         if not snr_db:
             raise ConfigurationError("channel.snr_db", "must be nonempty")
-        cells = tuple(Cell(snr_db=s, sigma2=10.0 ** (-s / 10.0)) for s in snr_db)
-    else:
-        if not sigma:
-            raise ConfigurationError("channel.sigma", "must be nonempty")
-        for i, s in enumerate(sigma):
-            if s < 0:
-                raise ConfigurationError(f"channel.sigma[{i}]", f"must be >= 0, got {s}")
-        cells = tuple(
-            Cell(snr_db=(math.inf if s == 0 else -10.0 * math.log10(s * s)), sigma2=s * s)
-            for s in sigma
-        )
+        return tuple(Cell(snr_db=s, sigma2=10.0 ** (-s / 10.0)) for s in snr_db)
+    if not sigma:
+        raise ConfigurationError("channel.sigma", "must be nonempty")
+    for i, s in enumerate(sigma):
+        if s < 0:
+            raise ConfigurationError(f"channel.sigma[{i}]", f"must be >= 0, got {s}")
+    return tuple(
+        Cell(snr_db=(math.inf if s == 0 else -10.0 * math.log10(s * s)), sigma2=s * s)
+        for s in sigma
+    )
 
+
+def _parse_channel(sec: _Section) -> ChannelConfig:
+    cells = _parse_cells(sec)
     h = None
     h_raw = sec.take_float_list("h")
     if h_raw is not None:
-        if ctype != "rayleigh":
-            raise ConfigurationError("channel.h", "fixed fade applies to rayleigh channels only")
         if len(h_raw) != 2:
             raise ConfigurationError("channel.h", f"expected [re, im], got {len(h_raw)} entries")
         h = complex(h_raw[0], h_raw[1])
         if h == 0:
             raise ConfigurationError("channel.h", "fade coefficient must be nonzero")
-
-    has_M = sec.has("M")
-    M = sec.take_int("M", 2, minimum=1)
-    if has_M and ctype != "mimo":
+    has_M, has_convention = sec.has("M"), sec.has("convention")
+    out = _take_fields(ChannelConfig, sec, cells=cells, h=h)
+    if h is not None and out.type != "rayleigh":
+        raise ConfigurationError("channel.h", "fixed fade applies to rayleigh channels only")
+    if has_M and out.type != "mimo":
         raise ConfigurationError("channel.M", "antenna count applies to mimo channels only")
-
-    has_conv = sec.has("convention")
-    convention = sec.take_str(
-        "convention", "gain_weighted", choices=("gain_weighted", "mmse")
-    )
-    if has_conv and ctype != "rayleigh":
+    if has_convention and out.type != "rayleigh":
         raise ConfigurationError("channel.convention", "applies to rayleigh channels only")
-
-    sec.finish()
-    return ChannelConfig(type=ctype, cells=cells, h=h, M=M, convention=convention)
+    return out
 
 
 def _parse_codec(sec: _Section) -> CodecConfig:
-    arch_sec = sec.take_section("arch") or _empty_section("codec.arch")
-    hidden = arch_sec.take_int("hidden", 64, minimum=1)
-    blocks = arch_sec.take_int("blocks", 2, minimum=1)
+    arch_sec = sec.take_section("arch")
+    arch = {f.name: _take(arch_sec, f)
+            for f in fields(CodecConfig) if f.name in ("hidden", "blocks")}
     arch_sec.finish()
 
-    rng_raw = sec.take_float_list("snr_db_range")
-    if rng_raw is None:
-        snr_db_range = (0.0, 12.0)
-    else:
-        if len(rng_raw) != 2 or not rng_raw[0] < rng_raw[1]:
-            raise ConfigurationError(
-                sec.child("snr_db_range"), f"expected [lo, hi] with lo < hi, got {list(rng_raw)}"
-            )
-        snr_db_range = (rng_raw[0], rng_raw[1])
+    snr_db_range = sec.take_float_list("snr_db_range")
+    if snr_db_range is None:
+        snr_db_range = CodecConfig.snr_db_range
+    elif len(snr_db_range) != 2 or not snr_db_range[0] < snr_db_range[1]:
+        raise ConfigurationError(
+            sec.child("snr_db_range"), f"expected [lo, hi] with lo < hi, got {list(snr_db_range)}"
+        )
 
-    out = CodecConfig(
-        enabled=sec.take_bool("enabled", False),
-        C=sec.take_int("C", None, minimum=1),
-        k=sec.take_float("k", None),
-        hidden=hidden,
-        blocks=blocks,
-        snr_conditioning=sec.take_bool("snr_conditioning", True),
-        snr_to_mu=sec.take_bool("snr_to_mu", False),
-        power_norm=sec.take_bool("power_norm", True),
-        snr_db_range=snr_db_range,
-        params_path=sec.take_str("params_path", None),
-    )
-    sec.finish()
-    if out.C is not None and out.k is not None:
+    out = _take_fields(CodecConfig, sec, snr_db_range=snr_db_range, **arch)
+    both = out.C is not None and out.k is not None
+    if both or (out.enabled and out.C is None and out.k is None):
         raise ConfigurationError("codec.C, codec.k", "exactly one of C and k must be given")
-    if out.enabled and out.C is None and out.k is None:
-        raise ConfigurationError("codec.C, codec.k", "exactly one of C and k must be given")
-    if out.k is not None and not 0.0 < out.k <= 1.0:
-        raise ConfigurationError("codec.k", f"must lie in (0, 1], got {out.k}")
     if out.params_path is not None and not os.path.isfile(out.params_path):
         raise ConfigurationError("codec.params_path", f"file not found: {out.params_path}")
     return out
 
 
-def _parse_loss(sec: _Section) -> LossConfig:
-    out = LossConfig(
-        lam=sec.take_float("lambda", 0.1, minimum=0.0),
-        gamma=sec.take_float("gamma", 0.1, minimum=0.0),
-    )
-    sec.finish()
-    return out
-
-
 def _parse_train(sec: _Section) -> TrainSection:
-    out = TrainSection(
-        steps=sec.take_int("steps", 2000, minimum=0),
-        batch=sec.take_int("batch", 4, minimum=1),
-        lr=sec.take_float("lr", 1e-4, exclusive_minimum=0.0),
-        momentum=sec.take_float("momentum", 0.0, minimum=0.0),
-        eval_every=sec.take_int("eval_every", 100, minimum=1),
-        holdout=sec.take_int("holdout", 64, minimum=1),
-        snr_db=sec.take_float("snr_db", 5.0),
-        common_noise=sec.take_bool("common_noise", False),
-    )
-    sec.finish()
+    out = _take_fields(TrainSection, sec)
     if out.momentum >= 1.0:
         raise ConfigurationError("train.momentum", f"must lie in [0, 1), got {out.momentum}")
     return out
 
 
 def _parse_mode(sec: _Section, T: int) -> ModeConfig:
-    out = ModeConfig(
-        kind=sec.take_str("kind", "adaptive", choices=("adaptive", "fixed_step", "compare")),
-        t_target=sec.take_int("t_target", 200, minimum=1, maximum=T),
-    )
-    sec.finish()
+    given_t_target = sec.has("t_target")
+    out = _take_fields(ModeConfig, sec)
+    if given_t_target and out.t_target > T:
+        raise ConfigurationError("mode.t_target", f"must be <= {T}, got {out.t_target}")
     return out
 
 
-def _parse_output(sec: _Section) -> OutputConfig:
-    out = OutputConfig(
-        csv=sec.take_str("csv", "results.csv"),
-        log=sec.take_str("log", "run.log"),
-        params=sec.take_str("params", "codec.npz"),
-    )
-    sec.finish()
-    return out
-
-
-def _parse_sweep(sec: Optional[_Section]) -> Optional[SweepConfig]:
-    if sec is None:
-        return None
-    param = sec.take_str("param", "lambda", choices=("lambda", "gamma", "C"))
-    values = sec.take_float_list("values")
-    if not values:
+def _parse_sweep(sec: _Section) -> SweepConfig:
+    out = _take_fields(SweepConfig, sec, values=sec.take_float_list("values") or ())
+    if not out.values:
         raise ConfigurationError("sweep.values", "must be a nonempty list")
-    if param == "C":
-        for i, v in enumerate(values):
-            if v < 1 or v != int(v):
-                raise ConfigurationError(f"sweep.values[{i}]", f"channel counts must be positive integers, got {v!r}")
-    else:
-        for i, v in enumerate(values):
-            if v < 0:
-                raise ConfigurationError(f"sweep.values[{i}]", f"must be >= 0, got {v}")
-    out = SweepConfig(
-        param=param,
-        values=values,
-        steps=sec.take_int("steps", None, minimum=0),
-        trials=sec.take_int("trials", None, minimum=1),
-    )
-    sec.finish()
+    for i, v in enumerate(out.values):
+        if out.param == "C" and (v < 1 or v != int(v)):
+            raise ConfigurationError(f"sweep.values[{i}]", f"channel counts must be positive integers, got {v!r}")
+        if out.param != "C" and v < 0:
+            raise ConfigurationError(f"sweep.values[{i}]", f"must be >= 0, got {v}")
     return out
 
 
@@ -486,18 +441,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
     top = _Section(raw, "")
     seed = top.take_int("seed", 0, minimum=0)
-    schedule = _parse_schedule(top.take_section("schedule") or _empty_section("schedule"))
-    source = _parse_source(top.take_section("source") or _empty_section("source"))
-    channel_sec = top.take_section("channel")
-    if channel_sec is None:
+    schedule = _parse_schedule(top.take_section("schedule"))
+    source = _parse_source(top.take_section("source"))
+    if not top.has("channel"):
         raise ConfigurationError("channel", "section is required (needs an snr_db or sigma list)")
-    channel = _parse_channel(channel_sec)
-    codec = _parse_codec(top.take_section("codec") or _empty_section("codec"))
-    loss = _parse_loss(top.take_section("loss") or _empty_section("loss"))
-    train = _parse_train(top.take_section("train") or _empty_section("train"))
-    mode = _parse_mode(top.take_section("mode") or _empty_section("mode"), schedule.T)
-    output = _parse_output(top.take_section("output") or _empty_section("output"))
-    sweep = _parse_sweep(top.take_section("sweep"))
+    channel = _parse_channel(top.take_section("channel"))
+    codec = _parse_codec(top.take_section("codec"))
+    loss = _take_fields(LossConfig, top.take_section("loss"))
+    train = _parse_train(top.take_section("train"))
+    mode = _parse_mode(top.take_section("mode"), schedule.T)
+    output = _take_fields(OutputConfig, top.take_section("output"))
+    has_sweep = top.has("sweep")
+    sweep_sec = top.take_section("sweep")  # taken even when null, so finish() accepts it
+    sweep = _parse_sweep(sweep_sec) if has_sweep else None
     top.finish()
 
     cfg = ExperimentConfig(
@@ -508,19 +464,29 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _check_compression(path: str, n: int, C: Optional[int], k: Optional[float]):
+    """Fail at ``path`` unless channel count ``C`` (or, when it is None,
+    fraction ``k``) leaves 1 to ``n`` transmit symbols of an ``n``-element latent."""
+    try:
+        compressed_length(n, k if C is None else k_from_channel_count(C, n))
+    except ConfigurationError as exc:
+        raise ConfigurationError(path, exc.message) from None
+
+
 def _cross_validate(cfg: ExperimentConfig):
     n = cfg.source.n
-    if cfg.codec.enabled:
-        if cfg.channel.type == "mimo":
-            raise ConfigurationError(
-                "codec.enabled, channel.type",
-                "codec transmission over mimo is not supported; use awgn or rayleigh",
-            )
-        k = cfg.codec_k()
-        m = compressed_length(n, k)
-        if m < 1:
-            raise ConfigurationError("codec.k", f"compressed length rounds to {m} for n={n}")
-    else:
+    if cfg.codec.enabled and cfg.channel.type == "mimo":
+        raise ConfigurationError(
+            "codec.enabled, channel.type",
+            "codec transmission over mimo is not supported; use awgn or rayleigh",
+        )
+    C, k = cfg.codec.C, cfg.codec.k
+    if C is not None or k is not None:
+        _check_compression("codec.k" if C is None else "codec.C", n, C, k)
+    if cfg.sweep is not None and cfg.sweep.param == "C":
+        for i, v in enumerate(cfg.sweep.values):
+            _check_compression(f"sweep.values[{i}]", n, int(v), None)
+    if not cfg.codec.enabled:
         if n % 2 != 0:
             raise ConfigurationError(
                 "source.shape", f"total elements must be even for complex transmission, got {n}"
@@ -545,81 +511,49 @@ def _nominal_step_u(schedule: Schedule, sigma2: float) -> Optional[int]:
         return None
 
 
+def _plain(section) -> dict[str, Any]:
+    """``section``'s fields under their JSON keys, tuples as lists."""
+    out = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        out[_key(f)] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 def resolved_config(cfg: ExperimentConfig) -> dict:
     """Plain-dict view of the config with defaults and derived values filled."""
     sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
 
-    cells = []
+    channel = _plain(cfg.channel)
+    channel["cells"] = []
     for cell in cfg.channel.cells:
-        entry: dict[str, Any] = {"snr_db": cell.snr_db, "sigma2": cell.sigma2}
-        entry["step_u"] = _nominal_step_u(sch, cell.sigma2)
+        entry = {**_plain(cell), "step_u": _nominal_step_u(sch, cell.sigma2)}
         if entry["step_u"] is None:
             entry["saturates"] = True
-        cells.append(entry)
+        channel["cells"].append(entry)
+    if cfg.channel.h is not None:
+        channel["h"] = [cfg.channel.h.real, cfg.channel.h.imag]
 
-    codec: dict[str, Any] = {
-        "enabled": cfg.codec.enabled,
-        "C": cfg.codec.C,
-        "k": cfg.codec.k,
-        "arch": {"hidden": cfg.codec.hidden, "blocks": cfg.codec.blocks},
-        "snr_conditioning": cfg.codec.snr_conditioning,
-        "snr_to_mu": cfg.codec.snr_to_mu,
-        "power_norm": cfg.codec.power_norm,
-        "snr_db_range": list(cfg.codec.snr_db_range),
-        "params_path": cfg.codec.params_path,
-    }
+    codec = _plain(cfg.codec)
+    codec["arch"] = {"hidden": codec.pop("hidden"), "blocks": codec.pop("blocks")}
     if cfg.codec.enabled:
-        k = cfg.codec_k()
-        codec["k"] = k
-        codec["compressed_length"] = compressed_length(cfg.source.n, k)
+        codec["k"] = cfg.codec_k()
+        codec["compressed_length"] = compressed_length(cfg.source.n, codec["k"])
 
-    mode: dict[str, Any] = {"kind": cfg.mode.kind, "t_target": cfg.mode.t_target}
+    mode = _plain(cfg.mode)
     if cfg.mode.kind in ("fixed_step", "compare"):
-        t_sigma2 = step_to_sigma2(sch, cfg.mode.t_target)
-        mode["t_target_sigma2"] = t_sigma2
-        mode["t_target_snr_db"] = -10.0 * math.log10(t_sigma2)
+        mode["t_target_sigma2"] = step_to_sigma2(sch, cfg.mode.t_target)
+        mode["t_target_snr_db"] = -10.0 * math.log10(mode["t_target_sigma2"])
 
     return {
         "seed": cfg.seed,
-        "schedule": {
-            "T": cfg.schedule.T,
-            "beta_start": cfg.schedule.beta_start,
-            "beta_end": cfg.schedule.beta_end,
-            "max_sigma2": sch.max_sigma2,
-        },
-        "source": {
-            "kind": cfg.source.kind,
-            "m": cfg.source.m,
-            "v": cfg.source.v,
-            "shape": list(cfg.source.shape),
-            "count": cfg.source.count,
-            "path": cfg.source.path,
-        },
-        "channel": {
-            "type": cfg.channel.type,
-            "cells": cells,
-            "h": None if cfg.channel.h is None else [cfg.channel.h.real, cfg.channel.h.imag],
-            "M": cfg.channel.M,
-            "convention": cfg.channel.convention,
-        },
+        "schedule": {**_plain(cfg.schedule), "max_sigma2": sch.max_sigma2},
+        "source": _plain(cfg.source),
+        "channel": channel,
         "codec": codec,
-        "loss": {"lambda": cfg.loss.lam, "gamma": cfg.loss.gamma},
-        "train": {
-            "steps": cfg.train.steps,
-            "batch": cfg.train.batch,
-            "lr": cfg.train.lr,
-            "momentum": cfg.train.momentum,
-            "eval_every": cfg.train.eval_every,
-            "holdout": cfg.train.holdout,
-            "snr_db": cfg.train.snr_db,
-            "common_noise": cfg.train.common_noise,
-        },
+        "loss": _plain(cfg.loss),
+        "train": _plain(cfg.train),
         "mode": mode,
-        "output": {"csv": cfg.output.csv, "log": cfg.output.log, "params": cfg.output.params},
-        "sweep": None if cfg.sweep is None else {
-            "param": cfg.sweep.param,
-            "values": list(cfg.sweep.values),
-            "steps": cfg.sweep.steps,
-            "trials": cfg.sweep.trials,
-        },
+        "output": _plain(cfg.output),
+        "sweep": None if cfg.sweep is None else _plain(cfg.sweep),
     }

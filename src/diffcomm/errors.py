@@ -11,6 +11,7 @@ class ConfigurationError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

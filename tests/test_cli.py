@@ -328,9 +328,21 @@ def test_sweep_requires_section_and_values(tmp_path):
 
 
 def test_sweep_errors_carry_grid_coordinates(tmp_path):
-    # C=1 rounds to zero transmitted symbols for an 8-element latent
-    with pytest.raises(RuntimeError, match="grid C=1"):
-        run_sweep(parse_config(_sweep_cfg([1], param="C")), out_dir=str(tmp_path))
+    # a huge learning rate makes the loss non-finite on the second step
+    cfg = json.loads(_sweep_cfg([0.5]))
+    cfg["train"] = {**cfg["train"], "lr": 1e300}
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="grid lambda=0.5: training aborted"):
+            run_sweep(parse_config(json.dumps(cfg)), out_dir=str(tmp_path))
+
+
+def test_main_rejects_out_of_range_sweep_channel_count_before_training(tmp_path, capsys):
+    # round(0.0013 * 1000 * 8) = 10 symbols do not fit an 8-element latent
+    cfg_path = _write_cfg(tmp_path, _sweep_cfg([100, 1000], param="C"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "configuration error: sweep.values[1]: channel count 1000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _file_sweep_cfg(tmp_path, **arrays):

@@ -7,13 +7,19 @@ resolved-config cases pin ``resolved_config`` for an all-defaults config
 and for one that sets every key away from its default.
 """
 
+import dataclasses
 import json
 import math
+import re
+import typing
+from pathlib import Path
 
 import pytest
 
 from diffcomm import ConfigurationError
-from diffcomm.cli import parse_config, resolved_config
+from diffcomm.cli import ExperimentConfig, parse_config, resolved_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE = {"channel": {"snr_db": [3.0]}, "source": {"shape": [2, 2, 2], "count": 2}}
 
@@ -257,6 +263,20 @@ FAULTS = [
      "sweep.trials: must be >= 1, got 0"),
     ("sweep-unknown", {"sweep": {"values": [1.0], "grid": 2}},
      "sweep.grid: unknown key"),
+    # a compression setting that does not fit the latent fails at parse time,
+    # whether or not the codec is enabled, and names its own path
+    ("C-empty", {"codec": {"C": 2}},
+     "codec.C: channel count 2 rounds to an empty vector for n=8"),
+    ("C-empty-enabled", {"codec": {"enabled": True, "C": 1}},
+     "codec.C: channel count 1 rounds to an empty vector for n=8"),
+    ("C-too-large", {"codec": {"C": 1000}},
+     "codec.C: channel count 1000 exceeds the uncompressed length for n=8"),
+    ("k-empty", {"codec": {"k": 0.01}},
+     "codec.k: ratio 0.01 rounds to an empty vector for n=8"),
+    ("sweep-C-empty", {"sweep": {"param": "C", "values": [1]}},
+     "sweep.values[0]: channel count 1 rounds to an empty vector for n=8"),
+    ("sweep-C-too-large", {"sweep": {"param": "C", "values": [100, 1000]}},
+     "sweep.values[1]: channel count 1000 exceeds the uncompressed length for n=8"),
 ]
 
 
@@ -364,3 +384,32 @@ def test_resolved_config_of_mimo_antennas():
         "M": 4,
         "convention": "gain_weighted",
     }
+
+
+def _readme_sections() -> dict:
+    """README's "Config sections" bullets, by the section each one names."""
+    text = README.read_text()
+    text = text[text.index("Config sections"):text.index("Every run also writes")]
+    bullets = re.split(r"^- ", text, flags=re.M)[1:]
+    return {re.match(r"`(\w+)`", b).group(1): b for b in bullets}
+
+
+def test_readme_names_every_config_key():
+    # the channel's cells are read from snr_db or sigma; hidden and blocks sit in codec.arch
+    extra = {"channel": ["snr_db", "sigma"], "codec": ["arch"]}
+    bullets = _readme_sections()
+    missing = []
+    for section in dataclasses.fields(ExperimentConfig):
+        if section.name not in bullets:
+            missing.append(section.name)
+            continue
+        # the section's dataclass, also through Optional[...]; none for seed
+        cls = next((t for t in (section.type, *typing.get_args(section.type))
+                    if dataclasses.is_dataclass(t)), None)
+        keys = [] if cls is None else [
+            f.metadata.get("key") or f.name for f in dataclasses.fields(cls) if f.name != "cells"
+        ]
+        for key in keys + extra.get(section.name, []):
+            if not re.search(rf"[`\"]{re.escape(key)}[`\"]", bullets[section.name]):
+                missing.append(f"{section.name}.{key}")
+    assert missing == []
