@@ -183,12 +183,50 @@ def _repeat_matrix(n: int, m: int) -> np.ndarray:
     return Q
 
 
-def _init_block(n: int, hidden: int, rng: np.random.Generator) -> ResidualBlock:
-    w1 = 0.05 * rng.standard_normal((hidden, n))
-    return ResidualBlock(
-        fc1=LinearParams(W=w1, b=np.zeros(hidden)),
-        fc2=LinearParams(W=np.zeros((n, hidden)), b=np.zeros(n)),
+def _zero_codec(
+    shape: tuple[int, int, int],
+    k: float,
+    arch: CodecArch,
+    power_norm: bool,
+    snr_conditioning: bool,
+    snr_to_mu: bool,
+    snr_db_range: tuple[float, float],
+) -> CodecParams:
+    """A validated codec of the given layout with every weight zero, bound
+    to one flat vector."""
+    shape = tuple(int(v) for v in shape)
+    if len(shape) != 3 or any(v < 1 for v in shape):
+        raise ConfigurationError("shape", f"must be three positive integers, got {shape}")
+    lo, hi = float(snr_db_range[0]), float(snr_db_range[1])
+    if not lo < hi:
+        raise ConfigurationError("snr_db_range", f"must satisfy lo < hi, got {snr_db_range}")
+    w, h, c = shape
+    n = w * h * c
+    m = compressed_length(n, k)
+
+    def lin(out: int, inp: int) -> LinearParams:
+        return LinearParams(W=np.zeros((out, inp)), b=np.zeros(out))
+
+    def blocks() -> list[ResidualBlock]:
+        return [ResidualBlock(fc1=lin(arch.hidden, n), fc2=lin(n, arch.hidden))
+                for _ in range(arch.blocks)]
+
+    params = CodecParams(
+        shape=shape,
+        k=float(k),
+        arch=arch,
+        down_blocks=blocks(),
+        down_proj=lin(m, n),
+        up_mu_proj=lin(n, m + 1 if snr_to_mu else m),
+        up_mu_blocks=blocks(),
+        lv_fc1=lin(arch.hidden, m + 1),
+        lv_fc2=lin(n, arch.hidden),
+        power_norm=bool(power_norm),
+        snr_conditioning=bool(snr_conditioning),
+        snr_to_mu=bool(snr_to_mu),
+        snr_db_range=(lo, hi),
     )
+    return _bind(params, np.zeros(sum(arr.size for _, arr in _param_arrays(params))))
 
 
 def init_codec(
@@ -208,46 +246,16 @@ def init_codec(
     head is small-random throughout so SNR conditioning is live from the
     start.
     """
-    shape = tuple(int(v) for v in shape)
-    if len(shape) != 3 or any(v < 1 for v in shape):
-        raise ConfigurationError("shape", f"must be three positive integers, got {shape}")
-    lo, hi = float(snr_db_range[0]), float(snr_db_range[1])
-    if not lo < hi:
-        raise ConfigurationError("snr_db_range", f"must satisfy lo < hi, got {snr_db_range}")
-    w, h, c = shape
-    n = w * h * c
-    m = compressed_length(n, k)
-
-    down_blocks = [_init_block(n, arch.hidden, rng) for _ in range(arch.blocks)]
-    down_proj = LinearParams(W=_block_mean_matrix(m, n), b=np.zeros(m))
-
-    mu_in = m + 1 if snr_to_mu else m
-    Q = _repeat_matrix(n, m)
-    if snr_to_mu:
-        Q = np.concatenate([Q, np.zeros((n, 1))], axis=1)
-    up_mu_proj = LinearParams(W=Q, b=np.zeros(n))
-    assert up_mu_proj.W.shape == (n, mu_in)
-    up_mu_blocks = [_init_block(n, arch.hidden, rng) for _ in range(arch.blocks)]
-
-    lv_fc1 = LinearParams(W=0.05 * rng.standard_normal((arch.hidden, m + 1)), b=np.zeros(arch.hidden))
-    lv_fc2 = LinearParams(W=0.05 * rng.standard_normal((n, arch.hidden)), b=np.zeros(n))
-
-    params = CodecParams(
-        shape=shape,
-        k=float(k),
-        arch=arch,
-        down_blocks=down_blocks,
-        down_proj=down_proj,
-        up_mu_proj=up_mu_proj,
-        up_mu_blocks=up_mu_blocks,
-        lv_fc1=lv_fc1,
-        lv_fc2=lv_fc2,
-        power_norm=bool(power_norm),
-        snr_conditioning=bool(snr_conditioning),
-        snr_to_mu=bool(snr_to_mu),
-        snr_db_range=(lo, hi),
-    )
-    return _bind(params, np.concatenate([arr.ravel() for _, arr in _param_arrays(params)]))
+    params = _zero_codec(shape, k, arch, power_norm, snr_conditioning, snr_to_mu, snr_db_range)
+    n, m = params.n, params.m
+    # draw order: down blocks, up blocks, then the variance head
+    for block in params.down_blocks + params.up_mu_blocks:
+        block.fc1.W[...] = 0.05 * rng.standard_normal(block.fc1.W.shape)
+    params.lv_fc1.W[...] = 0.05 * rng.standard_normal(params.lv_fc1.W.shape)
+    params.lv_fc2.W[...] = 0.05 * rng.standard_normal(params.lv_fc2.W.shape)
+    params.down_proj.W[...] = _block_mean_matrix(m, n)
+    params.up_mu_proj.W[:, :m] = _repeat_matrix(n, m)
+    return params
 
 
 def snr_feature(params: CodecParams, snr: float) -> float:
@@ -586,19 +594,16 @@ def save_codec(params: CodecParams, path) -> None:
 
 
 def load_codec(path) -> CodecParams:
-    """Reconstruct parameters written by :func:`save_codec`."""
+    """Reconstruct parameters written by :func:`save_codec`; every stored
+    array must have the shape its layer expects."""
     with np.load(path) as data:
         version = int(data["layout_version"])
         if version != LAYOUT_VERSION:
             raise ValueError(f"unsupported codec layout version {version}")
-        shape = tuple(int(v) for v in data["shape"])
-        arch = CodecArch(hidden=int(data["hidden"]), blocks=int(data["blocks"]))
-        rng = np.random.default_rng(0)  # structure only; values overwritten below
-        params = init_codec(
-            shape=shape,
+        params = _zero_codec(
+            shape=tuple(int(v) for v in data["shape"]),
             k=float(data["k"]),
-            arch=arch,
-            rng=rng,
+            arch=CodecArch(hidden=int(data["hidden"]), blocks=int(data["blocks"])),
             power_norm=bool(data["power_norm"]),
             snr_conditioning=bool(data["snr_conditioning"]),
             snr_to_mu=bool(data["snr_to_mu"]),

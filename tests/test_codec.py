@@ -288,3 +288,16 @@ def test_load_rejects_unknown_layout(tmp_path):
     np.savez(path, **contents)
     with pytest.raises(ValueError, match="layout"):
         load_codec(path)
+
+
+def test_load_rejects_wrong_shaped_array_by_name(tmp_path):
+    p = _params(seed=23, snr_to_mu=True)
+    path = tmp_path / "codec.npz"
+    save_codec(p, path)
+    with np.load(path) as data:
+        contents = {name: data[name] for name in data.files}
+    # one column short: a file written without the snr_to_mu input column
+    contents["up_mu_proj_W"] = contents["up_mu_proj_W"][:, :-1]
+    np.savez(path, **contents)
+    with pytest.raises(ValueError, match=r"array up_mu_proj_W has shape \(\d+, \d+\), expected"):
+        load_codec(path)
