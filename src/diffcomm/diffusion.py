@@ -17,7 +17,6 @@ form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -35,7 +34,6 @@ __all__ = [
     "Denoiser",
     "GaussianSourceModel",
     "AnalyticGaussianDenoiser",
-    "analytic_gaussian_denoiser",
     "forward_sample",
     "reverse_step",
     "compensate_to_step",
@@ -164,22 +162,6 @@ class AnalyticGaussianDenoiser:
         eps *= noise_sd
         eps /= denom
         return y_t.with_data(eps)
-
-
-def analytic_gaussian_denoiser(
-    model: GaussianSourceModel, schedule: Schedule
-) -> AnalyticGaussianDenoiser:
-    """Build the closed-form denoiser for an i.i.d. Gaussian source.
-
-    Deprecated: call ``AnalyticGaussianDenoiser(model, schedule)``.
-    """
-    warnings.warn(
-        "analytic_gaussian_denoiser is deprecated; "
-        "use AnalyticGaussianDenoiser(model, schedule)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return AnalyticGaussianDenoiser(model=model, schedule=schedule)
 
 
 def forward_sample(

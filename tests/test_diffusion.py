@@ -20,7 +20,6 @@ from diffcomm import (
     GaussianSourceModel,
     Latent,
     adaptive_receive,
-    analytic_gaussian_denoiser,
     build_linear_schedule,
     compensate_to_step,
     denoise_from_step,
@@ -157,13 +156,6 @@ def test_reverse_step_range_check():
 def test_analytic_denoiser_satisfies_protocol():
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
     assert isinstance(den, Denoiser)
-
-
-def test_analytic_gaussian_denoiser_alias_is_deprecated():
-    model = GaussianSourceModel(mean=0.5, variance=2.0)
-    with pytest.warns(DeprecationWarning, match="AnalyticGaussianDenoiser"):
-        den = analytic_gaussian_denoiser(model, SCHEDULE)
-    assert den == AnalyticGaussianDenoiser(model, SCHEDULE)
 
 
 def test_analytic_denoiser_formula_hand_check():
