@@ -406,9 +406,11 @@ def _parse_train(sec: _Section) -> TrainSection:
 
 
 def _parse_mode(sec: _Section, T: int) -> ModeConfig:
+    # fixed_step and compare run the chain from t_target, default or not;
+    # adaptive ignores it, so only a given value is held to the schedule
     given_t_target = sec.has("t_target")
     out = _take_fields(ModeConfig, sec)
-    if given_t_target and out.t_target > T:
+    if (given_t_target or out.kind != "adaptive") and out.t_target > T:
         raise ConfigurationError("mode.t_target", f"must be <= {T}, got {out.t_target}")
     return out
 

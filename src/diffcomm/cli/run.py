@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -146,7 +147,7 @@ def _make_source_draw(cfg: ExperimentConfig) -> Callable[[int, np.random.Generat
 
         def draw_file(trial: int, rng: np.random.Generator) -> Latent:
             row = data[trial % data.shape[0]]
-            return Latent(data=row.reshape(-1).copy(), shape=src.shape)
+            return Latent(data=row.reshape(-1), shape=src.shape)
 
         return draw_file
 
@@ -479,8 +480,9 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     """Train the codec at the configured operating point.
 
     Writes the per-step loss table to ``output.csv``, the trained
-    parameters to ``output.params``, and the resolved config.  Returns
-    the parameters and the table.
+    parameters to ``output.params``, and the resolved config.  The log
+    also records the wall time of the training loop and its steps per
+    second.  Returns the parameters and the table.
     """
     if cfg.codec.C is None and cfg.codec.k is None:
         raise ConfigurationError("codec.C, codec.k", "training needs a compression setting")
@@ -488,9 +490,12 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     sigma = math.sqrt(10.0 ** (-cfg.train.snr_db / 10.0))
     tcfg = _train_config(cfg, cfg.train.steps, cfg.train.eval_every)
     weights = LossWeights(lam=cfg.loss.lam, gamma=cfg.loss.gamma)
+    source = _train_source(cfg)
+    start = time.perf_counter()
     params, records = train_codec(
-        _train_source(cfg), sigma, params0, weights, tcfg, _derive_rng(cfg.seed, "train")
+        source, sigma, params0, weights, tcfg, _derive_rng(cfg.seed, "train")
     )
+    wall_s = time.perf_counter() - start
 
     rows = [
         [rec.step, rec.breakdown.l_kl, rec.breakdown.l_mse, rec.breakdown.l_g,
@@ -502,6 +507,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     log_lines = [
         f"train steps={cfg.train.steps} batch={cfg.train.batch} snr_db={cfg.train.snr_db:.6g}",
         f"final eval_psnr={'n/a' if final is None else format(final, '.6g')}",
+        f"train wall_s={wall_s:.6g} steps_per_s={cfg.train.steps / wall_s:.6g}",
     ]
     os.makedirs(out_dir, exist_ok=True)
     save_codec(params, os.path.join(out_dir, cfg.output.params))

@@ -383,6 +383,8 @@ def backward_batch(
     up_ctx: dict,
     dMu: np.ndarray,
     dLv: np.ndarray,
+    *,
+    out: Optional[CodecParams] = None,
 ) -> CodecParams:
     """Exact reverse-mode gradients of a scalar loss through the whole codec.
 
@@ -392,8 +394,12 @@ def backward_batch(
     input gradient passes straight through to the encoder output.
     Returns a parameter-shaped structure of gradients, whose ``flat``
     lines up with ``params.flat``.
+
+    ``out`` (from :func:`zero_grads` on the same layout) receives the
+    gradients instead of a fresh container and is returned; every entry
+    is overwritten, so its previous contents do not matter.
     """
-    g = zero_grads(params)
+    g = zero_grads(params) if out is None else out
     m = params.m
 
     # variance head

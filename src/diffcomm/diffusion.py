@@ -42,14 +42,14 @@ __all__ = [
 ]
 
 
-def _checked_data(data, shape: tuple[int, int, int]) -> np.ndarray:
-    """Latent data as a read-only flat float64 array, or ValueError.
+def _checked_data(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """``data`` checked and made read-only in place, or ValueError.
 
     The one check on latent values, shared by the constructor and
-    ``Latent.with_data``: one-dimensional, ``w * h * c`` elements for the
-    (already validated) ``shape``, all finite.
+    ``Latent._adopt``: one-dimensional, ``w * h * c`` elements for the
+    (already validated) ``shape``, all finite.  ``data`` must be a
+    float64 array the new latent owns.
     """
-    data = np.asarray(data, dtype=np.float64)
     if data.ndim != 1:
         raise ValueError(f"latent data must be one-dimensional, got {data.ndim}")
     w, h, c = shape
@@ -65,7 +65,12 @@ def _checked_data(data, shape: tuple[int, int, int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Latent:
-    """Flat real-valued latent with its logical (width, height, channels) shape."""
+    """Flat real-valued latent with its logical (width, height, channels) shape.
+
+    The constructor and ``with_data`` copy the given values, so the
+    caller's array stays writable and later writes to it (or to the array
+    it is a view of) never reach the latent.
+    """
 
     data: np.ndarray
     shape: tuple[int, int, int]
@@ -75,19 +80,25 @@ class Latent:
         if len(shape) != 3 or min(shape) < 1:
             raise ValueError(f"shape must be three positive integers, got {shape}")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", _checked_data(self.data, shape))
+        data = np.array(self.data, dtype=np.float64)
+        object.__setattr__(self, "data", _checked_data(data, shape))
 
     @property
     def n(self) -> int:
         return self.data.size
 
     def with_data(self, data: np.ndarray) -> "Latent":
-        """Same logical shape, new values.
+        """Same logical shape, a copy of the new values.
 
         The shape is trusted: it was validated when this latent was
         built.  The data get the constructor's checks (one-dimensional,
         matching size, finite) and are read-only afterwards.
         """
+        return self._adopt(np.array(data, dtype=np.float64))
+
+    def _adopt(self, data: np.ndarray) -> "Latent":
+        """``with_data`` without the copy, for a float64 array the caller
+        has just allocated and no one else references."""
         out = object.__new__(Latent)
         object.__setattr__(out, "data", _checked_data(data, self.shape))
         object.__setattr__(out, "shape", self.shape)
@@ -161,7 +172,7 @@ class AnalyticGaussianDenoiser:
         eps = y_t.data - signal_mean
         eps *= noise_sd
         eps /= denom
-        return y_t.with_data(eps)
+        return y_t._adopt(eps)
 
 
 def forward_sample(
@@ -176,7 +187,7 @@ def forward_sample(
     if t == 0:
         return y0
     eps = rng.standard_normal(y0.n)
-    return y0.with_data(math.sqrt(ab) * y0.data + math.sqrt(1.0 - ab) * eps)
+    return y0._adopt(math.sqrt(ab) * y0.data + math.sqrt(1.0 - ab) * eps)
 
 
 def reverse_step(
@@ -212,7 +223,7 @@ def reverse_step(
         z = rng.standard_normal(y_t.n)
         z *= sd
         mu += z
-    return y_t.with_data(mu)
+    return y_t._adopt(mu)
 
 
 def compensate_to_step(
@@ -239,7 +250,7 @@ def compensate_to_step(
     else:
         eps = rng.standard_normal(s_hat.n)
         data = math.sqrt(ab) * (s_hat.data + math.sqrt(extra) * eps)
-    return s_hat.with_data(data)
+    return s_hat._adopt(data)
 
 
 def adaptive_receive(
@@ -255,7 +266,7 @@ def adaptive_receive(
     mapping = sigma2_to_step(schedule, sigma2)
     if mapping.step_u == 0:
         return s_hat, mapping
-    return s_hat.with_data(mapping.scale * s_hat.data), mapping
+    return s_hat._adopt(mapping.scale * s_hat.data), mapping
 
 
 def denoise_from_step(

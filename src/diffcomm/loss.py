@@ -39,6 +39,7 @@ from .codec import (
     forward_down_batch,
     forward_up_batch,
     snr_feature,
+    zero_grads,
 )
 from .diffusion import GaussianSourceModel, Latent
 from .errors import TrainingDivergedError
@@ -159,6 +160,8 @@ def hybrid_loss_batch(
     eps2: np.ndarray,
     eps_y: np.ndarray,
     weights: LossWeights,
+    *,
+    out: Optional[CodecParams] = None,
 ) -> tuple[LossBreakdown, CodecParams]:
     """Mean-reduction loss over a batch and its exact parameter gradients.
 
@@ -167,7 +170,9 @@ def hybrid_loss_batch(
     reparameterization, ``eps2`` is (batch, m) for the transmit noise.
     All noise is passed explicitly so finite-difference validation can
     hold it fixed.  Returns per-element mean losses and gradients of the
-    mean total.
+    mean total; the gradients are written into ``out`` when it is given
+    (see :func:`~diffcomm.codec.backward_batch`), else into a fresh
+    container.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
@@ -201,7 +206,7 @@ def hybrid_loss_batch(
         + resid * up_ctx["eps_y"] * Sy
         + gamma * 0.5 * (1.0 - (sigma * sigma + diff * diff) * inv_eLv)
     )
-    grads = backward_batch(params, down_ctx, up_ctx, dMu, dLv)
+    grads = backward_batch(params, down_ctx, up_ctx, dMu, dLv, out=out)
     return breakdown, grads
 
 
@@ -317,6 +322,8 @@ def train_codec(
     hold_eps2 = rng.standard_normal((cfg.holdout, m))
     hold_eps_y = rng.standard_normal((cfg.holdout, n))
 
+    # one gradient buffer for every step; the update below scales it in place
+    grads = zero_grads(params)
     velocity = np.zeros_like(params.flat)
     grad_scale = cfg.batch * n  # updates descend the summed objective
     cursor = [0]
@@ -329,17 +336,24 @@ def train_codec(
         eps2 = eps1[:, :m].copy() if cfg.common_noise else rng.standard_normal((cfg.batch, m))
         eps_y = rng.standard_normal((cfg.batch, n))
 
-        breakdown, grads = hybrid_loss_batch(params, Y, sigma, snr, eps1, eps2, eps_y, weights)
+        breakdown, _ = hybrid_loss_batch(
+            params, Y, sigma, snr, eps1, eps2, eps_y, weights, out=grads
+        )
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(step=step, last_finite_step=last_finite)
         last_finite = step
 
-        gvec = grads.flat * grad_scale
+        # the same IEEE operations, in the same order, as
+        # velocity = momentum * velocity - lr * (g * grad_scale), without temporaries
+        g = grads.flat
+        g *= grad_scale
+        g *= cfg.lr
         if cfg.momentum > 0.0:
-            velocity = cfg.momentum * velocity - cfg.lr * gvec
+            velocity *= cfg.momentum
+            velocity -= g
             params.flat += velocity
         else:
-            params.flat -= cfg.lr * gvec
+            params.flat -= g
 
         eval_psnr = None
         if step % cfg.eval_every == 0 or step == cfg.steps:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import venv
@@ -294,6 +295,21 @@ def test_train_writes_params_and_loss_table(tmp_path):
     assert (tmp_path / "results.csv").exists()
 
 
+def test_train_logs_throughput_and_reruns_byte_identical(tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        run_train(parse_config(json.dumps(TRAIN_CFG)), out_dir=str(tmp_path / name))
+        outputs.append([(tmp_path / name / f).read_bytes() for f in ("results.csv", "codec.npz")])
+    assert outputs[0] == outputs[1]
+    lines = (tmp_path / "a" / "run.log").read_text().splitlines()
+    throughput = [line for line in lines if line.startswith("train wall_s=")]
+    assert len(throughput) == 1
+    match = re.fullmatch(r"train wall_s=(\S+) steps_per_s=(\S+)", throughput[0])
+    wall_s, steps_per_s = float(match.group(1)), float(match.group(2))
+    assert wall_s > 0.0
+    assert steps_per_s == pytest.approx(TRAIN_CFG["train"]["steps"] / wall_s, rel=1e-5)
+
+
 def test_train_requires_compression_setting(tmp_path):
     with pytest.raises(ConfigurationError, match=r"codec.C, codec.k"):
         run_train(parse_config(_cfg()), out_dir=str(tmp_path))
@@ -447,6 +463,20 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_main_rejects_default_t_target_past_short_schedule(tmp_path, capsys):
+    # fixed_step runs the chain from the default t_target of 200
+    cfg_path = _write_cfg(tmp_path, _cfg(schedule={"T": 100}, mode={"kind": "fixed_step"}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "configuration error: mode.t_target: must be <= 100, got 200" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adaptive_mode_ignores_default_t_target_past_short_schedule():
+    cfg = parse_config(_cfg(schedule={"T": 100}))
+    assert cfg.mode.kind == "adaptive" and cfg.mode.t_target == 200
 
 
 def test_main_runtime_error_exit_code(tmp_path, capsys):

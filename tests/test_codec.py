@@ -21,8 +21,11 @@ from diffcomm import (
     upsample,
 )
 from diffcomm.codec import (
+    backward_batch,
     clone_params,
     downsample_with_scale,
+    forward_down_batch,
+    forward_up_batch,
     params_to_vector,
     snr_feature,
     vector_to_params,
@@ -261,6 +264,22 @@ def test_rebuilt_params_do_not_alias_their_source():
             assert not np.shares_memory(mine, theirs)
     assert not np.any(params_to_vector(zero_grads(p)))
     assert np.array_equal(params_to_vector(clone_params(p)), params_to_vector(p))
+
+
+def test_backward_into_given_container_writes_every_entry():
+    p = _params(seed=25)
+    rng = np.random.default_rng(26)
+    B = 3
+    Z, down_ctx = forward_down_batch(p, rng.standard_normal((B, p.n)))
+    Zhat = Z + 0.5 * rng.standard_normal(Z.shape)
+    *_, up_ctx = forward_up_batch(p, Zhat, snr_feature(p, 4.0), rng.standard_normal((B, p.n)))
+    dMu, dLv = rng.standard_normal((2, B, p.n))
+    fresh = backward_batch(p, down_ctx, up_ctx, dMu, dLv)
+    out = zero_grads(p)
+    out.flat[:] = np.nan
+    assert backward_batch(p, down_ctx, up_ctx, dMu, dLv, out=out) is out
+    assert not np.isnan(out.flat).any()
+    assert np.array_equal(out.flat, fresh.flat)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -229,6 +229,8 @@ FAULTS = [
      "mode.t_target: must be <= 1000, got 1001"),
     ("t_target-past-short-T", {"schedule": {"T": 100}, "mode": {"t_target": 150}},
      "mode.t_target: must be <= 100, got 150"),
+    ("t_target-default-past-short-T", {"schedule": {"T": 100}, "mode": {"kind": "fixed_step"}},
+     "mode.t_target: must be <= 100, got 200"),
     ("t_target-type", {"mode": {"t_target": "200"}},
      "mode.t_target: expected an integer, got str"),
     ("mode-unknown", {"mode": {"target": 200}},

@@ -80,6 +80,22 @@ def test_latent_validation_and_views():
         out.data[0] = 99.0
 
 
+def test_latent_copies_the_caller_array():
+    x = np.arange(8, dtype=np.float64)
+    lat = Latent(data=x, shape=(2, 2, 2))
+    x[0] = 99.0  # the caller's array stays writable and detached
+    assert lat.data[0] == 0.0
+    y = np.ones(8)
+    out = lat.with_data(y)
+    y[:] = np.nan
+    assert np.array_equal(out.data, np.ones(8))
+    # a view: a value written to its base after validation never shows up
+    base = np.zeros(10)
+    from_view = Latent(data=base[:4], shape=(4, 1, 1))
+    base[1] = np.nan
+    assert base.flags.writeable and np.isfinite(from_view.data).all()
+
+
 def test_source_model_draw_statistics():
     model = GaussianSourceModel(mean=0.5, variance=4.0)
     lat = model.draw((50, 40, 10), np.random.default_rng(0))

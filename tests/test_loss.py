@@ -26,6 +26,7 @@ from diffcomm import (
     train_codec,
 )
 from diffcomm.codec import (
+    clone_params,
     forward_down_batch,
     forward_up_batch,
     params_to_vector,
@@ -219,6 +220,17 @@ def test_gradients_match_finite_differences_deep_unconditioned():
     _fd_gradcheck(p, seed=12)
 
 
+def test_batch_gradients_are_fresh_without_out():
+    p = _small_params(seed=9)
+    rng = np.random.default_rng(10)
+    Y, eps1, eps_y = rng.standard_normal((3, 2, p.n))
+    eps2 = rng.standard_normal((2, p.m))
+    _, g1 = hybrid_loss_batch(p, Y, 0.6, 3.0, eps1, eps2, eps_y, LossWeights())
+    _, g2 = hybrid_loss_batch(p, Y, 0.6, 3.0, eps1, eps2, eps_y, LossWeights())
+    assert not np.shares_memory(g1.flat, g2.flat)
+    assert np.array_equal(g1.flat, g2.flat)
+
+
 def test_batch_loss_rejects_bad_sigma():
     p = _small_params()
     Y = np.zeros((1, 8))
@@ -250,6 +262,45 @@ def _train(seed=0, steps=5, source=SOURCE, sigma=0.5, params_seed=13, **cfg_kwar
     p = _small_params(seed=params_seed)
     cfg = TrainConfig(steps=steps, batch=2, lr=1e-3, holdout=4, eval_every=3, **cfg_kwargs)
     return train_codec(source, sigma, p, LossWeights(), cfg, np.random.default_rng(seed))
+
+
+def _reference_train(sigma, params, weights, cfg, rng):
+    """``train_codec`` on ``SOURCE`` as an out-of-place loop: fresh gradients
+    every step and temporaries in the update (evaluations left out; they
+    draw nothing and change no parameter)."""
+    params = clone_params(params)
+    n, m = params.n, params.m
+    snr = 1.0 / (sigma * sigma)
+    for shape in ((cfg.holdout, n), (cfg.holdout, m), (cfg.holdout, n)):
+        rng.standard_normal(shape)  # holdout data and noise
+    velocity = np.zeros_like(params.flat)
+    for _ in range(cfg.steps):
+        Y = SOURCE.mean + math.sqrt(SOURCE.variance) * rng.standard_normal((cfg.batch, n))
+        eps1 = rng.standard_normal((cfg.batch, n))
+        eps2 = eps1[:, :m].copy() if cfg.common_noise else rng.standard_normal((cfg.batch, m))
+        eps_y = rng.standard_normal((cfg.batch, n))
+        _, grads = hybrid_loss_batch(params, Y, sigma, snr, eps1, eps2, eps_y, weights)
+        gvec = grads.flat * (cfg.batch * n)
+        if cfg.momentum > 0.0:
+            velocity = cfg.momentum * velocity - cfg.lr * gvec
+            params.flat += velocity
+        else:
+            params.flat -= cfg.lr * gvec
+    return params
+
+
+@pytest.mark.parametrize(
+    "cfg_kwargs", [{}, {"momentum": 0.9}, {"common_noise": True}],
+    ids=["sgd", "momentum", "common_noise"],
+)
+def test_train_matches_out_of_place_reference_bit_for_bit(cfg_kwargs):
+    p = _small_params(seed=13)
+    # batch * n = 24 is not a power of two, so the scaling order shows in the bits
+    cfg = TrainConfig(steps=8, batch=3, lr=1e-3, holdout=4, eval_every=3, **cfg_kwargs)
+    trained, _ = train_codec(SOURCE, 0.5, p, LossWeights(), cfg, np.random.default_rng(0))
+    want = _reference_train(0.5, p, LossWeights(), cfg, np.random.default_rng(0))
+    assert np.array_equal(trained.flat, want.flat)
+    assert not np.array_equal(trained.flat, p.flat)
 
 
 def test_train_produces_one_record_per_step():

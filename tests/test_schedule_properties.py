@@ -1,4 +1,5 @@
-"""Property tests of the channel-noise-to-step mapping over linear schedules.
+"""Property tests of the channel-noise-to-step mapping and of compensation
+feasibility over linear schedules.
 
 Schedules are drawn over T in [1, 1000] and betas in [1e-5, 0.05];
 variances over the whole representable range [0, max_sigma2].
@@ -12,7 +13,13 @@ import numpy as np  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from diffcomm import build_linear_schedule, sigma2_to_step, step_to_sigma2  # noqa: E402
+from diffcomm import (  # noqa: E402
+    CompensationInfeasibleError,
+    build_linear_schedule,
+    compensation_variance,
+    sigma2_to_step,
+    step_to_sigma2,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -76,3 +83,24 @@ def test_exact_midpoint_maps_to_the_smaller_step(sch, data):
     tie = 1.0 / (1.0 + sigma2) == mid and bars[u] - mid == mid - bars[u + 1]
     hypothesis.assume(tie)
     assert sigma2_to_step(sch, sigma2).step_u == u
+
+
+@SETTINGS
+@given(sch=schedules(), data=st.data())
+def test_compensation_is_feasible_exactly_up_to_the_step_variance(sch, data):
+    """Feasible (a variance >= 0) exactly when sigma2 <= step_to_sigma2(t),
+    zero exactly at equality, CompensationInfeasibleError past it.  The
+    step's own variance and its float neighbours are drawn as well."""
+    t = data.draw(st.integers(min_value=1, max_value=sch.T))
+    limit = step_to_sigma2(sch, t)
+    sigma2 = data.draw(st.one_of(
+        st.floats(min_value=0.0, max_value=sch.max_sigma2),
+        st.sampled_from([limit, np.nextafter(limit, 0.0), np.nextafter(limit, np.inf)]),
+    ))
+    if sigma2 <= limit:
+        extra = compensation_variance(sch, t, sigma2)
+        assert extra >= 0.0
+        assert (extra == 0.0) == (sigma2 == limit)
+    else:
+        with pytest.raises(CompensationInfeasibleError):
+            compensation_variance(sch, t, sigma2)
