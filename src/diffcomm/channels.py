@@ -116,7 +116,8 @@ class ChannelOutput:
     ``mappings`` holds one StepMapping per independent stream: a single
     entry for scalar channels, one per subchannel for MIMO.
     ``effective_sigma2`` is the actual per-real-element noise variance of
-    each stream of the (rescaled) received signal.
+    each stream of the (rescaled) received signal.  ``subchannel_gains``
+    is stored as a read-only copy, so the caller's array stays writable.
     """
 
     received: ComplexVector
@@ -133,7 +134,9 @@ class ChannelOutput:
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
         if self.subchannel_gains is not None:
-            self.subchannel_gains.flags.writeable = False
+            gains = np.array(self.subchannel_gains)
+            gains.flags.writeable = False
+            object.__setattr__(self, "subchannel_gains", gains)
 
     @property
     def mapping(self) -> StepMapping:
@@ -271,7 +274,9 @@ class MimoChannel:
     """MIMO channel matrix with its singular-value decomposition.
 
     ``H = U @ diag(singular_values) @ V^H`` with unitary ``U`` and ``V``
-    and singular values sorted in descending order.
+    and singular values sorted in descending order.  The constructor
+    stores read-only copies, so the caller's arrays stay writable and
+    later writes to them never reach the channel.
     """
 
     H: np.ndarray
@@ -281,10 +286,10 @@ class MimoChannel:
     _tol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=np.complex128)
-        U = np.asarray(self.U, dtype=np.complex128)
-        V = np.asarray(self.V, dtype=np.complex128)
-        s = np.asarray(self.singular_values, dtype=np.float64)
+        H = np.array(self.H, dtype=np.complex128)
+        U = np.array(self.U, dtype=np.complex128)
+        V = np.array(self.V, dtype=np.complex128)
+        s = np.array(self.singular_values, dtype=np.float64)
         for name, arr in (("H", H), ("U", U), ("V", V)):
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError(f"{name} must be a square matrix, got {arr.shape}")
@@ -365,5 +370,5 @@ def mimo_transmit(
         mappings=mappings,
         noise_sigma=sigma,
         effective_sigma2=eff,
-        subchannel_gains=s.copy(),
+        subchannel_gains=s,
     )

@@ -60,7 +60,7 @@ from ..diffusion import (
 )
 from ..errors import ConfigurationError
 from ..loss import LossWeights, TrainConfig, train_codec
-from ..metrics import MetricReport, psnr_from_mse, ssim
+from ..metrics import MetricReport, psnr_from_mse, ssim_batch
 from ..schedule import Schedule, build_linear_schedule
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
@@ -89,6 +89,9 @@ _COMPARE_HEADER = [
 ]
 _TRAIN_HEADER = ["step", "l_kl", "l_mse", "l_g", "total", "eval_psnr"]
 _SWEEP_HEADER = ["param", "value", "psnr_db", "ssim", "mse"]
+# Latent elements per SSIM block: a cell scores max(1, this // n) trials
+# per ``ssim_batch`` call, so its buffers do not grow with the trial count.
+_SSIM_BLOCK_ELEMENTS = 65536
 
 
 @dataclass(frozen=True)
@@ -326,13 +329,18 @@ def _run_trials(
     pure forward draw to the target.  Returns the mean MSE and SSIM (None
     without an SSIM window) of the adaptive or fixed-step reconstruction,
     and in compare mode the per-trial MSEs of the compensate and forward
-    routes.
+    routes.  SSIM is scored in blocks of trials, one ``ssim_batch`` call
+    per block, and averaged in trial order.
     """
     cfg, params, schedule = setup.cfg, setup.params, setup.schedule
     sigma = math.sqrt(sigma2)
     snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
     window = _ssim_window(cfg.source.shape)
     t_target = cfg.mode.t_target
+    if window is not None:
+        block = min(trials, max(1, _SSIM_BLOCK_ELEMENTS // cfg.source.n))
+        refs = np.empty((block, *cfg.source.shape))
+        recons = np.empty_like(refs)
 
     mses: list[float] = []
     ssims: list[float] = []
@@ -364,7 +372,11 @@ def _run_trials(
         diff = recon - y0.data
         mses.append(float(np.mean(diff * diff)))
         if window is not None:
-            ssims.append(ssim(y0, y0.with_data(recon), window=window))
+            row = trial % block
+            refs[row] = y0.as_image()
+            recons[row] = recon.reshape(cfg.source.shape)
+            if row == block - 1 or trial == trials - 1:
+                ssims += ssim_batch(refs[: row + 1], recons[: row + 1], window=window).tolist()
 
     mean_ssim = float(np.mean(ssims)) if ssims else None
     return float(np.mean(mses)), mean_ssim, comp_mses, fwd_mses
@@ -450,17 +462,20 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     adaptive, compensate-to-target, and pure-forward routes on shared
     source and channel draws and reports the paired deltas with a 95%
     confidence interval on compensate-vs-forward.  Failures carry the
-    coordinates of the offending cell.
+    coordinates of the offending cell.  The log ends with the wall time
+    of the grid and its trials per second.
     """
     setup = _trial_setup(cfg)
     if cfg.codec.enabled:
         setup = replace(setup, params=_codec_params(cfg))
+    start = time.perf_counter()
     rows = _map_cells(
         lambda cell: _run_cell(setup, cell),
         cfg.channel.cells,
         lambda cell: f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g}",
         threads,
     )
+    wall_s = time.perf_counter() - start
 
     header = _COMPARE_HEADER if cfg.mode.kind == "compare" else _SIMULATE_HEADER
     reports = None
@@ -471,6 +486,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
         f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g} done"
         for cell in cfg.channel.cells
     ]
+    trials = len(rows) * cfg.source.count
+    log_lines.append(f"simulate wall_s={wall_s:.6g} trials_per_s={trials / wall_s:.6g}")
     table = (list(header), [list(r) for r in rows])
     _write_run_files(cfg, out_dir, table, log_lines)
     return RunResult(header=tuple(header), rows=tuple(tuple(r) for r in rows), reports=reports)

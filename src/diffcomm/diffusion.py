@@ -57,7 +57,11 @@ def _checked_data(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
         raise ValueError(
             f"shape {shape} implies {w * h * c} elements, data has {data.size}"
         )
-    if not np.isfinite(data).all():
+    # NaN and inf propagate through the squares and their sum, so a finite
+    # dot product proves every element finite; only an overflow of finite
+    # values needs the elementwise test.  ``vdot``, unlike ``@``, does not
+    # warn about that overflow.
+    if not (math.isfinite(np.vdot(data, data)) or np.isfinite(data).all()):
         raise ValueError("latent components must be finite")
     data.flags.writeable = False
     return data
@@ -217,7 +221,8 @@ def reverse_step(
     schedule._check_step(t, lo=1)
     c_eps, sqrt_a, sd = schedule.reverse_coefs[t - 1]
     eps_hat = denoiser.predict_noise(y_t, t)
-    mu = y_t.data - c_eps * eps_hat.data
+    mu = eps_hat.data * c_eps
+    np.subtract(y_t.data, mu, out=mu)
     mu /= sqrt_a
     if t > 1:
         z = rng.standard_normal(y_t.n)

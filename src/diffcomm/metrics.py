@@ -2,10 +2,11 @@
 
 PSNR and SSIM operate on latents interpreted as (width, height, channels)
 images; SSIM uses Gaussian-weighted local windows on each channel slice
-and averages the per-channel means.  ``gaussianity_check`` verifies that
-simulated samples have the mean and variance a noise model predicts, in
-units of standard errors, and is the workhorse behind the
-channel-to-forward equivalence tests.
+and averages the per-channel means; ``ssim_batch`` scores a stack of
+image pairs in one array pass, bit-identical to ``ssim`` of each pair.
+``gaussianity_check`` verifies that simulated samples have the mean and
+variance a noise model predicts, in units of standard errors, and is the
+workhorse behind the channel-to-forward equivalence tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import numpy as np
 
 from .diffusion import Latent
 
-__all__ = ["MetricReport", "GaussianityReport", "mse", "psnr", "ssim", "gaussianity_check"]
+__all__ = [
+    "MetricReport",
+    "GaussianityReport",
+    "mse",
+    "psnr",
+    "ssim",
+    "ssim_batch",
+    "gaussianity_check",
+]
 
 PSNR_CAP_DB = 99.0
 
@@ -93,21 +102,66 @@ def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _ssim_channel(a: np.ndarray, b: np.ndarray, kernel: np.ndarray, c1: float, c2: float) -> float:
-    win = kernel.shape[0]
-    wa = np.lib.stride_tricks.sliding_window_view(a, (win, win))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (win, win))
-    mu_a = np.tensordot(wa, kernel, axes=([2, 3], [0, 1]))
-    mu_b = np.tensordot(wb, kernel, axes=([2, 3], [0, 1]))
-    m_aa = np.tensordot(wa * wa, kernel, axes=([2, 3], [0, 1]))
-    m_bb = np.tensordot(wb * wb, kernel, axes=([2, 3], [0, 1]))
-    m_ab = np.tensordot(wa * wb, kernel, axes=([2, 3], [0, 1]))
+def ssim_batch(
+    A: np.ndarray,
+    B: np.ndarray,
+    window: int = 7,
+    k1: float = 0.01,
+    k2: float = 0.03,
+    peak: float = 1.0,
+    kernel_sigma: float = 1.5,
+) -> np.ndarray:
+    """``ssim`` of every image pair in two ``(N, w, h, c)`` stacks.
+
+    The local statistics of all N pairs are filtered together: the
+    kernel-weighted shifted slices are added in a fixed order, and each
+    image's per-channel means run over contiguous rows of the SSIM map.
+    Every value therefore goes through the same floating-point operations
+    whatever N is, so a batched value is bit-identical to ``ssim`` of that
+    pair alone.  Validation and messages are ``ssim``'s, with stack shapes.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    if A.ndim != 4:
+        raise ValueError(f"expected (N, w, h, c) stacks, got shape {A.shape}")
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 3, got {window}")
+    n_img, w, h, channels = A.shape
+    if window > w or window > h:
+        raise ValueError(f"window {window} larger than image plane ({w}x{h})")
+    if peak <= 0.0:
+        raise ValueError(f"peak must be > 0, got {peak!r}")
+    c1 = (k1 * peak) ** 2
+    c2 = (k2 * peak) ** 2
+    kernel = _gaussian_kernel(window, kernel_sigma)
+    wo, ho = w - window + 1, h - window + 1
+
+    # (w, h, 5, N, c): a shifted window slice is a few long contiguous runs
+    stats = np.empty((w, h, 5, n_img, channels))
+    stats[:, :, 0] = A.transpose(1, 2, 0, 3)
+    stats[:, :, 1] = B.transpose(1, 2, 0, 3)
+    a, b = stats[:, :, 0], stats[:, :, 1]
+    np.multiply(a, a, out=stats[:, :, 2])
+    np.multiply(b, b, out=stats[:, :, 3])
+    np.multiply(a, b, out=stats[:, :, 4])
+    local = np.multiply(kernel[0, 0], stats[:wo, :ho])
+    term = np.empty_like(local)
+    for i in range(window):
+        for j in range(window):
+            if i or j:
+                np.multiply(kernel[i, j], stats[i : i + wo, j : j + ho], out=term)
+                local += term
+    mu_a, mu_b, m_aa, m_bb, m_ab = np.moveaxis(local, 2, 0)
     var_a = m_aa - mu_a * mu_a
     var_b = m_bb - mu_b * mu_b
     cov = m_ab - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    # one contiguous row of w' * h' map values per image and channel
+    rows = np.ascontiguousarray((num / den).reshape(wo * ho, n_img * channels).T)
+    return rows.reshape(n_img, channels, wo * ho).mean(axis=2).mean(axis=1)
 
 
 def ssim(
@@ -124,7 +178,7 @@ def ssim(
     Each channel slice is scanned with a ``window x window`` Gaussian
     kernel over every fully contained position; per-channel map means are
     averaged.  Identical inputs give exactly 1; anticorrelated structure
-    drives the value negative.
+    drives the value negative.  This is ``ssim_batch`` on a stack of one.
 
     Raises
     ------
@@ -132,24 +186,9 @@ def ssim(
         On shape mismatch, an even or too-small window, or a window
         larger than the image plane.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window}")
-    w, h, _ = a.shape
-    if window > w or window > h:
-        raise ValueError(f"window {window} larger than image plane ({w}x{h})")
-    if peak <= 0.0:
-        raise ValueError(f"peak must be > 0, got {peak!r}")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
-    kernel = _gaussian_kernel(window, kernel_sigma)
-    img_a, img_b = a.as_image(), b.as_image()
-    vals = [
-        _ssim_channel(img_a[:, :, c], img_b[:, :, c], kernel, c1, c2)
-        for c in range(a.shape[2])
-    ]
-    return float(np.mean(vals))
+    return float(
+        ssim_batch(a.as_image()[None], b.as_image()[None], window, k1, k2, peak, kernel_sigma)[0]
+    )
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,45 @@ def test_mimo_stream_divisibility():
         mimo_transmit(z, ch, 0.5, rng, SCHEDULE)
 
 
+def test_mimo_channel_copies_the_caller_arrays():
+    rng = np.random.default_rng(36)
+    H = _random_H(rng)
+    ch = mimo_svd_decompose(H)
+    assert H.flags.writeable and ch.H is not H
+    kept = ch.H.copy()
+    H[0, 0] = 2.0  # the caller's matrix stays writable and detached
+    assert np.array_equal(ch.H, kept)
+    parts = {"H": kept.copy(), "U": ch.U.copy(), "V": ch.V.copy(),
+             "singular_values": ch.singular_values.copy()}
+    direct = MimoChannel(**parts)
+    for name, arr in parts.items():
+        stored = getattr(direct, name)
+        assert arr.flags.writeable and stored is not arr and not stored.flags.writeable
+        arr[...] = 0.0
+        assert np.array_equal(stored, getattr(ch, name))
+
+
+def test_channel_output_copies_the_caller_gains():
+    rng = np.random.default_rng(37)
+    ch = mimo_svd_decompose(_random_H(rng))
+    out = mimo_transmit(ComplexVector.from_real(np.ones(8)), ch, 0.5, rng, SCHEDULE)
+    assert out.subchannel_gains is not ch.singular_values
+    assert np.array_equal(out.subchannel_gains, ch.singular_values)
+    gains = np.array([2.0, 1.0])
+    built = ChannelOutput(
+        received=out.received,
+        mappings=out.mappings,
+        noise_sigma=0.5,
+        effective_sigma2=out.effective_sigma2,
+        subchannel_gains=gains,
+    )
+    assert gains.flags.writeable and built.subchannel_gains is not gains
+    gains[0] = 9.0
+    assert np.array_equal(built.subchannel_gains, [2.0, 1.0])
+    with pytest.raises(ValueError):
+        built.subchannel_gains[0] = 9.0
+
+
 def test_multi_stream_output_guards_single_mapping_accessor():
     rng = np.random.default_rng(35)
     ch = mimo_svd_decompose(_random_H(rng))

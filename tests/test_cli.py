@@ -24,6 +24,7 @@ from diffcomm.cli import (
     run_sweep,
     run_train,
 )
+from diffcomm.cli import run as run_module
 
 REPO = Path(__file__).resolve().parents[1]
 SMALL_SOURCE = {"shape": [2, 2, 2], "count": 2}
@@ -210,6 +211,38 @@ def test_simulate_is_deterministic_and_thread_invariant(tmp_path):
         run_simulate(parse_config(text), out_dir=str(tmp_path / name), threads=threads)
         outs.append((tmp_path / name / "results.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_simulate_ssim_blocks_do_not_change_the_csv(tmp_path, monkeypatch):
+    """Seven trials per cell scored one, three (two full blocks and a
+    partial one) or all seven (the default) per ``ssim_batch`` call."""
+    text = _cfg(source={"shape": [3, 3, 2], "count": 7},
+                channel={"type": "rayleigh", "snr_db": [0.0, 6.0]})
+    n = 3 * 3 * 2
+    default = run_module._SSIM_BLOCK_ELEMENTS
+    assert default // n >= 7
+    outs = []
+    for name, elements in (("one", 1), ("three", 3 * n), ("default", default)):
+        monkeypatch.setattr(run_module, "_SSIM_BLOCK_ELEMENTS", elements)
+        result = run_simulate(parse_config(text), out_dir=str(tmp_path / name))
+        assert all(0.0 < row[6] < 1.0 for row in result.rows)
+        outs.append((tmp_path / name / "results.csv").read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_simulate_logs_throughput_and_reruns_byte_identical(tmp_path):
+    text = _cfg(source={"shape": [3, 3, 2], "count": 3}, channel={"snr_db": [0.0, 6.0]})
+    outs = []
+    for name in ("a", "b"):
+        run_simulate(parse_config(text), out_dir=str(tmp_path / name))
+        outs.append((tmp_path / name / "results.csv").read_bytes())
+    assert outs[0] == outs[1]
+    lines = (tmp_path / "a" / "run.log").read_text().splitlines()
+    assert lines[-1].startswith("simulate wall_s=")
+    match = re.fullmatch(r"simulate wall_s=(\S+) trials_per_s=(\S+)", lines[-1])
+    wall_s, trials_per_s = float(match.group(1)), float(match.group(2))
+    assert wall_s > 0.0
+    assert trials_per_s == pytest.approx(2 * 3 / wall_s, rel=1e-5)
 
 
 def test_simulate_seed_changes_results(tmp_path):

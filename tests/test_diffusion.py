@@ -8,6 +8,7 @@ statistically tight, since every element is an independent replica.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +95,36 @@ def test_latent_copies_the_caller_array():
     from_view = Latent(data=base[:4], shape=(4, 1, 1))
     base[1] = np.nan
     assert base.flags.writeable and np.isfinite(from_view.data).all()
+
+
+# finite values whose squares (or their sum) overflow to inf
+HUGE_FINITE = [
+    np.full(12, 1e200),
+    np.full(12, -1.7e308),
+    np.array([0.5, -1e200, 3.0, 1.7e308, -2.0, 1e-300, 0.0, 7.0, -1.7e308, 1.0, 2.0, 1e155]),
+]
+
+
+@pytest.mark.parametrize("data", HUGE_FINITE, ids=["1e200", "-1.7e308", "mixed"])
+def test_latent_accepts_finite_values_whose_squares_overflow(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lat = Latent(data=data, shape=(2, 3, 2))
+        assert np.array_equal(lat.data, data)
+        assert np.array_equal(lat.with_data(data).data, data)
+
+
+@pytest.mark.parametrize("position", [0, 5, 11])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("fill", [0.0, 1e200, -1.7e308], ids=["zeros", "1e200", "-1.7e308"])
+def test_latent_rejects_non_finite_at_any_position(fill, value, position):
+    data = np.full(12, fill)
+    data[position] = value
+    lat = Latent(data=np.zeros(12), shape=(2, 3, 2))
+    with pytest.raises(ValueError, match=r"^latent components must be finite$"):
+        Latent(data=data, shape=(2, 3, 2))
+    with pytest.raises(ValueError, match=r"^latent components must be finite$"):
+        lat.with_data(data)
 
 
 def test_source_model_draw_statistics():

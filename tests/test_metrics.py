@@ -18,6 +18,7 @@ from diffcomm import (
     psnr,
     psnr_from_mse,
     ssim,
+    ssim_batch,
 )
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,58 @@ def test_ssim_validation():
         ssim(a, a, window=9)
     with pytest.raises(ValueError, match="shape"):
         ssim(a, _latent(np.zeros((8, 8, 2))))
+
+
+# (image shape, window) pairs, including a plane narrower than it is tall
+# and a single-channel plane whose map has an odd number of positions
+SSIM_SHAPES = [((8, 8, 4), 7), ((32, 32, 3), 7), ((16, 12, 2), 5), ((7, 9, 1), 7)]
+
+
+def _stacks(shape, count, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, size=(count, *shape))
+    return a, a + 0.2 * rng.standard_normal(a.shape)
+
+
+@pytest.mark.parametrize("count", [1, 3, 40])
+@pytest.mark.parametrize("shape,window", SSIM_SHAPES)
+def test_ssim_batch_is_bit_identical_to_per_image_ssim(shape, window, count):
+    a, b = _stacks(shape, count, seed=10 + count)
+    got = ssim_batch(a, b, window=window)
+    assert got.shape == (count,)
+    want = [ssim(_latent(a[i]), _latent(b[i]), window=window) for i in range(count)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape,window", SSIM_SHAPES)
+def test_ssim_batch_matches_scalar_loop_oracle(shape, window):
+    a, b = _stacks(shape, 3, seed=20)
+    got = ssim_batch(a, b, window=window)
+    want = [_ssim_loop_oracle(a[i], b[i], window=window) for i in range(3)]
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_ssim_batch_of_identical_stacks_is_exactly_one():
+    a, _ = _stacks((10, 10, 3), 5, seed=21)
+    assert np.array_equal(ssim_batch(a, a.copy()), np.ones(5))
+
+
+def test_ssim_batch_validation_messages():
+    a = np.zeros((2, 8, 8, 1))
+    with pytest.raises(ValueError, match=r"^window must be odd and >= 3, got 4$"):
+        ssim_batch(a, a, window=4)
+    with pytest.raises(ValueError, match=r"^window must be odd and >= 3, got 1$"):
+        ssim_batch(a, a, window=1)
+    with pytest.raises(ValueError, match=r"^window 9 larger than image plane \(8x8\)$"):
+        ssim_batch(a, a, window=9)
+    with pytest.raises(ValueError, match=r"^peak must be > 0, got 0.0$"):
+        ssim_batch(a, a, peak=0.0)
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 8, 8, 1\) vs \(2, 8, 8, 2\)$"):
+        ssim_batch(a, np.zeros((2, 8, 8, 2)))
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2, 8, 8, 1\) vs \(3, 8, 8, 1\)$"):
+        ssim_batch(a, np.zeros((3, 8, 8, 1)))
+    with pytest.raises(ValueError, match=r"^expected \(N, w, h, c\) stacks, got shape \(8, 8, 1\)$"):
+        ssim_batch(a[0], a[0])
 
 
 # ---------------------------------------------------------------------------
