@@ -482,6 +482,14 @@ def _cross_validate(cfg: ExperimentConfig):
             "codec.enabled, channel.type",
             "codec transmission over mimo is not supported; use awgn or rayleigh",
         )
+    if cfg.codec.enabled and cfg.codec.snr_conditioning:
+        for i, cell in enumerate(cfg.channel.cells):
+            if math.isinf(cell.snr_db):  # only a sigma of 0 gives an infinite SNR
+                raise ConfigurationError(
+                    f"channel.sigma[{i}]",
+                    "a noiseless cell has no finite SNR to condition the codec on; "
+                    "drop the cell or set codec.snr_conditioning to false",
+                )
     C, k = cfg.codec.C, cfg.codec.k
     if C is not None or k is not None:
         _check_compression("codec.k" if C is None else "codec.C", n, C, k)

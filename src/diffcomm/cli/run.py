@@ -60,7 +60,7 @@ from ..diffusion import (
 )
 from ..errors import ConfigurationError
 from ..loss import LossWeights, TrainConfig, train_codec
-from ..metrics import MetricReport, psnr_from_mse, ssim_batch
+from ..metrics import MetricReport, mse, psnr_from_mse, ssim_batch
 from ..schedule import Schedule, build_linear_schedule
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
@@ -366,11 +366,10 @@ def _run_trials(
             comp = _compensate_streams(setup, base, out, t_target, rng)
             fwd_t = forward_sample(y0, t_target, schedule, rng)
             fwd = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng).data
-            comp_mses.append(float(np.mean((comp - y0.data) ** 2)))
-            fwd_mses.append(float(np.mean((fwd - y0.data) ** 2)))
+            comp_mses.append(mse(comp, y0.data))
+            fwd_mses.append(mse(fwd, y0.data))
 
-        diff = recon - y0.data
-        mses.append(float(np.mean(diff * diff)))
+        mses.append(mse(recon, y0.data))
         if window is not None:
             row = trial % block
             refs[row] = y0.as_image()

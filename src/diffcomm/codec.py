@@ -44,9 +44,7 @@ __all__ = [
     "k_from_channel_count",
     "init_codec",
     "downsample",
-    "downsample_with_scale",
     "upsample",
-    "reparameterize",
     "snr_feature",
     "save_codec",
     "load_codec",
@@ -454,12 +452,11 @@ def _check_finite(name: str, arr: np.ndarray):
         raise NumericOverflowError(name)
 
 
-def downsample_with_scale(y: Latent, params: CodecParams) -> tuple[Latent, float]:
-    """Compress one latent; also return the power-normalization divisor.
+def downsample(y: Latent, params: CodecParams) -> Latent:
+    """Compress one latent to the transmit vector.
 
-    The divisor is the root mean square of the raw projection output (1.0
-    when normalization is disabled); the transmitted vector is the raw
-    output divided by it, giving unit mean per-symbol power.  The scale is
+    With power normalization the raw projection output is divided by its
+    root mean square, giving unit mean per-symbol power; the divisor is
     assumed known at the receiver.
     """
     if y.shape != params.shape:
@@ -470,13 +467,7 @@ def downsample_with_scale(y: Latent, params: CodecParams) -> tuple[Latent, float
     for i, x in enumerate(outputs):
         _check_finite(f"down_block_{i}", x)
     _check_finite("down_proj", ctx["z_raw"])
-    c = float(ctx["c"][0]) if params.power_norm else 1.0
-    return Latent(data=Z[0], shape=(params.m, 1, 1)), c
-
-
-def downsample(y: Latent, params: CodecParams) -> Latent:
-    """Compress one latent to the transmit vector."""
-    return downsample_with_scale(y, params)[0]
+    return Latent(data=Z[0], shape=(params.m, 1, 1))
 
 
 def upsample(
@@ -497,14 +488,6 @@ def upsample(
     _check_finite("up_logvar", Lv)
     q = GaussianParams(mu=Mu[0].copy(), sigma=Sy[0].copy())
     return q, Latent(data=Yhat[0], shape=params.shape)
-
-
-def reparameterize(q: GaussianParams, eps: np.ndarray) -> np.ndarray:
-    """Deterministic reparameterization ``mu + sigma * eps``."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != q.mu.shape:
-        raise ValueError(f"eps shape {eps.shape} does not match mu {q.mu.shape}")
-    return q.mu + q.sigma * eps
 
 
 # ---------------------------------------------------------------------------

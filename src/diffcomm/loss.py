@@ -8,11 +8,12 @@ Three terms, each a per-element mean:
   expects to consume.
 - ``prior_kl``: KL from the decoder's Gaussian to the standard normal;
   the usual variational regularizer.
-- ``surrogate_mse``: squared error between the reparameterized
-  reconstruction and the uncompressed received signal; stands in for the
-  post-denoising error, which it upper-bounds up to an additive constant.
+- the reconstruction surrogate, :func:`~diffcomm.metrics.mse` between
+  the reparameterized reconstruction and the uncompressed received
+  signal; stands in for the post-denoising error, which it upper-bounds
+  up to an additive constant.
 
-``total = lambda * prior_kl + surrogate_mse + gamma * guidance_kl``.
+``total = lambda * prior_kl + mse + gamma * guidance_kl``.
 
 Reported values use per-element means so the weights transfer across
 latent sizes.  Parameter updates, however, descend the summed objective
@@ -43,7 +44,7 @@ from .codec import (
 )
 from .diffusion import GaussianSourceModel, Latent
 from .errors import TrainingDivergedError
-from .metrics import psnr_from_mse
+from .metrics import _values, mse, psnr
 
 __all__ = [
     "LossWeights",
@@ -52,8 +53,6 @@ __all__ = [
     "TrainRecord",
     "guidance_kl",
     "prior_kl",
-    "surrogate_mse",
-    "hybrid_loss",
     "hybrid_loss_batch",
     "reconstruction_psnr",
     "train_codec",
@@ -94,8 +93,19 @@ class LossBreakdown:
             )
 
 
-def _latent_data(x: Union[Latent, np.ndarray]) -> np.ndarray:
-    return x.data if isinstance(x, Latent) else np.asarray(x, dtype=np.float64)
+# The KL terms on bare arrays of any shape, shared by the public forms and
+# the batch loss.  They validate nothing: a diverged step's NaN must reach
+# the trainer's finiteness check rather than raise here.
+
+
+def _guidance_kl(y: np.ndarray, sigma: float, mu: np.ndarray, s: np.ndarray) -> float:
+    d = mu - y
+    return float(np.mean(np.log(s / sigma) + (sigma * sigma + d * d) / (2.0 * s * s) - 0.5))
+
+
+def _prior_kl(mu: np.ndarray, s: np.ndarray) -> float:
+    s2 = s * s
+    return float(np.mean(0.5 * (mu * mu + s2 - np.log(s2) - 1.0)))
 
 
 def guidance_kl(y: Union[Latent, np.ndarray], sigma: float, q: GaussianParams) -> float:
@@ -103,48 +113,15 @@ def guidance_kl(y: Union[Latent, np.ndarray], sigma: float, q: GaussianParams) -
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    yv = _latent_data(y)
+    yv = _values(y)
     if yv.shape != q.mu.shape:
         raise ValueError(f"shape mismatch: y {yv.shape} vs q {q.mu.shape}")
-    d = q.mu - yv
-    val = (
-        np.log(q.sigma / sigma)
-        + (sigma * sigma + d * d) / (2.0 * q.sigma * q.sigma)
-        - 0.5
-    )
-    return float(np.mean(val))
+    return _guidance_kl(yv, sigma, q.mu, q.sigma)
 
 
 def prior_kl(q: GaussianParams) -> float:
     """Mean elementwise KL from ``N(q.mu, q.sigma^2)`` to the standard normal."""
-    s2 = q.sigma * q.sigma
-    val = 0.5 * (q.mu * q.mu + s2 - np.log(s2) - 1.0)
-    return float(np.mean(val))
-
-
-def surrogate_mse(y_hat: Union[Latent, np.ndarray], s_hat: Union[Latent, np.ndarray]) -> float:
-    """Mean squared error between the reconstruction and the received signal."""
-    a, b = _latent_data(y_hat), _latent_data(s_hat)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.mean(d * d))
-
-
-def hybrid_loss(
-    y: Union[Latent, np.ndarray],
-    sigma: float,
-    q: GaussianParams,
-    y_hat: Union[Latent, np.ndarray],
-    s_hat: Union[Latent, np.ndarray],
-    weights: LossWeights = LossWeights(),
-) -> LossBreakdown:
-    """Assemble the three terms into the weighted training objective."""
-    l_kl = prior_kl(q)
-    l_mse = surrogate_mse(y_hat, s_hat)
-    l_g = guidance_kl(y, sigma, q)
-    total = weights.lam * l_kl + l_mse + weights.gamma * l_g
-    return LossBreakdown(l_kl=l_kl, l_mse=l_mse, l_g=l_g, total=total, weights=weights)
+    return _prior_kl(q.mu, q.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +167,9 @@ def hybrid_loss_batch(
     diff = Mu - Y
     resid = Yhat - Shat
 
-    l_kl = float(np.mean(0.5 * (Mu * Mu + eLv - Lv - 1.0)))
-    l_mse = float(np.mean(resid * resid))
-    l_g = float(
-        np.mean(0.5 * Lv - math.log(sigma) + (sigma * sigma + diff * diff) * inv_eLv * 0.5 - 0.5)
-    )
+    l_kl = _prior_kl(Mu, Sy)
+    l_mse = mse(Yhat, Shat)
+    l_g = _guidance_kl(Y, sigma, Mu, Sy)
     lam, gamma = weights.lam, weights.gamma
     total = lam * l_kl + l_mse + gamma * l_g
     breakdown = LossBreakdown(l_kl=l_kl, l_mse=l_mse, l_g=l_g, total=total, weights=weights)
@@ -224,8 +199,7 @@ def reconstruction_psnr(
     Zhat = Z + sigma * eps2
     feat = snr_feature(params, snr)
     _, _, _, Yhat, _ = forward_up_batch(params, Zhat, feat, eps_y)
-    err = float(np.mean((Yhat - Y) ** 2))
-    return psnr_from_mse(err, peak)
+    return psnr(Yhat, Y, peak)
 
 
 # ---------------------------------------------------------------------------

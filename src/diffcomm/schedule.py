@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompensationInfeasibleError, ConfigurationError, SaturationError
+from .errors import CompensationInfeasibleError, ConfigurationError, InfiniteSnrError, SaturationError
 
 __all__ = [
     "Schedule",
@@ -287,7 +287,5 @@ def step_to_snr_db(schedule: Schedule, u: int) -> float:
     """
     sigma2 = step_to_sigma2(schedule, u)
     if sigma2 == 0.0:
-        from .errors import InfiniteSnrError
-
         raise InfiniteSnrError("step 0 is noiseless; SNR is unbounded")
     return -10.0 * math.log10(sigma2)

@@ -1,5 +1,6 @@
 """Variational codec: projections, conditioning, clamps, serialization."""
 
+import copy
 import math
 
 import numpy as np
@@ -16,14 +17,12 @@ from diffcomm import (
     init_codec,
     k_from_channel_count,
     load_codec,
-    reparameterize,
     save_codec,
     upsample,
 )
 from diffcomm.codec import (
     backward_batch,
     clone_params,
-    downsample_with_scale,
     forward_down_batch,
     forward_up_batch,
     params_to_vector,
@@ -102,13 +101,11 @@ def test_full_rate_codec_is_identity_at_init():
 def test_power_normalization_gives_unit_rms():
     p = _params()
     y = Latent(data=np.random.default_rng(5).standard_normal(256) * 7.0, shape=SHAPE)
-    z, c = downsample_with_scale(y, p)
-    assert float(np.mean(z.data**2)) == pytest.approx(1.0, rel=1e-12)
-    assert c > 0.0
-    # disabled normalization returns scale exactly 1
+    assert float(np.mean(downsample(y, p).data ** 2)) == pytest.approx(1.0, rel=1e-12)
+    # disabled normalization transmits the raw projection output unscaled
     p_raw = _params(power_norm=False)
-    _, c_raw = downsample_with_scale(y, p_raw)
-    assert c_raw == 1.0
+    _, ctx = forward_down_batch(p_raw, y.data[None, :])
+    assert np.array_equal(downsample(y, p_raw).data, ctx["z_raw"][0])
 
 
 def test_downsample_rejects_all_zero_signal():
@@ -180,12 +177,15 @@ def test_logvar_clamp_bounds_sigma():
     assert np.max(np.abs(logvar)) == pytest.approx(10.0, rel=1e-12)
 
 
-def test_reparameterize_exact():
-    q = GaussianParams(mu=np.array([1.0, -2.0]), sigma=np.array([0.5, 2.0]))
-    eps = np.array([2.0, -1.0])
-    assert np.array_equal(reparameterize(q, eps), np.array([2.0, -4.0]))
-    with pytest.raises(ValueError):
-        reparameterize(q, np.zeros(3))
+def test_upsample_sample_is_mu_plus_sigma_eps():
+    p = _params(seed=3)
+    z = Latent(data=np.random.default_rng(4).standard_normal(128), shape=(128, 1, 1))
+    rng = np.random.default_rng(5)
+    eps = copy.deepcopy(rng).standard_normal(p.n)
+    q, sample = upsample(z, 4.0, p, rng)
+    assert sample.shape == SHAPE
+    assert np.array_equal(sample.data, q.mu + q.sigma * eps)
+    assert not np.array_equal(sample.data, q.mu)
 
 
 def test_gaussian_params_require_positive_sigma():

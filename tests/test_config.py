@@ -191,6 +191,10 @@ FAULTS = [
      "codec.params_path: file not found: /nonexistent.npz"),
     ("codec-mimo", {"channel": {"type": "mimo"}, "codec": {"enabled": True, "k": 0.5}},
      "codec.enabled, channel.type: codec transmission over mimo is not supported; use awgn or rayleigh"),
+    ("codec-noiseless-cell",
+     '{"channel": {"sigma": [0.5, 0.0]}, "codec": {"enabled": true, "k": 0.5}}',
+     "channel.sigma[1]: a noiseless cell has no finite SNR to condition the codec on; "
+     "drop the cell or set codec.snr_conditioning to false"),
     ("codec-unknown", {"codec": {"hidden": 8}},
      "codec.hidden: unknown key"),
     ("lambda-bound", {"loss": {"lambda": -1}},

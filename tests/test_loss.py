@@ -17,12 +17,11 @@ from diffcomm import (
     TrainRecord,
     TrainingDivergedError,
     guidance_kl,
-    hybrid_loss,
     hybrid_loss_batch,
     init_codec,
+    mse,
     prior_kl,
     reconstruction_psnr,
-    surrogate_mse,
     train_codec,
 )
 from diffcomm.codec import (
@@ -88,12 +87,6 @@ def test_kl_is_a_mean_over_elements():
     assert prior_kl(q) == pytest.approx(0.25, rel=1e-15)
 
 
-def test_surrogate_mse_hand_value():
-    assert surrogate_mse(np.array([1.0, 2.0]), np.zeros(2)) == pytest.approx(2.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        surrogate_mse(np.zeros(2), np.zeros(3))
-
-
 def test_guidance_kl_validation():
     q = GaussianParams(mu=np.zeros(2), sigma=np.ones(2))
     with pytest.raises(ValueError):
@@ -114,20 +107,6 @@ def test_breakdown_must_recompose():
     LossBreakdown(l_kl=1.0, l_mse=2.0, l_g=3.0, total=0.1 * 1.0 + 2.0 + 0.1 * 3.0, weights=w)
     with pytest.raises(ValueError):
         LossBreakdown(l_kl=1.0, l_mse=2.0, l_g=3.0, total=99.0, weights=w)
-
-
-def test_hybrid_loss_assembles_terms():
-    rng = np.random.default_rng(2)
-    y = rng.standard_normal(6)
-    q = GaussianParams(mu=rng.standard_normal(6), sigma=np.exp(rng.standard_normal(6) * 0.2))
-    y_hat = rng.standard_normal(6)
-    s_hat = rng.standard_normal(6)
-    w = LossWeights(lam=0.3, gamma=0.7)
-    b = hybrid_loss(y, 0.8, q, y_hat, s_hat, w)
-    assert b.l_kl == prior_kl(q)
-    assert b.l_mse == surrogate_mse(y_hat, s_hat)
-    assert b.l_g == guidance_kl(y, 0.8, q)
-    assert b.total == 0.3 * b.l_kl + b.l_mse + 0.7 * b.l_g
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +135,35 @@ def test_batch_loss_matches_single_sample_forms():
 
     Z, _ = forward_down_batch(p, Y)
     Mu, _, Sy, Yhat, _ = forward_up_batch(p, Z + sigma * eps2, snr_feature(p, snr), eps_y)
-    kl, mse, g = [], [], []
+    kl, err, g = [], [], []
     for i in range(B):
         q = GaussianParams(mu=Mu[i], sigma=Sy[i])
         kl.append(prior_kl(q))
-        mse.append(surrogate_mse(Yhat[i], Y[i] + sigma * eps1[i]))
+        err.append(mse(Yhat[i], Y[i] + sigma * eps1[i]))
         g.append(guidance_kl(Y[i], sigma, q))
     assert breakdown.l_kl == pytest.approx(np.mean(kl), rel=1e-12)
-    assert breakdown.l_mse == pytest.approx(np.mean(mse), rel=1e-12)
+    assert breakdown.l_mse == pytest.approx(np.mean(err), rel=1e-12)
     assert breakdown.l_g == pytest.approx(np.mean(g), rel=1e-12)
+
+
+def test_batch_of_one_loss_is_the_single_sample_forms_exactly():
+    p = _small_params(seed=3)
+    rng = np.random.default_rng(5)
+    n, m = p.n, p.m
+    Y = rng.standard_normal((1, n))
+    sigma, snr = 0.7, 2.0
+    eps1 = rng.standard_normal((1, n))
+    eps2 = rng.standard_normal((1, m))
+    eps_y = rng.standard_normal((1, n))
+    w = LossWeights(lam=0.3, gamma=0.7)
+    breakdown, _ = hybrid_loss_batch(p, Y, sigma, snr, eps1, eps2, eps_y, w)
+
+    Z, _ = forward_down_batch(p, Y)
+    Mu, _, Sy, Yhat, _ = forward_up_batch(p, Z + sigma * eps2, snr_feature(p, snr), eps_y)
+    q = GaussianParams(mu=Mu[0], sigma=Sy[0])
+    assert breakdown.l_kl == prior_kl(q)
+    assert breakdown.l_g == guidance_kl(Y[0], sigma, q)
+    assert breakdown.l_mse == mse(Yhat[0], Y[0] + sigma * eps1[0])
 
 
 def _assert_away_from_kinks(p, Y, sigma, snr, eps2, eps_y, margin=1e-3):
