@@ -215,7 +215,6 @@ def rayleigh_transmit_mmse(
     sigma: float,
     rng: np.random.Generator,
     schedule: Schedule,
-    signal_power: float = 1.0,
     convention: str = "gain_weighted",
 ) -> ChannelOutput:
     """Send ``z`` through a flat fading channel and equalize with MMSE.
@@ -245,8 +244,6 @@ def rayleigh_transmit_mmse(
         raise ValueError(
             f"unknown convention {convention!r}; use 'gain_weighted' or 'mmse'"
         )
-    if signal_power <= 0.0:
-        raise ValueError(f"signal_power must be > 0, got {signal_power!r}")
     h = complex(h)
     gain2 = h.real * h.real + h.imag * h.imag
     if gain2 == 0.0:

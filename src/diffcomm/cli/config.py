@@ -447,7 +447,9 @@ def parse_config(text: str) -> ExperimentConfig:
     source = _parse_source(top.take_section("source"))
     if not top.has("channel"):
         raise ConfigurationError("channel", "section is required (needs an snr_db or sigma list)")
-    channel = _parse_channel(top.take_section("channel"))
+    channel_sec = top.take_section("channel")
+    cells_key = channel_sec.child("sigma" if channel_sec.has("sigma") else "snr_db")
+    channel = _parse_channel(channel_sec)
     codec = _parse_codec(top.take_section("codec"))
     loss = _take_fields(LossConfig, top.take_section("loss"))
     train = _parse_train(top.take_section("train"))
@@ -462,7 +464,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=seed, schedule=schedule, source=source, channel=channel, codec=codec,
         loss=loss, train=train, mode=mode, output=output, sweep=sweep,
     )
-    _cross_validate(cfg)
+    _cross_validate(cfg, cells_key)
     return cfg
 
 
@@ -475,7 +477,7 @@ def _check_compression(path: str, n: int, C: Optional[int], k: Optional[float]):
         raise ConfigurationError(path, exc.message) from None
 
 
-def _cross_validate(cfg: ExperimentConfig):
+def _cross_validate(cfg: ExperimentConfig, cells_key: str):
     n = cfg.source.n
     if cfg.codec.enabled and cfg.channel.type == "mimo":
         raise ConfigurationError(
@@ -484,9 +486,9 @@ def _cross_validate(cfg: ExperimentConfig):
         )
     if cfg.codec.enabled and cfg.codec.snr_conditioning:
         for i, cell in enumerate(cfg.channel.cells):
-            if math.isinf(cell.snr_db):  # only a sigma of 0 gives an infinite SNR
+            if cell.sigma2 == 0.0 or math.isinf(1.0 / cell.sigma2):  # the codec's SNR is 1 / sigma2
                 raise ConfigurationError(
-                    f"channel.sigma[{i}]",
+                    f"{cells_key}[{i}]",
                     "a noiseless cell has no finite SNR to condition the codec on; "
                     "drop the cell or set codec.snr_conditioning to false",
                 )
@@ -531,13 +533,16 @@ def _plain(section) -> dict[str, Any]:
 
 
 def resolved_config(cfg: ExperimentConfig) -> dict:
-    """Plain-dict view of the config with defaults and derived values filled."""
+    """Plain-dict view of the config with defaults and derived values filled
+    (strict JSON: a noiseless cell's infinite ``snr_db`` reads None)."""
     sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
 
     channel = _plain(cfg.channel)
     channel["cells"] = []
     for cell in cfg.channel.cells:
         entry = {**_plain(cell), "step_u": _nominal_step_u(sch, cell.sigma2)}
+        if math.isinf(cell.snr_db):
+            entry["snr_db"] = None
         if entry["step_u"] is None:
             entry["saturates"] = True
         channel["cells"].append(entry)

@@ -60,7 +60,7 @@ from ..diffusion import (
 )
 from ..errors import ConfigurationError
 from ..loss import LossWeights, TrainConfig, train_codec
-from ..metrics import MetricReport, mse, psnr_from_mse, ssim_batch
+from ..metrics import mse, psnr_from_mse, ssim_batch
 from ..schedule import Schedule, build_linear_schedule
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
@@ -92,23 +92,21 @@ _SWEEP_HEADER = ["param", "value", "psnr_db", "ssim", "mse"]
 # Latent elements per SSIM block: a cell scores max(1, this // n) trials
 # per ``ssim_batch`` call, so its buffers do not grow with the trial count.
 _SSIM_BLOCK_ELEMENTS = 65536
+# The receive routes each mode runs per trial, in the order they draw from
+# the trial's generator.
+_ROUTES = {
+    "adaptive": ("adaptive",),
+    "fixed_step": ("compensate",),
+    "compare": ("adaptive", "compensate", "forward"),
+}
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """A finished table: CSV header, rows, and per-cell metric reports
-    (reports are omitted for comparison tables, whose rows carry paired
-    deltas rather than a single metric triple)."""
+    """A finished table: CSV header and rows."""
 
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
-    reports: Optional[tuple[MetricReport, ...]] = None
-
-
-def _metric_report(psnr_db: float, ssim_value: Optional[float], mse: float, n: int):
-    """Report for one row's metric triple; SSIM reads 1.0 when the row has none."""
-    ssim_value = 1.0 if ssim_value is None else ssim_value
-    return MetricReport(psnr_db=psnr_db, ssim=ssim_value, mse=mse, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +257,6 @@ def _transmit(
     return mimo_transmit(z, mimo_svd_decompose(H), sigma, rng, schedule)
 
 
-def _stream_slices(n_real: int, streams: int) -> list[slice]:
-    width = n_real // streams
-    return [slice(i * width, (i + 1) * width) for i in range(streams)]
-
-
 @dataclass(frozen=True)
 class _TrialSetup:
     cfg: ExperimentConfig
@@ -285,67 +278,60 @@ def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
     )
 
 
-def _denoise_streams(
-    setup: _TrialSetup, base: np.ndarray, out: ChannelOutput, rng: np.random.Generator
-) -> np.ndarray:
-    """Adaptive route: scale each stream onto its step and run the chain."""
-    recon = np.empty_like(base)
-    for sl, mapping in zip(_stream_slices(base.size, len(out.mappings)), out.mappings):
-        y_u = Latent(data=mapping.scale * base[sl], shape=(sl.stop - sl.start, 1, 1))
-        recon[sl] = denoise_from_step(y_u, mapping.step_u, setup.denoiser, setup.schedule, rng).data
-    return recon
-
-
-def _compensate_streams(
+def _receive(
     setup: _TrialSetup,
     base: np.ndarray,
     out: ChannelOutput,
-    t_target: int,
     rng: np.random.Generator,
+    t_target: Optional[int] = None,
 ) -> np.ndarray:
-    """Fixed-step route: top every stream up to ``t_target`` and denoise.
+    """Denoise each equal-width stream of ``base``, in order, into one array.
 
-    The top-up uses the noise variance each stream actually carries
-    (``effective_sigma2``); the fading convention only influences which
-    step the adaptive route starts from, never the physical noise level.
+    Adaptive route (no ``t_target``): scale a stream onto its mapped step.
+    Compensate route: top it up to ``t_target`` from the variance it
+    carries (``effective_sigma2``), whatever the fading convention mapped.
     """
     recon = np.empty_like(base)
-    for sl, s2 in zip(_stream_slices(base.size, len(out.mappings)), out.effective_sigma2):
-        s_hat = Latent(data=base[sl], shape=(sl.stop - sl.start, 1, 1))
-        y_t = compensate_to_step(s_hat, s2, t_target, setup.schedule, rng)
-        recon[sl] = denoise_from_step(y_t, t_target, setup.denoiser, setup.schedule, rng).data
+    width = base.size // len(out.mappings)
+    shape = (width, 1, 1)
+    for i, (mapping, s2) in enumerate(zip(out.mappings, out.effective_sigma2)):
+        sl = slice(i * width, (i + 1) * width)
+        if t_target is None:
+            y, u = Latent(data=mapping.scale * base[sl], shape=shape), mapping.step_u
+        else:
+            s_hat = Latent(data=base[sl], shape=shape)
+            y, u = compensate_to_step(s_hat, s2, t_target, setup.schedule, rng), t_target
+        recon[sl] = denoise_from_step(y, u, setup.denoiser, setup.schedule, rng).data
     return recon
 
 
 def _run_trials(
     setup: _TrialSetup, sigma2: float, kind: str, trials: int, key: tuple
-) -> tuple[float, Optional[float], list[float], list[float]]:
+) -> tuple[dict[str, list[float]], Optional[float]]:
     """Run ``trials`` latents through the receiver chain at noise ``sigma2``.
 
     Trial ``i`` draws everything from ``_derive_rng(*key, i)``.  ``kind``
-    picks the receive route: ``adaptive`` denoises each stream from its
-    mapped step, ``fixed_step`` tops it up to ``mode.t_target`` first, and
-    ``compare`` runs the adaptive route, then the fixed-step one, then a
-    pure forward draw to the target.  Returns the mean MSE and SSIM (None
-    without an SSIM window) of the adaptive or fixed-step reconstruction,
-    and in compare mode the per-trial MSEs of the compensate and forward
-    routes.  SSIM is scored in blocks of trials, one ``ssim_batch`` call
-    per block, and averaged in trial order.
+    picks the routes (``_ROUTES``): ``adaptive`` denoises each stream from
+    its mapped step, ``compensate`` tops it up to ``mode.t_target`` first,
+    and ``forward`` denoises a pure forward draw of the source to the
+    target.  Returns each route's per-trial MSEs under its name, and the
+    mean SSIM of a single-route mode's reconstructions (None in compare
+    mode or without an SSIM window).  SSIM is scored in blocks of trials,
+    one ``ssim_batch`` call per block, and averaged in trial order.
     """
     cfg, params, schedule = setup.cfg, setup.params, setup.schedule
     sigma = math.sqrt(sigma2)
     snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
-    window = _ssim_window(cfg.source.shape)
+    routes = _ROUTES[kind]
+    window = None if kind == "compare" else _ssim_window(cfg.source.shape)
     t_target = cfg.mode.t_target
     if window is not None:
         block = min(trials, max(1, _SSIM_BLOCK_ELEMENTS // cfg.source.n))
         refs = np.empty((block, *cfg.source.shape))
         recons = np.empty_like(refs)
 
-    mses: list[float] = []
+    mses: dict[str, list[float]] = {route: [] for route in routes}
     ssims: list[float] = []
-    comp_mses: list[float] = []
-    fwd_mses: list[float] = []
     for trial in range(trials):
         rng = _derive_rng(*key, trial)
         y0 = setup.draw(trial, rng)
@@ -358,18 +344,13 @@ def _run_trials(
             z_hat = Latent(data=base[: params.m], shape=(params.m, 1, 1))
             base = upsample(z_hat, snr_nominal, params, rng)[1].data
 
-        if kind == "fixed_step":
-            recon = _compensate_streams(setup, base, out, t_target, rng)
-        else:
-            recon = _denoise_streams(setup, base, out, rng)
-        if kind == "compare":
-            comp = _compensate_streams(setup, base, out, t_target, rng)
-            fwd_t = forward_sample(y0, t_target, schedule, rng)
-            fwd = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng).data
-            comp_mses.append(mse(comp, y0.data))
-            fwd_mses.append(mse(fwd, y0.data))
-
-        mses.append(mse(recon, y0.data))
+        for route in routes:
+            if route == "forward":
+                fwd_t = forward_sample(y0, t_target, schedule, rng)
+                recon = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng).data
+            else:
+                recon = _receive(setup, base, out, rng, t_target if route == "compensate" else None)
+            mses[route].append(mse(recon, y0.data))
         if window is not None:
             row = trial % block
             refs[row] = y0.as_image()
@@ -377,23 +358,22 @@ def _run_trials(
             if row == block - 1 or trial == trials - 1:
                 ssims += ssim_batch(refs[: row + 1], recons[: row + 1], window=window).tolist()
 
-    mean_ssim = float(np.mean(ssims)) if ssims else None
-    return float(np.mean(mses)), mean_ssim, comp_mses, fwd_mses
+    return mses, (float(np.mean(ssims)) if ssims else None)
 
 
 def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
     cfg = setup.cfg
     kind = cfg.mode.kind
-    mse, mean_ssim, comp_mses, fwd_mses = _run_trials(
+    mses, mean_ssim = _run_trials(
         setup, cell.sigma2, kind, cfg.source.count, (cfg.seed, cfg.channel.type, cell.sigma2)
     )
     coords = (cfg.channel.type, cell.snr_db, cell.sigma2)
 
     if kind == "compare":
-        p_ad = psnr_from_mse(mse)
-        p_comp = psnr_from_mse(float(np.mean(comp_mses)))
-        p_fwd = psnr_from_mse(float(np.mean(fwd_mses)))
-        d = np.asarray([10.0 * math.log10(f / c) for c, f in zip(comp_mses, fwd_mses)])
+        p_ad, p_comp, p_fwd = (psnr_from_mse(float(np.mean(mses[r]))) for r in _ROUTES[kind])
+        d = np.asarray([
+            10.0 * math.log10(f / c) for c, f in zip(mses["compensate"], mses["forward"])
+        ])
         half = 1.96 * float(np.std(d, ddof=1)) / math.sqrt(d.size) if d.size > 1 else 0.0
         center = float(np.mean(d))
         return (
@@ -412,7 +392,9 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
         step_u = _nominal_step_u(setup.schedule, cell.sigma2)
     else:
         step_u = cfg.mode.t_target
-    return (*coords, step_u, cfg.source.count, psnr_from_mse(mse), mean_ssim, mse)
+    (route,) = _ROUTES[kind]
+    mean_mse = float(np.mean(mses[route]))
+    return (*coords, step_u, cfg.source.count, psnr_from_mse(mean_mse), mean_ssim, mean_mse)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +431,7 @@ def _write_run_files(cfg: ExperimentConfig, out_dir: str, table, log_lines: list
     _write_text(os.path.join(out_dir, cfg.output.log), "".join(line + "\n" for line in log_lines))
     _write_text(
         os.path.join(out_dir, "resolved_config.json"),
-        json.dumps(resolved_config(cfg), indent=2, sort_keys=True) + "\n",
+        json.dumps(resolved_config(cfg), indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
 
 
@@ -477,9 +459,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     wall_s = time.perf_counter() - start
 
     header = _COMPARE_HEADER if cfg.mode.kind == "compare" else _SIMULATE_HEADER
-    reports = None
-    if cfg.mode.kind != "compare":
-        reports = tuple(_metric_report(*row[5:8], n=row[4]) for row in rows)
     log_lines = [f"simulate mode={cfg.mode.kind} cells={len(rows)} trials={cfg.source.count}"]
     log_lines += [
         f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g} done"
@@ -489,7 +468,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     log_lines.append(f"simulate wall_s={wall_s:.6g} trials_per_s={trials / wall_s:.6g}")
     table = (list(header), [list(r) for r in rows])
     _write_run_files(cfg, out_dir, table, log_lines)
-    return RunResult(header=tuple(header), rows=tuple(tuple(r) for r in rows), reports=reports)
+    return RunResult(header=tuple(header), rows=tuple(tuple(r) for r in rows))
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, RunResult]:
@@ -563,20 +542,18 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
         params0 = _init_codec(cfg, k, rng)
         weights = LossWeights(lam, gamma)
         params, _ = train_codec(source, math.sqrt(sigma2), params0, weights, tcfg, rng)
-        mse, mean_ssim, _, _ = _run_trials(
+        mses, mean_ssim = _run_trials(
             replace(setup, params=params), sigma2, "adaptive", trials,
             (cfg.seed, "sweep-eval", param, value),
         )
-        return [param, value, psnr_from_mse(mse), mean_ssim, mse]
+        mean_mse = float(np.mean(mses["adaptive"]))
+        return [param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse]
 
     rows = _map_cells(run_point, cfg.sweep.values, lambda v: f"grid {param}={v:.6g}", threads)
     table = (list(_SWEEP_HEADER), rows)
     log_lines = [f"sweep param={param} points={len(rows)} steps={steps} trials={trials}"]
     _write_run_files(cfg, out_dir, table, log_lines)
-    reports = tuple(_metric_report(*row[2:5], n=trials) for row in rows)
-    return RunResult(
-        header=tuple(_SWEEP_HEADER), rows=tuple(tuple(r) for r in rows), reports=reports
-    )
+    return RunResult(header=tuple(_SWEEP_HEADER), rows=tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ channel's noise level, and denoising starts there.  ``compensate_to_step``
 instead adds just enough extra noise to reach a chosen target step, so a
 fixed-length reverse run can be used regardless of channel quality.
 
-The denoiser is pluggable.  ``AnalyticGaussianDenoiser`` is the built-in
+The denoiser is pluggable: it maps a latent and a step to a plain array
+of predicted noise.  ``AnalyticGaussianDenoiser`` is the built-in
 stand-in for a trained noise-prediction network: for latents with i.i.d.
 Gaussian elements it returns the exact conditional expectation of the
 injected noise, which makes end-to-end statistics checkable in closed
@@ -117,8 +118,9 @@ class Latent:
 class Denoiser(Protocol):
     """Noise-prediction interface consumed by the reverse process."""
 
-    def predict_noise(self, y_t: Latent, t: int) -> Latent:
-        """Estimate the standard-normal noise present in ``y_t`` at step ``t``."""
+    def predict_noise(self, y_t: Latent, t: int) -> np.ndarray:
+        """Estimate the standard-normal noise present in ``y_t`` at step
+        ``t``, as a float64 array shaped like ``y_t.data``."""
         ...
 
 
@@ -170,13 +172,13 @@ class AnalyticGaussianDenoiser:
         )
         object.__setattr__(self, "_coefs", tuple(coefs))
 
-    def predict_noise(self, y_t: Latent, t: int) -> Latent:
+    def predict_noise(self, y_t: Latent, t: int) -> np.ndarray:
         self.schedule._check_step(t, lo=0)
         noise_sd, signal_mean, denom = self._coefs[t]
         eps = y_t.data - signal_mean
         eps *= noise_sd
         eps /= denom
-        return y_t._adopt(eps)
+        return eps
 
 
 def forward_sample(
@@ -216,12 +218,13 @@ def reverse_step(
     same expressions, and the update runs in place on one new array, so
     the result is bit-identical to evaluating the formulas above per
     call.  Each step draws ``y_t.n`` standard normals from ``rng``
-    (none at ``t = 1``).
+    (none at ``t = 1``).  The prediction is a bare array and the result
+    is the step's one new ``Latent``: a prediction that is not finite,
+    or not shaped like ``y_t.data``, raises ValueError here.
     """
     schedule._check_step(t, lo=1)
     c_eps, sqrt_a, sd = schedule.reverse_coefs[t - 1]
-    eps_hat = denoiser.predict_noise(y_t, t)
-    mu = eps_hat.data * c_eps
+    mu = denoiser.predict_noise(y_t, t) * c_eps
     np.subtract(y_t.data, mu, out=mu)
     mu /= sqrt_a
     if t > 1:

@@ -204,6 +204,17 @@ def test_simulate_writes_csv_log_and_resolved_config(tmp_path):
     assert replay["channel"]["cells"][0]["snr_db"] == 3.0
 
 
+def test_resolved_config_of_a_noiseless_cell_is_strict_json(tmp_path):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    run_simulate(parse_config(_cfg(channel={"sigma": [0.5, 0.0]})), out_dir=str(tmp_path))
+    text = (tmp_path / "resolved_config.json").read_text()
+    cells = json.loads(text, parse_constant=reject)["channel"]["cells"]
+    assert cells[0]["snr_db"] == pytest.approx(-20.0 * math.log10(0.5), rel=1e-12)
+    assert cells[1] == {"snr_db": None, "sigma2": 0.0, "step_u": 0}
+
+
 def test_simulate_is_deterministic_and_thread_invariant(tmp_path):
     text = _cfg(channel={"snr_db": [0.0, 3.0, 6.0]})
     outs = []
@@ -251,15 +262,6 @@ def test_simulate_seed_changes_results(tmp_path):
     assert a.rows[0][5] != b.rows[0][5]
 
 
-def test_simulate_reports_match_rows(tmp_path):
-    cfg = parse_config(_cfg())
-    result = run_simulate(cfg, out_dir=str(tmp_path))
-    assert result.reports is not None
-    assert result.reports[0].psnr_db == result.rows[0][5]
-    assert result.reports[0].mse == result.rows[0][7]
-    assert result.reports[0].n == 2
-
-
 def test_simulate_compare_mode_columns(tmp_path):
     cfg = parse_config(_cfg(mode={"kind": "compare", "t_target": 200},
                             source={"shape": [2, 2, 2], "count": 4}))
@@ -272,7 +274,6 @@ def test_simulate_compare_mode_columns(tmp_path):
     )
     row = result.rows[0]
     assert row[9] <= row[10]  # interval is ordered
-    assert result.reports is None
 
 
 def test_simulate_errors_carry_cell_coordinates(tmp_path):

@@ -9,7 +9,6 @@ and for one that sets every key away from its default.
 
 import dataclasses
 import json
-import math
 import re
 import typing
 from pathlib import Path
@@ -195,6 +194,15 @@ FAULTS = [
      '{"channel": {"sigma": [0.5, 0.0]}, "codec": {"enabled": true, "k": 0.5}}',
      "channel.sigma[1]: a noiseless cell has no finite SNR to condition the codec on; "
      "drop the cell or set codec.snr_conditioning to false"),
+    # 1 / sigma2 overflows to inf: a subnormal sigma2, or an SNR past ~3082 dB
+    ("codec-subnormal-sigma2",
+     '{"channel": {"sigma": [0.5, 1e-160]}, "codec": {"enabled": true, "k": 0.5}}',
+     "channel.sigma[1]: a noiseless cell has no finite SNR to condition the codec on; "
+     "drop the cell or set codec.snr_conditioning to false"),
+    ("codec-overflowing-snr",
+     '{"channel": {"snr_db": [5, 3100]}, "codec": {"enabled": true, "k": 0.5}}',
+     "channel.snr_db[1]: a noiseless cell has no finite SNR to condition the codec on; "
+     "drop the cell or set codec.snr_conditioning to false"),
     ("codec-unknown", {"codec": {"hidden": 8}},
      "codec.hidden: unknown key"),
     ("lambda-bound", {"loss": {"lambda": -1}},
@@ -358,7 +366,7 @@ def test_resolved_config_of_every_key_set(tmp_path):
             "type": "rayleigh",
             "cells": [
                 {"snr_db": 6.020599913279624, "sigma2": 0.25, "step_u": 84},
-                {"snr_db": math.inf, "sigma2": 0.0, "step_u": 0},
+                {"snr_db": None, "sigma2": 0.0, "step_u": 0},
                 {"snr_db": -46.020599913279625, "sigma2": 40000.0, "step_u": None,
                  "saturates": True},
             ],

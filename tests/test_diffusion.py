@@ -9,7 +9,6 @@ statistically tight, since every element is an independent replica.
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,18 +29,19 @@ from diffcomm import (
     sigma2_to_step,
     step_to_sigma2,
 )
+from diffcomm import diffusion
 
 SCHEDULE = build_linear_schedule()
 
 
 class _FixedNoise:
-    """Test denoiser that returns a pinned noise prediction."""
+    """Test denoiser that returns a pinned noise prediction array."""
 
     def __init__(self, eps):
         self.eps = np.asarray(eps, dtype=np.float64)
 
     def predict_noise(self, y_t, t):
-        return y_t.with_data(np.broadcast_to(self.eps, y_t.data.shape).copy())
+        return self.eps
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,30 @@ def test_reverse_step_range_check():
         reverse_step(y, SCHEDULE.T + 1, _FixedNoise(np.zeros(4)), SCHEDULE, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("shape", [(3,), (5,), (1,), (4, 1), (1, 4)])
+def test_reverse_step_rejects_a_wrongly_shaped_prediction(shape):
+    y = Latent(data=np.zeros(4), shape=(4, 1, 1))
+    with pytest.raises(ValueError):
+        reverse_step(y, 10, _FixedNoise(np.zeros(shape)), SCHEDULE, np.random.default_rng(0))
+
+
+def test_chain_checks_one_latent_per_step(monkeypatch):
+    """The prediction is a bare array, so each reverse step builds and
+    checks only its own output latent."""
+    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
+    checked = []
+    real = diffusion._checked_data
+
+    def counting(data, shape):
+        checked.append(shape)
+        return real(data, shape)
+
+    monkeypatch.setattr(diffusion, "_checked_data", counting)
+    denoise_from_step(y, 10, den, SCHEDULE, np.random.default_rng(0))
+    assert len(checked) == 10
+
+
 # ---------------------------------------------------------------------------
 # analytic denoiser
 
@@ -212,7 +236,7 @@ def test_analytic_denoiser_formula_hand_check():
     ab = SCHEDULE.alpha_bar(t)
     y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
     expected = math.sqrt(1.0 - ab) * (y.data - math.sqrt(ab) * 2.0) / (ab * 3.0 + 1.0 - ab)
-    assert np.allclose(den.predict_noise(y, t).data, expected, rtol=1e-15)
+    assert np.allclose(den.predict_noise(y, t), expected, rtol=1e-15)
 
 
 def test_analytic_denoiser_recovers_noise_for_deterministic_source():
@@ -227,7 +251,7 @@ def test_analytic_denoiser_recovers_noise_for_deterministic_source():
     y_t = Latent(
         data=math.sqrt(ab) * 1.5 + math.sqrt(1.0 - ab) * eps, shape=(512, 1, 1)
     )
-    assert np.allclose(den.predict_noise(y_t, t).data, eps, atol=1e-12)
+    assert np.allclose(den.predict_noise(y_t, t), eps, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +403,11 @@ def test_coefficient_tables_match_step_formulas():
         )
         y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
         expected = math.sqrt(1.0 - ab) * (y.data - math.sqrt(ab) * -1.25) / (ab * 0.4 + (1.0 - ab))
-        assert np.array_equal(den.predict_noise(y, t).data, expected)
+        assert np.array_equal(den.predict_noise(y, t), expected)
     assert SCHEDULE.reverse_coefs[0][2] == 0.0
     # t = 0 is the noiseless state: no noise to predict
     y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
-    assert np.array_equal(den.predict_noise(y, 0).data, np.zeros(3))
+    assert np.array_equal(den.predict_noise(y, 0), np.zeros(3))
     with pytest.raises(IndexError):
         den.predict_noise(y, -1)
     with pytest.raises(IndexError):
@@ -393,15 +417,14 @@ def test_coefficient_tables_match_step_formulas():
 
 
 class _NanAtStep:
-    """Test denoiser whose prediction turns NaN at one step.  It hands back
-    a bare array holder, not a Latent, so only the reverse step's own check
-    on its output can catch the NaN."""
+    """Test denoiser whose prediction array turns NaN at one step; only the
+    reverse step's own check on its output can catch it."""
 
     def __init__(self, bad_t):
         self.bad_t = bad_t
 
     def predict_noise(self, y_t, t):
-        return SimpleNamespace(data=np.full(y_t.n, np.nan if t == self.bad_t else 0.0))
+        return np.full(y_t.n, np.nan if t == self.bad_t else 0.0)
 
 
 def test_chain_rejects_non_finite_prediction_mid_chain():
