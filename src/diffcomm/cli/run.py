@@ -284,14 +284,16 @@ def _receive(
     out: ChannelOutput,
     rng: np.random.Generator,
     t_target: Optional[int] = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Denoise each equal-width stream of ``base``, in order, into one array.
 
     Adaptive route (no ``t_target``): scale a stream onto its mapped step.
     Compensate route: top it up to ``t_target`` from the variance it
     carries (``effective_sigma2``), whatever the fading convention mapped.
+    Returns the array and the reverse steps run, summed over the streams.
     """
     recon = np.empty_like(base)
+    steps = 0
     width = base.size // len(out.mappings)
     shape = (width, 1, 1)
     for i, (mapping, s2) in enumerate(zip(out.mappings, out.effective_sigma2)):
@@ -302,12 +304,13 @@ def _receive(
             s_hat = Latent(data=base[sl], shape=shape)
             y, u = compensate_to_step(s_hat, s2, t_target, setup.schedule, rng), t_target
         recon[sl] = denoise_from_step(y, u, setup.denoiser, setup.schedule, rng).data
-    return recon
+        steps += u
+    return recon, steps
 
 
 def _run_trials(
     setup: _TrialSetup, sigma2: float, kind: str, trials: int, key: tuple
-) -> tuple[dict[str, list[float]], Optional[float]]:
+) -> tuple[dict[str, list[float]], Optional[float], int]:
     """Run ``trials`` latents through the receiver chain at noise ``sigma2``.
 
     Trial ``i`` draws everything from ``_derive_rng(*key, i)``.  ``kind``
@@ -317,7 +320,9 @@ def _run_trials(
     target.  Returns each route's per-trial MSEs under its name, and the
     mean SSIM of a single-route mode's reconstructions (None in compare
     mode or without an SSIM window).  SSIM is scored in blocks of trials,
-    one ``ssim_batch`` call per block, and averaged in trial order.
+    one ``ssim_batch`` call per block, and averaged in trial order.  Last
+    comes the number of reverse steps run over all trials, streams and
+    routes.
     """
     cfg, params, schedule = setup.cfg, setup.params, setup.schedule
     sigma = math.sqrt(sigma2)
@@ -332,6 +337,7 @@ def _run_trials(
 
     mses: dict[str, list[float]] = {route: [] for route in routes}
     ssims: list[float] = []
+    steps = 0
     for trial in range(trials):
         rng = _derive_rng(*key, trial)
         y0 = setup.draw(trial, rng)
@@ -348,8 +354,12 @@ def _run_trials(
             if route == "forward":
                 fwd_t = forward_sample(y0, t_target, schedule, rng)
                 recon = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng).data
+                steps += t_target
             else:
-                recon = _receive(setup, base, out, rng, t_target if route == "compensate" else None)
+                recon, route_steps = _receive(
+                    setup, base, out, rng, t_target if route == "compensate" else None
+                )
+                steps += route_steps
             mses[route].append(mse(recon, y0.data))
         if window is not None:
             row = trial % block
@@ -358,13 +368,14 @@ def _run_trials(
             if row == block - 1 or trial == trials - 1:
                 ssims += ssim_batch(refs[: row + 1], recons[: row + 1], window=window).tolist()
 
-    return mses, (float(np.mean(ssims)) if ssims else None)
+    return mses, (float(np.mean(ssims)) if ssims else None), steps
 
 
-def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
+def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, int]:
+    """The cell's CSV row and the reverse steps its trials ran."""
     cfg = setup.cfg
     kind = cfg.mode.kind
-    mses, mean_ssim = _run_trials(
+    mses, mean_ssim, steps = _run_trials(
         setup, cell.sigma2, kind, cfg.source.count, (cfg.seed, cfg.channel.type, cell.sigma2)
     )
     coords = (cfg.channel.type, cell.snr_db, cell.sigma2)
@@ -376,7 +387,7 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
         ])
         half = 1.96 * float(np.std(d, ddof=1)) / math.sqrt(d.size) if d.size > 1 else 0.0
         center = float(np.mean(d))
-        return (
+        row = (
             *coords,
             cfg.source.count,
             p_ad,
@@ -387,6 +398,7 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
             center - half,
             center + half,
         )
+        return row, steps
 
     if kind == "adaptive":
         step_u = _nominal_step_u(setup.schedule, cell.sigma2)
@@ -394,7 +406,8 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple:
         step_u = cfg.mode.t_target
     (route,) = _ROUTES[kind]
     mean_mse = float(np.mean(mses[route]))
-    return (*coords, step_u, cfg.source.count, psnr_from_mse(mean_mse), mean_ssim, mean_mse)
+    row = (*coords, step_u, cfg.source.count, psnr_from_mse(mean_mse), mean_ssim, mean_mse)
+    return row, steps
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +457,22 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     source and channel draws and reports the paired deltas with a 95%
     confidence interval on compensate-vs-forward.  Failures carry the
     coordinates of the offending cell.  The log ends with the wall time
-    of the grid and its trials per second.
+    of the grid and its trials per second, then the reverse steps run
+    (trial-steps over every stream and route) and their rate.
     """
     setup = _trial_setup(cfg)
     if cfg.codec.enabled:
         setup = replace(setup, params=_codec_params(cfg))
     start = time.perf_counter()
-    rows = _map_cells(
+    results = _map_cells(
         lambda cell: _run_cell(setup, cell),
         cfg.channel.cells,
         lambda cell: f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g}",
         threads,
     )
     wall_s = time.perf_counter() - start
+    rows = [row for row, _ in results]
+    steps = sum(cell_steps for _, cell_steps in results)
 
     header = _COMPARE_HEADER if cfg.mode.kind == "compare" else _SIMULATE_HEADER
     log_lines = [f"simulate mode={cfg.mode.kind} cells={len(rows)} trials={cfg.source.count}"]
@@ -466,6 +482,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     ]
     trials = len(rows) * cfg.source.count
     log_lines.append(f"simulate wall_s={wall_s:.6g} trials_per_s={trials / wall_s:.6g}")
+    log_lines.append(f"simulate reverse_steps={steps} steps_per_s={steps / wall_s:.6g}")
     table = (list(header), [list(r) for r in rows])
     _write_run_files(cfg, out_dir, table, log_lines)
     return RunResult(header=tuple(header), rows=tuple(tuple(r) for r in rows))
@@ -542,7 +559,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
         params0 = _init_codec(cfg, k, rng)
         weights = LossWeights(lam, gamma)
         params, _ = train_codec(source, math.sqrt(sigma2), params0, weights, tcfg, rng)
-        mses, mean_ssim = _run_trials(
+        mses, mean_ssim, _ = _run_trials(
             replace(setup, params=params), sigma2, "adaptive", trials,
             (cfg.seed, "sweep-eval", param, value),
         )

@@ -42,6 +42,11 @@ __all__ = [
     "denoise_from_step",
 ]
 
+# Latent elements per block of chain noise: a chain draws the normals of
+# max(1, this // n) steps per generator call, so its buffer does not grow
+# with the start step.
+_NOISE_BLOCK_ELEMENTS = 65536
+
 
 def _checked_data(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     """``data`` checked and made read-only in place, or ValueError.
@@ -159,24 +164,36 @@ class AnalyticGaussianDenoiser:
 
     model: GaussianSourceModel
     schedule: Schedule
-    # entry t: (sqrt(1 - ab_t), sqrt(ab_t) * m, ab_t * v + (1 - ab_t)), t = 0..T
+    # entry t: (sqrt(1 - ab_t), sqrt(ab_t) * m, ab_t * v + (1 - ab_t)), t = 0..T,
+    # with None for a signal mean of +0.0 (see predict_noise)
     _coefs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ab = np.concatenate(([1.0], self.schedule.alpha_bars))
         m, v = self.model.mean, self.model.variance
-        coefs = zip(
-            np.sqrt(1.0 - ab).tolist(),
-            (np.sqrt(ab) * m).tolist(),
-            (ab * v + (1.0 - ab)).tolist(),
-        )
+        denom = ab * v + (1.0 - ab)
+        # At t = 0 the noise sd is 0, so any positive denominator predicts
+        # zeros; a zero-variance source's own would make it 0 / 0.
+        if v == 0.0:
+            denom[0] = 1.0
+        signal_means = [
+            None if c == 0.0 and math.copysign(1.0, c) > 0.0 else c
+            for c in (np.sqrt(ab) * m).tolist()
+        ]
+        coefs = zip(np.sqrt(1.0 - ab).tolist(), signal_means, denom.tolist())
         object.__setattr__(self, "_coefs", tuple(coefs))
 
     def predict_noise(self, y_t: Latent, t: int) -> np.ndarray:
         self.schedule._check_step(t, lo=0)
         noise_sd, signal_mean, denom = self._coefs[t]
-        eps = y_t.data - signal_mean
-        eps *= noise_sd
+        # y - (+0.0) is y bit for bit for every finite y, -0.0 included, so
+        # that subtraction is skipped; y - (-0.0) turns -0.0 into +0.0 and
+        # is kept.
+        if signal_mean is None:
+            eps = y_t.data * noise_sd
+        else:
+            eps = y_t.data - signal_mean
+            eps *= noise_sd
         eps /= denom
         return eps
 
@@ -218,7 +235,9 @@ def reverse_step(
     same expressions, and the update runs in place on one new array, so
     the result is bit-identical to evaluating the formulas above per
     call.  Each step draws ``y_t.n`` standard normals from ``rng``
-    (none at ``t = 1``).  The prediction is a bare array and the result
+    (none at ``t = 1``) through its one call, ``rng.standard_normal(size)``,
+    and may scale the returned array in place; any object with that
+    method serves.  The prediction is a bare array and the result
     is the step's one new ``Latent``: a prediction that is not finite,
     or not shaped like ``y_t.data``, raises ValueError here.
     """
@@ -286,11 +305,43 @@ def denoise_from_step(
 ) -> Latent:
     """Run the reverse process from step ``u`` down to the clean state.
 
-    ``u = 0`` is already clean and returns the input unchanged.
+    ``u = 0`` is already clean and returns the input unchanged.  One
+    ``reverse_step`` call per step.  The ``u - 1`` steps that add noise
+    take their normals from blocks of ``max(1, _NOISE_BLOCK_ELEMENTS // n)``
+    steps, one ``rng.standard_normal((k, n))`` call per block.  That is
+    the same values in the same order as one draw per step, and leaves
+    ``rng`` in the same state, for a chain that finishes; one that raises
+    may have drawn up to one block more.
     """
     if u < 0 or u > schedule.T:
         raise IndexError(f"step {u} outside [0, {schedule.T}]")
+    noise = _NoiseBlocks(rng, y_u.n, max(u - 1, 0))
     y = y_u
     for t in range(u, 0, -1):
-        y = reverse_step(y, t, denoiser, schedule, rng)
+        y = reverse_step(y, t, denoiser, schedule, noise)
     return y
+
+
+class _NoiseBlocks:
+    """``rows`` rows of ``n`` standard normals from ``rng``, drawn in blocks.
+
+    ``standard_normal(size)`` returns the next row (``size`` is ``n``).
+    Each block holds at most ``max(1, _NOISE_BLOCK_ELEMENTS // n)`` rows
+    and never more than are still owed, so after ``rows`` calls the
+    generator has drawn exactly ``rows * n`` normals.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rng: np.random.Generator, n: int, rows: int):
+        self._rows = self._blocks(rng, n, rows)
+
+    @staticmethod
+    def _blocks(rng: np.random.Generator, n: int, rows: int):
+        while rows > 0:
+            k = min(rows, max(1, _NOISE_BLOCK_ELEMENTS // n))
+            rows -= k
+            yield from rng.standard_normal((k, n))
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return next(self._rows)

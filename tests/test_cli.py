@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffcomm import ConfigurationError, load_codec
+from diffcomm import ConfigurationError, diffusion, load_codec
 from diffcomm.cli import (
     emit_csv,
     main,
@@ -249,11 +249,53 @@ def test_simulate_logs_throughput_and_reruns_byte_identical(tmp_path):
         outs.append((tmp_path / name / "results.csv").read_bytes())
     assert outs[0] == outs[1]
     lines = (tmp_path / "a" / "run.log").read_text().splitlines()
-    assert lines[-1].startswith("simulate wall_s=")
-    match = re.fullmatch(r"simulate wall_s=(\S+) trials_per_s=(\S+)", lines[-1])
+    assert lines[-2].startswith("simulate wall_s=")
+    match = re.fullmatch(r"simulate wall_s=(\S+) trials_per_s=(\S+)", lines[-2])
     wall_s, trials_per_s = float(match.group(1)), float(match.group(2))
     assert wall_s > 0.0
     assert trials_per_s == pytest.approx(2 * 3 / wall_s, rel=1e-5)
+    match = re.fullmatch(r"simulate reverse_steps=(\d+) steps_per_s=(\S+)", lines[-1])
+    steps, steps_per_s = int(match.group(1)), float(match.group(2))
+    rows = list(csv.DictReader((tmp_path / "a" / "results.csv").open()))
+    assert steps == sum(int(r["trials"]) * int(r["step_u"]) for r in rows) > 0
+    assert steps_per_s == pytest.approx(steps / wall_s, rel=1e-5)
+
+
+def _logged_reverse_steps(path) -> int:
+    last = path.read_text().splitlines()[-1]
+    return int(re.fullmatch(r"simulate reverse_steps=(\d+) steps_per_s=\S+", last).group(1))
+
+
+@pytest.mark.parametrize(
+    "overrides, one_stream",
+    [
+        ({"channel": {"snr_db": [0.0, 6.0, 40.0]}}, True),
+        ({"channel": {"type": "mimo", "M": 2, "snr_db": [3.0, 12.0]}}, False),
+        ({"channel": {"snr_db": [6.0, 9.0]}, "mode": {"kind": "compare", "t_target": 300}}, False),
+        ({"channel": {"snr_db": [9.0]}, "mode": {"kind": "fixed_step", "t_target": 300}}, True),
+    ],
+    ids=["awgn-adaptive", "mimo-adaptive", "awgn-compare", "awgn-fixed-step"],
+)
+def test_simulate_makes_one_reverse_step_call_per_trial_step(
+    tmp_path, monkeypatch, overrides, one_stream
+):
+    """One ``reverse_step`` call per trial-step, over every stream and
+    route, as counted in ``run.log``; with one stream and one route also
+    as ``results.csv`` implies (trials x step_u per cell)."""
+    calls = []
+    real = diffusion.reverse_step
+
+    def counting(y_t, t, *args):
+        calls.append(t)
+        return real(y_t, t, *args)
+
+    monkeypatch.setattr(diffusion, "reverse_step", counting)
+    cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 3}, **overrides))
+    run_simulate(cfg, out_dir=str(tmp_path))
+    assert len(calls) == _logged_reverse_steps(tmp_path / "run.log") > 0
+    if one_stream:
+        rows = list(csv.DictReader((tmp_path / "results.csv").open()))
+        assert len(calls) == sum(int(r["trials"]) * int(r["step_u"]) for r in rows)
 
 
 def test_simulate_seed_changes_results(tmp_path):

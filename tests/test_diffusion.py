@@ -391,9 +391,66 @@ def test_chain_is_bit_identical_to_reference_chain():
         assert rng.standard_normal() == ref_rng.standard_normal(), f"u={u}"
 
 
-def test_coefficient_tables_match_step_formulas():
-    model = GaussianSourceModel(mean=-1.25, variance=0.4)
+class _CountingGenerator:
+    """Generator proxy that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("rows", [1, 3, "u", "default"])
+def test_chain_noise_blocks_keep_values_and_generator_state(monkeypatch, rows):
+    """Blocks of one row, of three, of the whole chain (``u`` rows for the
+    ``u - 1`` draws) and of the default size, against the per-step
+    reference chain.  A zero source mean also runs the prediction without
+    its subtraction."""
+    n = 257
+    model = GaussianSourceModel(mean=0.0, variance=2.5)
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
+    if rows == "default":
+        starts = (0, 1, 2, 255, 256, 257, 511, SCHEDULE.T)
+    elif rows == "u":
+        starts = (0, 1, 2, 3, 145, SCHEDULE.T)
+    else:
+        starts = (0, 1, 2, rows, rows + 1, 2 * rows + 1)
+    for u in starts:
+        if rows != "default":
+            monkeypatch.setattr(diffusion, "_NOISE_BLOCK_ELEMENTS", (u if rows == "u" else rows) * n)
+        per_block = max(1, diffusion._NOISE_BLOCK_ELEMENTS // n)
+        y_u = forward_sample(
+            model.draw((n, 1, 1), np.random.default_rng(u)), u, SCHEDULE,
+            np.random.default_rng(u + 1),
+        )
+        ref_rng, rng = np.random.default_rng(40 + u), np.random.default_rng(40 + u)
+        counting = _CountingGenerator(rng)
+        expected = _reference_chain(y_u, u, model, SCHEDULE, ref_rng)
+        got = denoise_from_step(y_u, u, den, SCHEDULE, counting)
+        assert np.array_equal(got.data, expected.data), f"u={u}"
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, f"u={u}"
+        assert counting.calls == -(-max(u - 1, 0) // per_block), f"u={u}"
+
+
+@pytest.mark.parametrize("u", [0, 1, 145, SCHEDULE.T])
+def test_chain_makes_one_reverse_step_call_per_step(monkeypatch, u):
+    steps = []
+    real = diffusion.reverse_step
+
+    def counting(y_t, t, *args):
+        steps.append(t)
+        return real(y_t, t, *args)
+
+    monkeypatch.setattr(diffusion, "reverse_step", counting)
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
+    y = Latent(data=np.ones(16), shape=(16, 1, 1))
+    denoise_from_step(y, u, den, SCHEDULE, np.random.default_rng(0))
+    assert steps == list(range(u, 0, -1))
+
+
+def test_coefficient_tables_match_step_formulas():
     for t in (1, 2, SCHEDULE.T):
         a_t, ab, ab_prev = SCHEDULE.alpha(t), SCHEDULE.alpha_bar(t), SCHEDULE.alpha_bar(t - 1)
         assert SCHEDULE.reverse_coefs[t - 1] == (
@@ -401,13 +458,22 @@ def test_coefficient_tables_match_step_formulas():
             math.sqrt(a_t),
             math.sqrt((1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab)),
         )
-        y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
-        expected = math.sqrt(1.0 - ab) * (y.data - math.sqrt(ab) * -1.25) / (ab * 0.4 + (1.0 - ab))
-        assert np.array_equal(den.predict_noise(y, t), expected)
     assert SCHEDULE.reverse_coefs[0][2] == 0.0
-    # t = 0 is the noiseless state: no noise to predict
-    y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
-    assert np.array_equal(den.predict_noise(y, 0), np.zeros(3))
+    # signed zeros, the smallest subnormals and values near the top of the
+    # range, compared byte for byte so that the sign of a zero counts; a
+    # source mean of +0.0 skips the subtraction, one of -0.0 does not
+    data = np.array([0.0, 1.0, -2.5, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+    y = Latent(data=data, shape=(data.size, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, v in ((-1.25, 0.4), (0.0, 0.4), (-0.0, 0.4), (0.0, 0.0), (1.5, 0.0)):
+            den = AnalyticGaussianDenoiser(GaussianSourceModel(mean=m, variance=v), SCHEDULE)
+            for t in (1, 2, SCHEDULE.T):
+                ab = SCHEDULE.alpha_bar(t)
+                expected = math.sqrt(1.0 - ab) * (data - math.sqrt(ab) * m) / (ab * v + (1.0 - ab))
+                assert den.predict_noise(y, t).tobytes() == expected.tobytes(), (m, v, t)
+            # t = 0 is the noiseless state: no noise to predict, also for v = 0
+            assert np.array_equal(den.predict_noise(y, 0), np.zeros(data.size)), (m, v)
     with pytest.raises(IndexError):
         den.predict_noise(y, -1)
     with pytest.raises(IndexError):
