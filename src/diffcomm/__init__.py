@@ -13,10 +13,8 @@ from .channels import (
     ComplexVector,
     MimoChannel,
     awgn_transmit,
-    measure_snr,
     mimo_svd_decompose,
     mimo_transmit,
-    mmse_coefficient,
     rayleigh_transmit_mmse,
 )
 from .codec import (
@@ -46,8 +44,6 @@ from .errors import (
     CompensationInfeasibleError,
     ConfigurationError,
     DeepFadeError,
-    DegenerateChannelError,
-    InfiniteSnrError,
     NumericOverflowError,
     RankDeficientChannelError,
     SaturationError,
@@ -66,7 +62,6 @@ from .loss import (
 )
 from .metrics import (
     GaussianityReport,
-    MetricReport,
     gaussianity_check,
     mse,
     psnr,
@@ -81,7 +76,6 @@ from .schedule import (
     compensation_variance,
     sigma2_to_step,
     step_to_sigma2,
-    step_to_snr_db,
 )
 
 __version__ = "0.1.0"
@@ -95,16 +89,13 @@ __all__ = [
     "ComplexVector",
     "ConfigurationError",
     "DeepFadeError",
-    "DegenerateChannelError",
     "Denoiser",
     "GaussianParams",
     "GaussianSourceModel",
     "GaussianityReport",
-    "InfiniteSnrError",
     "Latent",
     "LossBreakdown",
     "LossWeights",
-    "MetricReport",
     "MimoChannel",
     "NumericOverflowError",
     "RankDeficientChannelError",
@@ -129,10 +120,8 @@ __all__ = [
     "init_codec",
     "k_from_channel_count",
     "load_codec",
-    "measure_snr",
     "mimo_svd_decompose",
     "mimo_transmit",
-    "mmse_coefficient",
     "mse",
     "prior_kl",
     "psnr",
@@ -145,7 +134,6 @@ __all__ = [
     "ssim",
     "ssim_batch",
     "step_to_sigma2",
-    "step_to_snr_db",
     "train_codec",
     "upsample",
 ]

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DeepFadeError,
-    DegenerateChannelError,
-    InfiniteSnrError,
-    RankDeficientChannelError,
-)
+from .errors import DeepFadeError, RankDeficientChannelError
 from .schedule import Schedule, StepMapping, sigma2_to_step
 
 __all__ = [
@@ -39,8 +34,6 @@ __all__ = [
     "ChannelOutput",
     "MimoChannel",
     "awgn_transmit",
-    "measure_snr",
-    "mmse_coefficient",
     "rayleigh_transmit_mmse",
     "mimo_svd_decompose",
     "mimo_transmit",
@@ -116,27 +109,18 @@ class ChannelOutput:
     ``mappings`` holds one StepMapping per independent stream: a single
     entry for scalar channels, one per subchannel for MIMO.
     ``effective_sigma2`` is the actual per-real-element noise variance of
-    each stream of the (rescaled) received signal.  ``subchannel_gains``
-    is stored as a read-only copy, so the caller's array stays writable.
+    each stream of the (rescaled) received signal.
     """
 
     received: ComplexVector
     mappings: tuple[StepMapping, ...]
-    noise_sigma: float
     effective_sigma2: tuple[float, ...]
-    subchannel_gains: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.mappings) == 0:
             raise ValueError("at least one stream mapping is required")
         if len(self.effective_sigma2) != len(self.mappings):
             raise ValueError("one effective variance per stream mapping is required")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.subchannel_gains is not None:
-            gains = np.array(self.subchannel_gains)
-            gains.flags.writeable = False
-            object.__setattr__(self, "subchannel_gains", gains)
 
     @property
     def mapping(self) -> StepMapping:
@@ -181,32 +165,7 @@ def awgn_transmit(
     received = ComplexVector(re=z.re + noise.real, im=z.im + noise.imag)
     sigma2 = sigma * sigma
     mapping = sigma2_to_step(schedule, sigma2)
-    return ChannelOutput(
-        received=received,
-        mappings=(mapping,),
-        noise_sigma=sigma,
-        effective_sigma2=(sigma2,),
-    )
-
-
-def measure_snr(z: ComplexVector, sigma: float) -> float:
-    """Linear SNR of ``z`` under noise variance ``sigma^2`` per symbol."""
-    sigma = _check_sigma(sigma)
-    if sigma == 0.0:
-        raise InfiniteSnrError("noise variance is zero; SNR is unbounded")
-    return z.power() / (sigma * sigma)
-
-
-def mmse_coefficient(h: complex, sigma: float, signal_power: float = 1.0) -> complex:
-    """Scalar MMSE equalizer ``conj(h) / (|h|^2 + sigma^2 / signal_power)``."""
-    sigma = _check_sigma(sigma)
-    if signal_power <= 0.0:
-        raise ValueError(f"signal_power must be > 0, got {signal_power!r}")
-    h = complex(h)
-    gain2 = h.real * h.real + h.imag * h.imag
-    if gain2 == 0.0 and sigma == 0.0:
-        raise DegenerateChannelError("both the channel gain and the noise are zero")
-    return h.conjugate() / (gain2 + sigma * sigma / signal_power)
+    return ChannelOutput(received=received, mappings=(mapping,), effective_sigma2=(sigma2,))
 
 
 def rayleigh_transmit_mmse(
@@ -258,12 +217,7 @@ def rayleigh_transmit_mmse(
     carried_sigma2 = sigma2 / gain2
     mapped_sigma2 = sigma2 * gain2 if convention == "gain_weighted" else carried_sigma2
     mapping = sigma2_to_step(schedule, mapped_sigma2)
-    return ChannelOutput(
-        received=received,
-        mappings=(mapping,),
-        noise_sigma=sigma,
-        effective_sigma2=(carried_sigma2,),
-    )
+    return ChannelOutput(received=received, mappings=(mapping,), effective_sigma2=(carried_sigma2,))
 
 
 @dataclass(frozen=True)
@@ -362,10 +316,4 @@ def mimo_transmit(
     sigma2 = sigma * sigma
     eff = tuple(sigma2 / float(si * si) for si in s)
     mappings = tuple(sigma2_to_step(schedule, e) for e in eff)
-    return ChannelOutput(
-        received=received,
-        mappings=mappings,
-        noise_sigma=sigma,
-        effective_sigma2=eff,
-        subchannel_gains=s,
-    )
+    return ChannelOutput(received=received, mappings=mappings, effective_sigma2=eff)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Optional, Sequence
 
 from ..codec import compressed_length, k_from_channel_count
-from ..errors import ConfigurationError, SaturationError
-from ..schedule import Schedule, build_linear_schedule, sigma2_to_step, step_to_sigma2
+from ..errors import CompensationInfeasibleError, ConfigurationError, SaturationError
+from ..schedule import Schedule, build_linear_schedule, compensation_variance, sigma2_to_step, step_to_sigma2
 
 __all__ = [
     "Cell",
@@ -507,6 +507,14 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
             raise ConfigurationError(
                 "channel.M", f"{n // 2} complex symbols do not split into {cfg.channel.M} streams"
             )
+    if cfg.mode.kind in ("fixed_step", "compare") and cfg.channel.type == "awgn":
+        # an AWGN stream carries its cell's variance, known before any draw
+        sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
+        for i, cell in enumerate(cfg.channel.cells):
+            try:
+                compensation_variance(sch, cfg.mode.t_target, cell.sigma2)
+            except CompensationInfeasibleError as exc:
+                raise ConfigurationError(f"{cells_key}[{i}]", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

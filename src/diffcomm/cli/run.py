@@ -145,6 +145,8 @@ def _make_source_draw(cfg: ExperimentConfig) -> Callable[[int, np.random.Generat
                 f"expected latents of shape (count, {src.shape[0]}, {src.shape[1]}, "
                 f"{src.shape[2]}), got {data.shape}",
             )
+        if data.shape[0] == 0:
+            raise ConfigurationError("source.path", f"{src.path} holds no latents")
 
         def draw_file(trial: int, rng: np.random.Generator) -> Latent:
             row = data[trial % data.shape[0]]

@@ -44,14 +44,6 @@ class DeepFadeError(ValueError):
     """Fading gain is zero; the channel carries no signal."""
 
 
-class DegenerateChannelError(ValueError):
-    """Equalizer is undefined because both the gain and the noise are zero."""
-
-
-class InfiniteSnrError(ValueError):
-    """SNR is unbounded because the noise variance is zero."""
-
-
 class RankDeficientChannelError(ValueError):
     """One or more MIMO subchannels have zero gain."""
 

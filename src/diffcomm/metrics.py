@@ -20,7 +20,6 @@ import numpy as np
 from .diffusion import Latent
 
 __all__ = [
-    "MetricReport",
     "GaussianityReport",
     "mse",
     "psnr",
@@ -38,35 +37,6 @@ def _values(x: ArrayLike) -> np.ndarray:
     if isinstance(x, Latent):
         return x.data
     return np.asarray(x, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregated metrics for one experiment cell.
-
-    ``psnr_db`` is computed from the aggregated ``mse`` and ``peak``, so
-    the three fields stay mutually consistent by construction.
-    """
-
-    psnr_db: float
-    ssim: float
-    mse: float
-    n: int
-    peak: float = 1.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.mse < 0.0:
-            raise ValueError(f"mse must be >= 0, got {self.mse}")
-        if not -1.0 <= self.ssim <= 1.0:
-            raise ValueError(f"ssim must lie in [-1, 1], got {self.ssim}")
-        expected = psnr_from_mse(self.mse, self.peak)
-        if not math.isclose(self.psnr_db, expected, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(
-                f"psnr_db {self.psnr_db} inconsistent with mse {self.mse} "
-                f"and peak {self.peak} (expected {expected})"
-            )
 
 
 def mse(a: ArrayLike, b: ArrayLike) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompensationInfeasibleError, ConfigurationError, InfiniteSnrError, SaturationError
+from .errors import CompensationInfeasibleError, ConfigurationError, SaturationError
 
 __all__ = [
     "Schedule",
@@ -33,67 +33,65 @@ __all__ = [
     "step_to_sigma2",
     "sigma2_to_step",
     "compensation_variance",
-    "step_to_snr_db",
 ]
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Diffusion noise schedule over ``T`` steps.
+    """Diffusion noise schedule, built from its per-step noise rates.
 
+    Every attribute but ``betas`` is derived, not a constructor argument.
     Arrays are indexed by ``t - 1`` for ``t = 1..T`` and are read-only
-    after construction.
+    after construction; ``betas`` is a copy, so the caller's array stays
+    writable.
 
     Attributes
     ----------
-    T : int
-        Number of diffusion steps.
     betas : ndarray
         Per-step noise rates, each in (0, 1).
+    T : int
+        Number of diffusion steps, ``len(betas)``.
     alphas : ndarray
         ``1 - betas``.
     alpha_bars : ndarray
         Cumulative products of ``alphas``; strictly decreasing.
     reverse_coefs : tuple
-        Derived, not a constructor argument.  Entry ``t - 1`` holds the
-        ancestral reverse step's scalars at step ``t`` as Python floats:
-        ``((1 - a_t) / sqrt(1 - ab_t), sqrt(a_t), sd_t)`` with
-        ``sd_t = sqrt((1 - ab_{t-1}) * (1 - a_t) / (1 - ab_t))``, which is
+        Entry ``t - 1`` holds the ancestral reverse step's scalars at step
+        ``t`` as Python floats: ``((1 - a_t) / sqrt(1 - ab_t), sqrt(a_t), sd_t)``
+        with ``sd_t = sqrt((1 - ab_{t-1}) * (1 - a_t) / (1 - ab_t))``, which is
         exactly 0 at ``t = 1``.
     """
 
-    T: int
     betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
+    T: int = field(init=False)
+    alphas: np.ndarray = field(init=False)
+    alpha_bars: np.ndarray = field(init=False)
     reverse_coefs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ConfigurationError("T", f"must be >= 1, got {self.T}")
-        for name in ("betas", "alphas", "alpha_bars"):
-            arr = getattr(self, name)
-            if arr.shape != (self.T,):
-                raise ConfigurationError(name, f"expected shape ({self.T},), got {arr.shape}")
-        if np.any(self.betas <= 0.0) or np.any(self.betas >= 1.0):
+        betas = np.array(self.betas, dtype=np.float64)
+        if betas.ndim != 1 or betas.size == 0:
+            raise ConfigurationError("betas", f"must be a nonempty vector, got shape {betas.shape}")
+        if not np.all((betas > 0.0) & (betas < 1.0)):
             raise ConfigurationError("betas", "all values must lie in (0, 1)")
-        if not np.array_equal(self.alphas, 1.0 - self.betas):
-            raise ConfigurationError("alphas", "must equal 1 - betas")
-        if np.any(self.alpha_bars <= 0.0) or np.any(self.alpha_bars >= 1.0):
+        alphas = 1.0 - betas
+        alpha_bars = np.cumprod(alphas)
+        # cumprod can round to 1 at the start, or stall or underflow later
+        if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
             raise ConfigurationError("alpha_bars", "all values must lie in (0, 1)")
-        if np.any(np.diff(self.alpha_bars) >= 0.0):
+        if np.any(np.diff(alpha_bars) >= 0.0):
             raise ConfigurationError("alpha_bars", "must be strictly decreasing")
-        for name in ("betas", "alphas", "alpha_bars"):
-            getattr(self, name).flags.writeable = False
+        for name, arr in (("betas", betas), ("alphas", alphas), ("alpha_bars", alpha_bars)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "T", betas.size)
         # numpy's elementwise +, -, *, / and sqrt are correctly rounded, as
         # Python float arithmetic and math.sqrt are, so every entry equals
         # its formula evaluated on the scalars bit for bit.
-        a_t = self.alphas
-        ab_t = self.alpha_bars
-        ab_prev = np.concatenate(([1.0], ab_t[:-1]))
-        c_eps = (1.0 - a_t) / np.sqrt(1.0 - ab_t)
-        sd = np.sqrt((1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab_t))
-        coefs = tuple(zip(c_eps.tolist(), np.sqrt(a_t).tolist(), sd.tolist()))
+        ab_prev = np.concatenate(([1.0], alpha_bars[:-1]))
+        c_eps = (1.0 - alphas) / np.sqrt(1.0 - alpha_bars)
+        sd = np.sqrt((1.0 - ab_prev) * (1.0 - alphas) / (1.0 - alpha_bars))
+        coefs = tuple(zip(c_eps.tolist(), np.sqrt(alphas).tolist(), sd.tolist()))
         object.__setattr__(self, "reverse_coefs", coefs)
 
     def beta(self, t: int) -> float:
@@ -139,28 +137,28 @@ class StepMapping:
         Chosen step index in ``[0, T]``.
     alpha_bar_u : float
         Cumulative signal fraction at that step.
-    scale : float
-        ``sqrt(alpha_bar_u)``; the factor the receiver applies so the
-        scaled signal matches the forward-process state at ``step_u``.
     residual : float
         ``|alpha_bar_u - 1 / (1 + sigma^2)|`` at the chosen step.  Zero
         when the variance is exactly representable.
+    scale : float
+        Derived, not a constructor argument: ``sqrt(alpha_bar_u)``, the
+        factor the receiver applies so the scaled signal matches the
+        forward-process state at ``step_u``.
     """
 
     step_u: int
     alpha_bar_u: float
-    scale: float
     residual: float
+    scale: float = field(init=False)
 
     def __post_init__(self):
         if self.step_u < 0:
             raise ValueError(f"step_u must be >= 0, got {self.step_u}")
         if not 0.0 < self.alpha_bar_u <= 1.0:
             raise ValueError(f"alpha_bar_u must lie in (0, 1], got {self.alpha_bar_u}")
-        if self.scale != math.sqrt(self.alpha_bar_u):
-            raise ValueError("scale must equal sqrt(alpha_bar_u)")
         if not self.residual >= 0.0:
             raise ValueError(f"residual must be >= 0, got {self.residual}")
+        object.__setattr__(self, "scale", math.sqrt(self.alpha_bar_u))
 
 
 def build_linear_schedule(
@@ -191,10 +189,7 @@ def build_linear_schedule(
         raise ConfigurationError(
             "beta_start", f"must be <= beta_end, got {beta_start!r} > {beta_end!r}"
         )
-    betas = np.linspace(beta_start, beta_end, T)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    return Schedule(T=int(T), betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    return Schedule(betas=np.linspace(beta_start, beta_end, T))
 
 
 def step_to_sigma2(schedule: Schedule, u: int) -> float:
@@ -241,12 +236,7 @@ def sigma2_to_step(schedule: Schedule, sigma2: float) -> StepMapping:
         residual = 0.0
     else:
         residual = float(dist[u])
-    return StepMapping(
-        step_u=u,
-        alpha_bar_u=alpha_bar_u,
-        scale=math.sqrt(alpha_bar_u),
-        residual=residual,
-    )
+    return StepMapping(step_u=u, alpha_bar_u=alpha_bar_u, residual=residual)
 
 
 def compensation_variance(schedule: Schedule, t_target: int, sigma2: float) -> float:
@@ -277,15 +267,3 @@ def compensation_variance(schedule: Schedule, t_target: int, sigma2: float) -> f
         raise CompensationInfeasibleError(sigma2, step_sigma2, t_target)
     return step_sigma2 - sigma2
 
-
-def step_to_snr_db(schedule: Schedule, u: int) -> float:
-    """SNR in dB of a unit-power signal whose noise matches step ``u``.
-
-    Convenience for reporting which channel quality a step corresponds to
-    under the configured schedule.  ``u = 0`` is noiseless and raises
-    InfiniteSnrError via the zero variance.
-    """
-    sigma2 = step_to_sigma2(schedule, u)
-    if sigma2 == 0.0:
-        raise InfiniteSnrError("step 0 is noiseless; SNR is unbounded")
-    return -10.0 * math.log10(sigma2)

@@ -11,20 +11,15 @@ import numpy as np
 import pytest
 
 from diffcomm import (
-    ChannelOutput,
     ComplexVector,
     DeepFadeError,
-    DegenerateChannelError,
-    InfiniteSnrError,
     MimoChannel,
     RankDeficientChannelError,
     awgn_transmit,
     build_linear_schedule,
     gaussianity_check,
-    measure_snr,
     mimo_svd_decompose,
     mimo_transmit,
-    mmse_coefficient,
     rayleigh_transmit_mmse,
     sigma2_to_step,
     step_to_sigma2,
@@ -95,25 +90,8 @@ def test_awgn_zero_noise_is_exact_and_consumes_no_randomness():
     assert rng.standard_normal() == fresh.standard_normal()
 
 
-def test_measure_snr():
-    z = ComplexVector.from_real(np.full(100, 2.0))
-    assert measure_snr(z, 1.0) == pytest.approx(4.0, rel=1e-12)
-    with pytest.raises(InfiniteSnrError):
-        measure_snr(z, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Rayleigh + MMSE
-
-
-def test_mmse_coefficient_hand_value():
-    w = mmse_coefficient(1.0 + 1.0j, 0.5, signal_power=2.0)
-    assert w == pytest.approx((1.0 - 1.0j) / 2.125, rel=1e-15)
-
-
-def test_mmse_coefficient_degenerate():
-    with pytest.raises(DegenerateChannelError):
-        mmse_coefficient(0.0, 0.0)
 
 
 def test_rayleigh_unit_fade_bit_identical_to_awgn():
@@ -267,27 +245,6 @@ def test_mimo_channel_copies_the_caller_arrays():
         assert arr.flags.writeable and stored is not arr and not stored.flags.writeable
         arr[...] = 0.0
         assert np.array_equal(stored, getattr(ch, name))
-
-
-def test_channel_output_copies_the_caller_gains():
-    rng = np.random.default_rng(37)
-    ch = mimo_svd_decompose(_random_H(rng))
-    out = mimo_transmit(ComplexVector.from_real(np.ones(8)), ch, 0.5, rng, SCHEDULE)
-    assert out.subchannel_gains is not ch.singular_values
-    assert np.array_equal(out.subchannel_gains, ch.singular_values)
-    gains = np.array([2.0, 1.0])
-    built = ChannelOutput(
-        received=out.received,
-        mappings=out.mappings,
-        noise_sigma=0.5,
-        effective_sigma2=out.effective_sigma2,
-        subchannel_gains=gains,
-    )
-    assert gains.flags.writeable and built.subchannel_gains is not gains
-    gains[0] = 9.0
-    assert np.array_equal(built.subchannel_gains, [2.0, 1.0])
-    with pytest.raises(ValueError):
-        built.subchannel_gains[0] = 9.0
 
 
 def test_multi_stream_output_guards_single_mapping_accessor():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffcomm import ConfigurationError, diffusion, load_codec
+from diffcomm import ConfigurationError, build_linear_schedule, diffusion, load_codec, step_to_sigma2
 from diffcomm.cli import (
     emit_csv,
     main,
@@ -154,7 +154,7 @@ def test_resolved_config_derives_operating_points():
     cfg = parse_config(json.dumps({
         "channel": {"snr_db": [0.0]},
         "codec": {"enabled": True, "C": 64},
-        "mode": {"kind": "fixed_step", "t_target": 200},
+        "mode": {"kind": "fixed_step", "t_target": 300},
     }))
     res = resolved_config(cfg)
     # channel count to compression fraction: round(0.0013 * 64 * 256) = 21
@@ -167,6 +167,37 @@ def test_resolved_config_derives_operating_points():
         -10.0 * math.log10(res["mode"]["t_target_sigma2"]), rel=1e-12
     )
     assert res["schedule"]["max_sigma2"] > 2e4
+
+
+def test_main_rejects_a_t_target_below_an_awgn_cell(tmp_path, capsys):
+    text = _cfg(
+        source={"shape": [2, 2, 4], "count": 3},
+        mode={"kind": "fixed_step", "t_target": 40},
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: channel.snr_db[0]: cannot compensate to step 40: "
+        "channel variance 0.501187 exceeds the step-equivalent variance 0.0197356\n"
+    )
+    assert not out.exists()
+
+
+def test_t_target_at_exactly_the_cell_variance_runs(tmp_path):
+    """Zero compensation is feasible: a cell whose variance is exactly the
+    step's parses and runs from that step."""
+    variance = [step_to_sigma2(build_linear_schedule(), t) for t in range(1001)]
+    # a sigma whose square is the step variance bit for bit
+    t = next(t for t in range(40, 1001) if math.sqrt(variance[t]) ** 2 == variance[t])
+    sigma = math.sqrt(variance[t])
+    for kind in ("fixed_step", "compare"):
+        cfg = parse_config(_cfg(channel={"sigma": [sigma]}, mode={"kind": kind, "t_target": t}))
+        assert cfg.channel.cells[0].sigma2 == variance[t]
+        row = run_simulate(cfg, out_dir=str(tmp_path / kind)).rows[0]
+        assert all(v is None or math.isfinite(v) for v in row[3:])
+    with pytest.raises(ConfigurationError, match=r"^channel\.sigma\[0\]: cannot compensate"):
+        parse_config(_cfg(channel={"sigma": [math.nextafter(sigma, 1.0)]},
+                          mode={"kind": "fixed_step", "t_target": t}))
 
 
 def test_resolved_config_marks_saturating_cells():
@@ -256,7 +287,8 @@ def test_simulate_logs_throughput_and_reruns_byte_identical(tmp_path):
     assert trials_per_s == pytest.approx(2 * 3 / wall_s, rel=1e-5)
     match = re.fullmatch(r"simulate reverse_steps=(\d+) steps_per_s=(\S+)", lines[-1])
     steps, steps_per_s = int(match.group(1)), float(match.group(2))
-    rows = list(csv.DictReader((tmp_path / "a" / "results.csv").open()))
+    with (tmp_path / "a" / "results.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert steps == sum(int(r["trials"]) * int(r["step_u"]) for r in rows) > 0
     assert steps_per_s == pytest.approx(steps / wall_s, rel=1e-5)
 
@@ -294,7 +326,8 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
     run_simulate(cfg, out_dir=str(tmp_path))
     assert len(calls) == _logged_reverse_steps(tmp_path / "run.log") > 0
     if one_stream:
-        rows = list(csv.DictReader((tmp_path / "results.csv").open()))
+        with (tmp_path / "results.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
         assert len(calls) == sum(int(r["trials"]) * int(r["step_u"]) for r in rows)
 
 
@@ -449,6 +482,15 @@ def test_sweep_rejects_file_source_without_latents(tmp_path):
     cfg = _file_sweep_cfg(tmp_path, other=np.zeros((2, 2, 2, 2)))
     with pytest.raises(ConfigurationError, match="source.path"):
         run_sweep(cfg, out_dir=str(tmp_path / "out"))
+
+
+def test_main_rejects_an_empty_latents_archive(tmp_path, capsys):
+    path = tmp_path / "latents.npz"
+    np.savez(path, latents=np.zeros((0, 2, 2, 2)))
+    text = _cfg(source={**SMALL_SOURCE, "kind": "file", "path": str(path)})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: source.path: {path} holds no latents\n"
 
 
 def test_sweep_trains_and_evaluates_on_file_source(tmp_path):

@@ -243,6 +243,13 @@ FAULTS = [
      "mode.t_target: must be <= 100, got 150"),
     ("t_target-default-past-short-T", {"schedule": {"T": 100}, "mode": {"kind": "fixed_step"}},
      "mode.t_target: must be <= 100, got 200"),
+    ("t_target-infeasible", {"mode": {"kind": "fixed_step", "t_target": 40}},
+     "channel.snr_db[0]: cannot compensate to step 40: channel variance 0.501187 "
+     "exceeds the step-equivalent variance 0.0197356"),
+    ("t_target-infeasible-compare",
+     '{"channel": {"sigma": [0.1, 0.5]}, "mode": {"kind": "compare", "t_target": 100}}',
+     "channel.sigma[1]: cannot compensate to step 100: channel variance 0.25 "
+     "exceeds the step-equivalent variance 0.114805"),
     ("t_target-type", {"mode": {"t_target": "200"}},
      "mode.t_target: expected an integer, got str"),
     ("mode-unknown", {"mode": {"target": 200}},

@@ -1,10 +1,12 @@
 """Public names: every export resolves, the package exports what it
-imports, and every function the benchmark tracer wraps still exists."""
+imports, every function the benchmark tracer wraps still exists, and the
+README's library example runs."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,13 @@ def test_every_bench_trace_target_resolves():
         if tracer._resolve(layer, owner, attr)[1] is None
     ]
     assert unresolved == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    step, mse = capsys.readouterr().out.split()
+    assert step == "259"  # unit noise maps to the step whose alpha-bar is nearest 1/2
+    assert float(mse) > 0.0

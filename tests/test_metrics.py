@@ -12,7 +12,6 @@ import pytest
 
 from diffcomm import (
     Latent,
-    MetricReport,
     gaussianity_check,
     mse,
     psnr,
@@ -49,13 +48,6 @@ def test_psnr_of_signals():
     a = np.zeros(100)
     b = np.full(100, 0.1)
     assert psnr(a, b) == pytest.approx(20.0, rel=1e-12)
-
-
-def test_metric_report_requires_consistency():
-    report = MetricReport(psnr_db=psnr_from_mse(0.25), ssim=0.5, mse=0.25, n=10)
-    assert report.psnr_db == pytest.approx(6.0206, rel=1e-4)
-    with pytest.raises(ValueError):
-        MetricReport(psnr_db=10.0, ssim=0.5, mse=0.25, n=10)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 from diffcomm import (
     CompensationInfeasibleError,
     ConfigurationError,
-    InfiniteSnrError,
     SaturationError,
     Schedule,
     StepMapping,
@@ -23,7 +22,6 @@ from diffcomm import (
     compensation_variance,
     sigma2_to_step,
     step_to_sigma2,
-    step_to_snr_db,
 )
 
 # exact-product references for the default schedule (T=1000, 1e-4..0.02)
@@ -183,10 +181,13 @@ def test_saturation_and_invalid_sigma2():
 
 
 def test_step_mapping_rejects_inconsistent_scale():
-    with pytest.raises(ValueError):
-        StepMapping(step_u=3, alpha_bar_u=0.25, scale=0.7, residual=0.0)
-    mapping = StepMapping(step_u=3, alpha_bar_u=0.25, scale=0.5, residual=0.0)
+    """The scale is derived, so an inconsistent one cannot be passed in."""
+    mapping = StepMapping(step_u=3, alpha_bar_u=0.25, residual=0.0)
     assert mapping.scale == 0.5
+    with pytest.raises(TypeError):
+        StepMapping(step_u=3, alpha_bar_u=0.25, scale=0.7, residual=0.0)
+    with pytest.raises(ValueError):
+        StepMapping(step_u=3, alpha_bar_u=0.0, residual=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +216,26 @@ def test_compensation_infeasible_raises():
         compensation_variance(sch, 200, step_var * 1.01)
 
 
-def test_step_to_snr_db():
-    sch = build_linear_schedule()
-    sigma2 = step_to_sigma2(sch, 259)
-    assert step_to_snr_db(sch, 259) == pytest.approx(-10.0 * math.log10(sigma2), rel=1e-12)
-    with pytest.raises(InfiniteSnrError):
-        step_to_snr_db(sch, 0)
-
-
 def test_schedule_constructor_validates_consistency():
+    """T, alphas and alpha_bars are derived from the betas, so they cannot
+    disagree; the betas and what cumprod makes of them are still checked."""
     betas = np.array([0.1, 0.2])
-    alphas = 1.0 - betas
-    good = Schedule(T=2, betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
+    good = Schedule(betas=betas)
+    assert good.T == 2 and type(good.T) is int
+    assert np.array_equal(good.alphas, 1.0 - betas)
+    assert np.array_equal(good.alpha_bars, np.cumprod(1.0 - betas))
     assert good.alpha_bar(2) == pytest.approx(0.72, rel=1e-15)
-    with pytest.raises(ValueError):
-        Schedule(T=2, betas=betas, alphas=alphas, alpha_bars=np.array([0.9, 0.95]))
+    assert betas.flags.writeable and good.betas is not betas
+    assert not good.alpha_bars.flags.writeable
+    with pytest.raises(TypeError):
+        Schedule(betas=betas, alphas=1.0 - betas)
+    for bad in ([], [[0.1, 0.2]], [0.1, 1.0], [0.0, 0.2], [0.1, float("nan")]):
+        with pytest.raises(ConfigurationError, match="^betas: "):
+            Schedule(betas=np.array(bad))
+    # 1 - 1e-17 rounds to 1: the first alpha_bar is 1, then the product stalls
+    for bad in ([1e-17, 0.2], [0.5, 1e-17]):
+        with pytest.raises(ConfigurationError, match="^alpha_bars: "):
+            Schedule(betas=np.array(bad))
+    with pytest.raises(ConfigurationError, match="^alpha_bars: "):
+        Schedule(betas=np.full(400, 0.9))  # 0.1**400 underflows to 0
+
