@@ -32,7 +32,7 @@ from typing import Any, Optional, Sequence
 
 from ..codec import compressed_length, k_from_channel_count
 from ..errors import CompensationInfeasibleError, ConfigurationError, SaturationError
-from ..schedule import Schedule, build_linear_schedule, compensation_variance, sigma2_to_step, step_to_sigma2
+from ..schedule import Schedule, build_linear_schedule, sigma2_to_step, step_to_sigma2
 
 __all__ = [
     "Cell",
@@ -364,6 +364,8 @@ def _parse_channel(sec: _Section) -> ChannelConfig:
         h = complex(h_raw[0], h_raw[1])
         if h == 0:
             raise ConfigurationError("channel.h", "fade coefficient must be nonzero")
+        if h.real * h.real + h.imag * h.imag == 0.0:  # |h|^2 as the channel computes it
+            raise ConfigurationError("channel.h", f"|h|^2 of {h!r} underflows to zero")
     has_M, has_convention = sec.has("M"), sec.has("convention")
     out = _take_fields(ChannelConfig, sec, cells=cells, h=h)
     if h is not None and out.type != "rayleigh":
@@ -507,14 +509,23 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
             raise ConfigurationError(
                 "channel.M", f"{n // 2} complex symbols do not split into {cfg.channel.M} streams"
             )
-    if cfg.mode.kind in ("fixed_step", "compare") and cfg.channel.type == "awgn":
-        # an AWGN stream carries its cell's variance, known before any draw
+    # An AWGN stream carries its cell's variance and a Rayleigh stream with a
+    # pinned fade sigma^2 / |h|^2, under either convention, known before any
+    # draw; check them against compensation_variance's bound in the run's own
+    # arithmetic (it squares sqrt(sigma^2) again and divides by this |h|^2).
+    ch = cfg.channel
+    pinned = ch.type == "rayleigh" and ch.h is not None
+    if cfg.mode.kind in ("fixed_step", "compare") and (ch.type == "awgn" or pinned):
+        gain2 = ch.h.real * ch.h.real + ch.h.imag * ch.h.imag if pinned else 1.0
         sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
-        for i, cell in enumerate(cfg.channel.cells):
-            try:
-                compensation_variance(sch, cfg.mode.t_target, cell.sigma2)
-            except CompensationInfeasibleError as exc:
-                raise ConfigurationError(f"{cells_key}[{i}]", str(exc)) from None
+        t = cfg.mode.t_target
+        step_sigma2 = step_to_sigma2(sch, t)
+        for i, cell in enumerate(ch.cells):
+            sigma = math.sqrt(cell.sigma2)
+            carried = sigma * sigma / gain2  # may overflow to inf
+            if carried > step_sigma2:
+                exc = CompensationInfeasibleError(carried, step_sigma2, t)
+                raise ConfigurationError(f"{cells_key}[{i}]", str(exc))
 
 
 # ---------------------------------------------------------------------------

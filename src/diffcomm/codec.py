@@ -301,11 +301,11 @@ def _block_backward(
 ) -> np.ndarray:
     """Input gradient of one block; its parameter gradients go into ``grads``."""
     dh = dout @ block.fc2.W
-    grads.fc2.W[...] = dout.T @ ctx["h"]
-    grads.fc2.b[...] = dout.sum(axis=0)
+    np.matmul(dout.T, ctx["h"], out=grads.fc2.W)
+    np.sum(dout, axis=0, out=grads.fc2.b)
     da = dh * _lrelu_grad(ctx["a"])
-    grads.fc1.W[...] = da.T @ ctx["x"]
-    grads.fc1.b[...] = da.sum(axis=0)
+    np.matmul(da.T, ctx["x"], out=grads.fc1.W)
+    np.sum(da, axis=0, out=grads.fc1.b)
     return dout + da @ block.fc1.W
 
 
@@ -394,20 +394,21 @@ def backward_batch(
     lines up with ``params.flat``.
 
     ``out`` (from :func:`zero_grads` on the same layout) receives the
-    gradients instead of a fresh container and is returned; every entry
-    is overwritten, so its previous contents do not matter.
+    gradients instead of a fresh container and is returned; every layer's
+    gradient is written straight into its view of ``out.flat``, so every
+    entry is overwritten and its previous contents do not matter.
     """
     g = zero_grads(params) if out is None else out
     m = params.m
 
     # variance head
     dlv_raw = dLv * up_ctx["clamp_mask"]
-    g.lv_fc2.W[...] = dlv_raw.T @ up_ctx["h2"]
-    g.lv_fc2.b[...] = dlv_raw.sum(axis=0)
+    np.matmul(dlv_raw.T, up_ctx["h2"], out=g.lv_fc2.W)
+    np.sum(dlv_raw, axis=0, out=g.lv_fc2.b)
     dh2 = dlv_raw @ params.lv_fc2.W
     da2 = dh2 * _lrelu_grad(up_ctx["a2"])
-    g.lv_fc1.W[...] = da2.T @ up_ctx["lv_in"]
-    g.lv_fc1.b[...] = da2.sum(axis=0)
+    np.matmul(da2.T, up_ctx["lv_in"], out=g.lv_fc1.W)
+    np.sum(da2, axis=0, out=g.lv_fc1.b)
     dZhat = (da2 @ params.lv_fc1.W)[:, :m]
 
     # mean head
@@ -418,8 +419,8 @@ def backward_batch(
         reversed(g.up_mu_blocks),
     ):
         dx = _block_backward(block, bctx, dx, gblock)
-    g.up_mu_proj.W[...] = dx.T @ up_ctx["mu_in"]
-    g.up_mu_proj.b[...] = dx.sum(axis=0)
+    np.matmul(dx.T, up_ctx["mu_in"], out=g.up_mu_proj.W)
+    np.sum(dx, axis=0, out=g.up_mu_proj.b)
     dZhat = dZhat + (dx @ params.up_mu_proj.W)[:, :m]
 
     # through the additive channel noise into the encoder
@@ -431,8 +432,8 @@ def backward_batch(
         dz_raw = dZ / c - z_raw * inner / (z_raw.shape[1] * c**3)
     else:
         dz_raw = dZ
-    g.down_proj.W[...] = dz_raw.T @ down_ctx["x_proj_in"]
-    g.down_proj.b[...] = dz_raw.sum(axis=0)
+    np.matmul(dz_raw.T, down_ctx["x_proj_in"], out=g.down_proj.W)
+    np.sum(dz_raw, axis=0, out=g.down_proj.b)
     dx = dz_raw @ params.down_proj.W
     for block, bctx, gblock in zip(
         reversed(params.down_blocks),

@@ -21,7 +21,9 @@ latent sizes.  Parameter updates, however, descend the summed objective
 learning rate the mean-objective gradient is too small to move the
 parameters at all, and the summed objective is what makes that rate
 meaningful.  The price is that the effective step grows with batch and
-latent size, so ``lr`` is tied to both.
+latent size, so ``lr`` is tied to both.  The trainer seeds the backward
+pass with ``lr`` (``hybrid_loss_batch``'s ``grad_scale``), so its
+gradient buffer holds the SGD step itself.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ def hybrid_loss_batch(
     weights: LossWeights,
     *,
     out: Optional[CodecParams] = None,
+    grad_scale: Optional[float] = None,
 ) -> tuple[LossBreakdown, CodecParams]:
     """Mean-reduction loss over a batch and its exact parameter gradients.
 
@@ -146,15 +149,22 @@ def hybrid_loss_batch(
     normals for the uncompressed received signal and the
     reparameterization, ``eps2`` is (batch, m) for the transmit noise.
     All noise is passed explicitly so finite-difference validation can
-    hold it fixed.  Returns per-element mean losses and gradients of the
-    mean total; the gradients are written into ``out`` when it is given
-    (see :func:`~diffcomm.codec.backward_batch`), else into a fresh
-    container.
+    hold it fixed.  Returns per-element mean losses and gradients; the
+    gradients are written into ``out`` when it is given (see
+    :func:`~diffcomm.codec.backward_batch`), else into a fresh container.
+
+    The gradients are ``grad_scale`` times the gradient of the summed
+    total (the mean total times batch * n), seeded at the decoder outputs
+    at no extra pass over the parameters.  The default, ``1 / (batch * n)``,
+    gives the gradient of the mean total.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     B, n = Y.shape
     sigma = float(sigma)
+    scale = 1.0 / (B * n) if grad_scale is None else float(grad_scale)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"grad_scale must be finite and > 0, got {grad_scale!r}")
 
     Z, down_ctx = forward_down_batch(params, Y)
     Zhat = Z + sigma * eps2
@@ -174,7 +184,6 @@ def hybrid_loss_batch(
     total = lam * l_kl + l_mse + gamma * l_g
     breakdown = LossBreakdown(l_kl=l_kl, l_mse=l_mse, l_g=l_g, total=total, weights=weights)
 
-    scale = 1.0 / (B * n)
     dMu = scale * (lam * Mu + 2.0 * resid + gamma * diff * inv_eLv)
     dLv = scale * (
         lam * 0.5 * (eLv - 1.0)
@@ -275,8 +284,11 @@ def train_codec(
     Each step draws a batch from ``source`` (a Gaussian model or a fixed
     dataset cycled in order), simulates the uncompressed received signal
     ``y + sigma * eps1`` and the compressed one ``F_d(y) + sigma * eps2``,
-    decodes, and descends the hybrid objective.  The SNR conditioning input
-    is ``1 / sigma^2`` (the transmit vector is unit power under the default
+    decodes, and takes one SGD step down the summed hybrid objective (see
+    the module docstring).  The backward pass is seeded with ``lr``, so the
+    gradient buffer holds the step itself, and plain SGD applies it in one
+    pass over the parameters.  The SNR conditioning input is
+    ``1 / sigma^2`` (the transmit vector is unit power under the default
     normalization).  With ``common_noise`` the transmit noise reuses the
     leading components of ``eps1`` instead of an independent draw.
 
@@ -296,10 +308,10 @@ def train_codec(
     hold_eps2 = rng.standard_normal((cfg.holdout, m))
     hold_eps_y = rng.standard_normal((cfg.holdout, n))
 
-    # one gradient buffer for every step; the update below scales it in place
+    # one gradient buffer for every step, holding lr * grad(summed objective)
     grads = zero_grads(params)
+    g = grads.flat
     velocity = np.zeros_like(params.flat)
-    grad_scale = cfg.batch * n  # updates descend the summed objective
     cursor = [0]
     records: list[TrainRecord] = []
     last_finite = 0
@@ -311,17 +323,13 @@ def train_codec(
         eps_y = rng.standard_normal((cfg.batch, n))
 
         breakdown, _ = hybrid_loss_batch(
-            params, Y, sigma, snr, eps1, eps2, eps_y, weights, out=grads
+            params, Y, sigma, snr, eps1, eps2, eps_y, weights, out=grads, grad_scale=cfg.lr
         )
         if not math.isfinite(breakdown.total):
             raise TrainingDivergedError(step=step, last_finite_step=last_finite)
         last_finite = step
 
-        # the same IEEE operations, in the same order, as
-        # velocity = momentum * velocity - lr * (g * grad_scale), without temporaries
-        g = grads.flat
-        g *= grad_scale
-        g *= cfg.lr
+        # g holds the step; velocity = momentum * velocity - g, in place
         if cfg.momentum > 0.0:
             velocity *= cfg.momentum
             velocity -= g

@@ -200,6 +200,47 @@ def test_t_target_at_exactly_the_cell_variance_runs(tmp_path):
                           mode={"kind": "fixed_step", "t_target": t}))
 
 
+def test_main_rejects_a_t_target_below_a_pinned_rayleigh_cell(tmp_path, capsys):
+    text = _cfg(
+        channel={"type": "rayleigh", "h": [1.0, 0.0], "snr_db": [3.0]},
+        source={"shape": [2, 2, 4], "count": 3},
+        mode={"kind": "fixed_step", "t_target": 40},
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: channel.snr_db[0]: cannot compensate to step 40: "
+        "channel variance 0.501187 exceeds the step-equivalent variance 0.0197356\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("convention", ["gain_weighted", "mmse"])
+def test_t_target_at_exactly_a_pinned_fade_carried_variance_runs(tmp_path, convention):
+    """Either convention compensates from sigma^2 / |h|^2; at exactly the
+    step's variance that parses, runs, and one ulp more is rejected."""
+    variance = [step_to_sigma2(build_linear_schedule(), t) for t in range(1001)]
+    t = next(t for t in range(40, 1001) if math.sqrt(variance[t]) ** 2 == variance[t])
+    # |h|^2 = 4 and (2 sigma)^2 = 4 sigma^2 are exact, so the quotient is sigma^2
+    sigma = 2.0 * math.sqrt(variance[t])
+
+    def config(s):
+        channel = {"type": "rayleigh", "h": [2.0, 0.0], "sigma": [s], "convention": convention}
+        return _cfg(channel=channel, mode={"kind": "fixed_step", "t_target": t})
+
+    row = run_simulate(parse_config(config(sigma)), out_dir=str(tmp_path)).rows[0]
+    assert all(v is None or math.isfinite(v) for v in row[3:])
+    with pytest.raises(ConfigurationError, match=r"^channel\.sigma\[0\]: cannot compensate"):
+        parse_config(config(math.nextafter(sigma, 1.0)))
+
+
+def test_t_target_is_not_checked_against_an_unpinned_rayleigh_fade():
+    # each trial draws its own fade, so the carried variance is unknown at parse time
+    cfg = parse_config(_cfg(channel={"type": "rayleigh", "snr_db": [3.0]},
+                            mode={"kind": "fixed_step", "t_target": 40}))
+    assert cfg.channel.h is None
+
+
 def test_resolved_config_marks_saturating_cells():
     cfg = parse_config('{"channel": {"sigma": [200.0]}}')
     cell = resolved_config(cfg)["channel"]["cells"][0]

@@ -267,19 +267,29 @@ def test_rebuilt_params_do_not_alias_their_source():
 
 
 def test_backward_into_given_container_writes_every_entry():
-    p = _params(seed=25)
-    rng = np.random.default_rng(26)
-    B = 3
-    Z, down_ctx = forward_down_batch(p, rng.standard_normal((B, p.n)))
-    Zhat = Z + 0.5 * rng.standard_normal(Z.shape)
-    *_, up_ctx = forward_up_batch(p, Zhat, snr_feature(p, 4.0), rng.standard_normal((B, p.n)))
-    dMu, dLv = rng.standard_normal((2, B, p.n))
-    fresh = backward_batch(p, down_ctx, up_ctx, dMu, dLv)
-    out = zero_grads(p)
-    out.flat[:] = np.nan
-    assert backward_batch(p, down_ctx, up_ctx, dMu, dLv, out=out) is out
-    assert not np.isnan(out.flat).any()
-    assert np.array_equal(out.flat, fresh.flat)
+    """``out`` is overwritten in place, on the default layout and on the
+    golden train-momentum one (three blocks a side, no power norm)."""
+    layouts = [
+        (CodecArch(), {}),
+        (CodecArch(hidden=6, blocks=3), {"snr_to_mu": True, "power_norm": False}),
+    ]
+    for arch, kwargs in layouts:
+        p = init_codec(SHAPE, 0.5, arch, np.random.default_rng(25), **kwargs)
+        rng = np.random.default_rng(26)
+        B = 3
+        Z, down_ctx = forward_down_batch(p, rng.standard_normal((B, p.n)))
+        Zhat = Z + 0.5 * rng.standard_normal(Z.shape)
+        eps_y = rng.standard_normal((B, p.n))
+        *_, up_ctx = forward_up_batch(p, Zhat, snr_feature(p, 4.0), eps_y)
+        dMu, dLv = rng.standard_normal((2, B, p.n))
+        fresh = backward_batch(p, down_ctx, up_ctx, dMu, dLv)
+        out = zero_grads(p)
+        flat = out.flat
+        flat[:] = np.nan
+        assert backward_batch(p, down_ctx, up_ctx, dMu, dLv, out=out) is out
+        assert out.flat is flat
+        assert np.isfinite(flat).all()
+        assert np.array_equal(flat, fresh.flat)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -130,6 +130,8 @@ FAULTS = [
      "channel.h: expected [re, im], got 3 entries"),
     ("h-zero", {"channel": {"type": "rayleigh", "h": [0.0, 0.0]}},
      "channel.h: fade coefficient must be nonzero"),
+    ("h-underflow", {"channel": {"type": "rayleigh", "h": [1e-170, 0.0]}},
+     "channel.h: |h|^2 of (1e-170+0j) underflows to zero"),
     ("h-type", {"channel": {"type": "rayleigh", "h": "1+0j"}},
      "channel.h: expected a list, got str"),
     ("M-scope", {"channel": {"M": 2}},
@@ -250,6 +252,23 @@ FAULTS = [
      '{"channel": {"sigma": [0.1, 0.5]}, "mode": {"kind": "compare", "t_target": 100}}',
      "channel.sigma[1]: cannot compensate to step 100: channel variance 0.25 "
      "exceeds the step-equivalent variance 0.114805"),
+    # a pinned fade carries sigma^2 / |h|^2, known at parse time as for awgn
+    ("t_target-infeasible-rayleigh-pinned",
+     {"channel": {"type": "rayleigh", "h": [1.0, 0.0], "snr_db": [3.0]},
+      "mode": {"kind": "fixed_step", "t_target": 40}},
+     "channel.snr_db[0]: cannot compensate to step 40: channel variance 0.501187 "
+     "exceeds the step-equivalent variance 0.0197356"),
+    # sigma^2 = 0.01 alone fits under step 40; |h|^2 = 0.5 doubles it
+    ("t_target-infeasible-rayleigh-fade",
+     '{"channel": {"type": "rayleigh", "h": [0.5, 0.5], "sigma": [0.1], "convention": "mmse"},'
+     ' "mode": {"kind": "compare", "t_target": 40}}',
+     "channel.sigma[0]: cannot compensate to step 40: channel variance 0.02 "
+     "exceeds the step-equivalent variance 0.0197356"),
+    ("t_target-infeasible-rayleigh-overflow",
+     '{"channel": {"type": "rayleigh", "h": [0.01, 0.0], "sigma": [1e154]},'
+     ' "mode": {"kind": "fixed_step", "t_target": 40}}',
+     "channel.sigma[0]: cannot compensate to step 40: channel variance inf "
+     "exceeds the step-equivalent variance 0.0197356"),
     ("t_target-type", {"mode": {"t_target": "200"}},
      "mode.t_target: expected an integer, got str"),
     ("mode-unknown", {"mode": {"target": 200}},
@@ -351,7 +370,9 @@ def test_resolved_config_of_every_key_set(tmp_path):
         "schedule": {"T": 500, "beta_start": 2e-4, "beta_end": 0.03},
         "source": {"kind": "file", "m": 0.5, "v": 2.0, "shape": [2, 2, 4], "count": 3,
                    "path": path},
-        "channel": {"type": "rayleigh", "sigma": [0.5, 0.0, 200.0], "h": [0.8, 0.3],
+        # sigma^2 / |h|^2 of the last cell, 12.3, stays under step 300's 14.7,
+        # so compare mode can compensate every cell of the pinned fade
+        "channel": {"type": "rayleigh", "sigma": [0.5, 0.0, 3.0], "h": [0.8, 0.3],
                     "convention": "mmse"},
         "codec": {"enabled": True, "C": 400, "arch": {"hidden": 6, "blocks": 3},
                   "snr_conditioning": False, "snr_to_mu": True, "power_norm": False,
@@ -374,8 +395,7 @@ def test_resolved_config_of_every_key_set(tmp_path):
             "cells": [
                 {"snr_db": 6.020599913279624, "sigma2": 0.25, "step_u": 84},
                 {"snr_db": None, "sigma2": 0.0, "step_u": 0},
-                {"snr_db": -46.020599913279625, "sigma2": 40000.0, "step_u": None,
-                 "saturates": True},
+                {"snr_db": -9.542425094393248, "sigma2": 9.0, "step_u": 274},
             ],
             "h": [0.8, 0.3],
             "M": 2,

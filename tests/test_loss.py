@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import diffcomm.loss
 from diffcomm import (
     CodecArch,
     GaussianParams,
@@ -237,6 +238,31 @@ def test_batch_loss_rejects_bad_sigma():
         hybrid_loss_batch(p, Y, 0.0, 1.0, Y, np.zeros((1, 4)), Y, LossWeights())
 
 
+def _batch_of_24(p):
+    """A batch of 3 at n = 8: batch * n = 24 is not a power of two."""
+    rng = np.random.default_rng(27)
+    Y, eps1, eps_y = rng.standard_normal((3, 3, p.n))
+    return Y, 0.6, 3.0, eps1, rng.standard_normal((3, p.m)), eps_y, LossWeights()
+
+
+@pytest.mark.parametrize("s", [1e-3, 2.5])
+def test_grad_scale_scales_the_summed_objective_gradient(s):
+    p = _small_params(seed=9)
+    args = _batch_of_24(p)
+    B, n = args[0].shape
+    b_mean, g_mean = hybrid_loss_batch(p, *args)
+    b_scaled, g_scaled = hybrid_loss_batch(p, *args, grad_scale=s)
+    assert b_scaled == b_mean
+    np.testing.assert_allclose(g_scaled.flat, s * B * n * g_mean.flat, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, float("nan"), float("inf")])
+def test_batch_loss_rejects_bad_grad_scale(s):
+    p = _small_params()
+    with pytest.raises(ValueError, match="grad_scale must be finite and > 0"):
+        hybrid_loss_batch(p, *_batch_of_24(p), grad_scale=s)
+
+
 def test_reconstruction_psnr_matches_manual_pipeline():
     p = _small_params(seed=11)
     rng = np.random.default_rng(12)
@@ -266,7 +292,8 @@ def _train(seed=0, steps=5, source=SOURCE, sigma=0.5, params_seed=13, **cfg_kwar
 def _reference_train(sigma, params, weights, cfg, rng):
     """``train_codec`` on ``SOURCE`` as an out-of-place loop: fresh gradients
     every step and temporaries in the update (evaluations left out; they
-    draw nothing and change no parameter)."""
+    draw nothing and change no parameter).  The gradients come back as the
+    step, ``lr`` times the summed objective's gradient, as in the trainer."""
     params = clone_params(params)
     n, m = params.n, params.m
     snr = 1.0 / (sigma * sigma)
@@ -278,13 +305,14 @@ def _reference_train(sigma, params, weights, cfg, rng):
         eps1 = rng.standard_normal((cfg.batch, n))
         eps2 = eps1[:, :m].copy() if cfg.common_noise else rng.standard_normal((cfg.batch, m))
         eps_y = rng.standard_normal((cfg.batch, n))
-        _, grads = hybrid_loss_batch(params, Y, sigma, snr, eps1, eps2, eps_y, weights)
-        gvec = grads.flat * (cfg.batch * n)
+        _, grads = hybrid_loss_batch(
+            params, Y, sigma, snr, eps1, eps2, eps_y, weights, grad_scale=cfg.lr
+        )
         if cfg.momentum > 0.0:
-            velocity = cfg.momentum * velocity - cfg.lr * gvec
+            velocity = cfg.momentum * velocity - grads.flat
             params.flat += velocity
         else:
-            params.flat -= cfg.lr * gvec
+            params.flat -= grads.flat
     return params
 
 
@@ -294,12 +322,33 @@ def _reference_train(sigma, params, weights, cfg, rng):
 )
 def test_train_matches_out_of_place_reference_bit_for_bit(cfg_kwargs):
     p = _small_params(seed=13)
-    # batch * n = 24 is not a power of two, so the scaling order shows in the bits
+    # batch * n = 24 is not a power of two, so a gradient scaled in another
+    # order than the trainer's (say by 1 / (batch * n), then back) shows in the bits
     cfg = TrainConfig(steps=8, batch=3, lr=1e-3, holdout=4, eval_every=3, **cfg_kwargs)
     trained, _ = train_codec(SOURCE, 0.5, p, LossWeights(), cfg, np.random.default_rng(0))
     want = _reference_train(0.5, p, LossWeights(), cfg, np.random.default_rng(0))
     assert np.array_equal(trained.flat, want.flat)
     assert not np.array_equal(trained.flat, p.flat)
+
+
+def test_train_steps_through_the_module_level_loss(monkeypatch):
+    """The benchmark's tracer counts SGD steps as calls of
+    ``diffcomm.loss.hybrid_loss_batch``, so the trainer must look it up there."""
+    calls = []
+    original = diffcomm.loss.hybrid_loss_batch
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diffcomm.loss, "hybrid_loss_batch", counting)
+    p = _small_params(seed=13)
+    cfg = TrainConfig(steps=5, batch=2, lr=1e-3, holdout=4, eval_every=3)
+    train_codec(SOURCE, 0.5, p, LossWeights(), cfg, np.random.default_rng(0))
+    assert len(calls) == 5
+    assert calls[0]["out"] is not None
+    assert all(c["out"] is calls[0]["out"] for c in calls)
+    assert all(c["grad_scale"] == cfg.lr for c in calls)
 
 
 def test_train_produces_one_record_per_step():
