@@ -224,42 +224,26 @@ def rayleigh_transmit_mmse(
 class MimoChannel:
     """MIMO channel matrix with its singular-value decomposition.
 
-    ``H = U @ diag(singular_values) @ V^H`` with unitary ``U`` and ``V``
-    and singular values sorted in descending order.  The constructor
-    stores read-only copies, so the caller's arrays stay writable and
-    later writes to them never reach the channel.
+    Takes only ``H``, a finite square matrix, and derives the rest from
+    ``numpy.linalg.svd``: ``H = U @ diag(singular_values) @ V^H`` with
+    unitary ``U`` and ``V`` and singular values in descending order.
+    ``H`` is copied, so the caller's array stays writable and later writes
+    to it never reach the channel; all four stored arrays are read-only.
     """
 
     H: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    singular_values: np.ndarray
-    _tol: float = field(default=1e-10, repr=False)
+    U: np.ndarray = field(init=False)
+    V: np.ndarray = field(init=False)
+    singular_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         H = np.array(self.H, dtype=np.complex128)
-        U = np.array(self.U, dtype=np.complex128)
-        V = np.array(self.V, dtype=np.complex128)
-        s = np.array(self.singular_values, dtype=np.float64)
-        for name, arr in (("H", H), ("U", U), ("V", V)):
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"{name} must be a square matrix, got {arr.shape}")
-            if arr.shape != H.shape:
-                raise ValueError(f"{name} shape {arr.shape} differs from H {H.shape}")
-        M = H.shape[0]
-        if s.shape != (M,):
-            raise ValueError(f"expected {M} singular values, got {s.shape}")
-        if np.any(s < 0.0):
-            raise ValueError("singular values must be nonnegative")
-        if np.any(np.diff(s) > 0.0):
-            raise ValueError("singular values must be sorted in descending order")
-        eye = np.eye(M)
-        if np.linalg.norm(U.conj().T @ U - eye) > self._tol:
-            raise ValueError("U is not unitary within tolerance")
-        if np.linalg.norm(V.conj().T @ V - eye) > self._tol:
-            raise ValueError("V is not unitary within tolerance")
-        if np.linalg.norm(U @ np.diag(s) @ V.conj().T - H) > self._tol:
-            raise ValueError("U @ diag(s) @ V^H does not reconstruct H within tolerance")
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError(f"H must be a square matrix, got shape {H.shape}")
+        if not np.all(np.isfinite(H)):
+            raise ValueError("H must be finite")
+        U, s, Vh = np.linalg.svd(H)
+        V = Vh.T.conj()  # a fresh array, column-major like V^H's transpose
         for name, arr in (("H", H), ("U", U), ("V", V), ("singular_values", s)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -270,12 +254,12 @@ class MimoChannel:
 
 
 def mimo_svd_decompose(H: np.ndarray) -> MimoChannel:
-    """Decompose a square channel matrix into parallel subchannels."""
-    H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be a square matrix, got shape {H.shape}")
-    U, s, Vh = np.linalg.svd(H)
-    return MimoChannel(H=H, U=U, V=Vh.conj().T, singular_values=s)
+    """Decompose a finite square channel matrix into parallel subchannels.
+
+    The same as ``MimoChannel(H)``; raises ``ValueError`` when ``H`` is not
+    a square 2-D matrix or holds a non-finite entry.
+    """
+    return MimoChannel(H)
 
 
 def mimo_transmit(

@@ -224,6 +224,11 @@ class TrainSection:
     snr_db: float = 5.0
     common_noise: bool = False
 
+    @property
+    def sigma2(self) -> float:
+        """Noise variance of the training channel at ``snr_db``."""
+        return _db_to_sigma2(self.snr_db)
+
 
 @dataclass(frozen=True)
 class ModeConfig:
@@ -332,6 +337,15 @@ def _parse_source(sec: _Section) -> SourceConfig:
     return out
 
 
+def _db_to_sigma2(snr_db: float) -> float:
+    """``10^(-snr_db / 10)``, the noise variance at ``snr_db`` dB, or
+    ``inf`` where that overflows."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_cells(sec: _Section) -> tuple[Cell, ...]:
     snr_db = sec.take_float_list("snr_db")
     sigma = sec.take_float_list("sigma")
@@ -339,19 +353,22 @@ def _parse_cells(sec: _Section) -> tuple[Cell, ...]:
         raise ConfigurationError(
             "channel.snr_db, channel.sigma", "exactly one of snr_db and sigma must be given"
         )
-    if snr_db is not None:
-        if not snr_db:
-            raise ConfigurationError("channel.snr_db", "must be nonempty")
-        return tuple(Cell(snr_db=s, sigma2=10.0 ** (-s / 10.0)) for s in snr_db)
-    if not sigma:
-        raise ConfigurationError("channel.sigma", "must be nonempty")
-    for i, s in enumerate(sigma):
-        if s < 0:
-            raise ConfigurationError(f"channel.sigma[{i}]", f"must be >= 0, got {s}")
-    return tuple(
-        Cell(snr_db=(math.inf if s == 0 else -10.0 * math.log10(s * s)), sigma2=s * s)
-        for s in sigma
-    )
+    key = sec.child("snr_db" if sigma is None else "sigma")
+    if not (snr_db or sigma):
+        raise ConfigurationError(key, "must be nonempty")
+    cells = []
+    for i, v in enumerate(snr_db or sigma):
+        if snr_db is not None:
+            cell = Cell(snr_db=v, sigma2=_db_to_sigma2(v))
+        elif v < 0:
+            raise ConfigurationError(f"{key}[{i}]", f"must be >= 0, got {v}")
+        else:
+            sigma2 = v * v  # 0 for a noiseless cell, also where it underflows
+            cell = Cell(snr_db=math.inf if sigma2 == 0 else -10.0 * math.log10(sigma2), sigma2=sigma2)
+        if not math.isfinite(cell.sigma2):
+            raise ConfigurationError(f"{key}[{i}]", f"noise variance overflows to inf, got {v}")
+        cells.append(cell)
+    return tuple(cells)
 
 
 def _parse_channel(sec: _Section) -> ChannelConfig:
@@ -404,6 +421,10 @@ def _parse_train(sec: _Section) -> TrainSection:
     out = _take_fields(TrainSection, sec)
     if out.momentum >= 1.0:
         raise ConfigurationError("train.momentum", f"must lie in [0, 1), got {out.momentum}")
+    if not (math.isfinite(out.sigma2) and out.sigma2 > 0.0):
+        raise ConfigurationError(
+            "train.snr_db", f"noise variance must be finite and > 0, got {out.sigma2!r}"
+        )
     return out
 
 

@@ -147,6 +147,8 @@ def _make_source_draw(cfg: ExperimentConfig) -> Callable[[int, np.random.Generat
             )
         if data.shape[0] == 0:
             raise ConfigurationError("source.path", f"{src.path} holds no latents")
+        if not np.all(np.isfinite(data)):
+            raise ConfigurationError("source.path", f"{src.path} holds non-finite latents")
 
         def draw_file(trial: int, rng: np.random.Generator) -> Latent:
             row = data[trial % data.shape[0]]
@@ -501,7 +503,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     if cfg.codec.C is None and cfg.codec.k is None:
         raise ConfigurationError("codec.C, codec.k", "training needs a compression setting")
     params0 = _codec_params(cfg)
-    sigma = math.sqrt(10.0 ** (-cfg.train.snr_db / 10.0))
+    sigma = math.sqrt(cfg.train.sigma2)
     tcfg = _train_config(cfg, cfg.train.steps, cfg.train.eval_every)
     weights = LossWeights(lam=cfg.loss.lam, gamma=cfg.loss.gamma)
     source = _train_source(cfg)
@@ -551,7 +553,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     steps = cfg.train.steps if cfg.sweep.steps is None else cfg.sweep.steps
     trials = cfg.source.count if cfg.sweep.trials is None else cfg.sweep.trials
     tcfg = _train_config(cfg, steps, max(1, steps))
-    sigma2 = 10.0 ** (-cfg.train.snr_db / 10.0)
+    sigma2 = cfg.train.sigma2
 
     def run_point(value: float) -> list:
         lam = value if param == "lambda" else cfg.loss.lam

@@ -29,7 +29,7 @@ gradient buffer holds the SGD step itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -77,22 +77,21 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-element mean loss terms and their weighted total."""
+    """Per-element mean loss terms and their weighted total.
+
+    ``total`` is derived, not a constructor argument:
+    ``lam * l_kl + l_mse + gamma * l_g`` (NaN when a part is NaN).
+    """
 
     l_kl: float
     l_mse: float
     l_g: float
-    total: float
+    total: float = field(init=False)
     weights: LossWeights
 
     def __post_init__(self):
-        expected = self.weights.lam * self.l_kl + self.l_mse + self.weights.gamma * self.l_g
-        # nan parts (a diverged step) recompose to nan, which != itself
-        both_nan = math.isnan(self.total) and math.isnan(expected)
-        if self.total != expected and not both_nan:
-            raise ValueError(
-                f"total {self.total!r} does not recompose from the parts ({expected!r})"
-            )
+        w = self.weights
+        object.__setattr__(self, "total", w.lam * self.l_kl + self.l_mse + w.gamma * self.l_g)
 
 
 # The KL terms on bare arrays of any shape, shared by the public forms and
@@ -181,8 +180,7 @@ def hybrid_loss_batch(
     l_mse = mse(Yhat, Shat)
     l_g = _guidance_kl(Y, sigma, Mu, Sy)
     lam, gamma = weights.lam, weights.gamma
-    total = lam * l_kl + l_mse + gamma * l_g
-    breakdown = LossBreakdown(l_kl=l_kl, l_mse=l_mse, l_g=l_g, total=total, weights=weights)
+    breakdown = LossBreakdown(l_kl=l_kl, l_mse=l_mse, l_g=l_g, weights=weights)
 
     dMu = scale * (lam * Mu + 2.0 * resid + gamma * diff * inv_eLv)
     dLv = scale * (

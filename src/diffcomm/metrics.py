@@ -12,7 +12,7 @@ workhorse behind the channel-to-forward equivalence tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -163,14 +163,18 @@ def ssim(
 
 @dataclass(frozen=True)
 class GaussianityReport:
-    """Outcome of a sample-moment check against a target Gaussian."""
+    """Outcome of a sample-moment check against a target Gaussian;
+    ``passed`` is derived: true when there are no ``failures``."""
 
     n: int
     tol_se: float
-    passed: bool
+    passed: bool = field(init=False)
     failures: tuple[str, ...]
     max_mean_dev_se: float
     max_var_dev_se: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", not self.failures)
 
 
 def gaussianity_check(
@@ -229,7 +233,6 @@ def gaussianity_check(
     return GaussianityReport(
         n=n,
         tol_se=tol_se,
-        passed=not failures,
         failures=tuple(failures),
         max_mean_dev_se=float(np.max(mean_dev)),
         max_var_dev_se=float(np.max(var_dev)),

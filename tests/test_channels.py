@@ -167,11 +167,11 @@ def _random_H(rng, M=2):
 
 def test_svd_reconstruction_and_unitarity():
     rng = np.random.default_rng(30)
-    for _ in range(50):
-        H = _random_H(rng)
+    # large scales too: an absolute tolerance once rejected numpy's exact SVD of 1e6 * H
+    for H in [scale * _random_H(rng) for scale in (1.0, 1e6, 1e8) for _ in range(50)]:
         ch = mimo_svd_decompose(H)
         rebuilt = ch.U @ np.diag(ch.singular_values) @ ch.V.conj().T
-        assert np.linalg.norm(rebuilt - H) < 1e-10
+        assert np.linalg.norm(rebuilt - H) <= 1e-12 * np.linalg.norm(H)
         eye = np.eye(2)
         assert np.linalg.norm(ch.U.conj().T @ ch.U - eye) < 1e-12
         assert np.linalg.norm(ch.V.conj().T @ ch.V - eye) < 1e-12
@@ -179,10 +179,31 @@ def test_svd_reconstruction_and_unitarity():
 
 
 def test_mimo_channel_rejects_inconsistent_factors():
+    """The factors are derived from H, so inconsistent ones cannot be passed in."""
     rng = np.random.default_rng(31)
     ch = mimo_svd_decompose(_random_H(rng))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         MimoChannel(H=ch.H * 2.0, U=ch.U, V=ch.V, singular_values=ch.singular_values)
+    with pytest.raises(TypeError):
+        MimoChannel(ch.H, _tol=1.0)
+    doubled = MimoChannel(ch.H * 2.0)
+    assert np.allclose(doubled.singular_values, 2.0 * ch.singular_values, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_mimo_channel_rejects_a_non_finite_matrix(bad):
+    H = _random_H(np.random.default_rng(38))
+    H[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MimoChannel(H)
+    with pytest.raises(ValueError, match="finite"):
+        mimo_svd_decompose(H)
+
+
+@pytest.mark.parametrize("H", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+def test_mimo_channel_rejects_a_non_square_matrix(H):
+    with pytest.raises(ValueError, match="square"):
+        MimoChannel(H)
 
 
 def test_mimo_stream_noise_statistics():
@@ -232,19 +253,16 @@ def test_mimo_stream_divisibility():
 def test_mimo_channel_copies_the_caller_arrays():
     rng = np.random.default_rng(36)
     H = _random_H(rng)
-    ch = mimo_svd_decompose(H)
-    assert H.flags.writeable and ch.H is not H
-    kept = ch.H.copy()
-    H[0, 0] = 2.0  # the caller's matrix stays writable and detached
-    assert np.array_equal(ch.H, kept)
-    parts = {"H": kept.copy(), "U": ch.U.copy(), "V": ch.V.copy(),
-             "singular_values": ch.singular_values.copy()}
-    direct = MimoChannel(**parts)
-    for name, arr in parts.items():
-        stored = getattr(direct, name)
-        assert arr.flags.writeable and stored is not arr and not stored.flags.writeable
-        arr[...] = 0.0
-        assert np.array_equal(stored, getattr(ch, name))
+    for ch in (mimo_svd_decompose(H), MimoChannel(H)):
+        assert H.flags.writeable and ch.H is not H
+        kept = {name: getattr(ch, name).copy() for name in ("H", "U", "V", "singular_values")}
+        H[0, 0] += 2.0  # the caller's matrix stays writable and detached
+        for name, arr in kept.items():
+            stored = getattr(ch, name)
+            assert not stored.flags.writeable
+            assert np.array_equal(stored, arr)
+            with pytest.raises(ValueError):
+                stored[...] = 0.0
 
 
 def test_multi_stream_output_guards_single_mapping_accessor():

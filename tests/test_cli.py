@@ -82,6 +82,37 @@ def test_type_mismatches_name_their_path():
         parse_config('{"channel": {"snr_db": [5]}, "train": {"batch": 0}}')
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"channel": {"snr_db": [-3100]}}, "channel.snr_db[0]"),
+    ({"channel": {"sigma": [1e200]}}, "channel.sigma[0]"),
+    ({"train": {"snr_db": -3100}}, "train.snr_db"),
+    ({"train": {"snr_db": 3300}}, "train.snr_db"),
+])
+def test_main_rejects_a_noise_variance_out_of_range(tmp_path, capsys, overrides, field):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, _cfg(**overrides)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}: noise variance")
+    assert not out.exists()
+
+
+def test_extreme_noise_levels_that_stay_finite_parse():
+    assert parse_config('{"channel": {"snr_db": [-3000]}}').channel.cells[0].sigma2 == 1e300
+    # sigma^2 underflows to 0: a noiseless cell, like sigma = 0
+    for sigma in (0.0, 1e-200):
+        cell = parse_config(f'{{"channel": {{"sigma": [{sigma}]}}}}').channel.cells[0]
+        assert cell.sigma2 == 0.0 and cell.snr_db == math.inf
+
+
+def test_train_variance_boundary_is_the_runners_variance():
+    """The parser holds train.snr_db to the variance the runners train at."""
+    tiny = 3236.0  # 10^(-323.6) is the smallest subnormal, 5e-324
+    cfg = parse_config(json.dumps({"channel": {"snr_db": [5]}, "train": {"snr_db": tiny}}))
+    assert cfg.train.sigma2 == 10.0 ** (-tiny / 10.0) == 5e-324
+    assert math.sqrt(cfg.train.sigma2) > 0.0
+    with pytest.raises(ConfigurationError, match="train.snr_db"):
+        parse_config(json.dumps({"channel": {"snr_db": [5]}, "train": {"snr_db": tiny + 0.1}}))
+
+
 def test_invalid_json_is_a_config_error():
     with pytest.raises(ConfigurationError, match="invalid JSON"):
         parse_config("{nope")
@@ -262,6 +293,18 @@ def test_simulate_row_per_cell_across_channels(tmp_path):
         assert [row[1] for row in result.rows] == snrs
         total += len(result.rows)
     assert total == 15
+
+
+def test_simulate_decomposes_one_mimo_channel_per_trial(tmp_path, monkeypatch):
+    """The benchmark's tracer counts channels.mimo_svd_decompose calls, so a
+    MIMO trial goes through it rather than building MimoChannel directly."""
+    calls = []
+    real = run_module.mimo_svd_decompose
+    monkeypatch.setattr(run_module, "mimo_svd_decompose", lambda H: calls.append(H) or real(H))
+    cfg = parse_config(_cfg(channel={"type": "mimo", "snr_db": [3.0, 9.0]},
+                            source={**SMALL_SOURCE, "count": 3}))
+    result = run_simulate(cfg, out_dir=str(tmp_path))
+    assert len(result.rows) == 2 and len(calls) == 6
 
 
 def test_simulate_writes_csv_log_and_resolved_config(tmp_path):
@@ -532,6 +575,23 @@ def test_main_rejects_an_empty_latents_archive(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: source.path: {path} holds no latents\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "sweep"])
+def test_main_rejects_non_finite_latents_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "latents.npz"
+    latents = np.ones((3, 2, 2, 2))
+    latents[2, 0, 1, 1] = np.nan
+    np.savez(path, latents=latents)
+    cfg = json.loads(_sweep_cfg([1.0]))
+    cfg["source"] = {**cfg["source"], "kind": "file", "path": str(path), "count": 3}
+    calls = []  # a simulate or sweep trial transmits; training calls train_codec
+    for name in ("_transmit", "train_codec"):
+        monkeypatch.setattr(run_module, name, lambda *a, name=name, **k: calls.append(name))
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_cfg(tmp_path, json.dumps(cfg)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: source.path: {path} holds non-finite latents\n"
+    assert calls == [] and not out.exists()
 
 
 def test_sweep_trains_and_evaluates_on_file_source(tmp_path):

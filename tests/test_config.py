@@ -124,6 +124,10 @@ FAULTS = [
      "channel.sigma: must be nonempty"),
     ("sigma-bound", '{"channel": {"sigma": [0.5, -1.0]}}',
      "channel.sigma[1]: must be >= 0, got -1.0"),
+    ("snr_db-overflow", {"channel": {"snr_db": [3.0, -3100]}},
+     "channel.snr_db[1]: noise variance overflows to inf, got -3100.0"),
+    ("sigma-overflow", '{"channel": {"sigma": [0.5, 1e200]}}',
+     "channel.sigma[1]: noise variance overflows to inf, got 1e+200"),
     ("h-scope", {"channel": {"h": [1.0, 0.0]}},
      "channel.h: fixed fade applies to rayleigh channels only"),
     ("h-length", {"channel": {"type": "rayleigh", "h": [1.0, 0.0, 0.0]}},
@@ -231,6 +235,10 @@ FAULTS = [
      "train.holdout: must be >= 1, got 0"),
     ("train-snr_db-type", {"train": {"snr_db": "5"}},
      "train.snr_db: expected a number, got str"),
+    ("train-snr_db-overflow", {"train": {"snr_db": -3100}},
+     "train.snr_db: noise variance must be finite and > 0, got inf"),
+    ("train-snr_db-underflow", {"train": {"snr_db": 3300}},
+     "train.snr_db: noise variance must be finite and > 0, got 0.0"),
     ("common_noise-type", {"train": {"common_noise": 1}},
      "train.common_noise: expected a boolean, got int"),
     ("train-unknown", {"train": {"epochs": 3}},

@@ -104,9 +104,12 @@ def test_loss_weights_validation():
 
 
 def test_breakdown_must_recompose():
-    w = LossWeights()
-    LossBreakdown(l_kl=1.0, l_mse=2.0, l_g=3.0, total=0.1 * 1.0 + 2.0 + 0.1 * 3.0, weights=w)
-    with pytest.raises(ValueError):
+    """The total is derived from the parts, so it cannot fail to recompose."""
+    w = LossWeights(lam=0.3, gamma=0.7)
+    b = LossBreakdown(l_kl=1.1, l_mse=2.2, l_g=3.3, weights=w)
+    assert b.total == w.lam * 1.1 + 2.2 + w.gamma * 3.3
+    assert math.isnan(LossBreakdown(l_kl=1.0, l_mse=math.nan, l_g=3.0, weights=w).total)
+    with pytest.raises(TypeError):
         LossBreakdown(l_kl=1.0, l_mse=2.0, l_g=3.0, total=99.0, weights=w)
 
 

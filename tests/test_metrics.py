@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from diffcomm import (
+    GaussianityReport,
     Latent,
     gaussianity_check,
     mse,
@@ -212,6 +213,19 @@ def test_gaussianity_rejects_inflated_variance():
     report = gaussianity_check(samples, 0.0, 1.0)
     assert not report.passed
     assert any("variance" in f for f in report.failures)
+
+
+def test_gaussianity_report_derives_passed_from_failures():
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal(5000)
+    reports = [gaussianity_check(samples, 0.0, 1.0), gaussianity_check(samples + 1.0, 0.0, 1.0)]
+    assert [r.passed for r in reports] == [True, False]
+    assert [not r.failures for r in reports] == [True, False]
+    assert not GaussianityReport(n=1000, tol_se=4.0, failures=("dim 0",),
+                                 max_mean_dev_se=5.0, max_var_dev_se=0.0).passed
+    with pytest.raises(TypeError):
+        GaussianityReport(n=1000, tol_se=4.0, passed=True, failures=("dim 0",),
+                          max_mean_dev_se=5.0, max_var_dev_se=0.0)
 
 
 def test_gaussianity_needs_large_sample():
