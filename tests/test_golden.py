@@ -42,6 +42,13 @@ def _simulate_configs() -> dict:
             configs[f"simulate-{ctype}-{mode}"] = (run_simulate, base)
             if ctype != "mimo":  # the config rejects codec transmission over mimo
                 configs[f"simulate-{ctype}-{mode}-codec"] = (run_simulate, {**base, "codec": CODEC})
+    # four streams per trial, each mapped to its own step
+    for mode in MODES:
+        configs[f"simulate-mimo4-{mode}"] = (run_simulate, {
+            "source": SOURCE,
+            "channel": {"type": "mimo", "M": 4, "snr_db": SNR_DB},
+            "mode": MODES[mode],
+        })
     configs["simulate-rayleigh-mmse"] = (run_simulate, {
         "source": SOURCE,
         "channel": {"type": "rayleigh", "snr_db": SNR_DB, "convention": "mmse"},
