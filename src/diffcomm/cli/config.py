@@ -532,21 +532,29 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
             )
     # An AWGN stream carries its cell's variance and a Rayleigh stream with a
     # pinned fade sigma^2 / |h|^2, under either convention, known before any
-    # draw; check them against compensation_variance's bound in the run's own
-    # arithmetic (it squares sqrt(sigma^2) again and divides by this |h|^2).
+    # draw; check them in the run's own arithmetic (it squares sqrt(sigma^2)
+    # again and divides by this |h|^2).  A compensating mode bounds them by
+    # compensation_variance's limit; an adaptive AWGN cell maps at its
+    # variance, which the schedule's last step bounds.  An adaptive fade,
+    # even a pinned one, is left to the run.
     ch = cfg.channel
     pinned = ch.type == "rayleigh" and ch.h is not None
-    if cfg.mode.kind in ("fixed_step", "compare") and (ch.type == "awgn" or pinned):
-        gain2 = ch.h.real * ch.h.real + ch.h.imag * ch.h.imag if pinned else 1.0
-        sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
-        t = cfg.mode.t_target
-        step_sigma2 = step_to_sigma2(sch, t)
-        for i, cell in enumerate(ch.cells):
-            sigma = math.sqrt(cell.sigma2)
-            carried = sigma * sigma / gain2  # may overflow to inf
-            if carried > step_sigma2:
-                exc = CompensationInfeasibleError(carried, step_sigma2, t)
-                raise ConfigurationError(f"{cells_key}[{i}]", str(exc))
+    adaptive = cfg.mode.kind == "adaptive"
+    if not (ch.type == "awgn" or (pinned and not adaptive)):
+        return
+    gain2 = ch.h.real * ch.h.real + ch.h.imag * ch.h.imag if pinned else 1.0
+    sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
+    t = cfg.mode.t_target
+    bound = sch.max_sigma2 if adaptive else step_to_sigma2(sch, t)
+    for i, cell in enumerate(ch.cells):
+        sigma = math.sqrt(cell.sigma2)
+        carried = sigma * sigma / gain2  # may overflow to inf
+        if carried > bound:
+            if adaptive:
+                exc = SaturationError(carried, bound)
+            else:
+                exc = CompensationInfeasibleError(carried, bound, t)
+            raise ConfigurationError(f"{cells_key}[{i}]", str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 Simulate and sweep share one per-trial pipeline, ``_run_trials``: source
 draw -> codec downsample -> channel -> decode -> adaptive, fixed-step or
-compare receive -> MSE/SSIM.  Every random draw comes from a generator
-derived by hashing the run seed together with the coordinates of the
-work item.  Trial ``i`` of a simulate cell uses the key
+compare receive -> MSE/SSIM.  A receive route denoises all the streams
+of a trial (a MIMO channel's eigenmodes) in one ragged reverse chain, one
+``reverse_step`` call per step for the streams that have started; the
+trial's generator feeds it in stream order, so every draw and result is
+that of denoising the streams in turn.  Every random draw comes from a
+generator derived by hashing the run seed together with the coordinates
+of the work item.  Trial ``i`` of a simulate cell uses the key
 ``(seed, channel type, sigma2, i)``; trial ``i`` of a sweep point uses
 ``(seed, "sweep-eval", param, value, i)``.  Cells are therefore
 order-independent and individually replayable, grids can run on a
@@ -54,11 +58,13 @@ from ..diffusion import (
     AnalyticGaussianDenoiser,
     GaussianSourceModel,
     Latent,
+    _denoise_rows,
+    _noise_rows,
     compensate_to_step,
     denoise_from_step,
     forward_sample,
 )
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SaturationError
 from ..loss import LossWeights, TrainConfig, train_codec
 from ..metrics import mse, psnr_from_mse, ssim_batch
 from ..schedule import Schedule, build_linear_schedule
@@ -288,18 +294,24 @@ def _receive(
     out: ChannelOutput,
     rng: np.random.Generator,
     t_target: Optional[int] = None,
-) -> tuple[np.ndarray, int]:
-    """Denoise each equal-width stream of ``base``, in order, into one array.
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Denoise the equal-width streams of ``base`` in one ragged chain.
 
     Adaptive route (no ``t_target``): scale a stream onto its mapped step.
     Compensate route: top it up to ``t_target`` from the variance it
     carries (``effective_sigma2``), whatever the fading convention mapped.
-    Returns the array and the reverse steps run, summed over the streams.
+    Stream by stream, ``rng`` gives the stream's start (the top-up), then
+    its ``u - 1`` noise rows, as if each stream were denoised in turn; so
+    every stream but the last holds its noise rows until the chain runs.
+    The chain makes one reverse step call per step for all the streams
+    that have started.  Returns the array, the reverse steps run summed
+    over the streams (trial-steps) and the chain's steps (the largest
+    ``u``).
     """
-    recon = np.empty_like(base)
-    steps = 0
     width = base.size // len(out.mappings)
     shape = (width, 1, 1)
+    last = len(out.mappings) - 1
+    starts, steps, noises = [], [], []
     for i, (mapping, s2) in enumerate(zip(out.mappings, out.effective_sigma2)):
         sl = slice(i * width, (i + 1) * width)
         if t_target is None:
@@ -307,14 +319,16 @@ def _receive(
         else:
             s_hat = Latent(data=base[sl], shape=shape)
             y, u = compensate_to_step(s_hat, s2, t_target, setup.schedule, rng), t_target
-        recon[sl] = denoise_from_step(y, u, setup.denoiser, setup.schedule, rng).data
-        steps += u
-    return recon, steps
+        starts.append(y)
+        steps.append(u)
+        noises.append(_noise_rows(rng, width, u, held=i < last))
+    ys = _denoise_rows(starts, steps, noises, setup.denoiser, setup.schedule)
+    return np.concatenate([y.data for y in ys]), (sum(steps), max(steps))
 
 
 def _run_trials(
     setup: _TrialSetup, sigma2: float, kind: str, trials: int, key: tuple
-) -> tuple[dict[str, list[float]], Optional[float], int]:
+) -> tuple[dict[str, list[float]], Optional[float], tuple[int, int]]:
     """Run ``trials`` latents through the receiver chain at noise ``sigma2``.
 
     Trial ``i`` draws everything from ``_derive_rng(*key, i)``.  ``kind``
@@ -325,8 +339,9 @@ def _run_trials(
     mean SSIM of a single-route mode's reconstructions (None in compare
     mode or without an SSIM window).  SSIM is scored in blocks of trials,
     one ``ssim_batch`` call per block, and averaged in trial order.  Last
-    comes the number of reverse steps run over all trials, streams and
-    routes.
+    come the reverse steps run over all trials, streams and routes
+    (trial-steps), and the reverse step calls that ran them (chain
+    steps, fewer where the streams of a trial share a chain).
     """
     cfg, params, schedule = setup.cfg, setup.params, setup.schedule
     sigma = math.sqrt(sigma2)
@@ -341,7 +356,7 @@ def _run_trials(
 
     mses: dict[str, list[float]] = {route: [] for route in routes}
     ssims: list[float] = []
-    steps = 0
+    steps = chain_steps = 0
     for trial in range(trials):
         rng = _derive_rng(*key, trial)
         y0 = setup.draw(trial, rng)
@@ -358,12 +373,13 @@ def _run_trials(
             if route == "forward":
                 fwd_t = forward_sample(y0, t_target, schedule, rng)
                 recon = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng).data
-                steps += t_target
+                route_steps = (t_target, t_target)
             else:
                 recon, route_steps = _receive(
                     setup, base, out, rng, t_target if route == "compensate" else None
                 )
-                steps += route_steps
+            steps += route_steps[0]
+            chain_steps += route_steps[1]
             mses[route].append(mse(recon, y0.data))
         if window is not None:
             row = trial % block
@@ -372,11 +388,11 @@ def _run_trials(
             if row == block - 1 or trial == trials - 1:
                 ssims += ssim_batch(refs[: row + 1], recons[: row + 1], window=window).tolist()
 
-    return mses, (float(np.mean(ssims)) if ssims else None), steps
+    return mses, (float(np.mean(ssims)) if ssims else None), (steps, chain_steps)
 
 
-def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, int]:
-    """The cell's CSV row and the reverse steps its trials ran."""
+def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, tuple[int, int]]:
+    """The cell's CSV row, and the trial-steps and chain steps its trials ran."""
     cfg = setup.cfg
     kind = cfg.mode.kind
     mses, mean_ssim, steps = _run_trials(
@@ -461,8 +477,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     source and channel draws and reports the paired deltas with a 95%
     confidence interval on compensate-vs-forward.  Failures carry the
     coordinates of the offending cell.  The log ends with the wall time
-    of the grid and its trials per second, then the reverse steps run
-    (trial-steps over every stream and route) and their rate.
+    of the grid and its trials per second, the ``reverse_step`` calls
+    made (``chain_steps``: one per step of a trial's chain, whose streams
+    share it), then the reverse steps run (trial-steps over every stream
+    and route) and their rate.
     """
     setup = _trial_setup(cfg)
     if cfg.codec.enabled:
@@ -476,7 +494,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     )
     wall_s = time.perf_counter() - start
     rows = [row for row, _ in results]
-    steps = sum(cell_steps for _, cell_steps in results)
+    steps = sum(cell_steps for _, (cell_steps, _) in results)
+    chain_steps = sum(cell_chain_steps for _, (_, cell_chain_steps) in results)
 
     header = _COMPARE_HEADER if cfg.mode.kind == "compare" else _SIMULATE_HEADER
     log_lines = [f"simulate mode={cfg.mode.kind} cells={len(rows)} trials={cfg.source.count}"]
@@ -486,6 +505,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     ]
     trials = len(rows) * cfg.source.count
     log_lines.append(f"simulate wall_s={wall_s:.6g} trials_per_s={trials / wall_s:.6g}")
+    log_lines.append(f"simulate chain_steps={chain_steps}")
     log_lines.append(f"simulate reverse_steps={steps} steps_per_s={steps / wall_s:.6g}")
     table = (list(header), [list(r) for r in rows])
     _write_run_files(cfg, out_dir, table, log_lines)
@@ -538,7 +558,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     reordering the grid cannot change any row.  Training and evaluation
     draw from the configured source.  Evaluation transmits
     ``sweep.trials`` latents end to end (codec, channel at the training
-    SNR, adaptive receive, denoise) and reports PSNR/SSIM/MSE.
+    SNR, adaptive receive, denoise) and reports PSNR/SSIM/MSE.  A training
+    variance past the schedule's last step is a ConfigurationError at
+    ``train.snr_db``, raised before any point trains.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep", "section is required for a sweep run")
@@ -548,6 +570,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
         raise ConfigurationError("channel.type", "sweep evaluation does not support mimo")
 
     setup = _trial_setup(cfg)
+    # evaluation maps the training variance as the channel carries it;
+    # check it before any point spends its training
+    sigma = math.sqrt(cfg.train.sigma2)
+    if sigma * sigma > setup.schedule.max_sigma2:
+        exc = SaturationError(sigma * sigma, setup.schedule.max_sigma2)
+        raise ConfigurationError("train.snr_db", str(exc))
     source = _train_source(cfg)
     param = cfg.sweep.param
     steps = cfg.train.steps if cfg.sweep.steps is None else cfg.sweep.steps

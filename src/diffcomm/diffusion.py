@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -106,12 +106,14 @@ class Latent:
         """
         return self._adopt(np.array(data, dtype=np.float64))
 
-    def _adopt(self, data: np.ndarray) -> "Latent":
+    def _adopt(self, data: np.ndarray, shape: Optional[tuple[int, int, int]] = None) -> "Latent":
         """``with_data`` without the copy, for a float64 array the caller
-        has just allocated and no one else references."""
+        has just allocated and no one else references.  ``shape`` (this
+        latent's by default) is trusted, not re-validated."""
+        shape = self.shape if shape is None else shape
         out = object.__new__(Latent)
-        object.__setattr__(out, "data", _checked_data(data, self.shape))
-        object.__setattr__(out, "shape", self.shape)
+        object.__setattr__(out, "data", _checked_data(data, shape))
+        object.__setattr__(out, "shape", shape)
         return out
 
     def as_image(self) -> np.ndarray:
@@ -306,42 +308,103 @@ def denoise_from_step(
     """Run the reverse process from step ``u`` down to the clean state.
 
     ``u = 0`` is already clean and returns the input unchanged.  One
-    ``reverse_step`` call per step.  The ``u - 1`` steps that add noise
-    take their normals from blocks of ``max(1, _NOISE_BLOCK_ELEMENTS // n)``
-    steps, one ``rng.standard_normal((k, n))`` call per block.  That is
-    the same values in the same order as one draw per step, and leaves
-    ``rng`` in the same state, for a chain that finishes; one that raises
-    may have drawn up to one block more.
+    ``reverse_step`` call per step: this is the one-row case of the
+    chain engine that also denoises the streams of a MIMO trial
+    together.  The ``u - 1`` steps that add noise take their normals
+    from blocks of ``max(1, _NOISE_BLOCK_ELEMENTS // n)`` steps, one
+    ``rng.standard_normal((k, n))`` call per block.  That is the same
+    values in the same order as one draw per step, and leaves ``rng`` in
+    the same state, for a chain that finishes; one that raises may have
+    drawn up to one block more.
     """
     if u < 0 or u > schedule.T:
         raise IndexError(f"step {u} outside [0, {schedule.T}]")
-    noise = _NoiseBlocks(rng, y_u.n, max(u - 1, 0))
-    y = y_u
-    for t in range(u, 0, -1):
-        y = reverse_step(y, t, denoiser, schedule, noise)
+    (y,) = _denoise_rows([y_u], [u], [_noise_rows(rng, y_u.n, u)], denoiser, schedule)
     return y
 
 
-class _NoiseBlocks:
-    """``rows`` rows of ``n`` standard normals from ``rng``, drawn in blocks.
+def _noise_rows(rng: np.random.Generator, n: int, u: int, held: bool = False):
+    """The ``u - 1`` rows of ``n`` standard normals a chain from step ``u``
+    draws, as an iterator.
 
-    ``standard_normal(size)`` returns the next row (``size`` is ``n``).
-    Each block holds at most ``max(1, _NOISE_BLOCK_ELEMENTS // n)`` rows
-    and never more than are still owed, so after ``rows`` calls the
-    generator has drawn exactly ``rows * n`` normals.
+    By default they are drawn from ``rng`` as the chain asks for them, in
+    blocks of at most ``max(1, _NOISE_BLOCK_ELEMENTS // n)`` rows and never
+    more than are still owed, so the generator ends having drawn exactly
+    ``(u - 1) * n`` normals.  ``held`` draws them all now, in one call:
+    the same values, for a chain that has to leave ``rng`` to the next
+    draw before it runs.
     """
+    rows = max(u - 1, 0)
+    if held:
+        return iter(rng.standard_normal((rows, n)))
+    return _noise_blocks(rng, n, rows)
 
-    __slots__ = ("_rows",)
 
-    def __init__(self, rng: np.random.Generator, n: int, rows: int):
-        self._rows = self._blocks(rng, n, rows)
+def _noise_blocks(rng: np.random.Generator, n: int, rows: int):
+    while rows > 0:
+        k = min(rows, max(1, _NOISE_BLOCK_ELEMENTS // n))
+        rows -= k
+        yield from rng.standard_normal((k, n))
 
-    @staticmethod
-    def _blocks(rng: np.random.Generator, n: int, rows: int):
-        while rows > 0:
-            k = min(rows, max(1, _NOISE_BLOCK_ELEMENTS // n))
-            rows -= k
-            yield from rng.standard_normal((k, n))
+
+class _JoinedNoise:
+    """The chain's noise source: ``standard_normal(size)`` returns the next
+    row of each active row's noise iterator, joined in row order."""
+
+    __slots__ = ("rows",)
 
     def standard_normal(self, size: int) -> np.ndarray:
-        return next(self._rows)
+        rows = self.rows
+        if len(rows) == 1:
+            return next(rows[0])
+        return np.concatenate(list(map(next, rows)))
+
+
+def _denoise_rows(
+    starts: list[Latent],
+    steps: list[int],
+    noises: list,
+    denoiser: Denoiser,
+    schedule: Schedule,
+) -> list[Latent]:
+    """Reverse chains of equal-shape rows, run as one ragged chain.
+
+    Row ``i`` starts from ``starts[i]`` at step ``steps[i]`` (in
+    ``[0, T]``) and takes its ``steps[i] - 1`` noise rows from the
+    iterator ``noises[i]``.  The rows are ordered by descending start
+    step, ties in the given order, so the active rows are always a
+    prefix: a row joins when ``t`` reaches its start step, and each step
+    makes one ``reverse_step`` call on the latent of the active rows,
+    their data joined in that order with shape ``(k * a, b, c)`` for
+    ``k`` rows of shape ``(a, b, c)``.  Every operation of the step acts
+    on each element alone, as ``AnalyticGaussianDenoiser`` does, so each
+    row's result is bit-identical to its own chain's.  One row makes the
+    calls of its own chain exactly.  Returns each row's clean latent, in
+    the given order; a row from step 0 is its start, unchanged.
+    """
+    order = sorted(range(len(starts)), key=lambda i: -steps[i])
+    joins = [steps[i] for i in order] + [-1]  # no t reaches the sentinel
+    a, b, c = starts[0].shape
+    noise = _JoinedNoise()
+    y, k = None, 0
+    for t in range(joins[0], 0, -1):
+        if t == joins[k]:
+            joined = k
+            while t == joins[k]:
+                k += 1
+            noise.rows = [noises[i] for i in order[:k]]
+            if k == 1:
+                y = starts[order[0]]
+            else:
+                parts = [starts[i].data for i in order[joined:k]]
+                data = np.concatenate(parts if y is None else [y.data, *parts])
+                y = starts[0]._adopt(data, (k * a, b, c))
+        y = reverse_step(y, t, denoiser, schedule, noise)
+    out = list(starts)
+    if k == 1:
+        out[order[0]] = y
+    else:
+        w = a * b * c
+        for j, i in enumerate(order[:k]):
+            out[i] = starts[i]._adopt(y.data[j * w : (j + 1) * w])
+    return out

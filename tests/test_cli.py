@@ -96,7 +96,9 @@ def test_main_rejects_a_noise_variance_out_of_range(tmp_path, capsys, overrides,
 
 
 def test_extreme_noise_levels_that_stay_finite_parse():
-    assert parse_config('{"channel": {"snr_db": [-3000]}}').channel.cells[0].sigma2 == 1e300
+    # a fade leaves saturation to the run; an adaptive awgn cell would fail it here
+    text = '{"channel": {"type": "rayleigh", "snr_db": [-3000]}}'
+    assert parse_config(text).channel.cells[0].sigma2 == 1e300
     # sigma^2 underflows to 0: a noiseless cell, like sigma = 0
     for sigma in (0.0, 1e-200):
         cell = parse_config(f'{{"channel": {{"sigma": [{sigma}]}}}}').channel.cells[0]
@@ -273,7 +275,8 @@ def test_t_target_is_not_checked_against_an_unpinned_rayleigh_fade():
 
 
 def test_resolved_config_marks_saturating_cells():
-    cfg = parse_config('{"channel": {"sigma": [200.0]}}')
+    # a fade moves each trial's variance, so the nominal one may saturate
+    cfg = parse_config('{"channel": {"type": "rayleigh", "sigma": [200.0]}}')
     cell = resolved_config(cfg)["channel"]["cells"][0]
     assert cell["step_u"] is None
     assert cell["saturates"] is True
@@ -364,8 +367,8 @@ def test_simulate_logs_throughput_and_reruns_byte_identical(tmp_path):
         outs.append((tmp_path / name / "results.csv").read_bytes())
     assert outs[0] == outs[1]
     lines = (tmp_path / "a" / "run.log").read_text().splitlines()
-    assert lines[-2].startswith("simulate wall_s=")
-    match = re.fullmatch(r"simulate wall_s=(\S+) trials_per_s=(\S+)", lines[-2])
+    assert lines[-3].startswith("simulate wall_s=")
+    match = re.fullmatch(r"simulate wall_s=(\S+) trials_per_s=(\S+)", lines[-3])
     wall_s, trials_per_s = float(match.group(1)), float(match.group(2))
     assert wall_s > 0.0
     assert trials_per_s == pytest.approx(2 * 3 / wall_s, rel=1e-5)
@@ -375,11 +378,17 @@ def test_simulate_logs_throughput_and_reruns_byte_identical(tmp_path):
         rows = list(csv.DictReader(handle))
     assert steps == sum(int(r["trials"]) * int(r["step_u"]) for r in rows) > 0
     assert steps_per_s == pytest.approx(steps / wall_s, rel=1e-5)
+    # one stream: one reverse step call per trial-step
+    assert lines[-2] == f"simulate chain_steps={steps}"
 
 
-def _logged_reverse_steps(path) -> int:
-    last = path.read_text().splitlines()[-1]
-    return int(re.fullmatch(r"simulate reverse_steps=(\d+) steps_per_s=\S+", last).group(1))
+def _logged_steps(path) -> tuple[int, int]:
+    """``run.log``'s chain steps and trial-steps, from its last two lines."""
+    chain, last = path.read_text().splitlines()[-2:]
+    return (
+        int(re.fullmatch(r"simulate chain_steps=(\d+)", chain).group(1)),
+        int(re.fullmatch(r"simulate reverse_steps=(\d+) steps_per_s=\S+", last).group(1)),
+    )
 
 
 @pytest.mark.parametrize(
@@ -395,9 +404,11 @@ def _logged_reverse_steps(path) -> int:
 def test_simulate_makes_one_reverse_step_call_per_trial_step(
     tmp_path, monkeypatch, overrides, one_stream
 ):
-    """One ``reverse_step`` call per trial-step, over every stream and
-    route, as counted in ``run.log``; with one stream and one route also
-    as ``results.csv`` implies (trials x step_u per cell)."""
+    """One ``reverse_step`` call per trial-step with one stream per trial,
+    over every route, as counted in ``run.log``; with one route also as
+    ``results.csv`` implies (trials x step_u per cell).  The streams of a
+    MIMO trial share one chain: one call per step of the longest, so
+    ``run.log`` counts those calls apart from the trial-steps."""
     calls = []
     real = diffusion.reverse_step
 
@@ -406,9 +417,24 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
         return real(y_t, t, *args)
 
     monkeypatch.setattr(diffusion, "reverse_step", counting)
+    steps_u = []  # each trial's per-stream steps, as the channel mapped them
+    real_transmit = run_module.mimo_transmit
+
+    def recording(*args):
+        out = real_transmit(*args)
+        steps_u.append([m.step_u for m in out.mappings])
+        return out
+
+    monkeypatch.setattr(run_module, "mimo_transmit", recording)
     cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 3}, **overrides))
     run_simulate(cfg, out_dir=str(tmp_path))
-    assert len(calls) == _logged_reverse_steps(tmp_path / "run.log") > 0
+    chain_steps, trial_steps = _logged_steps(tmp_path / "run.log")
+    if cfg.channel.type == "mimo":
+        assert len(steps_u) == 2 * 3 and all(len(u) == 2 for u in steps_u)
+        assert trial_steps == sum(map(sum, steps_u))
+        assert len(calls) == chain_steps == sum(map(max, steps_u)) < trial_steps
+        return
+    assert len(calls) == chain_steps == trial_steps > 0
     if one_stream:
         with (tmp_path / "results.csv").open(newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -436,9 +462,10 @@ def test_simulate_compare_mode_columns(tmp_path):
 
 
 def test_simulate_errors_carry_cell_coordinates(tmp_path):
-    # sigma^2 = 4e4 exceeds the schedule's maximum representable noise
-    cfg = parse_config(_cfg(channel={"sigma": [200.0]}))
-    with pytest.raises(RuntimeError, match="cell channel=awgn"):
+    # sigma^2 |h|^2 = 4e4 exceeds the schedule's maximum representable noise;
+    # the parser leaves a fade, even a pinned one, to the run
+    cfg = parse_config(_cfg(channel={"type": "rayleigh", "h": [1.0, 0.0], "sigma": [200.0]}))
+    with pytest.raises(RuntimeError, match="cell channel=rayleigh"):
         run_simulate(cfg, out_dir=str(tmp_path))
 
 
@@ -552,6 +579,25 @@ def test_main_rejects_out_of_range_sweep_channel_count_before_training(tmp_path,
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
     assert "configuration error: sweep.values[1]: channel count 1000" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ctype", ["awgn", "rayleigh"])
+def test_main_rejects_a_saturating_sweep_variance_before_training(
+    tmp_path, capsys, monkeypatch, ctype
+):
+    # evaluation runs over the channel at the training variance, 1e5 here
+    cfg = json.loads(_sweep_cfg([0.1, 1.0]))
+    cfg["train"] = {**cfg["train"], "snr_db": -50}
+    cfg["channel"] = {**cfg["channel"], "type": ctype}
+    calls = []
+    monkeypatch.setattr(run_module, "train_codec", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write_cfg(tmp_path, json.dumps(cfg)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: train.snr_db: noise variance 100000 exceeds the maximum "
+        "representable variance 24777.1 at the final step of the schedule\n"
+    )
+    assert calls == [] and not out.exists()
 
 
 def _file_sweep_cfg(tmp_path, **arrays):
@@ -699,10 +745,11 @@ def test_adaptive_mode_ignores_default_t_target_past_short_schedule():
 
 
 def test_main_runtime_error_exit_code(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, _cfg(channel={"sigma": [200.0]}))
+    channel = {"type": "rayleigh", "h": [1.0, 0.0], "sigma": [200.0]}
+    cfg_path = _write_cfg(tmp_path, _cfg(channel=channel))
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "runtime error" in err and "cell channel=awgn" in err
+    assert "runtime error" in err and "cell channel=rayleigh" in err
 
 
 def test_main_report_prints_table(tmp_path, capsys):

@@ -277,6 +277,17 @@ FAULTS = [
      ' "mode": {"kind": "fixed_step", "t_target": 40}}',
      "channel.sigma[0]: cannot compensate to step 40: channel variance inf "
      "exceeds the step-equivalent variance 0.0197356"),
+    # an adaptive AWGN cell maps at its own variance, which must fit the schedule
+    ("adaptive-awgn-saturating", {"channel": {"snr_db": [3.0, -50]}},
+     "channel.snr_db[1]: noise variance 100000 exceeds the maximum representable "
+     "variance 24777.1 at the final step of the schedule"),
+    ("adaptive-awgn-saturating-sigma", '{"channel": {"sigma": [200.0]}}',
+     "channel.sigma[0]: noise variance 40000 exceeds the maximum representable "
+     "variance 24777.1 at the final step of the schedule"),
+    ("adaptive-awgn-saturating-short-T",
+     {"schedule": {"T": 100}, "channel": {"snr_db": [6.0, -3.0]}},
+     "channel.snr_db[1]: noise variance 1.99526 exceeds the maximum representable "
+     "variance 1.75055 at the final step of the schedule"),
     ("t_target-type", {"mode": {"t_target": "200"}},
      "mode.t_target: expected an integer, got str"),
     ("mode-unknown", {"mode": {"target": 200}},
@@ -333,6 +344,18 @@ def test_single_fault_message(case, message):
     with pytest.raises(ConfigurationError) as info:
         parse_config(_build(case))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("channel", [
+    {"type": "rayleigh"},
+    {"type": "rayleigh", "h": [0.5, 0.0]},
+    {"type": "mimo", "M": 2},
+], ids=["rayleigh", "rayleigh-pinned", "mimo"])
+def test_a_saturating_adaptive_fade_is_left_to_the_run(channel):
+    # a fade scales the variance each trial maps at, so the nominal cell
+    # variance alone does not decide whether the run saturates
+    cfg = parse_config(_build({"channel": {**channel, "snr_db": [3.0, -50]}}))
+    assert cfg.channel.cells[1].sigma2 == 1e5
 
 
 def _assert_resolved(cfg_text: str, expected: dict):

@@ -9,9 +9,12 @@ statistically tight, since every element is an independent replica.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffcomm import (
     AnalyticGaussianDenoiser,
@@ -432,6 +435,89 @@ def test_chain_noise_blocks_keep_values_and_generator_state(monkeypatch, rows):
         assert np.array_equal(got.data, expected.data), f"u={u}"
         assert rng.bit_generator.state == ref_rng.bit_generator.state, f"u={u}"
         assert counting.calls == -(-max(u - 1, 0) // per_block), f"u={u}"
+
+
+SHORT = build_linear_schedule(40, 1e-3, 0.2)
+
+
+@st.composite
+def stream_sets(draw):
+    """1-4 streams of one width; start steps ragged or tied, 0 and 1 among
+    them (at least 1 where a top-up draws the start); the draw order; the
+    source mean; and the block size of the lazily drawn stream."""
+    compensate = draw(st.booleans())
+    lo = 1 if compensate else 0
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        steps = [draw(st.sampled_from([lo, 1, 2, SHORT.T]))] * m  # tied
+    else:
+        pool = st.one_of(st.sampled_from([lo, 1, 2]), st.integers(lo, SHORT.T))
+        steps = draw(st.lists(pool, min_size=m, max_size=m))
+    width = draw(st.integers(1, 5))
+    mean = draw(st.sampled_from([0.0, -0.0, 0.7]))
+    block_rows = draw(st.sampled_from([1, 3, 40]))
+    return compensate, steps, width, mean, block_rows * width, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stream_sets())
+def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
+    """One ragged chain over a trial's streams, fed from one generator in
+    the caller's order (each stream's start, then its noise rows), gives
+    each stream's own chain bit for bit and leaves the generator where
+    denoising the streams in turn leaves it."""
+    compensate, steps, width, mean, block, seed = case
+    model = GaussianSourceModel(mean=mean, variance=1.5)
+    den = AnalyticGaussianDenoiser(model, SHORT)
+    received = np.random.default_rng(seed).standard_normal((len(steps), width))
+
+    def start(i, rng):
+        s_hat = Latent(data=received[i], shape=(width, 1, 1))
+        if compensate:  # draws the top-up from rng
+            return compensate_to_step(s_hat, 0.0, steps[i], SHORT, rng)
+        return s_hat
+
+    ref_rng = np.random.default_rng(seed + 1)
+    expected = []
+    for i, u in enumerate(steps):
+        expected.append(_reference_chain(start(i, ref_rng), u, model, SHORT, ref_rng))
+
+    rng = np.random.default_rng(seed + 1)
+    starts, noises = [], []
+    for i, u in enumerate(steps):
+        starts.append(start(i, rng))
+        noises.append(diffusion._noise_rows(rng, width, u, held=i < len(steps) - 1))
+    with mock.patch.object(diffusion, "_NOISE_BLOCK_ELEMENTS", block):
+        got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
+
+    for want, have in zip(expected, got):
+        assert have.shape == (width, 1, 1)
+        assert np.array_equal(have.data, want.data)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
+    """Rows join as t reaches their start step: one call per step of the
+    longest row, on the rows started so far, joined in descending-step
+    order (ties in the given order)."""
+    calls = []
+    real = diffusion.reverse_step
+
+    def recording(y_t, t, *args):
+        calls.append((t, y_t.shape, y_t.data[::2].copy()))
+        return real(y_t, t, *args)
+
+    monkeypatch.setattr(diffusion, "reverse_step", recording)
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SHORT)
+    steps = [2, 0, 4, 2]
+    starts = [Latent(data=np.full(2, float(i)), shape=(2, 1, 1)) for i in range(4)]
+    rng = np.random.default_rng(0)
+    noises = [diffusion._noise_rows(rng, 2, u, held=True) for u in steps]
+    got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
+    assert [(t, shape) for t, shape, _ in calls] == [
+        (4, (2, 1, 1)), (3, (2, 1, 1)), (2, (6, 1, 1)), (1, (6, 1, 1))]
+    assert calls[2][2].tolist()[1:] == [0.0, 3.0]  # rows 0 and 3 join after row 2
+    assert got[1] is starts[1]
 
 
 @pytest.mark.parametrize("u", [0, 1, 145, SCHEDULE.T])
