@@ -30,7 +30,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -189,21 +189,19 @@ def _ssim_window(shape: tuple[int, int, int]) -> Optional[int]:
 # codec and trainer set-up
 
 
+def _codec_arch(cfg: ExperimentConfig) -> CodecArch:
+    """The configured arch; ``CodecConfig`` names each ``CodecArch`` field alike."""
+    return CodecArch(**{f.name: getattr(cfg.codec, f.name) for f in fields(CodecArch)})
+
+
 def _init_codec(cfg: ExperimentConfig, k: float, rng: np.random.Generator) -> CodecParams:
-    return init_codec(
-        cfg.source.shape,
-        k,
-        CodecArch(hidden=cfg.codec.hidden, blocks=cfg.codec.blocks),
-        rng,
-        power_norm=cfg.codec.power_norm,
-        snr_conditioning=cfg.codec.snr_conditioning,
-        snr_to_mu=cfg.codec.snr_to_mu,
-        snr_db_range=cfg.codec.snr_db_range,
-    )
+    return init_codec(cfg.source.shape, k, _codec_arch(cfg), rng)
 
 
 def _codec_params(cfg: ExperimentConfig) -> CodecParams:
-    """Stored weights from ``codec.params_path``, else a seeded initialization."""
+    """Stored weights from ``codec.params_path``, else a seeded initialization.
+    A stored codec must have the configured shape, length and arch, so that
+    the resolved config describes the codec the run used."""
     k = cfg.codec_k()
     if cfg.codec.params_path is not None:
         params = load_codec(cfg.codec.params_path)
@@ -216,6 +214,12 @@ def _codec_params(cfg: ExperimentConfig) -> CodecParams:
             raise ConfigurationError(
                 "codec.params_path",
                 f"stored length {params.m} does not match configured compression",
+            )
+        arch = _codec_arch(cfg)
+        if params.arch != arch:
+            raise ConfigurationError(
+                "codec.params_path",
+                f"stored arch {params.arch} does not match configured arch {arch}",
             )
         return params
     return _init_codec(cfg, k, _derive_rng(cfg.seed, "codec-init"))

@@ -10,9 +10,9 @@ nearest-neighbor repetition on the way up.  With ``k = 1`` both
 projections are the identity.
 
 All trainable state lives in one float64 vector, ``CodecParams.flat``,
-laid out layer by layer in :func:`_param_arrays` order (down blocks,
-down projection, up projection, up blocks, variance head; ``W`` before
-``b`` in each layer).  Every layer's ``W`` and ``b`` is a reshaped view
+laid out layer by layer in :func:`_layers` order (down blocks, down
+projection, up projection, up blocks, variance head; ``W`` before ``b``
+in each layer).  Every layer's ``W`` and ``b`` is a reshaped view
 into that vector, so the trainer updates ``flat`` in place and the
 gradients of :func:`backward_batch` share the same layout.
 
@@ -26,7 +26,7 @@ suite is load-bearing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -62,16 +62,27 @@ RATE_PER_CHANNEL = 0.0013
 
 @dataclass(frozen=True)
 class CodecArch:
-    """Width settings for the residual bottleneck blocks."""
+    """Residual block widths and the switches that shape the forward pass
+    (see :func:`snr_feature` for ``snr_db_range``)."""
 
     hidden: int = 64
     blocks: int = 2
+    power_norm: bool = True
+    snr_conditioning: bool = True
+    snr_to_mu: bool = False
+    snr_db_range: tuple[float, float] = (0.0, 12.0)
 
     def __post_init__(self):
         if self.hidden < 1:
             raise ConfigurationError("arch.hidden", f"must be >= 1, got {self.hidden}")
         if self.blocks < 1:
             raise ConfigurationError("arch.blocks", f"must be >= 1, got {self.blocks}")
+        lo, hi = (float(v) for v in self.snr_db_range)
+        if not lo < hi:
+            raise ConfigurationError("snr_db_range", f"must satisfy lo < hi, got {self.snr_db_range}")
+        for name in ("power_norm", "snr_conditioning", "snr_to_mu"):
+            object.__setattr__(self, name, bool(getattr(self, name)))
+        object.__setattr__(self, "snr_db_range", (lo, hi))
 
 
 @dataclass
@@ -88,8 +99,8 @@ class ResidualBlock:
 
 @dataclass
 class CodecParams:
-    """All trainable state plus the switches that shape the forward pass;
-    every ``W`` and ``b`` is a view into ``flat`` (see the module docstring)."""
+    """All trainable state of a codec of layout ``(shape, k, arch)``; every
+    ``W`` and ``b`` is a view into ``flat`` (see the module docstring)."""
 
     shape: tuple[int, int, int]
     k: float
@@ -100,10 +111,6 @@ class CodecParams:
     up_mu_blocks: list[ResidualBlock]
     lv_fc1: LinearParams
     lv_fc2: LinearParams
-    power_norm: bool = True
-    snr_conditioning: bool = True
-    snr_to_mu: bool = False
-    snr_db_range: tuple[float, float] = (0.0, 12.0)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
@@ -181,61 +188,45 @@ def _repeat_matrix(n: int, m: int) -> np.ndarray:
     return Q
 
 
-def _zero_codec(
-    shape: tuple[int, int, int],
-    k: float,
-    arch: CodecArch,
-    power_norm: bool,
-    snr_conditioning: bool,
-    snr_to_mu: bool,
-    snr_db_range: tuple[float, float],
-) -> CodecParams:
-    """A validated codec of the given layout with every weight zero, bound
-    to one flat vector."""
+def _layout(shape: tuple[int, int, int], k: float, arch: CodecArch) -> CodecParams:
+    """A validated codec of the given layout whose layers are not yet bound
+    to a flat vector (see :func:`_bind`)."""
     shape = tuple(int(v) for v in shape)
     if len(shape) != 3 or any(v < 1 for v in shape):
         raise ConfigurationError("shape", f"must be three positive integers, got {shape}")
-    lo, hi = float(snr_db_range[0]), float(snr_db_range[1])
-    if not lo < hi:
-        raise ConfigurationError("snr_db_range", f"must satisfy lo < hi, got {snr_db_range}")
     w, h, c = shape
     n = w * h * c
     m = compressed_length(n, k)
 
     def lin(out: int, inp: int) -> LinearParams:
-        return LinearParams(W=np.zeros((out, inp)), b=np.zeros(out))
+        return LinearParams(W=np.empty((out, inp)), b=np.empty(out))
 
     def blocks() -> list[ResidualBlock]:
         return [ResidualBlock(fc1=lin(arch.hidden, n), fc2=lin(n, arch.hidden))
                 for _ in range(arch.blocks)]
 
-    params = CodecParams(
+    return CodecParams(
         shape=shape,
         k=float(k),
         arch=arch,
         down_blocks=blocks(),
         down_proj=lin(m, n),
-        up_mu_proj=lin(n, m + 1 if snr_to_mu else m),
+        up_mu_proj=lin(n, m + 1 if arch.snr_to_mu else m),
         up_mu_blocks=blocks(),
         lv_fc1=lin(arch.hidden, m + 1),
         lv_fc2=lin(n, arch.hidden),
-        power_norm=bool(power_norm),
-        snr_conditioning=bool(snr_conditioning),
-        snr_to_mu=bool(snr_to_mu),
-        snr_db_range=(lo, hi),
     )
-    return _bind(params, np.zeros(sum(arr.size for _, arr in _param_arrays(params))))
+
+
+def _zero_codec(shape: tuple[int, int, int], k: float, arch: CodecArch) -> CodecParams:
+    """A validated codec of the given layout with every weight zero, bound
+    to one flat vector."""
+    template = _layout(shape, k, arch)
+    return _bind(template, np.zeros(sum(arr.size for _, arr in _param_arrays(template))))
 
 
 def init_codec(
-    shape: tuple[int, int, int],
-    k: float,
-    arch: CodecArch,
-    rng: np.random.Generator,
-    power_norm: bool = True,
-    snr_conditioning: bool = True,
-    snr_to_mu: bool = False,
-    snr_db_range: tuple[float, float] = (0.0, 12.0),
+    shape: tuple[int, int, int], k: float, arch: CodecArch, rng: np.random.Generator
 ) -> CodecParams:
     """Freshly initialized codec; identical seeds give identical parameters.
 
@@ -244,7 +235,7 @@ def init_codec(
     head is small-random throughout so SNR conditioning is live from the
     start.
     """
-    params = _zero_codec(shape, k, arch, power_norm, snr_conditioning, snr_to_mu, snr_db_range)
+    params = _zero_codec(shape, k, arch)
     n, m = params.n, params.m
     # draw order: down blocks, up blocks, then the variance head
     for block in params.down_blocks + params.up_mu_blocks:
@@ -263,12 +254,12 @@ def snr_feature(params: CodecParams, snr: float) -> float:
     ``snr_db_range`` covers roughly [-1, 1].  Returns 0 when conditioning
     is ablated, making the network invariant to the SNR argument.
     """
-    if not params.snr_conditioning:
+    if not params.arch.snr_conditioning:
         return 0.0
     snr = float(snr)
     if not (math.isfinite(snr) and snr > 0.0):
         raise ValueError(f"snr must be finite and > 0, got {snr!r}")
-    lo, hi = params.snr_db_range
+    lo, hi = params.arch.snr_db_range
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return (10.0 * math.log10(snr) - mid) / half
@@ -318,7 +309,7 @@ def forward_down_batch(params: CodecParams, Y: np.ndarray) -> tuple[np.ndarray, 
         blocks_ctx.append(ctx)
     z_raw = x @ params.down_proj.W.T + params.down_proj.b
     ctx = {"blocks": blocks_ctx, "x_proj_in": x, "z_raw": z_raw}
-    if params.power_norm:
+    if params.arch.power_norm:
         c = np.sqrt(np.mean(z_raw * z_raw, axis=1))
         if np.any(c == 0.0):
             raise ValueError("cannot power-normalize an all-zero transmit vector")
@@ -341,7 +332,7 @@ def forward_up_batch(
     B = Zhat.shape[0]
     feat_col = np.full((B, 1), feat)
 
-    mu_in = np.concatenate([Zhat, feat_col], axis=1) if params.snr_to_mu else Zhat
+    mu_in = np.concatenate([Zhat, feat_col], axis=1) if params.arch.snr_to_mu else Zhat
     x = mu_in @ params.up_mu_proj.W.T + params.up_mu_proj.b
     mu_blocks_ctx = []
     for block in params.up_mu_blocks:
@@ -425,7 +416,7 @@ def backward_batch(
 
     # through the additive channel noise into the encoder
     dZ = dZhat
-    if params.power_norm:
+    if params.arch.power_norm:
         z_raw = down_ctx["z_raw"]
         c = down_ctx["c"][:, None]
         inner = np.sum(dZ * z_raw, axis=1, keepdims=True)
@@ -495,58 +486,36 @@ def upsample(
 # the flat parameter vector and serialization
 
 
-def _param_arrays(params: CodecParams) -> list[tuple[str, np.ndarray]]:
+def _layers(params: CodecParams) -> list[tuple[str, LinearParams]]:
+    """Every layer with its name, in the order the flat vector lays them out."""
     out = []
     for i, b in enumerate(params.down_blocks):
-        out += [
-            (f"down_blocks_{i}_fc1_W", b.fc1.W),
-            (f"down_blocks_{i}_fc1_b", b.fc1.b),
-            (f"down_blocks_{i}_fc2_W", b.fc2.W),
-            (f"down_blocks_{i}_fc2_b", b.fc2.b),
-        ]
-    out += [("down_proj_W", params.down_proj.W), ("down_proj_b", params.down_proj.b)]
-    out += [("up_mu_proj_W", params.up_mu_proj.W), ("up_mu_proj_b", params.up_mu_proj.b)]
+        out += [(f"down_blocks_{i}_fc1", b.fc1), (f"down_blocks_{i}_fc2", b.fc2)]
+    out += [("down_proj", params.down_proj), ("up_mu_proj", params.up_mu_proj)]
     for i, b in enumerate(params.up_mu_blocks):
-        out += [
-            (f"up_mu_blocks_{i}_fc1_W", b.fc1.W),
-            (f"up_mu_blocks_{i}_fc1_b", b.fc1.b),
-            (f"up_mu_blocks_{i}_fc2_W", b.fc2.W),
-            (f"up_mu_blocks_{i}_fc2_b", b.fc2.b),
-        ]
-    out += [("lv_fc1_W", params.lv_fc1.W), ("lv_fc1_b", params.lv_fc1.b)]
-    out += [("lv_fc2_W", params.lv_fc2.W), ("lv_fc2_b", params.lv_fc2.b)]
+        out += [(f"up_mu_blocks_{i}_fc1", b.fc1), (f"up_mu_blocks_{i}_fc2", b.fc2)]
+    out += [("lv_fc1", params.lv_fc1), ("lv_fc2", params.lv_fc2)]
     return out
 
 
+def _param_arrays(params: CodecParams) -> list[tuple[str, np.ndarray]]:
+    """Every ``W`` and ``b`` with its name, in flat-vector order."""
+    return [(f"{name}_{f.name}", getattr(layer, f.name))
+            for name, layer in _layers(params) for f in fields(LinearParams)]
+
+
 def _bind(template: CodecParams, flat: np.ndarray) -> CodecParams:
-    """``template``'s layers and switches with every ``W`` and ``b`` a view into ``flat``."""
-    count = sum(arr.size for _, arr in _param_arrays(template))
+    """A codec of ``template``'s layout with every ``W`` and ``b`` a view into ``flat``."""
+    params = _layout(template.shape, template.k, template.arch)
+    count = sum(arr.size for _, arr in _param_arrays(params))
     if flat.size != count:
         raise ValueError(f"vector length {flat.size} does not match parameter count {count}")
     offset = 0
-
-    def view(arr: np.ndarray) -> np.ndarray:
-        nonlocal offset
-        out = flat[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-        return out
-
-    def lin(p: LinearParams) -> LinearParams:
-        return LinearParams(W=view(p.W), b=view(p.b))
-
-    def block(b: ResidualBlock) -> ResidualBlock:
-        return ResidualBlock(fc1=lin(b.fc1), fc2=lin(b.fc2))
-
-    # keyword arguments are evaluated in _param_arrays order
-    params = replace(
-        template,
-        down_blocks=[block(b) for b in template.down_blocks],
-        down_proj=lin(template.down_proj),
-        up_mu_proj=lin(template.up_mu_proj),
-        up_mu_blocks=[block(b) for b in template.up_mu_blocks],
-        lv_fc1=lin(template.lv_fc1),
-        lv_fc2=lin(template.lv_fc2),
-    )
+    for _, layer in _layers(params):
+        for f in fields(LinearParams):
+            arr = getattr(layer, f.name)
+            setattr(layer, f.name, flat[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
     params.flat = flat
     return params
 
@@ -561,24 +530,20 @@ def vector_to_params(template: CodecParams, vec: np.ndarray) -> CodecParams:
     return _bind(template, np.array(vec, dtype=np.float64))
 
 
-def clone_params(params: CodecParams) -> CodecParams:
-    """Deep copy of the trainable state; switches are shared immutables."""
-    return _bind(params, params.flat.copy())
+# saved dtype of a CodecArch field, by the type of its default
+_META_DTYPES = {bool: np.bool_, int: np.int64, tuple: np.float64}
 
 
 def save_codec(params: CodecParams, path) -> None:
-    """Serialize parameters and switches as named arrays with a layout version."""
+    """Serialize the layout (every ``CodecArch`` field under its own name)
+    and the parameters as named arrays with a layout version."""
     meta = {
         "layout_version": np.int64(LAYOUT_VERSION),
         "shape": np.asarray(params.shape, dtype=np.int64),
         "k": np.float64(params.k),
-        "hidden": np.int64(params.arch.hidden),
-        "blocks": np.int64(params.arch.blocks),
-        "power_norm": np.bool_(params.power_norm),
-        "snr_conditioning": np.bool_(params.snr_conditioning),
-        "snr_to_mu": np.bool_(params.snr_to_mu),
-        "snr_db_range": np.asarray(params.snr_db_range, dtype=np.float64),
     }
+    for f in fields(CodecArch):
+        meta[f.name] = np.asarray(getattr(params.arch, f.name), dtype=_META_DTYPES[type(f.default)])
     arrays = {name: arr for name, arr in _param_arrays(params)}
     np.savez(path, **meta, **arrays)
 
@@ -593,11 +558,7 @@ def load_codec(path) -> CodecParams:
         params = _zero_codec(
             shape=tuple(int(v) for v in data["shape"]),
             k=float(data["k"]),
-            arch=CodecArch(hidden=int(data["hidden"]), blocks=int(data["blocks"])),
-            power_norm=bool(data["power_norm"]),
-            snr_conditioning=bool(data["snr_conditioning"]),
-            snr_to_mu=bool(data["snr_to_mu"]),
-            snr_db_range=tuple(float(v) for v in data["snr_db_range"]),
+            arch=CodecArch(**{f.name: data[f.name].tolist() for f in fields(CodecArch)}),
         )
         for name, arr in _param_arrays(params):
             stored = data[name]

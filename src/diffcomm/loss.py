@@ -38,10 +38,10 @@ from .codec import (
     CodecParams,
     GaussianParams,
     backward_batch,
-    clone_params,
     forward_down_batch,
     forward_up_batch,
     snr_feature,
+    vector_to_params,
     zero_grads,
 )
 from .diffusion import GaussianSourceModel, Latent
@@ -298,7 +298,7 @@ def train_codec(
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    params = clone_params(params)
+    params = vector_to_params(params, params.flat)
     n, m = params.n, params.m
     snr = 1.0 / (sigma * sigma)
 

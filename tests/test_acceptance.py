@@ -393,10 +393,10 @@ def test_criterion_07_gradient_check(capsys):
     shape = (2, 2, 2)
     instances = [
         init_codec(shape, 0.5, CodecArch(hidden=6, blocks=1), np.random.default_rng(5)),
-        init_codec(shape, 0.5, CodecArch(hidden=6, blocks=1), np.random.default_rng(7),
-                   power_norm=False, snr_to_mu=True),
-        init_codec(shape, 0.5, CodecArch(hidden=5, blocks=2), np.random.default_rng(14),
-                   snr_conditioning=False),
+        init_codec(shape, 0.5, CodecArch(hidden=6, blocks=1, power_norm=False, snr_to_mu=True),
+                   np.random.default_rng(7)),
+        init_codec(shape, 0.5, CodecArch(hidden=5, blocks=2, snr_conditioning=False),
+                   np.random.default_rng(14)),
     ]
     errs = [
         _max_rel_fd_error(instances[0], 6),

@@ -535,6 +535,67 @@ def test_train_requires_compression_setting(tmp_path):
         run_train(parse_config(_cfg()), out_dir=str(tmp_path))
 
 
+# a codec whose widths and switches all differ from the defaults
+HANDOFF_CODEC = {"k": 0.5, "arch": {"hidden": 6, "blocks": 3}, "snr_to_mu": True,
+                 "power_norm": False, "snr_db_range": [-2, 8]}
+HANDOFF_ARCH = ("CodecArch(hidden=6, blocks=3, power_norm=False, snr_conditioning=True, "
+                "snr_to_mu=True, snr_db_range=(-2.0, 8.0))")
+
+
+@pytest.fixture(scope="module")
+def trained_codec(tmp_path_factory):
+    out = tmp_path_factory.mktemp("train")
+    cfg = {**TRAIN_CFG, "codec": HANDOFF_CODEC, "train": {**TRAIN_CFG["train"], "steps": 2}}
+    assert main(["train", "--config", _write_cfg(out, json.dumps(cfg)), "--out", str(out)]) == 0
+    return str(out / "codec.npz")
+
+
+def _simulate_stored(tmp_path, codec, source=SMALL_SOURCE):
+    out = tmp_path / "out"
+    text = _cfg(codec={"enabled": True, **codec}, source=source)
+    return main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]), out
+
+
+def test_simulate_runs_a_trained_codec_of_the_configured_arch(tmp_path, trained_codec):
+    code, out = _simulate_stored(tmp_path, {**HANDOFF_CODEC, "params_path": trained_codec})
+    assert code == 0
+    replay = json.loads((out / "resolved_config.json").read_text())["codec"]
+    assert replay["arch"] == {"hidden": 6, "blocks": 3}
+    assert (replay["snr_to_mu"], replay["power_norm"], replay["snr_db_range"]) == (True, False, [-2.0, 8.0])
+
+
+@pytest.mark.parametrize("codec, configured", [
+    ({"k": 0.5},
+     "CodecArch(hidden=64, blocks=2, power_norm=True, snr_conditioning=True, "
+     "snr_to_mu=False, snr_db_range=(0.0, 12.0))"),
+    ({**HANDOFF_CODEC, "snr_db_range": [0, 12]},
+     "CodecArch(hidden=6, blocks=3, power_norm=False, snr_conditioning=True, "
+     "snr_to_mu=True, snr_db_range=(0.0, 12.0))"),
+], ids=["defaults", "one-switch"])
+def test_simulate_rejects_a_stored_codec_of_another_arch(tmp_path, capsys, trained_codec, codec, configured):
+    code, out = _simulate_stored(tmp_path, {**codec, "params_path": trained_codec})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: codec.params_path: stored arch {HANDOFF_ARCH} "
+        f"does not match configured arch {configured}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("codec, source, message", [
+    ({}, {"shape": [2, 2, 4], "count": 2},
+     "stored shape (2, 2, 2) does not match source shape (2, 2, 4)"),
+    ({"k": 0.25}, SMALL_SOURCE, "stored length 4 does not match configured compression"),
+], ids=["shape", "length"])
+def test_simulate_rejects_a_stored_codec_of_another_size(
+    tmp_path, capsys, trained_codec, codec, source, message
+):
+    codec = {**HANDOFF_CODEC, **codec, "params_path": trained_codec}
+    code, _ = _simulate_stored(tmp_path, codec, source)
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: codec.params_path: {message}\n"
+
+
 def _sweep_cfg(values, param="lambda", gamma=0.0):
     cfg = dict(TRAIN_CFG)
     cfg["loss"] = {"gamma": gamma}

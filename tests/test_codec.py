@@ -22,7 +22,6 @@ from diffcomm import (
 )
 from diffcomm.codec import (
     backward_batch,
-    clone_params,
     forward_down_batch,
     forward_up_batch,
     params_to_vector,
@@ -34,8 +33,8 @@ from diffcomm.codec import (
 SHAPE = (8, 8, 4)  # n = 256
 
 
-def _params(k=0.5, seed=0, **kwargs):
-    return init_codec(SHAPE, k, CodecArch(), np.random.default_rng(seed), **kwargs)
+def _params(k=0.5, seed=0, **arch):
+    return init_codec(SHAPE, k, CodecArch(**arch), np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +74,25 @@ def test_init_is_deterministic_per_seed():
     c = params_to_vector(_params(seed=4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("arch, message", [
+    ({"hidden": 0}, "arch.hidden: must be >= 1, got 0"),
+    ({"blocks": 0}, "arch.blocks: must be >= 1, got 0"),
+    ({"snr_db_range": (12, 0)}, "snr_db_range: must satisfy lo < hi, got (12, 0)"),
+], ids=["hidden", "blocks", "snr_db_range"])
+def test_codec_arch_rejects_bad_values(arch, message):
+    with pytest.raises(ConfigurationError) as info:
+        CodecArch(**arch)
+    assert str(info.value) == message
+
+
+def test_codec_arch_normalizes_its_switches():
+    arch = CodecArch(power_norm=0, snr_conditioning=1, snr_to_mu=np.bool_(True), snr_db_range=[-2, 8])
+    assert arch == CodecArch(power_norm=False, snr_conditioning=True, snr_to_mu=True,
+                             snr_db_range=(-2.0, 8.0))
+    assert [type(v) for v in (arch.power_norm, arch.snr_conditioning, arch.snr_to_mu)] == [bool] * 3
+    assert [type(v) for v in arch.snr_db_range] == [float, float]
 
 
 def test_init_shapes():
@@ -258,23 +276,19 @@ def test_rebuilt_params_do_not_alias_their_source():
     vec[:] = 0.0
     assert np.array_equal(params_to_vector(q), params_to_vector(p))
     assert not any(np.shares_memory(a, vec) for a in _arrays(q))
-    for other in (clone_params(p), zero_grads(p)):
+    for other in (vector_to_params(p, p.flat), zero_grads(p)):
         for mine, theirs in zip(_arrays(other), _arrays(p)):
             assert mine.shape == theirs.shape
             assert not np.shares_memory(mine, theirs)
     assert not np.any(params_to_vector(zero_grads(p)))
-    assert np.array_equal(params_to_vector(clone_params(p)), params_to_vector(p))
+    assert np.array_equal(params_to_vector(vector_to_params(p, p.flat)), params_to_vector(p))
 
 
 def test_backward_into_given_container_writes_every_entry():
     """``out`` is overwritten in place, on the default layout and on the
     golden train-momentum one (three blocks a side, no power norm)."""
-    layouts = [
-        (CodecArch(), {}),
-        (CodecArch(hidden=6, blocks=3), {"snr_to_mu": True, "power_norm": False}),
-    ]
-    for arch, kwargs in layouts:
-        p = init_codec(SHAPE, 0.5, arch, np.random.default_rng(25), **kwargs)
+    for arch in (CodecArch(), CodecArch(hidden=6, blocks=3, snr_to_mu=True, power_norm=False)):
+        p = init_codec(SHAPE, 0.5, arch, np.random.default_rng(25))
         rng = np.random.default_rng(26)
         B = 3
         Z, down_ctx = forward_down_batch(p, rng.standard_normal((B, p.n)))
@@ -300,11 +314,43 @@ def test_save_load_round_trip(tmp_path):
     assert q.shape == p.shape
     assert q.k == p.k
     assert q.arch == p.arch
-    assert q.power_norm == p.power_norm
-    assert q.snr_conditioning == p.snr_conditioning
-    assert q.snr_to_mu == p.snr_to_mu
-    assert q.snr_db_range == p.snr_db_range
     assert np.array_equal(params_to_vector(q), params_to_vector(p))
+
+
+def test_saved_file_format_is_pinned(tmp_path):
+    """Layout version 1: the layout metadata in a fixed order and dtype, then
+    every layer's W and b in flat-vector order."""
+    arch = CodecArch(hidden=6, blocks=3, power_norm=False, snr_conditioning=False,
+                     snr_to_mu=True, snr_db_range=(-2, 8))
+    p = init_codec(SHAPE, 0.5, arch, np.random.default_rng(27))
+    path = tmp_path / "codec.npz"
+    save_codec(p, path)
+    meta = [
+        ("layout_version", np.int64, 1),
+        ("shape", np.int64, [8, 8, 4]),
+        ("k", np.float64, 0.5),
+        ("hidden", np.int64, 6),
+        ("blocks", np.int64, 3),
+        ("power_norm", np.bool_, False),
+        ("snr_conditioning", np.bool_, False),
+        ("snr_to_mu", np.bool_, True),
+        ("snr_db_range", np.float64, [-2.0, 8.0]),
+    ]
+    layers = ([f"down_blocks_{i}_fc{j}" for i in range(3) for j in (1, 2)]
+              + ["down_proj", "up_mu_proj"]
+              + [f"up_mu_blocks_{i}_fc{j}" for i in range(3) for j in (1, 2)]
+              + ["lv_fc1", "lv_fc2"])
+    with np.load(path) as data:
+        assert data.files == [name for name, _, _ in meta] + [f"{layer}_{x}" for layer in layers for x in "Wb"]
+        for name, dtype, value in meta:
+            assert data[name].dtype == dtype and data[name].tolist() == value, name
+        stored = np.concatenate([data[name].ravel() for name in data.files[len(meta):]])
+    assert np.array_equal(stored, p.flat)
+    loaded = load_codec(path).arch
+    assert loaded == arch
+    assert [type(getattr(loaded, name)) for name in ("hidden", "blocks")] == [int, int]
+    assert [type(getattr(loaded, name)) for name in ("power_norm", "snr_conditioning", "snr_to_mu")] == [bool] * 3
+    assert [type(v) for v in loaded.snr_db_range] == [float, float]
 
 
 def test_load_rejects_unknown_layout(tmp_path):

@@ -26,7 +26,6 @@ from diffcomm import (
     train_codec,
 )
 from diffcomm.codec import (
-    clone_params,
     forward_down_batch,
     forward_up_batch,
     params_to_vector,
@@ -120,9 +119,9 @@ def test_breakdown_must_recompose():
 SMALL_SHAPE = (2, 2, 2)  # n = 8
 
 
-def _small_params(seed=0, **kwargs):
-    arch = kwargs.pop("arch", CodecArch(hidden=6, blocks=1))
-    return init_codec(SMALL_SHAPE, 0.5, arch, np.random.default_rng(seed), **kwargs)
+def _small_params(seed=0, **arch):
+    arch = CodecArch(**{"hidden": 6, "blocks": 1, **arch})
+    return init_codec(SMALL_SHAPE, 0.5, arch, np.random.default_rng(seed))
 
 
 def test_batch_loss_matches_single_sample_forms():
@@ -219,7 +218,7 @@ def test_gradients_match_finite_differences_unnormalized_snr_mu():
 
 
 def test_gradients_match_finite_differences_deep_unconditioned():
-    p = _small_params(seed=14, arch=CodecArch(hidden=5, blocks=2), snr_conditioning=False)
+    p = _small_params(seed=14, hidden=5, blocks=2, snr_conditioning=False)
     _fd_gradcheck(p, seed=12)
 
 
@@ -297,7 +296,7 @@ def _reference_train(sigma, params, weights, cfg, rng):
     every step and temporaries in the update (evaluations left out; they
     draw nothing and change no parameter).  The gradients come back as the
     step, ``lr`` times the summed objective's gradient, as in the trainer."""
-    params = clone_params(params)
+    params = vector_to_params(params, params.flat)
     n, m = params.n, params.m
     snr = 1.0 / (sigma * sigma)
     for shape in ((cfg.holdout, n), (cfg.holdout, m), (cfg.holdout, n)):
