@@ -97,10 +97,6 @@ class ComplexVector:
         out[1::2] = self.im * _SQRT2
         return out
 
-    def power(self) -> float:
-        """Mean power per complex symbol."""
-        return float(np.mean(self.re**2 + self.im**2))
-
 
 @dataclass(frozen=True)
 class ChannelOutput:
@@ -121,15 +117,6 @@ class ChannelOutput:
             raise ValueError("at least one stream mapping is required")
         if len(self.effective_sigma2) != len(self.mappings):
             raise ValueError("one effective variance per stream mapping is required")
-
-    @property
-    def mapping(self) -> StepMapping:
-        """The single stream mapping; raises if the output is multi-stream."""
-        if len(self.mappings) != 1:
-            raise ValueError(
-                f"output has {len(self.mappings)} streams; use .mappings"
-            )
-        return self.mappings[0]
 
 
 def _complex_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
@@ -158,14 +145,10 @@ def awgn_transmit(
 
     The received signal is ``z + n0`` with noise variance ``sigma^2`` per
     complex symbol.  The returned mapping locates the forward step whose
-    noise level matches ``sigma^2``.
+    noise level matches ``sigma^2``.  This is the flat fading channel at
+    ``h = 1``, where both fading conventions map ``sigma^2``.
     """
-    sigma = _check_sigma(sigma)
-    noise = _complex_noise(rng, z.n, sigma)
-    received = ComplexVector(re=z.re + noise.real, im=z.im + noise.imag)
-    sigma2 = sigma * sigma
-    mapping = sigma2_to_step(schedule, sigma2)
-    return ChannelOutput(received=received, mappings=(mapping,), effective_sigma2=(sigma2,))
+    return rayleigh_transmit_mmse(z, 1.0, sigma, rng, schedule)
 
 
 def rayleigh_transmit_mmse(

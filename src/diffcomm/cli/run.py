@@ -79,8 +79,8 @@ __all__ = [
     "run_train",
 ]
 
-_SIMULATE_HEADER = ["channel", "snr_db", "sigma2", "step_u", "trials", "psnr_db", "ssim", "mse"]
-_COMPARE_HEADER = [
+_SIMULATE_HEADER = ("channel", "snr_db", "sigma2", "step_u", "trials", "psnr_db", "ssim", "mse")
+_COMPARE_HEADER = (
     "channel",
     "snr_db",
     "sigma2",
@@ -92,9 +92,9 @@ _COMPARE_HEADER = [
     "delta_compensate_forward_db",
     "ci95_lo_db",
     "ci95_hi_db",
-]
-_TRAIN_HEADER = ["step", "l_kl", "l_mse", "l_g", "total", "eval_psnr"]
-_SWEEP_HEADER = ["param", "value", "psnr_db", "ssim", "mse"]
+)
+_TRAIN_HEADER = ("step", "l_kl", "l_mse", "l_g", "total", "eval_psnr")
+_SWEEP_HEADER = ("param", "value", "psnr_db", "ssim", "mse")
 # Latent elements per SSIM block: a cell scores max(1, this // n) trials
 # per ``ssim_batch`` call, so its buffers do not grow with the trial count.
 _SSIM_BLOCK_ELEMENTS = 65536
@@ -462,9 +462,9 @@ def _write_text(path: str, text: str):
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_run_files(cfg: ExperimentConfig, out_dir: str, table, log_lines: list[str]):
+def _write_run_files(cfg: ExperimentConfig, out_dir: str, result: RunResult, log_lines: list[str]):
     os.makedirs(out_dir, exist_ok=True)
-    emit_csv(table, os.path.join(out_dir, cfg.output.csv))
+    emit_csv(result, os.path.join(out_dir, cfg.output.csv))
     _write_text(os.path.join(out_dir, cfg.output.log), "".join(line + "\n" for line in log_lines))
     _write_text(
         os.path.join(out_dir, "resolved_config.json"),
@@ -497,7 +497,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
         threads,
     )
     wall_s = time.perf_counter() - start
-    rows = [row for row, _ in results]
+    rows = tuple(row for row, _ in results)
     steps = sum(cell_steps for _, (cell_steps, _) in results)
     chain_steps = sum(cell_chain_steps for _, (_, cell_chain_steps) in results)
 
@@ -511,9 +511,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     log_lines.append(f"simulate wall_s={wall_s:.6g} trials_per_s={trials / wall_s:.6g}")
     log_lines.append(f"simulate chain_steps={chain_steps}")
     log_lines.append(f"simulate reverse_steps={steps} steps_per_s={steps / wall_s:.6g}")
-    table = (list(header), [list(r) for r in rows])
-    _write_run_files(cfg, out_dir, table, log_lines)
-    return RunResult(header=tuple(header), rows=tuple(tuple(r) for r in rows))
+    result = RunResult(header, rows)
+    _write_run_files(cfg, out_dir, result, log_lines)
+    return result
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, RunResult]:
@@ -537,12 +537,11 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     )
     wall_s = time.perf_counter() - start
 
-    rows = [
-        [rec.step, rec.breakdown.l_kl, rec.breakdown.l_mse, rec.breakdown.l_g,
-         rec.breakdown.total, rec.eval_psnr]
+    rows = tuple(
+        (rec.step, rec.breakdown.l_kl, rec.breakdown.l_mse, rec.breakdown.l_g,
+         rec.breakdown.total, rec.eval_psnr)
         for rec in records
-    ]
-    table = (list(_TRAIN_HEADER), rows)
+    )
     final = next((r.eval_psnr for r in reversed(records) if r.eval_psnr is not None), None)
     log_lines = [
         f"train steps={cfg.train.steps} batch={cfg.train.batch} snr_db={cfg.train.snr_db:.6g}",
@@ -551,8 +550,9 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     ]
     os.makedirs(out_dir, exist_ok=True)
     save_codec(params, os.path.join(out_dir, cfg.output.params))
-    _write_run_files(cfg, out_dir, table, log_lines)
-    return params, RunResult(header=tuple(_TRAIN_HEADER), rows=tuple(tuple(r) for r in rows))
+    result = RunResult(_TRAIN_HEADER, rows)
+    _write_run_files(cfg, out_dir, result, log_lines)
+    return params, result
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> RunResult:
@@ -587,7 +587,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     tcfg = _train_config(cfg, steps, max(1, steps))
     sigma2 = cfg.train.sigma2
 
-    def run_point(value: float) -> list:
+    def run_point(value: float) -> tuple:
         lam = value if param == "lambda" else cfg.loss.lam
         gamma = value if param == "gamma" else cfg.loss.gamma
         k = k_from_channel_count(int(value), cfg.source.n) if param == "C" else cfg.codec_k()
@@ -600,13 +600,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
             (cfg.seed, "sweep-eval", param, value),
         )
         mean_mse = float(np.mean(mses["adaptive"]))
-        return [param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse]
+        return (param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse)
 
     rows = _map_cells(run_point, cfg.sweep.values, lambda v: f"grid {param}={v:.6g}", threads)
-    table = (list(_SWEEP_HEADER), rows)
     log_lines = [f"sweep param={param} points={len(rows)} steps={steps} trials={trials}"]
-    _write_run_files(cfg, out_dir, table, log_lines)
-    return RunResult(header=tuple(_SWEEP_HEADER), rows=tuple(tuple(r) for r in rows))
+    result = RunResult(_SWEEP_HEADER, tuple(rows))
+    _write_run_files(cfg, out_dir, result, log_lines)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +625,12 @@ def _format_cell(value) -> str:
     return format(float(value), ".6g")
 
 
-def emit_csv(table: tuple[list, list], path: str) -> None:
-    """Write (header, rows) as CSV: floats at 6 significant digits,
-    deterministic order, header-only file for an empty table."""
-    header, rows = table
+def emit_csv(result: RunResult, path: str) -> None:
+    """Write a table as CSV: floats at 6 significant digits, deterministic
+    order, header-only file for an empty table."""
     buf = io.StringIO()
-    buf.write(",".join(str(h) for h in header) + "\n")
-    for row in rows:
+    buf.write(",".join(str(h) for h in result.header) + "\n")
+    for row in result.rows:
         buf.write(",".join(_format_cell(c) for c in row) + "\n")
     _write_text(path, buf.getvalue())
 

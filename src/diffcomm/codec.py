@@ -73,10 +73,13 @@ class CodecArch:
     snr_db_range: tuple[float, float] = (0.0, 12.0)
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ConfigurationError("arch.hidden", f"must be >= 1, got {self.hidden}")
-        if self.blocks < 1:
-            raise ConfigurationError("arch.blocks", f"must be >= 1, got {self.blocks}")
+        for name in ("hidden", "blocks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"arch.{name}", f"must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigurationError(f"arch.{name}", f"must be >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
         lo, hi = (float(v) for v in self.snr_db_range)
         if not lo < hi:
             raise ConfigurationError("snr_db_range", f"must satisfy lo < hi, got {self.snr_db_range}")

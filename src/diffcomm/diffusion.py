@@ -77,9 +77,9 @@ def _checked_data(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
 class Latent:
     """Flat real-valued latent with its logical (width, height, channels) shape.
 
-    The constructor and ``with_data`` copy the given values, so the
-    caller's array stays writable and later writes to it (or to the array
-    it is a view of) never reach the latent.
+    The constructor copies the given values, so the caller's array stays
+    writable and later writes to it (or to the array it is a view of)
+    never reach the latent.
     """
 
     data: np.ndarray
@@ -97,19 +97,11 @@ class Latent:
     def n(self) -> int:
         return self.data.size
 
-    def with_data(self, data: np.ndarray) -> "Latent":
-        """Same logical shape, a copy of the new values.
-
-        The shape is trusted: it was validated when this latent was
-        built.  The data get the constructor's checks (one-dimensional,
-        matching size, finite) and are read-only afterwards.
-        """
-        return self._adopt(np.array(data, dtype=np.float64))
-
     def _adopt(self, data: np.ndarray, shape: Optional[tuple[int, int, int]] = None) -> "Latent":
-        """``with_data`` without the copy, for a float64 array the caller
-        has just allocated and no one else references.  ``shape`` (this
-        latent's by default) is trusted, not re-validated."""
+        """A latent holding ``data`` itself, not a copy, for a float64 array
+        the caller has just allocated and no one else references.  ``shape``
+        (this latent's by default) is trusted, not re-validated; the data
+        get the constructor's checks and are read-only afterwards."""
         shape = self.shape if shape is None else shape
         out = object.__new__(Latent)
         object.__setattr__(out, "data", _checked_data(data, shape))

@@ -36,7 +36,6 @@ import numpy as np
 
 from .codec import (
     CodecParams,
-    GaussianParams,
     backward_batch,
     forward_down_batch,
     forward_up_batch,
@@ -46,7 +45,7 @@ from .codec import (
 )
 from .diffusion import GaussianSourceModel, Latent
 from .errors import TrainingDivergedError
-from .metrics import _values, mse, psnr
+from .metrics import mse, psnr
 
 __all__ = [
     "LossWeights",
@@ -94,35 +93,26 @@ class LossBreakdown:
         object.__setattr__(self, "total", w.lam * self.l_kl + self.l_mse + w.gamma * self.l_g)
 
 
-# The KL terms on bare arrays of any shape, shared by the public forms and
-# the batch loss.  They validate nothing: a diverged step's NaN must reach
-# the trainer's finiteness check rather than raise here.
+# The KL terms check ``sigma`` and the shapes only: a diverged step's NaN
+# must reach the trainer's finiteness check rather than raise here.
 
 
-def _guidance_kl(y: np.ndarray, sigma: float, mu: np.ndarray, s: np.ndarray) -> float:
+def guidance_kl(y: np.ndarray, sigma: float, mu: np.ndarray, s: np.ndarray) -> float:
+    """Mean elementwise KL from ``N(y, sigma^2)`` to ``N(mu, s^2)``."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    if not y.shape == mu.shape == s.shape:
+        raise ValueError(f"shape mismatch: y {y.shape}, mu {mu.shape}, s {s.shape}")
     d = mu - y
     return float(np.mean(np.log(s / sigma) + (sigma * sigma + d * d) / (2.0 * s * s) - 0.5))
 
 
-def _prior_kl(mu: np.ndarray, s: np.ndarray) -> float:
+def prior_kl(mu: np.ndarray, s: np.ndarray) -> float:
+    """Mean elementwise KL from ``N(mu, s^2)`` to the standard normal."""
+    if mu.shape != s.shape:
+        raise ValueError(f"shape mismatch: mu {mu.shape} vs s {s.shape}")
     s2 = s * s
     return float(np.mean(0.5 * (mu * mu + s2 - np.log(s2) - 1.0)))
-
-
-def guidance_kl(y: Union[Latent, np.ndarray], sigma: float, q: GaussianParams) -> float:
-    """Mean elementwise KL from ``N(y, sigma^2)`` to ``N(q.mu, q.sigma^2)``."""
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    yv = _values(y)
-    if yv.shape != q.mu.shape:
-        raise ValueError(f"shape mismatch: y {yv.shape} vs q {q.mu.shape}")
-    return _guidance_kl(yv, sigma, q.mu, q.sigma)
-
-
-def prior_kl(q: GaussianParams) -> float:
-    """Mean elementwise KL from ``N(q.mu, q.sigma^2)`` to the standard normal."""
-    return _prior_kl(q.mu, q.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +166,9 @@ def hybrid_loss_batch(
     diff = Mu - Y
     resid = Yhat - Shat
 
-    l_kl = _prior_kl(Mu, Sy)
+    l_kl = prior_kl(Mu, Sy)
     l_mse = mse(Yhat, Shat)
-    l_g = _guidance_kl(Y, sigma, Mu, Sy)
+    l_g = guidance_kl(Y, sigma, Mu, Sy)
     lam, gamma = weights.lam, weights.gamma
     breakdown = LossBreakdown(l_kl=l_kl, l_mse=l_mse, l_g=l_g, weights=weights)
 
@@ -199,14 +189,13 @@ def reconstruction_psnr(
     snr: float,
     eps2: np.ndarray,
     eps_y: np.ndarray,
-    peak: float = 1.0,
 ) -> float:
-    """Codec-only reconstruction quality on a fixed batch with fixed noise."""
+    """Codec-only reconstruction PSNR (unit peak) on a fixed batch with fixed noise."""
     Z, _ = forward_down_batch(params, Y)
     Zhat = Z + sigma * eps2
     feat = snr_feature(params, snr)
     _, _, _, Yhat, _ = forward_up_batch(params, Zhat, feat, eps_y)
-    return psnr(Yhat, Y, peak)
+    return psnr(Yhat, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Reconstruction quality metrics and a Monte-Carlo distribution check.
 
 PSNR and SSIM operate on latents interpreted as (width, height, channels)
-images; SSIM uses Gaussian-weighted local windows on each channel slice
-and averages the per-channel means; ``ssim_batch`` scores a stack of
-image pairs in one array pass, bit-identical to ``ssim`` of each pair.
+images at unit peak.  SSIM uses Gaussian-weighted local windows on each
+channel slice with the constants of Wang et al. (IEEE TIP 2004) and
+averages the per-channel means; ``ssim_batch`` scores a stack of image
+pairs in one array pass, bit-identical to ``ssim`` of each pair.
 ``gaussianity_check`` verifies that simulated samples have the mean and
 variance a noise model predicts, in units of standard errors, and is the
 workhorse behind the channel-to-forward equivalence tests.
@@ -29,6 +30,11 @@ __all__ = [
 ]
 
 PSNR_CAP_DB = 99.0
+# SSIM stabilizers c1 = (K1 * peak)^2 and c2 = (K2 * peak)^2 at unit peak,
+# and the standard deviation of the Gaussian window
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+SSIM_KERNEL_SIGMA = 1.5
 
 ArrayLike = Union[Latent, np.ndarray]
 
@@ -48,20 +54,19 @@ def mse(a: ArrayLike, b: ArrayLike) -> float:
     return float(np.mean(d * d))
 
 
-def psnr_from_mse(err: float, peak: float = 1.0) -> float:
-    """PSNR in dB for a known mean squared error, capped at 99 dB."""
-    if peak <= 0.0:
-        raise ValueError(f"peak must be > 0, got {peak!r}")
+def psnr_from_mse(err: float) -> float:
+    """PSNR in dB at unit peak for a known mean squared error, capped at 99 dB."""
     if err < 0.0:
         raise ValueError(f"mse must be >= 0, got {err!r}")
     if err == 0.0:
         return PSNR_CAP_DB
-    return min(10.0 * math.log10(peak * peak / err), PSNR_CAP_DB)
+    return min(10.0 * math.log10(1.0 / err), PSNR_CAP_DB)
 
 
-def psnr(a: ArrayLike, b: ArrayLike, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; identical inputs return the 99 dB cap."""
-    return psnr_from_mse(mse(a, b), peak)
+def psnr(a: ArrayLike, b: ArrayLike) -> float:
+    """Peak signal-to-noise ratio in dB at unit peak; identical inputs
+    return the 99 dB cap."""
+    return psnr_from_mse(mse(a, b))
 
 
 def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
@@ -72,15 +77,7 @@ def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def ssim_batch(
-    A: np.ndarray,
-    B: np.ndarray,
-    window: int = 7,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    peak: float = 1.0,
-    kernel_sigma: float = 1.5,
-) -> np.ndarray:
+def ssim_batch(A: np.ndarray, B: np.ndarray, window: int = 7) -> np.ndarray:
     """``ssim`` of every image pair in two ``(N, w, h, c)`` stacks.
 
     The local statistics of all N pairs are filtered together: the
@@ -101,11 +98,9 @@ def ssim_batch(
     n_img, w, h, channels = A.shape
     if window > w or window > h:
         raise ValueError(f"window {window} larger than image plane ({w}x{h})")
-    if peak <= 0.0:
-        raise ValueError(f"peak must be > 0, got {peak!r}")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
-    kernel = _gaussian_kernel(window, kernel_sigma)
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
+    kernel = _gaussian_kernel(window, SSIM_KERNEL_SIGMA)
     wo, ho = w - window + 1, h - window + 1
 
     # (w, h, 5, N, c): a shifted window slice is a few long contiguous runs
@@ -134,15 +129,7 @@ def ssim_batch(
     return rows.reshape(n_img, channels, wo * ho).mean(axis=2).mean(axis=1)
 
 
-def ssim(
-    a: Latent,
-    b: Latent,
-    window: int = 7,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    peak: float = 1.0,
-    kernel_sigma: float = 1.5,
-) -> float:
+def ssim(a: Latent, b: Latent, window: int = 7) -> float:
     """Structural similarity with Gaussian-weighted local statistics.
 
     Each channel slice is scanned with a ``window x window`` Gaussian
@@ -156,9 +143,7 @@ def ssim(
         On shape mismatch, an even or too-small window, or a window
         larger than the image plane.
     """
-    return float(
-        ssim_batch(a.as_image()[None], b.as_image()[None], window, k1, k2, peak, kernel_sigma)[0]
-    )
+    return float(ssim_batch(a.as_image()[None], b.as_image()[None], window)[0])
 
 
 @dataclass(frozen=True)

@@ -94,16 +94,6 @@ class Schedule:
         coefs = tuple(zip(c_eps.tolist(), np.sqrt(alphas).tolist(), sd.tolist()))
         object.__setattr__(self, "reverse_coefs", coefs)
 
-    def beta(self, t: int) -> float:
-        """Noise rate at step ``t`` in ``[1, T]``."""
-        self._check_step(t, lo=1)
-        return float(self.betas[t - 1])
-
-    def alpha(self, t: int) -> float:
-        """Signal retention ``1 - beta_t`` at step ``t`` in ``[1, T]``."""
-        self._check_step(t, lo=1)
-        return float(self.alphas[t - 1])
-
     def alpha_bar(self, u: int) -> float:
         """Cumulative signal fraction at step ``u`` in ``[0, T]``.
 

@@ -20,7 +20,6 @@ from diffcomm import (
     CodecArch,
     CompensationInfeasibleError,
     ComplexVector,
-    GaussianParams,
     GaussianSourceModel,
     Latent,
     LossWeights,
@@ -91,13 +90,13 @@ def test_criterion_01_kl_closed_forms(capsys):
     for _ in range(100):
         y, mu = rng.uniform(-3, 3, 2)
         sigma, sy = rng.uniform(0.3, 2.5, 2)
-        q = GaussianParams(mu=np.array([mu]), sigma=np.array([sy]))
-        worst = max(worst, abs(guidance_kl(np.array([y]), sigma, q) - _kl_quad(y, sigma, mu, sy)))
+        kl = guidance_kl(np.array([y]), sigma, np.array([mu]), np.array([sy]))
+        worst = max(worst, abs(kl - _kl_quad(y, sigma, mu, sy)))
     for _ in range(100):
         mu = rng.uniform(-3, 3)
         sy = rng.uniform(0.3, 2.5)
-        q = GaussianParams(mu=np.array([mu]), sigma=np.array([sy]))
-        worst = max(worst, abs(prior_kl(q) - _kl_quad(mu, sy, 0.0, 1.0)))
+        kl = prior_kl(np.array([mu]), np.array([sy]))
+        worst = max(worst, abs(kl - _kl_quad(mu, sy, 0.0, 1.0)))
     _verdict(capsys, 1, "kl-closed-forms-vs-quadrature", 10.0, t0,
              worst < 1e-6, f"max |closed - quadrature| = {worst:.2e} over 100+100 tuples")
 
@@ -147,7 +146,7 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         rng = np.random.default_rng(200 + i)
         y0 = rng.standard_normal(N_DRAWS)
         out = awgn_transmit(ComplexVector.from_real(y0), math.sqrt(s2e), rng, SCH)
-        ok &= out.mapping.step_u == u
+        ok &= out.mappings[0].step_u == u
         ok &= _noise_pair_ok(out.received.to_real(), y0, s2e, u, rng)
         checked.append(f"awgn u={u}")
 
@@ -163,7 +162,7 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
             ComplexVector.from_real(y0), h, math.sqrt(s2e * gain2), rng, SCH,
             convention="mmse",
         )
-        ok &= out.mapping.step_u == u
+        ok &= out.mappings[0].step_u == u
         ok &= _noise_pair_ok(out.received.to_real(), y0, s2e, u, rng)
     checked.append("rayleigh/mmse |h|^2=0.45")
 
@@ -176,7 +175,7 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         ComplexVector.from_real(y0), h1, math.sqrt(s2e), rng, SCH,
         convention="gain_weighted",
     )
-    ok &= out.mapping.step_u == u
+    ok &= out.mappings[0].step_u == u
     ok &= _noise_pair_ok(out.received.to_real(), y0, s2e, u, rng)
     checked.append("rayleigh/gain_weighted |h|=1")
 

@@ -15,6 +15,7 @@ import pytest
 
 from diffcomm import ConfigurationError, build_linear_schedule, diffusion, load_codec, step_to_sigma2
 from diffcomm.cli import (
+    RunResult,
     emit_csv,
     main,
     parse_config,
@@ -714,13 +715,13 @@ def test_sweep_trains_and_evaluates_on_file_source(tmp_path):
 
 def test_emit_csv_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv((["a", "b"], []), str(path))
+    emit_csv(RunResult(("a", "b"), ()), str(path))
     assert path.read_text() == "a,b\n"
 
 
 def test_emit_csv_one_row(tmp_path):
     path = tmp_path / "one.csv"
-    emit_csv((["x", "y", "z", "w"], [["awgn", 1.25, None, True]]), str(path))
+    emit_csv(RunResult(("x", "y", "z", "w"), (("awgn", 1.25, None, True),)), str(path))
     assert path.read_text() == "x,y,z,w\nawgn,1.25,,1\n"
 
 
@@ -728,7 +729,7 @@ def test_emit_csv_round_trip_six_significant_digits(tmp_path):
     rng = np.random.default_rng(0)
     values = [float(v) for v in rng.standard_normal(20) * 10.0 ** rng.integers(-8, 9, 20)]
     path = tmp_path / "rt.csv"
-    emit_csv((["v"], [[v] for v in values]), str(path))
+    emit_csv(RunResult(("v",), tuple((v,) for v in values)), str(path))
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     parsed = [float(row[0]) for row in rows[1:]]
@@ -739,7 +740,7 @@ def test_emit_csv_round_trip_six_significant_digits(tmp_path):
 
 def test_report_renders_aligned_table(tmp_path):
     path = tmp_path / "t.csv"
-    emit_csv((["name", "value"], [["long-row-label", 1.5], ["x", 123.25]]), str(path))
+    emit_csv(RunResult(("name", "value"), (("long-row-label", 1.5), ("x", 123.25))), str(path))
     text = render_report(str(path))
     lines = text.splitlines()
     assert lines[0].startswith("name")
@@ -815,7 +816,7 @@ def test_main_runtime_error_exit_code(tmp_path, capsys):
 
 def test_main_report_prints_table(tmp_path, capsys):
     path = tmp_path / "r.csv"
-    emit_csv((["a", "b"], [["x", 1.0]]), str(path))
+    emit_csv(RunResult(("a", "b"), (("x", 1.0),)), str(path))
     assert main(["report", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("a")

@@ -87,6 +87,23 @@ def test_codec_arch_rejects_bad_values(arch, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("name", ["hidden", "blocks"])
+@pytest.mark.parametrize("value, shown", [
+    (2.5, "2.5"), (2.0, "2.0"), (True, "True"), ("4", "'4'"),
+], ids=["2.5", "2.0", "True", "str"])
+def test_codec_arch_rejects_non_integer_widths(name, value, shown):
+    with pytest.raises(ConfigurationError) as info:
+        CodecArch(**{name: value})
+    assert str(info.value) == f"arch.{name}: must be an integer, got {shown}"
+    assert info.value.field == f"arch.{name}"
+
+
+def test_codec_arch_stores_numpy_integer_widths_as_int():
+    arch = CodecArch(hidden=np.int64(4), blocks=np.int32(3))
+    assert arch == CodecArch(hidden=4, blocks=3)
+    assert type(arch.hidden) is int and type(arch.blocks) is int
+
+
 def test_codec_arch_normalizes_its_switches():
     arch = CodecArch(power_norm=0, snr_conditioning=1, snr_to_mu=np.bool_(True), snr_db_range=[-2, 8])
     assert arch == CodecArch(power_norm=False, snr_conditioning=True, snr_to_mu=True,

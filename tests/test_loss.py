@@ -9,7 +9,6 @@ from scipy.integrate import quad
 import diffcomm.loss
 from diffcomm import (
     CodecArch,
-    GaussianParams,
     GaussianSourceModel,
     Latent,
     LossBreakdown,
@@ -58,8 +57,7 @@ def test_guidance_kl_matches_quadrature():
         sigma = float(rng.uniform(0.3, 2.5))
         mu = float(rng.uniform(-3, 3))
         sy = float(rng.uniform(0.3, 2.5))
-        q = GaussianParams(mu=np.array([mu]), sigma=np.array([sy]))
-        closed = guidance_kl(np.array([y]), sigma, q)
+        closed = guidance_kl(np.array([y]), sigma, np.array([mu]), np.array([sy]))
         assert closed == pytest.approx(_kl_quadrature(y, sigma, mu, sy), abs=1e-6)
 
 
@@ -68,31 +66,37 @@ def test_prior_kl_matches_quadrature():
     for _ in range(12):
         mu = float(rng.uniform(-3, 3))
         sy = float(rng.uniform(0.3, 2.5))
-        q = GaussianParams(mu=np.array([mu]), sigma=np.array([sy]))
-        assert prior_kl(q) == pytest.approx(_kl_quadrature(mu, sy, 0.0, 1.0), abs=1e-6)
+        closed = prior_kl(np.array([mu]), np.array([sy]))
+        assert closed == pytest.approx(_kl_quadrature(mu, sy, 0.0, 1.0), abs=1e-6)
 
 
 def test_kl_hand_values():
-    std = GaussianParams(mu=np.zeros(3), sigma=np.ones(3))
-    assert prior_kl(std) == 0.0
-    assert guidance_kl(np.zeros(3), 1.0, std) == 0.0
+    zeros, ones = np.zeros(3), np.ones(3)
+    assert prior_kl(zeros, ones) == 0.0
+    assert guidance_kl(zeros, 1.0, zeros, ones) == 0.0
     # mean shift of 1 at unit variances costs exactly 1/2 nat
-    shifted = GaussianParams(mu=np.ones(3), sigma=np.ones(3))
-    assert prior_kl(shifted) == pytest.approx(0.5, rel=1e-15)
-    assert guidance_kl(np.zeros(3), 1.0, shifted) == pytest.approx(0.5, rel=1e-15)
+    assert prior_kl(ones, ones) == pytest.approx(0.5, rel=1e-15)
+    assert guidance_kl(zeros, 1.0, ones, ones) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_kl_is_a_mean_over_elements():
-    q = GaussianParams(mu=np.array([0.0, 1.0]), sigma=np.array([1.0, 1.0]))
-    assert prior_kl(q) == pytest.approx(0.25, rel=1e-15)
+    assert prior_kl(np.array([0.0, 1.0]), np.array([1.0, 1.0])) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_guidance_kl_validation():
-    q = GaussianParams(mu=np.zeros(2), sigma=np.ones(2))
-    with pytest.raises(ValueError):
-        guidance_kl(np.zeros(2), 0.0, q)
-    with pytest.raises(ValueError):
-        guidance_kl(np.zeros(3), 1.0, q)
+    zeros, ones = np.zeros(2), np.ones(2)
+    with pytest.raises(ValueError, match=r"^sigma must be finite and > 0, got 0\.0$"):
+        guidance_kl(zeros, 0.0, zeros, ones)
+    with pytest.raises(ValueError, match=r"^shape mismatch: y \(3,\), mu \(2,\), s \(2,\)$"):
+        guidance_kl(np.zeros(3), 1.0, zeros, ones)
+    with pytest.raises(ValueError, match=r"^shape mismatch: y \(2,\), mu \(2,\), s \(3,\)$"):
+        guidance_kl(zeros, 1.0, zeros, np.ones(3))
+    with pytest.raises(ValueError, match=r"^shape mismatch: mu \(2,\) vs s \(3,\)$"):
+        prior_kl(zeros, np.ones(3))
+    # values are not checked: a diverged step's NaN reaches the trainer
+    nan = np.array([np.nan, 0.0])
+    assert math.isnan(prior_kl(nan, ones))
+    assert math.isnan(guidance_kl(zeros, 1.0, nan, ones))
 
 
 def test_loss_weights_validation():
@@ -140,10 +144,9 @@ def test_batch_loss_matches_single_sample_forms():
     Mu, _, Sy, Yhat, _ = forward_up_batch(p, Z + sigma * eps2, snr_feature(p, snr), eps_y)
     kl, err, g = [], [], []
     for i in range(B):
-        q = GaussianParams(mu=Mu[i], sigma=Sy[i])
-        kl.append(prior_kl(q))
+        kl.append(prior_kl(Mu[i], Sy[i]))
         err.append(mse(Yhat[i], Y[i] + sigma * eps1[i]))
-        g.append(guidance_kl(Y[i], sigma, q))
+        g.append(guidance_kl(Y[i], sigma, Mu[i], Sy[i]))
     assert breakdown.l_kl == pytest.approx(np.mean(kl), rel=1e-12)
     assert breakdown.l_mse == pytest.approx(np.mean(err), rel=1e-12)
     assert breakdown.l_g == pytest.approx(np.mean(g), rel=1e-12)
@@ -163,9 +166,8 @@ def test_batch_of_one_loss_is_the_single_sample_forms_exactly():
 
     Z, _ = forward_down_batch(p, Y)
     Mu, _, Sy, Yhat, _ = forward_up_batch(p, Z + sigma * eps2, snr_feature(p, snr), eps_y)
-    q = GaussianParams(mu=Mu[0], sigma=Sy[0])
-    assert breakdown.l_kl == prior_kl(q)
-    assert breakdown.l_g == guidance_kl(Y[0], sigma, q)
+    assert breakdown.l_kl == prior_kl(Mu[0], Sy[0])
+    assert breakdown.l_g == guidance_kl(Y[0], sigma, Mu[0], Sy[0])
     assert breakdown.l_mse == mse(Yhat[0], Y[0] + sigma * eps1[0])
 
 

