@@ -6,8 +6,14 @@ first differing line.  Re-pin only for a deliberate behaviour change, and
 name that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+The ``resolved_config.json`` each run writes is pinned by its sha256 in
+``RESOLVED_SHA256`` (bytes, so an int written as a float shows), for
+every config but ``simulate-file-source``, whose config holds a
+temporary path.
 """
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -105,6 +111,36 @@ CONFIGS = {
     "sweep-rayleigh": (run_sweep, _sweep_config("lambda", [0.1, 1.0], ctype="rayleigh")),
 }
 
+RESOLVED_SHA256 = {
+    "simulate-awgn-adaptive": "3604420cdd69df5303ba8036b22962de1eebc6e144ff1c5948aaf1027bf1e7a3",
+    "simulate-awgn-adaptive-codec": "0f125d701d302e9af08164acc1169ad2d8c3de49e8d969dad27290a879f7896e",
+    "simulate-awgn-compare": "9958745a9a0347b518e894f03b4a00cda18c4de686e97b7d7001ccb9cedac860",
+    "simulate-awgn-compare-codec": "10c4b8b9a7e5a3a482ee5ccc72b4ee61619cc63839db1e46ea2055ce3e595ee1",
+    "simulate-awgn-fixed_step": "f6da46e8b8f0ad4b53117c59be5046877000e7288a8a32fc4b5d1c9b7d6fcc31",
+    "simulate-awgn-fixed_step-codec": "b5fa09c7e070984fe8c1552b089a078d31cdfe8065f2150eb73d211c24f03a04",
+    "simulate-awgn-ssim": "f0aac961f68780b773a042aaf224f1acc8bb7d2165522052d50781b907ee2b90",
+    "simulate-mimo-adaptive": "c5cef3dbda314db8c50bf55bb4c216f6723adba05cb7372c454ee4e778233d4d",
+    "simulate-mimo-compare": "87dc64769558790e0621473535a2d9cc436714010389f89dc0c5c31732ee8c4f",
+    "simulate-mimo-fixed_step": "78198d354b209ff87a56c34557c6c2ab8f016e70a091006dcc2419a0907175ab",
+    "simulate-mimo4-adaptive": "87ecaf289950a4f4e37e5e5af07573571f940a7d4d7e5c845e3c3a13a627290b",
+    "simulate-mimo4-compare": "c4dcd4b952fea7cd20159d2db9c51052a6a96fd80b8810829aac208a2696f7dd",
+    "simulate-mimo4-fixed_step": "13085d11a318c0d988fe5ca8383bba06a4eee2bada89f210c21dbd11733f90ac",
+    "simulate-rayleigh-adaptive": "40e7d10315c6de80128660d89e1d19b37d991870afef402087e6555646e8b395",
+    "simulate-rayleigh-adaptive-codec": "83004529e7e15962a3c80f987db6fe74e7824ca5aa9529d7776d1ac2d0b9ff99",
+    "simulate-rayleigh-compare": "9cc4f12830b92eb367ac856bc23df82e7f7b03557c3fa2dba49efdf5f27be273",
+    "simulate-rayleigh-compare-codec": "a52447bf2816f71b1810ca46b648c86946276eb7df5e936a1e24ffa103301c3a",
+    "simulate-rayleigh-fixed_step": "92d38519d01079f34f9119022bd227d4e1724a7127a7ea38d7517fd7678a8566",
+    "simulate-rayleigh-fixed_step-codec": "5472907105644fbbe69c87c0d136b61cfa01e7bd221855eb25beecaf9aa8c1c0",
+    "simulate-rayleigh-mmse": "3677552b731b4db2ca8d37926c4c9c3c9db9f732446509f034832c2546b1f577",
+    "simulate-rayleigh-saturating-cell": "1224a2428ebb1464eab26ab203db325f9b46e8b66bb01a6ce9fa58ebf7a0e76a",
+    "sweep-C": "36b99a1e551cc79883580727eddaac24de13f771d2f0cd12a4e34e53bc25bede",
+    "sweep-gamma": "bc340847bd471362e78f0613c5af62b23cc73891bcfcac19422d8cb85e9116d9",
+    "sweep-lambda": "c1b3df3032edefa25b8dc90ff6ac8528faabcc1f8f73ea4cf78a764f456d5aa5",
+    "sweep-rayleigh": "cb44f21cee6f84f361d5f6693420bfa8903fca265484694f6ff96cacaa2c7551",
+    "train-default": "479bbae0f75af102696fd945db3754742872eca61f155c085754df4585708a7f",
+    "train-momentum": "e7a7af1ca1d17673f04e6e29ddfe49fde97fad4459880d096aece00425bb84b6",
+}
+
 
 def _write_latents(work: Path) -> str:
     path = work / "latents.npz"
@@ -114,6 +150,7 @@ def _write_latents(work: Path) -> str:
 
 
 def _run(name: str, work: Path, threads: int = 1) -> bytes:
+    """Run config ``name`` under ``work/out``; returns its results.csv bytes."""
     runner, cfg = CONFIGS[name]
     if cfg["source"].get("kind") == "file":
         cfg = {**cfg, "source": {**cfg["source"], "path": _write_latents(work)}}
@@ -146,6 +183,17 @@ def test_golden_files_match_the_config_list():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_results_csv_matches_golden(name, tmp_path):
     _check(name, _run(name, tmp_path))
+
+
+def test_resolved_config_table_covers_every_config_without_a_path():
+    assert sorted(RESOLVED_SHA256) == sorted(set(CONFIGS) - {"simulate-file-source"})
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED_SHA256))
+def test_resolved_config_matches_pinned_digest(name, tmp_path):
+    _run(name, tmp_path)
+    text = (tmp_path / "out" / "resolved_config.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == RESOLVED_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ["simulate-mimo-adaptive", "sweep-lambda"])
