@@ -5,7 +5,6 @@ from .config import (
     ChannelConfig,
     CodecConfig,
     ExperimentConfig,
-    LossConfig,
     ModeConfig,
     OutputConfig,
     ScheduleConfig,
@@ -23,7 +22,6 @@ __all__ = [
     "ChannelConfig",
     "CodecConfig",
     "ExperimentConfig",
-    "LossConfig",
     "ModeConfig",
     "OutputConfig",
     "RunResult",

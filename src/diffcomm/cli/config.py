@@ -7,13 +7,17 @@ source of shape 8x8x4, loss weights 0.1/0.1, batch 4 at learning rate
 1e-4.  Unknown keys anywhere, type mismatches, and invariant violations
 are rejected with the dotted path of the offending field.
 
-The section dataclasses are the schema.  Each field states its default
-and, through ``_field``, its JSON key where that differs from the
-attribute name (``LossConfig.lam`` is ``"lambda"``) and the bounds its
-reader enforces; the reader itself follows from the field's annotation.
-``_take_fields`` parses a section from those fields and ``_plain``
-writes one back out.  Only the keys with a structure of their own
-(``source.shape``, the channel's noise grid and fade ``h``,
+The section dataclasses are the schema.  ``loss``, ``train`` and
+``codec`` are the library's ``LossWeights``, ``TrainConfig`` and
+``CodecArch`` (the last two with the config's own fields added), and
+``schedule`` holds the ``Schedule`` it builds at parse time; those types
+state their defaults and bounds, and ``_take_fields`` re-raises their
+``ConfigurationError`` at the JSON path.  The other sections' fields
+state their defaults and, through ``_field``, their readers' bounds.
+``_take_fields`` parses a section, picking each reader from the field's
+type, and ``_plain`` writes one back out; ``_KEYS`` holds the JSON keys
+that differ from the attribute name.  Only the keys with a structure of
+their own (``source.shape``, the channel's noise grid and fade ``h``,
 ``codec.arch``, ``codec.snr_db_range``, ``sweep.values``) and the checks
 that span fields are written out by hand.
 
@@ -24,14 +28,16 @@ count, the fixed-step mode's equivalent SNR).  Runners write it next to
 their outputs so any result file can be replayed.
 """
 
+import inspect
 import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, get_type_hints
 
-from ..codec import compressed_length, k_from_channel_count
+from ..codec import CodecArch, compressed_length, k_from_channel_count
 from ..errors import CompensationInfeasibleError, ConfigurationError, SaturationError
+from ..loss import LossWeights, TrainConfig
 from ..schedule import Schedule, build_linear_schedule, sigma2_to_step, step_to_sigma2
 
 __all__ = [
@@ -39,7 +45,6 @@ __all__ = [
     "ChannelConfig",
     "CodecConfig",
     "ExperimentConfig",
-    "LossConfig",
     "ModeConfig",
     "OutputConfig",
     "ScheduleConfig",
@@ -93,14 +98,11 @@ class _Section:
             raise ConfigurationError(self.child(name), f"must be >= {minimum}, got {raw}")
         return raw
 
-    def take_float(self, name: str, default, minimum: Optional[float] = None,
-                   exclusive_minimum: Optional[float] = None):
+    def take_float(self, name: str, default, exclusive_minimum: Optional[float] = None):
         raw = self._pop(name)
         if raw is _MISSING:
             return default
         val = self._as_float(self.child(name), raw)
-        if minimum is not None and val < minimum:
-            raise ConfigurationError(self.child(name), f"must be >= {minimum}, got {val}")
         if exclusive_minimum is not None and val <= exclusive_minimum:
             raise ConfigurationError(self.child(name), f"must be > {exclusive_minimum}, got {val}")
         return val
@@ -147,18 +149,32 @@ class _Section:
 # section dataclasses: the schema
 
 
-def _field(default, key: Optional[str] = None, **bounds):
-    """A config field: its default, its JSON key when that differs from the
-    attribute name, and the keyword bounds its ``_Section.take_*`` reader
-    enforces (``minimum``, ``exclusive_minimum``, ``choices``)."""
-    return field(default=default, metadata={"key": key, "bounds": bounds})
+def _field(default, **bounds):
+    """A config field: its default and the keyword bounds its
+    ``_Section.take_*`` reader enforces (``minimum``, ``exclusive_minimum``,
+    ``choices``)."""
+    return field(default=default, metadata={"bounds": bounds})
+
+
+# JSON keys that differ from the attribute name
+_KEYS = {"lam": "lambda"}
+
+# ScheduleConfig's defaults are build_linear_schedule's
+_LINEAR = inspect.signature(build_linear_schedule).parameters
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    T: int = _field(1000, minimum=1)
-    beta_start: float = _field(1e-4, exclusive_minimum=0.0)
-    beta_end: float = _field(0.02, exclusive_minimum=0.0)
+    """``build_linear_schedule``'s arguments and ``built``, the one
+    ``Schedule`` a run uses, built (and so checked) at construction."""
+
+    T: int = _LINEAR["T"].default
+    beta_start: float = _LINEAR["beta_start"].default
+    beta_end: float = _LINEAR["beta_end"].default
+    built: Schedule = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "built", build_linear_schedule(self.T, self.beta_start, self.beta_end))
 
 
 @dataclass(frozen=True)
@@ -194,35 +210,28 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
-class CodecConfig:
+class CodecConfig(CodecArch):
+    """The codec's arch (``hidden`` and ``blocks`` are read from
+    ``codec.arch``), whether it runs, its compression and stored weights."""
+
     enabled: bool = False
     C: Optional[int] = _field(None, minimum=1)
     k: Optional[float] = None
-    hidden: int = _field(64, minimum=1)  # read from codec.arch
-    blocks: int = _field(2, minimum=1)  # read from codec.arch
-    snr_conditioning: bool = True
-    snr_to_mu: bool = False
-    power_norm: bool = True
-    snr_db_range: tuple[float, float] = (0.0, 12.0)
     params_path: Optional[str] = None
 
 
 @dataclass(frozen=True)
-class LossConfig:
-    lam: float = _field(0.1, key="lambda", minimum=0.0)
-    gamma: float = _field(0.1, minimum=0.0)
+class TrainSection(TrainConfig):
+    """The trainer's settings and the SNR it trains at."""
 
-
-@dataclass(frozen=True)
-class TrainSection:
-    steps: int = _field(2000, minimum=0)
-    batch: int = _field(4, minimum=1)
-    lr: float = _field(1e-4, exclusive_minimum=0.0)
-    momentum: float = _field(0.0, minimum=0.0)
-    eval_every: int = _field(100, minimum=1)
-    holdout: int = _field(64, minimum=1)
     snr_db: float = 5.0
-    common_noise: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
+            raise ConfigurationError(
+                "snr_db", f"noise variance must be finite and > 0, got {self.sigma2!r}"
+            )
 
     @property
     def sigma2(self) -> float:
@@ -258,7 +267,7 @@ class ExperimentConfig:
     source: SourceConfig
     channel: ChannelConfig
     codec: CodecConfig
-    loss: LossConfig
+    loss: LossWeights
     train: TrainSection
     mode: ModeConfig
     output: OutputConfig
@@ -274,8 +283,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # parsing
 
-# the reader for each field annotation _take accepts; annotations are
-# evaluated types because this module does not postpone them
+# the reader for each field type _take_fields accepts; the types come from
+# typing.get_type_hints, because the library modules postpone annotations
 _READERS = {
     int: _Section.take_int, Optional[int]: _Section.take_int,
     float: _Section.take_float, Optional[float]: _Section.take_float,
@@ -284,31 +293,26 @@ _READERS = {
 }
 
 
-def _key(f) -> str:
-    return f.metadata.get("key") or f.name
-
-
-def _take(sec: _Section, f):
-    """Field ``f`` from ``sec``: the reader for its type, with its key, default and bounds."""
-    return _READERS[f.type](sec, _key(f), f.default, **f.metadata.get("bounds", {}))
+def _key(name: str) -> str:
+    return _KEYS.get(name, name)
 
 
 def _take_fields(cls, sec: _Section, **given):
     """A ``cls`` read from ``sec``: ``given`` values as they are, every
-    other field through ``_take``.  Keys left over are rejected."""
-    values = {f.name: _take(sec, f) for f in fields(cls) if f.name not in given}
+    other constructor field by the reader for its type, with its key,
+    default and bounds.  Keys left over are rejected; a ConfigurationError
+    from ``cls`` is raised again at the JSON path of the field it names."""
+    kinds = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.init and f.name not in given:
+            read = _READERS[kinds[f.name]]
+            values[f.name] = read(sec, _key(f.name), f.default, **f.metadata.get("bounds", {}))
     sec.finish()
-    return cls(**values, **given)
-
-
-def _parse_schedule(sec: _Section) -> ScheduleConfig:
-    out = _take_fields(ScheduleConfig, sec)
-    if not out.beta_start <= out.beta_end < 1.0:
-        raise ConfigurationError(
-            "schedule.beta_start, schedule.beta_end",
-            f"need beta_start <= beta_end < 1, got ({out.beta_start}, {out.beta_end})",
-        )
-    return out
+    try:
+        return cls(**values, **given)
+    except ConfigurationError as exc:
+        raise ConfigurationError(sec.child(_key(exc.field)), exc.message) from None
 
 
 def _parse_shape(sec: _Section) -> tuple[int, int, int]:
@@ -396,16 +400,15 @@ def _parse_channel(sec: _Section) -> ChannelConfig:
 
 def _parse_codec(sec: _Section) -> CodecConfig:
     arch_sec = sec.take_section("arch")
-    arch = {f.name: _take(arch_sec, f)
-            for f in fields(CodecConfig) if f.name in ("hidden", "blocks")}
+    arch = {name: arch_sec.take_int(name, getattr(CodecArch, name)) for name in ("hidden", "blocks")}
     arch_sec.finish()
 
     snr_db_range = sec.take_float_list("snr_db_range")
     if snr_db_range is None:
         snr_db_range = CodecConfig.snr_db_range
-    elif len(snr_db_range) != 2 or not snr_db_range[0] < snr_db_range[1]:
+    elif len(snr_db_range) != 2:
         raise ConfigurationError(
-            sec.child("snr_db_range"), f"expected [lo, hi] with lo < hi, got {list(snr_db_range)}"
+            sec.child("snr_db_range"), f"expected [lo, hi], got {len(snr_db_range)} entries"
         )
 
     out = _take_fields(CodecConfig, sec, snr_db_range=snr_db_range, **arch)
@@ -414,17 +417,6 @@ def _parse_codec(sec: _Section) -> CodecConfig:
         raise ConfigurationError("codec.C, codec.k", "exactly one of C and k must be given")
     if out.params_path is not None and not os.path.isfile(out.params_path):
         raise ConfigurationError("codec.params_path", f"file not found: {out.params_path}")
-    return out
-
-
-def _parse_train(sec: _Section) -> TrainSection:
-    out = _take_fields(TrainSection, sec)
-    if out.momentum >= 1.0:
-        raise ConfigurationError("train.momentum", f"must lie in [0, 1), got {out.momentum}")
-    if not (math.isfinite(out.sigma2) and out.sigma2 > 0.0):
-        raise ConfigurationError(
-            "train.snr_db", f"noise variance must be finite and > 0, got {out.sigma2!r}"
-        )
     return out
 
 
@@ -466,7 +458,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     top = _Section(raw, "")
     seed = top.take_int("seed", 0, minimum=0)
-    schedule = _parse_schedule(top.take_section("schedule"))
+    schedule = _take_fields(ScheduleConfig, top.take_section("schedule"))
     source = _parse_source(top.take_section("source"))
     if not top.has("channel"):
         raise ConfigurationError("channel", "section is required (needs an snr_db or sigma list)")
@@ -474,8 +466,8 @@ def parse_config(text: str) -> ExperimentConfig:
     cells_key = channel_sec.child("sigma" if channel_sec.has("sigma") else "snr_db")
     channel = _parse_channel(channel_sec)
     codec = _parse_codec(top.take_section("codec"))
-    loss = _take_fields(LossConfig, top.take_section("loss"))
-    train = _parse_train(top.take_section("train"))
+    loss = _take_fields(LossWeights, top.take_section("loss"))
+    train = _take_fields(TrainSection, top.take_section("train"))
     mode = _parse_mode(top.take_section("mode"), schedule.T)
     output = _take_fields(OutputConfig, top.take_section("output"))
     has_sweep = top.has("sweep")
@@ -543,7 +535,7 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
     if not (ch.type == "awgn" or (pinned and not adaptive)):
         return
     gain2 = ch.h.real * ch.h.real + ch.h.imag * ch.h.imag if pinned else 1.0
-    sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
+    sch = cfg.schedule.built
     t = cfg.mode.t_target
     bound = sch.max_sigma2 if adaptive else step_to_sigma2(sch, t)
     for i, cell in enumerate(ch.cells):
@@ -572,18 +564,19 @@ def _nominal_step_u(schedule: Schedule, sigma2: float) -> Optional[int]:
 
 
 def _plain(section) -> dict[str, Any]:
-    """``section``'s fields under their JSON keys, tuples as lists."""
+    """``section``'s constructor fields under their JSON keys, tuples as lists."""
     out = {}
     for f in fields(section):
-        value = getattr(section, f.name)
-        out[_key(f)] = list(value) if isinstance(value, tuple) else value
+        if f.init:
+            value = getattr(section, f.name)
+            out[_key(f.name)] = list(value) if isinstance(value, tuple) else value
     return out
 
 
 def resolved_config(cfg: ExperimentConfig) -> dict:
     """Plain-dict view of the config with defaults and derived values filled
     (strict JSON: a noiseless cell's infinite ``snr_db`` reads None)."""
-    sch = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
+    sch = cfg.schedule.built
 
     channel = _plain(cfg.channel)
     channel["cells"] = []

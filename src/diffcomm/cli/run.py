@@ -65,9 +65,9 @@ from ..diffusion import (
     forward_sample,
 )
 from ..errors import ConfigurationError, SaturationError
-from ..loss import LossWeights, TrainConfig, train_codec
+from ..loss import LossWeights, train_codec
 from ..metrics import mse, psnr_from_mse, ssim_batch
-from ..schedule import Schedule, build_linear_schedule
+from ..schedule import Schedule
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
 __all__ = [
@@ -190,7 +190,8 @@ def _ssim_window(shape: tuple[int, int, int]) -> Optional[int]:
 
 
 def _codec_arch(cfg: ExperimentConfig) -> CodecArch:
-    """The configured arch; ``CodecConfig`` names each ``CodecArch`` field alike."""
+    """The configured arch as a plain ``CodecArch``, which compares equal to
+    a stored codec's (dataclass equality needs the same class)."""
     return CodecArch(**{f.name: getattr(cfg.codec, f.name) for f in fields(CodecArch)})
 
 
@@ -223,18 +224,6 @@ def _codec_params(cfg: ExperimentConfig) -> CodecParams:
             )
         return params
     return _init_codec(cfg, k, _derive_rng(cfg.seed, "codec-init"))
-
-
-def _train_config(cfg: ExperimentConfig, steps: int, eval_every: int) -> TrainConfig:
-    return TrainConfig(
-        steps=steps,
-        batch=cfg.train.batch,
-        lr=cfg.train.lr,
-        momentum=cfg.train.momentum,
-        eval_every=eval_every,
-        holdout=cfg.train.holdout,
-        common_noise=cfg.train.common_noise,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +270,7 @@ class _TrialSetup:
 
 
 def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
-    schedule = build_linear_schedule(cfg.schedule.T, cfg.schedule.beta_start, cfg.schedule.beta_end)
+    schedule = cfg.schedule.built
     return _TrialSetup(
         cfg=cfg,
         schedule=schedule,
@@ -528,12 +517,10 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
         raise ConfigurationError("codec.C, codec.k", "training needs a compression setting")
     params0 = _codec_params(cfg)
     sigma = math.sqrt(cfg.train.sigma2)
-    tcfg = _train_config(cfg, cfg.train.steps, cfg.train.eval_every)
-    weights = LossWeights(lam=cfg.loss.lam, gamma=cfg.loss.gamma)
     source = _train_source(cfg)
     start = time.perf_counter()
     params, records = train_codec(
-        source, sigma, params0, weights, tcfg, _derive_rng(cfg.seed, "train")
+        source, sigma, params0, cfg.loss, cfg.train, _derive_rng(cfg.seed, "train")
     )
     wall_s = time.perf_counter() - start
 
@@ -584,7 +571,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     param = cfg.sweep.param
     steps = cfg.train.steps if cfg.sweep.steps is None else cfg.sweep.steps
     trials = cfg.source.count if cfg.sweep.trials is None else cfg.sweep.trials
-    tcfg = _train_config(cfg, steps, max(1, steps))
+    tcfg = replace(cfg.train, steps=steps, eval_every=max(1, steps))
     sigma2 = cfg.train.sigma2
 
     def run_point(value: float) -> tuple:

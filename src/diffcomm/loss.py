@@ -44,7 +44,7 @@ from .codec import (
     zero_grads,
 )
 from .diffusion import GaussianSourceModel, Latent
-from .errors import TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError
 from .metrics import mse, psnr
 
 __all__ = [
@@ -62,16 +62,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the KL terms: ``lam`` on the prior, ``gamma`` on guidance."""
+    """Weights of the KL terms: ``lam`` on the prior, ``gamma`` on guidance.
+    A weight that is not finite and >= 0 is a ConfigurationError naming it."""
 
     lam: float = 0.1
     gamma: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        for name in ("lam", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigurationError(name, f"must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,8 @@ def reconstruction_psnr(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Plain SGD settings; momentum of 0 disables the velocity term."""
+    """Plain SGD settings; momentum of 0 disables the velocity term.  A
+    setting out of range is a ConfigurationError naming it."""
 
     steps: int = 2000
     batch: int = 4
@@ -216,17 +218,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+            raise ConfigurationError("steps", f"must be >= 0, got {self.steps}")
         if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+            raise ConfigurationError("batch", f"must be >= 1, got {self.batch}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+            raise ConfigurationError("lr", f"must be finite and > 0, got {self.lr!r}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+            raise ConfigurationError("momentum", f"must lie in [0, 1), got {self.momentum!r}")
         if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+            raise ConfigurationError("eval_every", f"must be >= 1, got {self.eval_every}")
         if self.holdout < 1:
-            raise ValueError(f"holdout must be >= 1, got {self.holdout}")
+            raise ConfigurationError("holdout", f"must be >= 1, got {self.holdout}")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,22 @@ def test_main_rejects_a_noise_variance_out_of_range(tmp_path, capsys, overrides,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "simulate"])
+def test_main_rejects_a_schedule_that_cannot_be_built_before_any_output(tmp_path, capsys, command):
+    # 200,000 steps up to beta 0.5 underflow the alpha-bars; the schedule is
+    # built at parse time, so neither training nor a rayleigh grid starts
+    text = json.dumps({
+        "schedule": {"T": 200000, "beta_end": 0.5},
+        "channel": {"type": "rayleigh", "snr_db": [5]},
+        "codec": {"k": 0.5},
+        "train": {"steps": 5},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: schedule.")
+    assert not out.exists()
+
+
 def test_extreme_noise_levels_that_stay_finite_parse():
     # a fade leaves saturation to the run; an adaptive awgn cell would fail it here
     text = '{"channel": {"type": "rayleigh", "snr_db": [-3000]}}'

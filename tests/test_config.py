@@ -17,6 +17,7 @@ import pytest
 
 from diffcomm import ConfigurationError
 from diffcomm.cli import ExperimentConfig, parse_config, resolved_config
+from diffcomm.cli.config import _key
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,19 +56,26 @@ FAULTS = [
     ("T-type", {"schedule": {"T": 1.5}},
      "schedule.T: expected an integer, got float"),
     ("T-bound", {"schedule": {"T": 0}},
-     "schedule.T: must be >= 1, got 0"),
+     "schedule.T: must be an integer >= 1, got 0"),
     ("beta_start-type", {"schedule": {"beta_start": "a"}},
      "schedule.beta_start: expected a number, got str"),
     ("beta_start-bound", {"schedule": {"beta_start": 0}},
-     "schedule.beta_start: must be > 0.0, got 0.0"),
+     "schedule.beta_start: must lie in (0, 1), got 0.0"),
     ("beta_start-finite", '{"channel": {"snr_db": [3.0]}, "schedule": {"beta_start": Infinity}}',
      "schedule.beta_start: must be finite, got inf"),
     ("beta_end-bound", {"schedule": {"beta_end": -0.5}},
-     "schedule.beta_end: must be > 0.0, got -0.5"),
+     "schedule.beta_end: must lie in (0, 1), got -0.5"),
     ("beta-order", {"schedule": {"beta_start": 0.03}},
-     "schedule.beta_start, schedule.beta_end: need beta_start <= beta_end < 1, got (0.03, 0.02)"),
+     "schedule.beta_start: must be <= beta_end, got 0.03 > 0.02"),
     ("beta_end-one", {"schedule": {"beta_end": 1.0}},
-     "schedule.beta_start, schedule.beta_end: need beta_start <= beta_end < 1, got (0.0001, 1.0)"),
+     "schedule.beta_end: must lie in (0, 1), got 1.0"),
+    # the schedule is built at parse time, so one whose alpha-bars underflow
+    # or round to 1 fails here, on every channel type
+    ("alpha_bars-underflow",
+     {"schedule": {"T": 200000, "beta_end": 0.5}, "channel": {"type": "rayleigh", "snr_db": [5]}},
+     "schedule.alpha_bars: all values must lie in (0, 1)"),
+    ("alpha_bars-one", {"schedule": {"beta_start": 1e-320, "beta_end": 1e-320}},
+     "schedule.alpha_bars: all values must lie in (0, 1)"),
     ("schedule-unknown", {"schedule": {"steps": 10}},
      "schedule.steps: unknown key"),
     ("kind-choice", {"source": {"kind": "image"}},
@@ -185,9 +193,9 @@ FAULTS = [
     ("power_norm-type", {"codec": {"power_norm": None}},
      "codec.power_norm: expected a boolean, got NoneType"),
     ("snr_db_range-length", {"codec": {"snr_db_range": [1.0]}},
-     "codec.snr_db_range: expected [lo, hi] with lo < hi, got [1.0]"),
+     "codec.snr_db_range: expected [lo, hi], got 1 entries"),
     ("snr_db_range-order", {"codec": {"snr_db_range": [12.0, 0.0]}},
-     "codec.snr_db_range: expected [lo, hi] with lo < hi, got [12.0, 0.0]"),
+     "codec.snr_db_range: must satisfy lo < hi, got (12.0, 0.0)"),
     ("snr_db_range-type", {"codec": {"snr_db_range": "0..12"}},
      "codec.snr_db_range: expected a list, got str"),
     ("params_path-type", {"codec": {"params_path": 3}},
@@ -212,11 +220,11 @@ FAULTS = [
     ("codec-unknown", {"codec": {"hidden": 8}},
      "codec.hidden: unknown key"),
     ("lambda-bound", {"loss": {"lambda": -1}},
-     "loss.lambda: must be >= 0.0, got -1.0"),
+     "loss.lambda: must be finite and >= 0, got -1.0"),
     ("lambda-type", {"loss": {"lambda": "a"}},
      "loss.lambda: expected a number, got str"),
     ("gamma-bound", {"loss": {"gamma": -0.1}},
-     "loss.gamma: must be >= 0.0, got -0.1"),
+     "loss.gamma: must be finite and >= 0, got -0.1"),
     ("loss-attribute-name", {"loss": {"lam": 0.2}},
      "loss.lam: unknown key"),
     ("steps-bound", {"train": {"steps": -1}},
@@ -224,9 +232,9 @@ FAULTS = [
     ("batch-bound", {"train": {"batch": 0}},
      "train.batch: must be >= 1, got 0"),
     ("lr-bound", {"train": {"lr": 0}},
-     "train.lr: must be > 0.0, got 0.0"),
+     "train.lr: must be finite and > 0, got 0.0"),
     ("momentum-bound", {"train": {"momentum": -0.1}},
-     "train.momentum: must be >= 0.0, got -0.1"),
+     "train.momentum: must lie in [0, 1), got -0.1"),
     ("momentum-one", {"train": {"momentum": 1.0}},
      "train.momentum: must lie in [0, 1), got 1.0"),
     ("eval_every-bound", {"train": {"eval_every": 0}},
@@ -475,11 +483,12 @@ def test_readme_names_every_config_key():
         if section.name not in bullets:
             missing.append(section.name)
             continue
-        # the section's dataclass, also through Optional[...]; none for seed
+        # the section's dataclass, also through Optional[...]; none for seed.
+        # Its constructor fields, inherited ones included, under their JSON keys
         cls = next((t for t in (section.type, *typing.get_args(section.type))
                     if dataclasses.is_dataclass(t)), None)
         keys = [] if cls is None else [
-            f.metadata.get("key") or f.name for f in dataclasses.fields(cls) if f.name != "cells"
+            _key(f.name) for f in dataclasses.fields(cls) if f.init and f.name != "cells"
         ]
         for key in keys + extra.get(section.name, []):
             if not re.search(rf"[`\"]{re.escape(key)}[`\"]", bullets[section.name]):

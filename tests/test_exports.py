@@ -1,6 +1,6 @@
-"""Public names: every export resolves, the package exports what it
-imports, every function the benchmark tracer wraps still exists, and the
-README's library example runs."""
+"""Public names: every export resolves, the package and its ``cli``
+subpackage export what they import, every function the benchmark tracer
+wraps still exists, and the README's library example runs."""
 
 import ast
 import importlib
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffcomm
+import diffcomm.cli
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(diffcomm.__path__, prefix="diffcomm.")
@@ -25,16 +26,25 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_package_exports_exactly_what_it_imports():
-    tree = ast.parse(Path(diffcomm.__file__).read_text())
+def _assert_exports_what_it_imports(package):
+    """``package.__all__`` lists each name its ``__init__`` imports, once."""
+    tree = ast.parse(Path(package.__file__).read_text())
     imported = {
         alias.asname or alias.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert len(diffcomm.__all__) == len(set(diffcomm.__all__))
-    assert set(diffcomm.__all__) == imported
+    assert len(package.__all__) == len(set(package.__all__))
+    assert set(package.__all__) == imported
+
+
+def test_package_exports_exactly_what_it_imports():
+    _assert_exports_what_it_imports(diffcomm)
+
+
+def test_cli_exports_exactly_what_it_imports():
+    _assert_exports_what_it_imports(diffcomm.cli)
 
 
 def test_every_bench_trace_target_resolves():

@@ -1,5 +1,6 @@
 """Hybrid objective: closed forms vs quadrature, exact gradients, trainer."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 import diffcomm.loss
 from diffcomm import (
     CodecArch,
+    ConfigurationError,
     GaussianSourceModel,
     Latent,
     LossBreakdown,
@@ -31,6 +33,7 @@ from diffcomm.codec import (
     snr_feature,
     vector_to_params,
 )
+from diffcomm.cli import parse_config
 
 
 def _kl_quadrature(mu1, sigma1, mu2, sigma2):
@@ -99,11 +102,30 @@ def test_guidance_kl_validation():
     assert math.isnan(guidance_kl(zeros, 1.0, nan, ones))
 
 
+def _check_bounds(cls, section, cases):
+    """Each ``(field, value, message, key)`` of ``cases`` is a ConfigurationError
+    of ``cls(field=value)`` naming ``field``; a ``key`` also sets ``value`` in
+    config ``section`` under that JSON key, where the parser reports the same
+    message at ``section.key``."""
+    for name, value, message, key in cases:
+        with pytest.raises(ConfigurationError) as info:
+            cls(**{name: value})
+        assert (info.value.field, info.value.message) == (name, message)
+        assert isinstance(info.value, ValueError)
+        if key is not None:
+            text = json.dumps({"channel": {"snr_db": [3.0]}, section: {key: value}})
+            with pytest.raises(ConfigurationError) as info:
+                parse_config(text)
+            assert (info.value.field, info.value.message) == (f"{section}.{key}", message)
+
+
 def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        LossWeights(lam=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights(gamma=float("nan"))
+    _check_bounds(LossWeights, "loss", [
+        ("lam", -0.1, "must be finite and >= 0, got -0.1", "lambda"),
+        ("lam", math.inf, "must be finite and >= 0, got inf", None),
+        ("gamma", -0.5, "must be finite and >= 0, got -0.5", "gamma"),
+        ("gamma", math.nan, "must be finite and >= 0, got nan", None),
+    ])
 
 
 def test_breakdown_must_recompose():
@@ -422,18 +444,16 @@ def test_train_diverges_with_absurd_learning_rate():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(steps=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(batch=0)
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(eval_every=0)
-    with pytest.raises(ValueError):
-        TrainConfig(holdout=0)
+    _check_bounds(TrainConfig, "train", [
+        ("steps", -1, "must be >= 0, got -1", "steps"),
+        ("batch", 0, "must be >= 1, got 0", "batch"),
+        ("lr", 0.0, "must be finite and > 0, got 0.0", "lr"),
+        ("lr", math.inf, "must be finite and > 0, got inf", None),
+        ("momentum", -0.1, "must lie in [0, 1), got -0.1", "momentum"),
+        ("momentum", 1.0, "must lie in [0, 1), got 1.0", "momentum"),
+        ("eval_every", 0, "must be >= 1, got 0", "eval_every"),
+        ("holdout", 0, "must be >= 1, got 0", "holdout"),
+    ])
 
 
 def test_train_loss_trends_down():
