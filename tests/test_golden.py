@@ -9,7 +9,7 @@ name that change in CHANGES.md:
 
 The ``resolved_config.json`` each run writes is pinned by its sha256 in
 ``RESOLVED_SHA256`` (bytes, so an int written as a float shows), for
-every config but ``simulate-file-source``, whose config holds a
+every config but those with a file source, whose configs hold a
 temporary path.
 """
 
@@ -96,6 +96,14 @@ def _train_config(train: dict, codec: dict) -> dict:
     }
 
 
+# A file source trains on its first source.count rows, cycled: count 4 of
+# the file's 3 rows is rows 0, 1, 2, 0.  Batches of 3 and a holdout of 5
+# wrap around those 4 rows, and the sweep's 5 evaluation trials around the
+# file's 3.
+FILE_SOURCE = {"shape": SOURCE["shape"], "kind": "file", "count": 4}
+FILE_TRAIN = {"batch": 3, "holdout": 5}
+
+
 CONFIGS = {
     **_simulate_configs(),
     "train-default": (run_train, _train_config({"steps": 12, "eval_every": 4}, {})),
@@ -109,6 +117,16 @@ CONFIGS = {
     # n = 16 caps the channel count at 769
     "sweep-C": (run_sweep, _sweep_config("C", [100, 400])),
     "sweep-rayleigh": (run_sweep, _sweep_config("lambda", [0.1, 1.0], ctype="rayleigh")),
+    "train-file-source": (run_train, {
+        **_train_config({**FILE_TRAIN, "steps": 7, "eval_every": 3}, {}),
+        "source": FILE_SOURCE,
+    }),
+    "sweep-file-source": (run_sweep, {
+        **_sweep_config("lambda", [0.1, 1.0]),
+        "source": FILE_SOURCE,
+        "train": FILE_TRAIN,
+        "sweep": {"param": "lambda", "values": [0.1, 1.0], "steps": 3, "trials": 5},
+    }),
 }
 
 RESOLVED_SHA256 = {
@@ -186,7 +204,8 @@ def test_results_csv_matches_golden(name, tmp_path):
 
 
 def test_resolved_config_table_covers_every_config_without_a_path():
-    assert sorted(RESOLVED_SHA256) == sorted(set(CONFIGS) - {"simulate-file-source"})
+    with_path = {name for name, (_, cfg) in CONFIGS.items() if cfg["source"].get("kind") == "file"}
+    assert sorted(RESOLVED_SHA256) == sorted(set(CONFIGS) - with_path)
 
 
 @pytest.mark.parametrize("name", sorted(RESOLVED_SHA256))
