@@ -29,6 +29,7 @@ import json
 import math
 import os
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
@@ -135,47 +136,50 @@ def _derive_rng(*parts) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # sources
 
+# what np.load, or reading what it returns, raises for a file that is not
+# the archive a run expects
+_UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile)
 
-def _make_source_draw(cfg: ExperimentConfig) -> Callable[[int, np.random.Generator], Latent]:
-    """Returns trial -> latent; file sources cycle in order, gaussian
-    sources draw fresh from the trial generator."""
+
+def _load_source(cfg: ExperimentConfig) -> GaussianSourceModel | np.ndarray:
+    """The configured source, loaded once per run: the Gaussian model, or
+    the file's latents as one read-only float64 array of shape (rows, n).
+    A file that does not hold finite latents of the source shape is a
+    ConfigurationError at ``source.path``."""
     src = cfg.source
-    if src.kind == "file":
-        with np.load(src.path) as archive:
-            if "latents" not in archive.files:
-                raise ConfigurationError("source.path", f"{src.path} has no 'latents' array")
-            data = np.asarray(archive["latents"], dtype=np.float64)
-        if data.ndim != 4 or data.shape[1:] != src.shape:
-            raise ConfigurationError(
-                "source.path",
-                f"expected latents of shape (count, {src.shape[0]}, {src.shape[1]}, "
-                f"{src.shape[2]}), got {data.shape}",
-            )
-        if data.shape[0] == 0:
-            raise ConfigurationError("source.path", f"{src.path} holds no latents")
-        if not np.all(np.isfinite(data)):
-            raise ConfigurationError("source.path", f"{src.path} holds non-finite latents")
-
-        def draw_file(trial: int, rng: np.random.Generator) -> Latent:
-            row = data[trial % data.shape[0]]
-            return Latent(data=row.reshape(-1), shape=src.shape)
-
-        return draw_file
-
-    model = GaussianSourceModel(mean=src.m, variance=src.v)
-
-    def draw_gaussian(trial: int, rng: np.random.Generator) -> Latent:
-        return model.draw(src.shape, rng)
-
-    return draw_gaussian
+    if src.kind != "file":
+        return GaussianSourceModel(mean=src.m, variance=src.v)
+    try:
+        archive = np.load(src.path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with archive:
+            latents = archive.get("latents")
+            data = None if latents is None else np.asarray(latents, dtype=np.float64)
+    except _UNREADABLE as exc:
+        raise ConfigurationError("source.path", f"cannot load {src.path}: {exc}") from exc
+    if data is None:
+        raise ConfigurationError("source.path", f"{src.path} has no 'latents' array")
+    if data.ndim != 4 or data.shape[1:] != src.shape:
+        raise ConfigurationError(
+            "source.path",
+            f"expected latents of shape (count, {src.shape[0]}, {src.shape[1]}, "
+            f"{src.shape[2]}), got {data.shape}",
+        )
+    if data.shape[0] == 0:
+        raise ConfigurationError("source.path", f"{src.path} holds no latents")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError("source.path", f"{src.path} holds non-finite latents")
+    rows = data.reshape(data.shape[0], src.n)
+    rows.flags.writeable = False
+    return rows
 
 
-def _train_source(cfg: ExperimentConfig):
-    if cfg.source.kind == "file":
-        draw = _make_source_draw(cfg)
-        rng = _derive_rng(cfg.seed, "dataset")
-        return [draw(i, rng) for i in range(cfg.source.count)]
-    return GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v)
+def _training_source(cfg: ExperimentConfig, source: GaussianSourceModel | np.ndarray):
+    """What a codec trains on: the model, or the file's first ``source.count`` rows, cycled."""
+    if isinstance(source, GaussianSourceModel):
+        return source
+    return source[np.arange(cfg.source.count) % len(source)]
 
 
 def _ssim_window(shape: tuple[int, int, int]) -> Optional[int]:
@@ -204,8 +208,12 @@ def _codec_params(cfg: ExperimentConfig) -> CodecParams:
     A stored codec must have the configured shape, length and arch, so that
     the resolved config describes the codec the run used."""
     k = cfg.codec_k()
-    if cfg.codec.params_path is not None:
-        params = load_codec(cfg.codec.params_path)
+    path = cfg.codec.params_path
+    if path is not None:
+        try:
+            params = load_codec(path)
+        except _UNREADABLE as exc:
+            raise ConfigurationError("codec.params_path", f"cannot load {path}: {exc}") from exc
         if params.shape != cfg.source.shape:
             raise ConfigurationError(
                 "codec.params_path",
@@ -263,21 +271,18 @@ def _transmit(
 @dataclass(frozen=True)
 class _TrialSetup:
     cfg: ExperimentConfig
-    schedule: Schedule
     denoiser: AnalyticGaussianDenoiser
-    draw: Callable[[int, np.random.Generator], Latent]
+    source: GaussianSourceModel | np.ndarray  # see _load_source
     params: Optional[CodecParams] = None
 
 
 def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
-    schedule = cfg.schedule.built
     return _TrialSetup(
         cfg=cfg,
-        schedule=schedule,
         denoiser=AnalyticGaussianDenoiser(
-            GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v), schedule
+            GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v), cfg.schedule.built
         ),
-        draw=_make_source_draw(cfg),
+        source=_load_source(cfg),
     )
 
 
@@ -301,6 +306,7 @@ def _receive(
     over the streams (trial-steps) and the chain's steps (the largest
     ``u``).
     """
+    schedule = setup.cfg.schedule.built
     width = base.size // len(out.mappings)
     shape = (width, 1, 1)
     last = len(out.mappings) - 1
@@ -311,11 +317,11 @@ def _receive(
             y, u = Latent(data=mapping.scale * base[sl], shape=shape), mapping.step_u
         else:
             s_hat = Latent(data=base[sl], shape=shape)
-            y, u = compensate_to_step(s_hat, s2, t_target, setup.schedule, rng), t_target
+            y, u = compensate_to_step(s_hat, s2, t_target, schedule, rng), t_target
         starts.append(y)
         steps.append(u)
         noises.append(_noise_rows(rng, width, u, held=i < last))
-    ys = _denoise_rows(starts, steps, noises, setup.denoiser, setup.schedule)
+    ys = _denoise_rows(starts, steps, noises, setup.denoiser, schedule)
     return np.concatenate([y.data for y in ys]), (sum(steps), max(steps))
 
 
@@ -336,7 +342,8 @@ def _run_trials(
     (trial-steps), and the reverse step calls that ran them (chain
     steps, fewer where the streams of a trial share a chain).
     """
-    cfg, params, schedule = setup.cfg, setup.params, setup.schedule
+    cfg, params, source = setup.cfg, setup.params, setup.source
+    schedule = cfg.schedule.built
     sigma = math.sqrt(sigma2)
     snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
     routes = _ROUTES[kind]
@@ -352,7 +359,10 @@ def _run_trials(
     steps = chain_steps = 0
     for trial in range(trials):
         rng = _derive_rng(*key, trial)
-        y0 = setup.draw(trial, rng)
+        if isinstance(source, GaussianSourceModel):
+            y0 = source.draw(cfg.source.shape, rng)
+        else:  # a file source cycles through its rows
+            y0 = Latent(data=source[trial % len(source)], shape=cfg.source.shape)
         transmitted = y0.data if params is None else downsample(y0, params).data
         out = _transmit(cfg, transmitted, sigma, rng, schedule)
         base = out.received.to_real()
@@ -414,7 +424,7 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, tuple[int, int]]:
         return row, steps
 
     if kind == "adaptive":
-        step_u = _nominal_step_u(setup.schedule, cell.sigma2)
+        step_u = _nominal_step_u(cfg.schedule.built, cell.sigma2)
     else:
         step_u = cfg.mode.t_target
     (route,) = _ROUTES[kind]
@@ -517,7 +527,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
         raise ConfigurationError("codec.C, codec.k", "training needs a compression setting")
     params0 = _codec_params(cfg)
     sigma = math.sqrt(cfg.train.sigma2)
-    source = _train_source(cfg)
+    source = _training_source(cfg, _load_source(cfg))
     start = time.perf_counter()
     params, records = train_codec(
         source, sigma, params0, cfg.loss, cfg.train, _derive_rng(cfg.seed, "train")
@@ -564,10 +574,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     # evaluation maps the training variance as the channel carries it;
     # check it before any point spends its training
     sigma = math.sqrt(cfg.train.sigma2)
-    if sigma * sigma > setup.schedule.max_sigma2:
-        exc = SaturationError(sigma * sigma, setup.schedule.max_sigma2)
-        raise ConfigurationError("train.snr_db", str(exc))
-    source = _train_source(cfg)
+    max_sigma2 = cfg.schedule.built.max_sigma2
+    if sigma * sigma > max_sigma2:
+        raise ConfigurationError("train.snr_db", str(SaturationError(sigma * sigma, max_sigma2)))
+    source = _training_source(cfg, setup.source)
     param = cfg.sweep.param
     steps = cfg.train.steps if cfg.sweep.steps is None else cfg.sweep.steps
     trials = cfg.source.count if cfg.sweep.trials is None else cfg.sweep.trials

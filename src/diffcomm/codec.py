@@ -553,18 +553,28 @@ def save_codec(params: CodecParams, path) -> None:
 
 def load_codec(path) -> CodecParams:
     """Reconstruct parameters written by :func:`save_codec`; every stored
-    array must have the shape its layer expects."""
-    with np.load(path) as data:
-        version = int(data["layout_version"])
+    array must have the shape its layer expects.  A file that is not such
+    an archive is a ValueError (or an error of ``np.load`` reading it)."""
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive")
+
+    def read(name: str) -> np.ndarray:
+        if name not in data.files:
+            raise ValueError(f"not a saved codec: no {name!r} array")
+        return data[name]
+
+    with data:
+        version = int(read("layout_version"))
         if version != LAYOUT_VERSION:
             raise ValueError(f"unsupported codec layout version {version}")
         params = _zero_codec(
-            shape=tuple(int(v) for v in data["shape"]),
-            k=float(data["k"]),
-            arch=CodecArch(**{f.name: data[f.name].tolist() for f in fields(CodecArch)}),
+            shape=tuple(int(v) for v in read("shape")),
+            k=float(read("k")),
+            arch=CodecArch(**{f.name: read(f.name).tolist() for f in fields(CodecArch)}),
         )
         for name, arr in _param_arrays(params):
-            stored = data[name]
+            stored = read(name)
             if stored.shape != arr.shape:
                 raise ValueError(f"array {name} has shape {stored.shape}, expected {arr.shape}")
             arr[...] = stored

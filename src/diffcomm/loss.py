@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .codec import (
     vector_to_params,
     zero_grads,
 )
-from .diffusion import GaussianSourceModel, Latent
+from .diffusion import GaussianSourceModel
 from .errors import ConfigurationError, TrainingDivergedError
 from .metrics import mse, psnr
 
@@ -206,7 +206,8 @@ def reconstruction_psnr(
 @dataclass(frozen=True)
 class TrainConfig:
     """Plain SGD settings; momentum of 0 disables the velocity term.  A
-    setting out of range is a ConfigurationError naming it."""
+    setting out of range, or a count that is not an integer, is a
+    ConfigurationError naming it; a numpy integer count is stored as int."""
 
     steps: int = 2000
     batch: int = 4
@@ -217,18 +218,17 @@ class TrainConfig:
     common_noise: bool = False
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigurationError("steps", f"must be >= 0, got {self.steps}")
-        if self.batch < 1:
-            raise ConfigurationError("batch", f"must be >= 1, got {self.batch}")
+        for name, least in (("steps", 0), ("batch", 1), ("eval_every", 1), ("holdout", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(name, f"must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigurationError(name, f"must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigurationError("lr", f"must be finite and > 0, got {self.lr!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum", f"must lie in [0, 1), got {self.momentum!r}")
-        if self.eval_every < 1:
-            raise ConfigurationError("eval_every", f"must be >= 1, got {self.eval_every}")
-        if self.holdout < 1:
-            raise ConfigurationError("holdout", f"must be >= 1, got {self.holdout}")
 
 
 @dataclass(frozen=True)
@@ -240,24 +240,17 @@ class TrainRecord:
     eval_psnr: Optional[float] = None
 
 
-SourceLike = Union[GaussianSourceModel, Sequence[Latent]]
+SourceLike = Union[GaussianSourceModel, np.ndarray]
 
 
 def _draw_batch(
-    source: SourceLike,
-    shape: tuple[int, int, int],
-    batch: int,
-    rng: np.random.Generator,
-    cursor: list[int],
+    source: SourceLike, n: int, batch: int, rng: np.random.Generator, start: int
 ) -> np.ndarray:
+    """``batch`` rows of length ``n``: fresh draws from a Gaussian model, or a
+    dataset's rows from row ``start`` on, cycled (drawing nothing from ``rng``)."""
     if isinstance(source, GaussianSourceModel):
-        w, h, c = shape
-        return source.mean + math.sqrt(source.variance) * rng.standard_normal((batch, w * h * c))
-    rows = []
-    for _ in range(batch):
-        rows.append(source[cursor[0] % len(source)].data)
-        cursor[0] += 1
-    return np.stack(rows)
+        return source.mean + math.sqrt(source.variance) * rng.standard_normal((batch, n))
+    return source[(start + np.arange(batch)) % len(source)]
 
 
 def train_codec(
@@ -270,8 +263,12 @@ def train_codec(
 ) -> tuple[CodecParams, list[TrainRecord]]:
     """Train the codec against an AWGN channel of standard deviation ``sigma``.
 
-    Each step draws a batch from ``source`` (a Gaussian model or a fixed
-    dataset cycled in order), simulates the uncompressed received signal
+    Each step draws a batch from ``source``: a Gaussian model, or a fixed
+    dataset of shape ``(rows, params.n)`` cycled in order, step ``s``
+    taking the ``batch`` rows from row ``(s - 1) * batch`` on and the
+    holdout the ``holdout`` rows from row 0 on.  A dataset that is not a
+    finite float array of that shape with at least one row is a
+    ValueError.  Each step simulates the uncompressed received signal
     ``y + sigma * eps1`` and the compressed one ``F_d(y) + sigma * eps2``,
     decodes, and takes one SGD step down the summed hybrid objective (see
     the module docstring).  The backward pass is seeded with ``lr``, so the
@@ -289,11 +286,19 @@ def train_codec(
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    params = vector_to_params(params, params.flat)
     n, m = params.n, params.m
+    if not isinstance(source, GaussianSourceModel):
+        if not (isinstance(source, np.ndarray) and source.dtype.kind == "f"):
+            got = getattr(source, "dtype", type(source).__name__)
+            raise ValueError(f"dataset must be a float array, got {got}")
+        if source.ndim != 2 or source.shape[0] < 1 or source.shape[1] != n:
+            raise ValueError(f"dataset must have shape (rows >= 1, {n}), got {source.shape}")
+        if not np.all(np.isfinite(source)):
+            raise ValueError("dataset holds non-finite values")
+    params = vector_to_params(params, params.flat)
     snr = 1.0 / (sigma * sigma)
 
-    hold_Y = _draw_batch(source, params.shape, cfg.holdout, rng, [0])
+    hold_Y = _draw_batch(source, n, cfg.holdout, rng, 0)
     hold_eps2 = rng.standard_normal((cfg.holdout, m))
     hold_eps_y = rng.standard_normal((cfg.holdout, n))
 
@@ -301,12 +306,11 @@ def train_codec(
     grads = zero_grads(params)
     g = grads.flat
     velocity = np.zeros_like(params.flat)
-    cursor = [0]
     records: list[TrainRecord] = []
     last_finite = 0
 
     for step in range(1, cfg.steps + 1):
-        Y = _draw_batch(source, params.shape, cfg.batch, rng, cursor)
+        Y = _draw_batch(source, n, cfg.batch, rng, (step - 1) * cfg.batch)
         eps1 = rng.standard_normal((cfg.batch, n))
         eps2 = eps1[:, :m].copy() if cfg.common_noise else rng.standard_normal((cfg.batch, m))
         eps_y = rng.standard_normal((cfg.batch, n))

@@ -725,6 +725,58 @@ def test_sweep_trains_and_evaluates_on_file_source(tmp_path):
     assert from_file.rows[0][4] > 4.0 * gaussian.rows[0][4]
 
 
+@pytest.mark.parametrize("runner", [run_simulate, run_train, run_sweep])
+def test_each_run_reads_the_source_file_once(tmp_path, monkeypatch, runner):
+    path = tmp_path / "latents.npz"
+    np.savez(path, latents=np.random.default_rng(3).standard_normal((3, 2, 2, 2)))
+    cfg = json.loads(_sweep_cfg([0.1, 1.0]))
+    cfg["source"] = {**cfg["source"], "kind": "file", "path": str(path), "count": 4}
+    reads, load = [], np.load
+
+    def counting_load(file, *args, **kwargs):
+        reads.append(str(file))
+        return load(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting_load)
+    runner(parse_config(json.dumps(cfg)), out_dir=str(tmp_path / "out"))
+    assert reads == [str(path)]
+
+
+def _write_text_file(path):
+    path.write_text("not an archive\n")
+
+
+def _write_renamed_npy(path):
+    np.save(path.with_suffix(".npy"), np.zeros((2, 2, 2, 2)))
+    path.with_suffix(".npy").rename(path)
+
+
+def _write_foreign_archive(path):
+    np.savez(path, latents=np.zeros((2, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("write, section, message", [
+    (_write_text_file, "source", None),  # numpy's own message follows
+    (_write_renamed_npy, "source", "not an .npz archive"),
+    (_write_foreign_archive, "codec", "not a saved codec: no 'layout_version' array"),
+], ids=["text-as-source", "npy-as-source", "foreign-archive-as-codec"])
+def test_main_rejects_a_malformed_archive_before_any_output(tmp_path, capsys, write, section, message):
+    path = tmp_path / "input.npz"
+    write(path)
+    if section == "source":
+        text, field = _cfg(source={**SMALL_SOURCE, "kind": "file", "path": str(path)}), "source.path"
+    else:
+        text, field = _cfg(codec={"enabled": True, "k": 0.5, "params_path": str(path)}), "codec.params_path"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    prefix = f"configuration error: {field}: cannot load {path}: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    if message is not None:
+        assert err == prefix + message + "\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CSV and report
 

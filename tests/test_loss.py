@@ -12,7 +12,6 @@ from diffcomm import (
     CodecArch,
     ConfigurationError,
     GaussianSourceModel,
-    Latent,
     LossBreakdown,
     LossWeights,
     TrainConfig,
@@ -414,11 +413,32 @@ def test_train_is_deterministic():
 
 
 def test_train_accepts_fixed_dataset_and_cycles_it():
-    rng = np.random.default_rng(14)
-    data = [Latent(data=rng.standard_normal(8), shape=SMALL_SHAPE) for _ in range(3)]
+    data = np.random.default_rng(14).standard_normal((3, 8))
     p, records = _train(source=data, steps=5)
     assert len(records) == 5
     assert all(math.isfinite(r.breakdown.total) for r in records)
+    # batches of 2 and a holdout of 4 wrap around the 3 rows: training on
+    # them is training on their repetition, row for row
+    q, repeated = _train(source=data[[0, 1, 2, 0, 1, 2]], steps=5)
+    assert np.array_equal(params_to_vector(p), params_to_vector(q))
+    assert records == repeated
+    # rows 3-5 feed steps 2 and 3, so the batches do move through the rows
+    r, _ = _train(source=data[[0, 1, 2, 2, 1, 0]], steps=5)
+    assert not np.array_equal(params_to_vector(p), params_to_vector(r))
+
+
+@pytest.mark.parametrize("source, message", [
+    ([np.zeros(8)] * 3, "dataset must be a float array, got list"),
+    (np.zeros((3, 8), dtype=np.int64), "dataset must be a float array, got int64"),
+    (np.zeros(8), "dataset must have shape (rows >= 1, 8), got (8,)"),
+    (np.zeros((3, 6)), "dataset must have shape (rows >= 1, 8), got (3, 6)"),
+    (np.zeros((0, 8)), "dataset must have shape (rows >= 1, 8), got (0, 8)"),
+    (np.where(np.arange(24).reshape(3, 8) == 13, np.nan, 0.0), "dataset holds non-finite values"),
+], ids=["list", "int", "1-D", "width", "no-rows", "nan"])
+def test_train_rejects_a_malformed_dataset(source, message):
+    with pytest.raises(ValueError) as info:
+        _train(source=source, steps=1)
+    assert str(info.value) == message
 
 
 def test_train_common_noise_changes_trajectory():
@@ -453,7 +473,15 @@ def test_train_config_validation():
         ("momentum", 1.0, "must lie in [0, 1), got 1.0", "momentum"),
         ("eval_every", 0, "must be >= 1, got 0", "eval_every"),
         ("holdout", 0, "must be >= 1, got 0", "holdout"),
+        # the parser reads these counts as integers, so only library calls reach these
+        ("steps", 2.5, "must be an integer, got 2.5", None),
+        ("steps", True, "must be an integer, got True", None),
+        ("batch", 2.0, "must be an integer, got 2.0", None),
+        ("eval_every", 1.5, "must be an integer, got 1.5", None),
+        ("holdout", True, "must be an integer, got True", None),
     ])
+    counts = TrainConfig(steps=np.int64(3), batch=np.int32(2), eval_every=np.int16(1), holdout=np.int8(4))
+    assert [type(v) for v in (counts.steps, counts.batch, counts.eval_every, counts.holdout)] == [int] * 4
 
 
 def test_train_loss_trends_down():
