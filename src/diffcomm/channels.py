@@ -263,7 +263,9 @@ def mimo_transmit(
     """
     sigma = _check_sigma(sigma)
     M = channel.M
-    dead = [i for i in range(M) if channel.singular_values[i] == 0.0]
+    s = channel.singular_values
+    # a singular value whose square underflows carries no finite variance
+    dead = [i for i in range(M) if s[i] * s[i] == 0.0]
     if dead:
         raise RankDeficientChannelError(dead)
     if z.n % M != 0:
@@ -276,7 +278,6 @@ def mimo_transmit(
     Y_rx = channel.H @ X + noise
     Y_eq = channel.U.conj().T @ Y_rx
 
-    s = channel.singular_values
     out = Y_eq / s[:, None]
     received = ComplexVector.from_complex(out.reshape(-1))
 

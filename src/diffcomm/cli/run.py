@@ -60,7 +60,6 @@ from ..diffusion import (
     GaussianSourceModel,
     Latent,
     _denoise_rows,
-    _noise_rows,
     compensate_to_step,
     denoise_from_step,
     forward_sample,
@@ -299,17 +298,15 @@ def _receive(
     Compensate route: top it up to ``t_target`` from the variance it
     carries (``effective_sigma2``), whatever the fading convention mapped.
     Stream by stream, ``rng`` gives the stream's start (the top-up), then
-    its ``u - 1`` noise rows, as if each stream were denoised in turn; so
-    every stream but the last holds its noise rows until the chain runs.
-    The chain makes one reverse step call per step for all the streams
-    that have started.  Returns the array, the reverse steps run summed
-    over the streams (trial-steps) and the chain's steps (the largest
-    ``u``).
+    its ``u - 1`` noise rows in one draw, as if each stream were denoised
+    in turn.  The chain lays those draws into one noise table and makes
+    one reverse step call per step for all the streams that have
+    started.  Returns the array, the reverse steps run summed over the
+    streams (trial-steps) and the chain's steps (the largest ``u``).
     """
     schedule = setup.cfg.schedule.built
     width = base.size // len(out.mappings)
     shape = (width, 1, 1)
-    last = len(out.mappings) - 1
     starts, steps, noises = [], [], []
     for i, (mapping, s2) in enumerate(zip(out.mappings, out.effective_sigma2)):
         sl = slice(i * width, (i + 1) * width)
@@ -320,7 +317,7 @@ def _receive(
             y, u = compensate_to_step(s_hat, s2, t_target, schedule, rng), t_target
         starts.append(y)
         steps.append(u)
-        noises.append(_noise_rows(rng, width, u, held=i < last))
+        noises.append(rng.standard_normal((max(u - 1, 0), width)))
     ys = _denoise_rows(starts, steps, noises, setup.denoiser, schedule)
     return np.concatenate([y.data for y in ys]), (sum(steps), max(steps))
 

@@ -42,12 +42,6 @@ __all__ = [
     "denoise_from_step",
 ]
 
-# Latent elements per block of chain noise: a chain draws the normals of
-# max(1, this // n) steps per generator call, so its buffer does not grow
-# with the start step.
-_NOISE_BLOCK_ELEMENTS = 65536
-
-
 def _checked_data(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     """``data`` checked and made read-only in place, or ValueError.
 
@@ -303,88 +297,77 @@ def denoise_from_step(
     ``reverse_step`` call per step: this is the one-row case of the
     chain engine that also denoises the streams of a MIMO trial
     together.  The ``u - 1`` steps that add noise take their normals
-    from blocks of ``max(1, _NOISE_BLOCK_ELEMENTS // n)`` steps, one
-    ``rng.standard_normal((k, n))`` call per block.  That is the same
-    values in the same order as one draw per step, and leaves ``rng`` in
-    the same state, for a chain that finishes; one that raises may have
-    drawn up to one block more.
+    from one ``rng.standard_normal((u - 1, n))`` call made before the
+    chain runs (``(0, n)`` for ``u`` 0 or 1).  That is the same values
+    in the same order as one draw per step, and leaves ``rng`` in the
+    same state, whether the chain finishes or raises.
     """
-    if u < 0 or u > schedule.T:
-        raise IndexError(f"step {u} outside [0, {schedule.T}]")
-    (y,) = _denoise_rows([y_u], [u], [_noise_rows(rng, y_u.n, u)], denoiser, schedule)
+    schedule._check_step(u, lo=0)
+    noise = rng.standard_normal((max(u - 1, 0), y_u.n))
+    (y,) = _denoise_rows([y_u], [u], [noise], denoiser, schedule)
     return y
 
 
-def _noise_rows(rng: np.random.Generator, n: int, u: int, held: bool = False):
-    """The ``u - 1`` rows of ``n`` standard normals a chain from step ``u``
-    draws, as an iterator.
-
-    By default they are drawn from ``rng`` as the chain asks for them, in
-    blocks of at most ``max(1, _NOISE_BLOCK_ELEMENTS // n)`` rows and never
-    more than are still owed, so the generator ends having drawn exactly
-    ``(u - 1) * n`` normals.  ``held`` draws them all now, in one call:
-    the same values, for a chain that has to leave ``rng`` to the next
-    draw before it runs.
-    """
-    rows = max(u - 1, 0)
-    if held:
-        return iter(rng.standard_normal((rows, n)))
-    return _noise_blocks(rng, n, rows)
-
-
-def _noise_blocks(rng: np.random.Generator, n: int, rows: int):
-    while rows > 0:
-        k = min(rows, max(1, _NOISE_BLOCK_ELEMENTS // n))
-        rows -= k
-        yield from rng.standard_normal((k, n))
-
-
-class _JoinedNoise:
-    """The chain's noise source: ``standard_normal(size)`` returns the next
-    row of each active row's noise iterator, joined in row order."""
+class _TableNoise:
+    """The chain's noise source: the ``i``-th ``standard_normal(size)`` call
+    returns the first ``size`` elements of row ``i`` of a noise table."""
 
     __slots__ = ("rows",)
 
+    def __init__(self, table: np.ndarray):
+        self.rows = iter(table)
+
     def standard_normal(self, size: int) -> np.ndarray:
-        rows = self.rows
-        if len(rows) == 1:
-            return next(rows[0])
-        return np.concatenate(list(map(next, rows)))
+        return next(self.rows)[:size]
 
 
 def _denoise_rows(
     starts: list[Latent],
     steps: list[int],
-    noises: list,
+    noises: list[np.ndarray],
     denoiser: Denoiser,
     schedule: Schedule,
 ) -> list[Latent]:
     """Reverse chains of equal-shape rows, run as one ragged chain.
 
     Row ``i`` starts from ``starts[i]`` at step ``steps[i]`` (in
-    ``[0, T]``) and takes its ``steps[i] - 1`` noise rows from the
-    iterator ``noises[i]``.  The rows are ordered by descending start
-    step, ties in the given order, so the active rows are always a
-    prefix: a row joins when ``t`` reaches its start step, and each step
-    makes one ``reverse_step`` call on the latent of the active rows,
-    their data joined in that order with shape ``(k * a, b, c)`` for
-    ``k`` rows of shape ``(a, b, c)``.  Every operation of the step acts
-    on each element alone, as ``AnalyticGaussianDenoiser`` does, so each
-    row's result is bit-identical to its own chain's.  One row makes the
-    calls of its own chain exactly.  Returns each row's clean latent, in
-    the given order; a row from step 0 is its start, unchanged.
+    ``[0, T]``) and takes its noise from ``noises[i]``, the
+    ``(max(steps[i] - 1, 0), w)`` normals of its steps from
+    ``steps[i]`` down to 2, for ``w`` elements per row; the chain scales
+    them in place.  The rows are ordered by descending start step, ties
+    in the given order, so the active rows are always a prefix: a row
+    joins when ``t`` reaches its start step, and each step makes one
+    ``reverse_step`` call on the latent of the active rows, their data
+    joined in that order with shape ``(k * a, b, c)`` for ``k`` rows of
+    shape ``(a, b, c)``.  The noise is laid out in one step-major table
+    of ``top - 1`` rows for the largest start step ``top``: row ``s``
+    holds step ``top - s``, the active rows' columns first and
+    contiguous in that order, so a step's noise is ``table[s, :k * w]``.
+    One row uses its own noise as the table, with no copy.  Every
+    operation of the step acts on each element alone, as
+    ``AnalyticGaussianDenoiser`` does, so each row's result is
+    bit-identical to its own chain's.  One row makes the calls of its
+    own chain exactly.  Returns each row's clean latent, in the given
+    order; a row from step 0 is its start, unchanged.
     """
     order = sorted(range(len(starts)), key=lambda i: -steps[i])
     joins = [steps[i] for i in order] + [-1]  # no t reaches the sentinel
+    top = joins[0]
     a, b, c = starts[0].shape
-    noise = _JoinedNoise()
+    w = a * b * c
+    if len(starts) == 1:
+        table = noises[0]
+    else:
+        table = np.empty((max(top - 1, 0), len(starts) * w))
+        for j, i in enumerate(order):
+            table[top - steps[i] :, j * w : (j + 1) * w] = noises[i]
+    noise = _TableNoise(table)
     y, k = None, 0
-    for t in range(joins[0], 0, -1):
+    for t in range(top, 0, -1):
         if t == joins[k]:
             joined = k
             while t == joins[k]:
                 k += 1
-            noise.rows = [noises[i] for i in order[:k]]
             if k == 1:
                 y = starts[order[0]]
             else:
@@ -396,7 +379,6 @@ def _denoise_rows(
     if k == 1:
         out[order[0]] = y
     else:
-        w = a * b * c
         for j, i in enumerate(order[:k]):
             out[i] = starts[i]._adopt(y.data[j * w : (j + 1) * w])
     return out

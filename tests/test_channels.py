@@ -249,6 +249,18 @@ def test_mimo_rank_deficient_raises():
         mimo_transmit(z, ch, 0.5, np.random.default_rng(0), SCHEDULE)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 0.0])
+def test_mimo_singular_value_whose_square_underflows_is_dead(sigma):
+    """s = 1e-170 is nonzero, but s * s underflows to 0, so the stream's
+    variance sigma2 / s**2 has no finite value: the subchannel is dead."""
+    ch = mimo_svd_decompose(np.diag([1.0, 1e-170]).astype(complex))
+    assert ch.singular_values[1] == 1e-170
+    z = ComplexVector.from_real(np.ones(8))
+    with pytest.raises(RankDeficientChannelError) as err:
+        mimo_transmit(z, ch, sigma, np.random.default_rng(0), SCHEDULE)
+    assert err.value.dead_streams == [1]
+
+
 def test_mimo_stream_divisibility():
     rng = np.random.default_rng(34)
     ch = mimo_svd_decompose(_random_H(rng))

@@ -9,7 +9,6 @@ statistically tight, since every element is an independent replica.
 
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -308,6 +307,21 @@ def test_denoise_from_step_zero_is_identity():
     assert np.array_equal(out.data, y.data)
 
 
+def test_denoise_from_step_checks_its_step_as_reverse_step_does():
+    """The one step check: an out-of-range step is an IndexError and a
+    float step a TypeError, both raised before any noise is drawn."""
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
+    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for u in (-1, SCHEDULE.T + 1):
+        with pytest.raises(IndexError, match=rf"^step {u} outside \[0, {SCHEDULE.T}\]$"):
+            denoise_from_step(y, u, den, SCHEDULE, rng)
+    with pytest.raises(TypeError, match="^step index must be an integer, got float$"):
+        denoise_from_step(y, 5.0, den, SCHEDULE, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_denoise_is_deterministic_given_generator():
     model = GaussianSourceModel()
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
@@ -396,25 +410,14 @@ class _CountingGenerator:
         return self.rng.standard_normal(size)
 
 
-@pytest.mark.parametrize("rows", [1, 3, "u", "default"])
-def test_chain_noise_blocks_keep_values_and_generator_state(monkeypatch, rows):
-    """Blocks of one row, of three, of the whole chain (``u`` rows for the
-    ``u - 1`` draws) and of the default size, against the per-step
-    reference chain.  A zero source mean also runs the prediction without
-    its subtraction."""
+def test_chain_noise_keeps_values_and_generator_state():
+    """One ``standard_normal`` call per chain, for its ``u - 1`` noise
+    rows, against the per-step reference chain.  A zero source mean also
+    runs the prediction without its subtraction."""
     n = 257
     model = GaussianSourceModel(mean=0.0, variance=2.5)
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
-    if rows == "default":
-        starts = (0, 1, 2, 255, 256, 257, 511, SCHEDULE.T)
-    elif rows == "u":
-        starts = (0, 1, 2, 3, 145, SCHEDULE.T)
-    else:
-        starts = (0, 1, 2, rows, rows + 1, 2 * rows + 1)
-    for u in starts:
-        if rows != "default":
-            monkeypatch.setattr(diffusion, "_NOISE_BLOCK_ELEMENTS", (u if rows == "u" else rows) * n)
-        per_block = max(1, diffusion._NOISE_BLOCK_ELEMENTS // n)
+    for u in (0, 1, 2, 145, SCHEDULE.T):
         y_u = forward_sample(
             model.draw((n, 1, 1), np.random.default_rng(u)), u, SCHEDULE,
             np.random.default_rng(u + 1),
@@ -425,7 +428,7 @@ def test_chain_noise_blocks_keep_values_and_generator_state(monkeypatch, rows):
         got = denoise_from_step(y_u, u, den, SCHEDULE, counting)
         assert np.array_equal(got.data, expected.data), f"u={u}"
         assert rng.bit_generator.state == ref_rng.bit_generator.state, f"u={u}"
-        assert counting.calls == -(-max(u - 1, 0) // per_block), f"u={u}"
+        assert counting.calls == 1, f"u={u}"
 
 
 SHORT = build_linear_schedule(40, 1e-3, 0.2)
@@ -434,8 +437,8 @@ SHORT = build_linear_schedule(40, 1e-3, 0.2)
 @st.composite
 def stream_sets(draw):
     """1-4 streams of one width; start steps ragged or tied, 0 and 1 among
-    them (at least 1 where a top-up draws the start); the draw order; the
-    source mean; and the block size of the lazily drawn stream."""
+    them (at least 1 where a top-up draws the start); the draw order; and
+    the source mean."""
     compensate = draw(st.booleans())
     lo = 1 if compensate else 0
     m = draw(st.integers(1, 4))
@@ -446,8 +449,7 @@ def stream_sets(draw):
         steps = draw(st.lists(pool, min_size=m, max_size=m))
     width = draw(st.integers(1, 5))
     mean = draw(st.sampled_from([0.0, -0.0, 0.7]))
-    block_rows = draw(st.sampled_from([1, 3, 40]))
-    return compensate, steps, width, mean, block_rows * width, draw(st.integers(0, 2**32))
+    return compensate, steps, width, mean, draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=80, deadline=None)
@@ -457,7 +459,7 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
     the caller's order (each stream's start, then its noise rows), gives
     each stream's own chain bit for bit and leaves the generator where
     denoising the streams in turn leaves it."""
-    compensate, steps, width, mean, block, seed = case
+    compensate, steps, width, mean, seed = case
     model = GaussianSourceModel(mean=mean, variance=1.5)
     den = AnalyticGaussianDenoiser(model, SHORT)
     received = np.random.default_rng(seed).standard_normal((len(steps), width))
@@ -477,9 +479,8 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
     starts, noises = [], []
     for i, u in enumerate(steps):
         starts.append(start(i, rng))
-        noises.append(diffusion._noise_rows(rng, width, u, held=i < len(steps) - 1))
-    with mock.patch.object(diffusion, "_NOISE_BLOCK_ELEMENTS", block):
-        got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
+        noises.append(rng.standard_normal((max(u - 1, 0), width)))
+    got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
 
     for want, have in zip(expected, got):
         assert have.shape == (width, 1, 1)
@@ -503,7 +504,7 @@ def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
     steps = [2, 0, 4, 2]
     starts = [Latent(data=np.full(2, float(i)), shape=(2, 1, 1)) for i in range(4)]
     rng = np.random.default_rng(0)
-    noises = [diffusion._noise_rows(rng, 2, u, held=True) for u in steps]
+    noises = [rng.standard_normal((max(u - 1, 0), 2)) for u in steps]
     got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
     assert [(t, shape) for t, shape, _ in calls] == [
         (4, (2, 1, 1)), (3, (2, 1, 1)), (2, (6, 1, 1)), (1, (6, 1, 1))]
