@@ -410,14 +410,25 @@ class _CountingGenerator:
         return self.rng.standard_normal(size)
 
 
-def test_chain_noise_keeps_values_and_generator_state():
-    """One ``standard_normal`` call per chain, for its ``u - 1`` noise
-    rows, against the per-step reference chain.  A zero source mean also
-    runs the prediction without its subtraction."""
+_CHAIN_STEPS = {
+    1: (0, 1, 2, 3),
+    3: (0, 1, 2, 3, 4, 7),
+    "u": (0, 1, 2, 3, 145, SCHEDULE.T),
+    "default": (0, 1, 2, 255, 256, 257, 511, SCHEDULE.T),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, "u", "default"])
+def test_chain_noise_blocks_keep_values_and_generator_state(rows):
+    """Each chain draws its ``u - 1`` noise rows as one block, in one
+    ``standard_normal`` call, and matches the per-step reference chain.
+    The start steps sit at and around block sizes of one row, of three,
+    of the whole chain and of 256 rows.  A zero source mean also runs the
+    prediction without its subtraction."""
     n = 257
     model = GaussianSourceModel(mean=0.0, variance=2.5)
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
-    for u in (0, 1, 2, 145, SCHEDULE.T):
+    for u in _CHAIN_STEPS[rows]:
         y_u = forward_sample(
             model.draw((n, 1, 1), np.random.default_rng(u)), u, SCHEDULE,
             np.random.default_rng(u + 1),
