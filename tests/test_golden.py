@@ -48,6 +48,11 @@ def _simulate_configs() -> dict:
             configs[f"simulate-{ctype}-{mode}"] = (run_simulate, base)
             if ctype != "mimo":  # the config rejects codec transmission over mimo
                 configs[f"simulate-{ctype}-{mode}-codec"] = (run_simulate, {**base, "codec": CODEC})
+            # k 0.5625 of n 16 is m 9: the odd transmit vector is padded by one element
+            if (ctype, mode) in (("awgn", "adaptive"), ("rayleigh", "compare")):
+                configs[f"simulate-{ctype}-{mode}-codec-odd"] = (
+                    run_simulate, {**base, "codec": {**CODEC, "k": 0.5625}}
+                )
     # four streams per trial, each mapped to its own step
     for mode in MODES:
         configs[f"simulate-mimo4-{mode}"] = (run_simulate, {
@@ -132,6 +137,7 @@ CONFIGS = {
 RESOLVED_SHA256 = {
     "simulate-awgn-adaptive": "3604420cdd69df5303ba8036b22962de1eebc6e144ff1c5948aaf1027bf1e7a3",
     "simulate-awgn-adaptive-codec": "0f125d701d302e9af08164acc1169ad2d8c3de49e8d969dad27290a879f7896e",
+    "simulate-awgn-adaptive-codec-odd": "7ee58be00fd368da762115eba0c20a1b4547205559593ae028170b0873238dd2",
     "simulate-awgn-compare": "9958745a9a0347b518e894f03b4a00cda18c4de686e97b7d7001ccb9cedac860",
     "simulate-awgn-compare-codec": "10c4b8b9a7e5a3a482ee5ccc72b4ee61619cc63839db1e46ea2055ce3e595ee1",
     "simulate-awgn-fixed_step": "f6da46e8b8f0ad4b53117c59be5046877000e7288a8a32fc4b5d1c9b7d6fcc31",
@@ -147,6 +153,7 @@ RESOLVED_SHA256 = {
     "simulate-rayleigh-adaptive-codec": "83004529e7e15962a3c80f987db6fe74e7824ca5aa9529d7776d1ac2d0b9ff99",
     "simulate-rayleigh-compare": "9cc4f12830b92eb367ac856bc23df82e7f7b03557c3fa2dba49efdf5f27be273",
     "simulate-rayleigh-compare-codec": "a52447bf2816f71b1810ca46b648c86946276eb7df5e936a1e24ffa103301c3a",
+    "simulate-rayleigh-compare-codec-odd": "2c4bf69b775ff8145d6fdfa92b5acfcc675d116568518aed44361a0b5f034019",
     "simulate-rayleigh-fixed_step": "92d38519d01079f34f9119022bd227d4e1724a7127a7ea38d7517fd7678a8566",
     "simulate-rayleigh-fixed_step-codec": "5472907105644fbbe69c87c0d136b61cfa01e7bd221855eb25beecaf9aa8c1c0",
     "simulate-rayleigh-mmse": "3677552b731b4db2ca8d37926c4c9c3c9db9f732446509f034832c2546b1f577",
