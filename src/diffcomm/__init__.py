@@ -10,7 +10,6 @@ objective.  Everything is numpy; there is no framework dependency.
 
 from .channels import (
     ChannelOutput,
-    ComplexVector,
     MimoChannel,
     awgn_transmit,
     mimo_svd_decompose,
@@ -86,7 +85,6 @@ __all__ = [
     "CodecArch",
     "CodecParams",
     "CompensationInfeasibleError",
-    "ComplexVector",
     "ConfigurationError",
     "DeepFadeError",
     "Denoiser",

@@ -7,16 +7,17 @@ signal corresponds to, so denoising can start at the right step.
 
 Conventions
 -----------
-Noise variance ``sigma^2`` is per complex symbol, split ``sigma^2/2``
-into each real component.  Real-valued latents of even length ``2n``
-ride on ``n`` complex symbols via ``ComplexVector.from_real``, which
-scales by ``1/sqrt(2)`` so that per-symbol signal power equals the
-latent's mean squared value and, after ``to_real`` at the receiver, the
-de-interleaved latent carries noise of variance ``sigma^2`` per real
-element.  That makes the per-symbol variance convention and the
-real-domain diffusion equivalence ``alpha_bar_u = 1/(1+sigma^2)`` agree.
-The scaling is the only non-trivial part of the bridge; the round trip
-is exact up to one unit in the last place.
+Every channel takes a real vector of even length ``2n`` and returns the
+received real vector of the same length.  Noise variance ``sigma^2`` is
+per complex symbol, split ``sigma^2/2`` into each real component.
+Inside a channel, consecutive pairs of the real vector ride on ``n``
+complex symbols, scaled by ``1/sqrt(2)`` so that per-symbol signal power
+equals the vector's mean squared value; the received symbols are
+de-interleaved and scaled back, so each real element carries noise of
+variance ``sigma^2``.  That makes the per-symbol variance convention and
+the real-domain diffusion equivalence ``alpha_bar_u = 1/(1+sigma^2)``
+agree.  The scaling is the only non-trivial part of the bridge; a
+noiseless round trip is exact up to one unit in the last place.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import DeepFadeError, RankDeficientChannelError
 from .schedule import Schedule, StepMapping, sigma2_to_step
 
 __all__ = [
-    "ComplexVector",
     "ChannelOutput",
     "MimoChannel",
     "awgn_transmit",
@@ -42,73 +42,46 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ComplexVector:
-    """Complex baseband signal stored as separate real and imaginary parts."""
+def _interleave(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (re, im) parts of the symbols that a finite, nonempty 1-D real
+    vector of even length 2n rides on: consecutive pairs over 1/sqrt(2)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("expected a one-dimensional real vector")
+    if values.size % 2 != 0:
+        raise ValueError(f"real length must be even, got {values.size}")
+    if values.size == 0:
+        raise ValueError("signal must contain at least one symbol")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("signal components must be finite")
+    return values[0::2] / _SQRT2, values[1::2] / _SQRT2
 
-    re: np.ndarray
-    im: np.ndarray
 
-    def __post_init__(self):
-        re = np.asarray(self.re, dtype=np.float64)
-        im = np.asarray(self.im, dtype=np.float64)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        if re.ndim != 1 or im.ndim != 1:
-            raise ValueError("re and im must be one-dimensional")
-        if re.shape != im.shape:
-            raise ValueError(f"re and im lengths differ: {re.shape} vs {im.shape}")
-        if re.size == 0:
-            raise ValueError("signal must contain at least one symbol")
-        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise ValueError("signal components must be finite")
-
-    @property
-    def n(self) -> int:
-        """Number of complex symbols."""
-        return self.re.size
-
-    def as_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-    @classmethod
-    def from_complex(cls, z: np.ndarray) -> "ComplexVector":
-        z = np.asarray(z)
-        return cls(re=z.real.astype(np.float64), im=z.imag.astype(np.float64))
-
-    @classmethod
-    def from_real(cls, values: np.ndarray) -> "ComplexVector":
-        """Interleave a real vector of even length 2n into n complex symbols.
-
-        Consecutive pairs map to (re, im), scaled by 1/sqrt(2) so per-symbol
-        power equals the real vector's mean squared value.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("expected a one-dimensional real vector")
-        if values.size % 2 != 0:
-            raise ValueError(f"real length must be even, got {values.size}")
-        return cls(re=values[0::2] / _SQRT2, im=values[1::2] / _SQRT2)
-
-    def to_real(self) -> np.ndarray:
-        """De-interleave back to the real vector of length 2n."""
-        out = np.empty(2 * self.n, dtype=np.float64)
-        out[0::2] = self.re * _SQRT2
-        out[1::2] = self.im * _SQRT2
-        return out
+def _deinterleave(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real vector of length 2n that received symbols carry; the
+    inverse scaling of :func:`_interleave`.  A deep fade can overflow the
+    received signal, so it must be finite."""
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("signal components must be finite")
+    out = np.empty(2 * re.size, dtype=np.float64)
+    out[0::2] = re * _SQRT2
+    out[1::2] = im * _SQRT2
+    return out
 
 
 @dataclass(frozen=True)
 class ChannelOutput:
-    """Received signal plus the diffusion-step bookkeeping for the receiver.
+    """Received real vector plus the diffusion-step bookkeeping for the receiver.
 
-    ``mappings`` holds one StepMapping per independent stream: a single
-    entry for scalar channels, one per subchannel for MIMO.
-    ``effective_sigma2`` is the actual per-real-element noise variance of
-    each stream of the (rescaled) received signal.
+    ``received`` is the real vector of the transmitted length, stream
+    ``i`` of ``M`` in its ``i``-th contiguous ``1/M``.  ``mappings`` holds
+    one StepMapping per independent stream: a single entry for scalar
+    channels, one per subchannel for MIMO.  ``effective_sigma2`` is the
+    actual per-real-element noise variance of each stream of the
+    (rescaled) received signal.
     """
 
-    received: ComplexVector
+    received: np.ndarray
     mappings: tuple[StepMapping, ...]
     effective_sigma2: tuple[float, ...]
 
@@ -139,7 +112,7 @@ def _check_sigma(sigma: float) -> float:
 
 
 def awgn_transmit(
-    z: ComplexVector, sigma: float, rng: np.random.Generator, schedule: Schedule
+    z: np.ndarray, sigma: float, rng: np.random.Generator, schedule: Schedule
 ) -> ChannelOutput:
     """Send ``z`` through an additive white Gaussian noise channel.
 
@@ -152,7 +125,7 @@ def awgn_transmit(
 
 
 def rayleigh_transmit_mmse(
-    z: ComplexVector,
+    z: np.ndarray,
     h: complex,
     sigma: float,
     rng: np.random.Generator,
@@ -181,6 +154,7 @@ def rayleigh_transmit_mmse(
     Both agree at ``|h| = 1``.  ``effective_sigma2`` always reports the
     carried variance ``sigma^2 / |h|^2``.
     """
+    re, im = _interleave(z)
     sigma = _check_sigma(sigma)
     if convention not in ("gain_weighted", "mmse"):
         raise ValueError(
@@ -191,10 +165,10 @@ def rayleigh_transmit_mmse(
     if gain2 == 0.0:
         raise DeepFadeError("channel gain is zero; the signal is lost")
 
-    noise = _complex_noise(rng, z.n, sigma)
+    noise = _complex_noise(rng, re.size, sigma)
     noise_coeff = h.conjugate() / gain2
     eff = noise_coeff * noise
-    received = ComplexVector(re=z.re + eff.real, im=z.im + eff.imag)
+    received = _deinterleave(re + eff.real, im + eff.imag)
 
     sigma2 = sigma * sigma
     carried_sigma2 = sigma2 / gain2
@@ -246,7 +220,7 @@ def mimo_svd_decompose(H: np.ndarray) -> MimoChannel:
 
 
 def mimo_transmit(
-    z: ComplexVector,
+    z: np.ndarray,
     channel: MimoChannel,
     sigma: float,
     rng: np.random.Generator,
@@ -254,13 +228,15 @@ def mimo_transmit(
 ) -> ChannelOutput:
     """Send ``z`` over ``M`` parallel eigenmode streams.
 
-    The symbol vector is split into ``M`` contiguous chunks (stream ``i``
-    takes symbols ``[i*L, (i+1)*L)``), precoded with ``V``, passed through
-    ``H`` with additive noise, and multiplied by ``U^H`` at the receiver,
+    The ``n`` symbols that ``z`` rides on are split into ``M`` contiguous
+    chunks (stream ``i`` takes symbols ``[i*L, (i+1)*L)``, real elements
+    ``[2*i*L, 2*(i+1)*L)``), precoded with ``V``, passed through ``H``
+    with additive noise, and multiplied by ``U^H`` at the receiver,
     which diagonalizes the channel.  Each stream ``i`` is then divided by
     its singular value, leaving ``y_i + (sigma/s_i) * eps`` and one step
     mapping per stream at effective variance ``(sigma/s_i)^2``.
     """
+    re, im = _interleave(z)
     sigma = _check_sigma(sigma)
     M = channel.M
     s = channel.singular_values
@@ -268,18 +244,18 @@ def mimo_transmit(
     dead = [i for i in range(M) if s[i] * s[i] == 0.0]
     if dead:
         raise RankDeficientChannelError(dead)
-    if z.n % M != 0:
-        raise ValueError(f"symbol count {z.n} is not divisible by {M} streams")
-    L = z.n // M
+    if re.size % M != 0:
+        raise ValueError(f"symbol count {re.size} is not divisible by {M} streams")
+    L = re.size // M
 
-    Y = z.as_complex().reshape(M, L)
+    Y = (re + 1j * im).reshape(M, L)
     X = channel.V @ Y
     noise = _complex_noise(rng, M * L, sigma).reshape(M, L)
     Y_rx = channel.H @ X + noise
     Y_eq = channel.U.conj().T @ Y_rx
 
-    out = Y_eq / s[:, None]
-    received = ComplexVector.from_complex(out.reshape(-1))
+    out = (Y_eq / s[:, None]).reshape(-1)
+    received = _deinterleave(out.real, out.imag)
 
     sigma2 = sigma * sigma
     eff = tuple(sigma2 / float(si * si) for si in s)

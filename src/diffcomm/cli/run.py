@@ -38,7 +38,6 @@ import numpy as np
 
 from ..channels import (
     ChannelOutput,
-    ComplexVector,
     awgn_transmit,
     mimo_svd_decompose,
     mimo_transmit,
@@ -143,8 +142,8 @@ _UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile)
 def _load_source(cfg: ExperimentConfig) -> GaussianSourceModel | np.ndarray:
     """The configured source, loaded once per run: the Gaussian model, or
     the file's latents as one read-only float64 array of shape (rows, n).
-    A file that does not hold finite latents of the source shape is a
-    ConfigurationError at ``source.path``."""
+    A file that does not hold finite integer or float latents of the
+    source shape is a ConfigurationError at ``source.path``."""
     src = cfg.source
     if src.kind != "file":
         return GaussianSourceModel(mean=src.m, variance=src.v)
@@ -154,11 +153,15 @@ def _load_source(cfg: ExperimentConfig) -> GaussianSourceModel | np.ndarray:
             raise ValueError("not an .npz archive")
         with archive:
             latents = archive.get("latents")
-            data = None if latents is None else np.asarray(latents, dtype=np.float64)
     except _UNREADABLE as exc:
         raise ConfigurationError("source.path", f"cannot load {src.path}: {exc}") from exc
-    if data is None:
+    if latents is None:
         raise ConfigurationError("source.path", f"{src.path} has no 'latents' array")
+    if latents.dtype.kind not in "iuf":
+        raise ConfigurationError(
+            "source.path", f"{src.path} holds latents of dtype {latents.dtype}, not integer or float"
+        )
+    data = latents.astype(np.float64, copy=False)
     if data.ndim != 4 or data.shape[1:] != src.shape:
         raise ConfigurationError(
             "source.path",
@@ -246,13 +249,12 @@ def _transmit(
 ) -> ChannelOutput:
     """Send a real vector through the configured channel.
 
-    Odd-length vectors are zero-padded by one element for the complex
-    interleave; the pad is dropped again after ``to_real``.  Fading
-    coefficients not pinned in the config are drawn per trial.
+    The channels take an even length, so an odd-length codec vector is
+    zero-padded by one element, and the received vector keeps the pad
+    for the caller to drop.  Fading coefficients not pinned in the
+    config are drawn per trial.
     """
-    if values.size % 2 != 0:
-        values = np.concatenate([values, [0.0]])
-    z = ComplexVector.from_real(values)
+    z = values if values.size % 2 == 0 else np.concatenate([values, [0.0]])
     ch = cfg.channel
     if ch.type == "awgn":
         return awgn_transmit(z, sigma, rng, schedule)
@@ -360,14 +362,11 @@ def _run_trials(
             y0 = source.draw(cfg.source.shape, rng)
         else:  # a file source cycles through its rows
             y0 = Latent(data=source[trial % len(source)], shape=cfg.source.shape)
-        transmitted = y0.data if params is None else downsample(y0, params).data
+        transmitted = y0.data if params is None else downsample(y0, params)
         out = _transmit(cfg, transmitted, sigma, rng, schedule)
-        base = out.received.to_real()
-        if params is None:
-            base = base[: cfg.source.n]
-        else:
-            z_hat = Latent(data=base[: params.m], shape=(params.m, 1, 1))
-            base = upsample(z_hat, snr_nominal, params, rng)[1].data
+        base = out.received
+        if params is not None:
+            base = upsample(base[: params.m], snr_nominal, params, rng)[1].data
 
         for route in routes:
             if route == "forward":

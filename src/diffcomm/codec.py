@@ -447,8 +447,8 @@ def _check_finite(name: str, arr: np.ndarray):
         raise NumericOverflowError(name)
 
 
-def downsample(y: Latent, params: CodecParams) -> Latent:
-    """Compress one latent to the transmit vector.
+def downsample(y: Latent, params: CodecParams) -> np.ndarray:
+    """Compress one latent to the ``(m,)`` transmit vector.
 
     With power normalization the raw projection output is divided by its
     root mean square, giving unit mean per-symbol power; the divisor is
@@ -462,23 +462,26 @@ def downsample(y: Latent, params: CodecParams) -> Latent:
     for i, x in enumerate(outputs):
         _check_finite(f"down_block_{i}", x)
     _check_finite("down_proj", ctx["z_raw"])
-    return Latent(data=Z[0], shape=(params.m, 1, 1))
+    return Z[0]
 
 
 def upsample(
-    z_hat: Latent, snr: float, params: CodecParams, rng: np.random.Generator
+    z_hat: np.ndarray, snr: float, params: CodecParams, rng: np.random.Generator
 ) -> tuple[GaussianParams, Latent]:
-    """Decode a received vector into a Gaussian and a reparameterized draw.
+    """Decode a received ``(m,)`` vector into a Gaussian and a reparameterized draw.
 
     Returns the elementwise Gaussian ``(mu, sigma)`` and the sample
     ``mu + sigma * eps`` with ``eps`` drawn from ``rng``.  ``snr`` is the
     linear channel SNR used for conditioning.
     """
-    if z_hat.n != params.m:
-        raise ValueError(f"received length {z_hat.n} does not match codec length {params.m}")
+    z_hat = np.asarray(z_hat, dtype=np.float64)
+    if z_hat.shape != (params.m,):
+        raise ValueError(f"received shape {z_hat.shape} does not match codec length {params.m}")
+    if not np.all(np.isfinite(z_hat)):
+        raise ValueError("received vector must be finite")
     feat = snr_feature(params, snr)
     eps_y = rng.standard_normal(params.n)
-    Mu, Lv, Sy, Yhat, _ = forward_up_batch(params, z_hat.data[None, :], feat, eps_y[None, :])
+    Mu, Lv, Sy, Yhat, _ = forward_up_batch(params, z_hat[None, :], feat, eps_y[None, :])
     _check_finite("up_mu", Mu)
     _check_finite("up_logvar", Lv)
     q = GaussianParams(mu=Mu[0].copy(), sigma=Sy[0].copy())

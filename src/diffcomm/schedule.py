@@ -111,7 +111,7 @@ class Schedule:
         return (1.0 - ab) / ab
 
     def _check_step(self, u: int, lo: int):
-        if not isinstance(u, (int, np.integer)):
+        if not isinstance(u, (int, np.integer)) or isinstance(u, bool):
             raise TypeError(f"step index must be an integer, got {type(u).__name__}")
         if u < lo or u > self.T:
             raise IndexError(f"step {u} outside [{lo}, {self.T}]")

@@ -19,7 +19,6 @@ from diffcomm import (
     AnalyticGaussianDenoiser,
     CodecArch,
     CompensationInfeasibleError,
-    ComplexVector,
     GaussianSourceModel,
     Latent,
     LossWeights,
@@ -145,9 +144,9 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         u, s2e = _exact_point(s2_nom)
         rng = np.random.default_rng(200 + i)
         y0 = rng.standard_normal(N_DRAWS)
-        out = awgn_transmit(ComplexVector.from_real(y0), math.sqrt(s2e), rng, SCH)
+        out = awgn_transmit(y0, math.sqrt(s2e), rng, SCH)
         ok &= out.mappings[0].step_u == u
-        ok &= _noise_pair_ok(out.received.to_real(), y0, s2e, u, rng)
+        ok &= _noise_pair_ok(out.received, y0, s2e, u, rng)
         checked.append(f"awgn u={u}")
 
     # fading with MMSE equalization: the carried variance sigma^2/|h|^2
@@ -158,12 +157,9 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         u, s2e = _exact_point(s2_nom)
         rng = np.random.default_rng(210 + i)
         y0 = rng.standard_normal(N_DRAWS)
-        out = rayleigh_transmit_mmse(
-            ComplexVector.from_real(y0), h, math.sqrt(s2e * gain2), rng, SCH,
-            convention="mmse",
-        )
+        out = rayleigh_transmit_mmse(y0, h, math.sqrt(s2e * gain2), rng, SCH, convention="mmse")
         ok &= out.mappings[0].step_u == u
-        ok &= _noise_pair_ok(out.received.to_real(), y0, s2e, u, rng)
+        ok &= _noise_pair_ok(out.received, y0, s2e, u, rng)
     checked.append("rayleigh/mmse |h|^2=0.45")
 
     # unit-gain fade: both conventions agree, assert under the default
@@ -171,12 +167,9 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
     u, s2e = _exact_point(1.0)
     rng = np.random.default_rng(220)
     y0 = rng.standard_normal(N_DRAWS)
-    out = rayleigh_transmit_mmse(
-        ComplexVector.from_real(y0), h1, math.sqrt(s2e), rng, SCH,
-        convention="gain_weighted",
-    )
+    out = rayleigh_transmit_mmse(y0, h1, math.sqrt(s2e), rng, SCH, convention="gain_weighted")
     ok &= out.mappings[0].step_u == u
-    ok &= _noise_pair_ok(out.received.to_real(), y0, s2e, u, rng)
+    ok &= _noise_pair_ok(out.received, y0, s2e, u, rng)
     checked.append("rayleigh/gain_weighted |h|=1")
 
     # off-unit fade under the gain-weighted convention: the step targets
@@ -184,11 +177,9 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
     # carried variance is asserted and the mismatch ratio is reported
     rng = np.random.default_rng(221)
     y0 = rng.standard_normal(N_DRAWS)
-    out = rayleigh_transmit_mmse(
-        ComplexVector.from_real(y0), h, 1.0, rng, SCH, convention="gain_weighted"
-    )
+    out = rayleigh_transmit_mmse(y0, h, 1.0, rng, SCH, convention="gain_weighted")
     carried = out.effective_sigma2[0]
-    ok &= gaussianity_check(out.received.to_real() - y0, 0.0, carried).passed
+    ok &= gaussianity_check(out.received - y0, 0.0, carried).passed
     mapped_over_carried = (1.0 * gain2) / carried
     checked.append(
         f"rayleigh/gain_weighted |h|^2={gain2:.2f} maps {mapped_over_carried:.3f}x carried"
@@ -205,8 +196,8 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         u, s2e = _exact_point(1.0)
         sigma = float(s[target_stream]) * math.sqrt(s2e)
         y0 = rng.standard_normal(4 * L)
-        out = mimo_transmit(ComplexVector.from_real(y0), channel, sigma, rng, SCH)
-        r = out.received.to_real()
+        out = mimo_transmit(y0, channel, sigma, rng, SCH)
+        r = out.received
         for i in range(2):
             sl = slice(2 * i * L, 2 * (i + 1) * L)
             if i == target_stream:
@@ -295,8 +286,8 @@ def test_criterion_05_denoiser_end_to_end(capsys):
     errors = []
     for _ in range(10):  # 10 chains x 1000 elements = 1e4 element trials
         y0 = rng.standard_normal(1000)
-        out = awgn_transmit(ComplexVector.from_real(y0), math.sqrt(s2e), rng, SCH)
-        lat, mapping = adaptive_receive(_flat(out.received.to_real()), s2e, SCH)
+        out = awgn_transmit(y0, math.sqrt(s2e), rng, SCH)
+        lat, mapping = adaptive_receive(_flat(out.received), s2e, SCH)
         recon = denoise_from_step(lat, mapping.step_u, denoiser, SCH, rng)
         errors.append(np.mean((recon.data - y0) ** 2))
     measured = float(np.mean(errors))
@@ -308,8 +299,8 @@ def test_criterion_05_denoiser_end_to_end(capsys):
         cell = []
         for _ in range(4):
             y0 = rng.standard_normal(1000)
-            out = awgn_transmit(ComplexVector.from_real(y0), math.sqrt(s2), rng, SCH)
-            lat, mapping = adaptive_receive(_flat(out.received.to_real()), s2, SCH)
+            out = awgn_transmit(y0, math.sqrt(s2), rng, SCH)
+            lat, mapping = adaptive_receive(_flat(out.received), s2, SCH)
             recon = denoise_from_step(lat, mapping.step_u, denoiser, SCH, rng)
             cell.append(np.mean((recon.data - y0) ** 2))
         psnrs.append(psnr_from_mse(float(np.mean(cell))))

@@ -718,6 +718,30 @@ def test_main_rejects_non_finite_latents_before_any_trial(tmp_path, capsys, monk
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("dtype", ["complex128", "bool", "U1"])
+def test_main_rejects_latents_that_are_not_integer_or_float(tmp_path, capsys, monkeypatch, dtype):
+    """A cast to float64 would drop a complex latent's imaginary part."""
+    path = tmp_path / "latents.npz"
+    np.savez(path, latents=np.ones((3, 2, 2, 2)).astype(dtype))
+    text = _cfg(source={**SMALL_SOURCE, "kind": "file", "path": str(path)})
+    calls = []
+    monkeypatch.setattr(run_module, "_transmit", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: source.path: {path} holds latents of dtype {np.dtype(dtype)}, "
+        "not integer or float\n"
+    )
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
+def test_integer_and_float_latents_load_as_float64(tmp_path, dtype):
+    cfg = _file_sweep_cfg(tmp_path, latents=np.full((2, 2, 2, 2), 4, dtype=dtype))
+    rows = run_module._load_source(cfg)
+    assert rows.dtype == np.float64 and np.array_equal(rows, np.full((2, 8), 4.0))
+
+
 def test_sweep_trains_and_evaluates_on_file_source(tmp_path):
     cfg = _file_sweep_cfg(tmp_path, latents=np.full((2, 2, 2, 2), 4.0))
     from_file = run_sweep(cfg, out_dir=str(tmp_path / "file"))

@@ -128,7 +128,8 @@ def test_full_rate_codec_is_identity_at_init():
     rng = np.random.default_rng(1)
     y = Latent(data=rng.standard_normal(256), shape=SHAPE)
     z = downsample(y, p)
-    assert np.array_equal(z.data, y.data)
+    assert z.shape == (256,)
+    assert np.array_equal(z, y.data)
     q, _ = upsample(z, 10.0, p, np.random.default_rng(2))
     assert np.array_equal(q.mu, y.data)
 
@@ -136,11 +137,11 @@ def test_full_rate_codec_is_identity_at_init():
 def test_power_normalization_gives_unit_rms():
     p = _params()
     y = Latent(data=np.random.default_rng(5).standard_normal(256) * 7.0, shape=SHAPE)
-    assert float(np.mean(downsample(y, p).data ** 2)) == pytest.approx(1.0, rel=1e-12)
+    assert float(np.mean(downsample(y, p) ** 2)) == pytest.approx(1.0, rel=1e-12)
     # disabled normalization transmits the raw projection output unscaled
     p_raw = _params(power_norm=False)
     _, ctx = forward_down_batch(p_raw, y.data[None, :])
-    assert np.array_equal(downsample(y, p_raw).data, ctx["z_raw"][0])
+    assert np.array_equal(downsample(y, p_raw), ctx["z_raw"][0])
 
 
 def test_downsample_rejects_all_zero_signal():
@@ -172,7 +173,7 @@ def test_snr_feature_normalization():
 
 def test_snr_conditioning_changes_variance_head():
     p = _params()
-    z = Latent(data=np.random.default_rng(6).standard_normal(128), shape=(128, 1, 1))
+    z = np.random.default_rng(6).standard_normal(128)
     q_low, _ = upsample(z, 1.0, p, np.random.default_rng(7))
     q_high, _ = upsample(z, 15.0, p, np.random.default_rng(7))
     assert not np.array_equal(q_low.sigma, q_high.sigma)
@@ -181,7 +182,7 @@ def test_snr_conditioning_changes_variance_head():
 def test_snr_ablation_is_invariant():
     p = _params(snr_conditioning=False)
     assert snr_feature(p, 123.0) == 0.0
-    z = Latent(data=np.random.default_rng(8).standard_normal(128), shape=(128, 1, 1))
+    z = np.random.default_rng(8).standard_normal(128)
     q_low, y_low = upsample(z, 1.0, p, np.random.default_rng(9))
     q_high, y_high = upsample(z, 15.0, p, np.random.default_rng(9))
     assert np.array_equal(q_low.sigma, q_high.sigma)
@@ -192,7 +193,7 @@ def test_snr_to_mu_column_is_zero_initialized():
     base = _params(seed=11)
     cond = _params(seed=11, snr_to_mu=True)
     assert cond.up_mu_proj.W.shape == (256, 129)
-    z = Latent(data=np.random.default_rng(12).standard_normal(128), shape=(128, 1, 1))
+    z = np.random.default_rng(12).standard_normal(128)
     q_a, _ = upsample(z, 4.0, base, np.random.default_rng(13))
     q_b, _ = upsample(z, 4.0, cond, np.random.default_rng(13))
     assert np.array_equal(q_a.mu, q_b.mu)
@@ -204,7 +205,7 @@ def test_snr_to_mu_column_is_zero_initialized():
 
 def test_logvar_clamp_bounds_sigma():
     p = _params()
-    huge = Latent(data=np.full(128, 1e8), shape=(128, 1, 1))
+    huge = np.full(128, 1e8)
     q, _ = upsample(huge, 4.0, p, np.random.default_rng(14))
     logvar = 2.0 * np.log(q.sigma)
     assert np.all(logvar <= 10.0 + 1e-9)
@@ -214,7 +215,7 @@ def test_logvar_clamp_bounds_sigma():
 
 def test_upsample_sample_is_mu_plus_sigma_eps():
     p = _params(seed=3)
-    z = Latent(data=np.random.default_rng(4).standard_normal(128), shape=(128, 1, 1))
+    z = np.random.default_rng(4).standard_normal(128)
     rng = np.random.default_rng(5)
     eps = copy.deepcopy(rng).standard_normal(p.n)
     q, sample = upsample(z, 4.0, p, rng)
@@ -230,9 +231,23 @@ def test_gaussian_params_require_positive_sigma():
 
 def test_upsample_length_check():
     p = _params()
-    z = Latent(data=np.zeros(64), shape=(64, 1, 1))
-    with pytest.raises(ValueError, match="length"):
-        upsample(z, 4.0, p, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^received shape \(64,\) does not match codec length 128$"):
+        upsample(np.zeros(64), 4.0, p, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("z, message", [
+    (np.zeros((1, 128)), r"^received shape \(1, 128\) does not match codec length 128$"),
+    (np.zeros((128, 1)), r"^received shape \(128, 1\) does not match codec length 128$"),
+    (np.full(128, np.nan), "^received vector must be finite$"),
+    (np.r_[np.zeros(127), np.inf], "^received vector must be finite$"),
+], ids=["row", "column", "nan", "inf"])
+def test_upsample_takes_a_finite_m_vector(z, message):
+    p = _params()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        upsample(z, 4.0, p, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_overflow_is_reported_with_layer_name():

@@ -322,6 +322,26 @@ def test_denoise_from_step_checks_its_step_as_reverse_step_does():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("step", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_a_bool_is_not_a_step_index(step):
+    """``True`` is an ``int`` to Python, but never step 1: the schedule
+    accessors, one reverse step and a whole chain all refuse it, before
+    any noise is drawn, as the config parser refuses a bool integer."""
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
+    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    calls = [
+        lambda: SCHEDULE.alpha_bar(step),
+        lambda: reverse_step(y, step, den, SCHEDULE, rng),
+        lambda: denoise_from_step(y, step, den, SCHEDULE, rng),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="^step index must be an integer, got bool$"):
+            call()
+    assert rng.bit_generator.state == state
+
+
 def test_denoise_is_deterministic_given_generator():
     model = GaussianSourceModel()
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
