@@ -32,8 +32,6 @@ from .diffusion import (
     AnalyticGaussianDenoiser,
     Denoiser,
     GaussianSourceModel,
-    Latent,
-    adaptive_receive,
     compensate_to_step,
     denoise_from_step,
     forward_sample,
@@ -91,7 +89,6 @@ __all__ = [
     "GaussianParams",
     "GaussianSourceModel",
     "GaussianityReport",
-    "Latent",
     "LossBreakdown",
     "LossWeights",
     "MimoChannel",
@@ -103,7 +100,6 @@ __all__ = [
     "TrainConfig",
     "TrainRecord",
     "TrainingDivergedError",
-    "adaptive_receive",
     "awgn_transmit",
     "build_linear_schedule",
     "compensate_to_step",

@@ -57,7 +57,6 @@ from ..codec import (
 from ..diffusion import (
     AnalyticGaussianDenoiser,
     GaussianSourceModel,
-    Latent,
     _denoise_rows,
     compensate_to_step,
     denoise_from_step,
@@ -94,7 +93,7 @@ _COMPARE_HEADER = (
 )
 _TRAIN_HEADER = ("step", "l_kl", "l_mse", "l_g", "total", "eval_psnr")
 _SWEEP_HEADER = ("param", "value", "psnr_db", "ssim", "mse")
-# Latent elements per SSIM block: a cell scores max(1, this // n) trials
+# Elements per SSIM block: a cell scores max(1, this // n) trials
 # per ``ssim_batch`` call, so its buffers do not grow with the trial count.
 _SSIM_BLOCK_ELEMENTS = 65536
 # The receive routes each mode runs per trial, in the order they draw from
@@ -296,9 +295,10 @@ def _receive(
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Denoise the equal-width streams of ``base`` in one ragged chain.
 
-    Adaptive route (no ``t_target``): scale a stream onto its mapped step.
-    Compensate route: top it up to ``t_target`` from the variance it
-    carries (``effective_sigma2``), whatever the fading convention mapped.
+    Adaptive route (no ``t_target``): scale a stream by its mapping's
+    ``scale`` onto its mapped step.  Compensate route: top it up to
+    ``t_target`` from the variance it carries (``effective_sigma2``),
+    whatever the fading convention mapped.
     Stream by stream, ``rng`` gives the stream's start (the top-up), then
     its ``u - 1`` noise rows in one draw, as if each stream were denoised
     in turn.  The chain lays those draws into one noise table and makes
@@ -308,20 +308,18 @@ def _receive(
     """
     schedule = setup.cfg.schedule.built
     width = base.size // len(out.mappings)
-    shape = (width, 1, 1)
     starts, steps, noises = [], [], []
     for i, (mapping, s2) in enumerate(zip(out.mappings, out.effective_sigma2)):
-        sl = slice(i * width, (i + 1) * width)
+        s_hat = base[i * width : (i + 1) * width]
         if t_target is None:
-            y, u = Latent(data=mapping.scale * base[sl], shape=shape), mapping.step_u
+            y, u = mapping.scale * s_hat, mapping.step_u
         else:
-            s_hat = Latent(data=base[sl], shape=shape)
             y, u = compensate_to_step(s_hat, s2, t_target, schedule, rng), t_target
         starts.append(y)
         steps.append(u)
         noises.append(rng.standard_normal((max(u - 1, 0), width)))
     ys = _denoise_rows(starts, steps, noises, setup.denoiser, schedule)
-    return np.concatenate([y.data for y in ys]), (sum(steps), max(steps))
+    return np.concatenate(ys), (sum(steps), max(steps))
 
 
 def _run_trials(
@@ -359,19 +357,19 @@ def _run_trials(
     for trial in range(trials):
         rng = _derive_rng(*key, trial)
         if isinstance(source, GaussianSourceModel):
-            y0 = source.draw(cfg.source.shape, rng)
+            y0 = source.draw(cfg.source.n, rng)
         else:  # a file source cycles through its rows
-            y0 = Latent(data=source[trial % len(source)], shape=cfg.source.shape)
-        transmitted = y0.data if params is None else downsample(y0, params)
+            y0 = source[trial % len(source)]
+        transmitted = y0 if params is None else downsample(y0, params)
         out = _transmit(cfg, transmitted, sigma, rng, schedule)
         base = out.received
         if params is not None:
-            base = upsample(base[: params.m], snr_nominal, params, rng)[1].data
+            base = upsample(base[: params.m], snr_nominal, params, rng)[1]
 
         for route in routes:
             if route == "forward":
                 fwd_t = forward_sample(y0, t_target, schedule, rng)
-                recon = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng).data
+                recon = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng)
                 route_steps = (t_target, t_target)
             else:
                 recon, route_steps = _receive(
@@ -379,10 +377,10 @@ def _run_trials(
                 )
             steps += route_steps[0]
             chain_steps += route_steps[1]
-            mses[route].append(mse(recon, y0.data))
+            mses[route].append(mse(recon, y0))
         if window is not None:
             row = trial % block
-            refs[row] = y0.as_image()
+            refs[row] = y0.reshape(cfg.source.shape)
             recons[row] = recon.reshape(cfg.source.shape)
             if row == block - 1 or trial == trials - 1:
                 ssims += ssim_batch(refs[: row + 1], recons[: row + 1], window=window).tolist()

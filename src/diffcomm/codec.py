@@ -1,4 +1,4 @@
-"""Latent compression codec: a downsampler to a shorter transmit vector
+"""Compression codec for latents: a downsampler to a shorter transmit vector
 and an SNR-conditioned upsampler that outputs a Gaussian over the
 reconstruction, sampled via the reparameterization trick.
 
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import Latent
+from .diffusion import _checked
 from .errors import ConfigurationError, NumericOverflowError
 
 __all__ = [
@@ -447,16 +447,17 @@ def _check_finite(name: str, arr: np.ndarray):
         raise NumericOverflowError(name)
 
 
-def downsample(y: Latent, params: CodecParams) -> np.ndarray:
-    """Compress one latent to the ``(m,)`` transmit vector.
+def downsample(y: np.ndarray, params: CodecParams) -> np.ndarray:
+    """Compress one ``(n,)`` latent to the ``(m,)`` transmit vector.
 
-    With power normalization the raw projection output is divided by its
-    root mean square, giving unit mean per-symbol power; the divisor is
-    assumed known at the receiver.
+    The latent gets the diffusion layer's check, then must have the
+    codec's length.  With power normalization the raw projection output
+    is divided by its root mean square, giving unit mean per-symbol
+    power; the divisor is assumed known at the receiver.
     """
-    if y.shape != params.shape:
-        raise ValueError(f"latent shape {y.shape} does not match codec shape {params.shape}")
-    Z, ctx = forward_down_batch(params, y.data[None, :])
+    if _checked(y).size != params.n:
+        raise ValueError(f"latent shape {y.shape} does not match codec length {params.n}")
+    Z, ctx = forward_down_batch(params, y[None, :])
     # each block's output is the next block's input, the last one the projection's
     outputs = [bctx["x"] for bctx in ctx["blocks"][1:]] + [ctx["x_proj_in"]]
     for i, x in enumerate(outputs):
@@ -467,12 +468,12 @@ def downsample(y: Latent, params: CodecParams) -> np.ndarray:
 
 def upsample(
     z_hat: np.ndarray, snr: float, params: CodecParams, rng: np.random.Generator
-) -> tuple[GaussianParams, Latent]:
+) -> tuple[GaussianParams, np.ndarray]:
     """Decode a received ``(m,)`` vector into a Gaussian and a reparameterized draw.
 
-    Returns the elementwise Gaussian ``(mu, sigma)`` and the sample
-    ``mu + sigma * eps`` with ``eps`` drawn from ``rng``.  ``snr`` is the
-    linear channel SNR used for conditioning.
+    Returns the elementwise Gaussian ``(mu, sigma)`` and the ``(n,)``
+    sample ``mu + sigma * eps`` with ``eps`` drawn from ``rng``.  ``snr``
+    is the linear channel SNR used for conditioning.
     """
     z_hat = np.asarray(z_hat, dtype=np.float64)
     if z_hat.shape != (params.m,):
@@ -485,7 +486,7 @@ def upsample(
     _check_finite("up_mu", Mu)
     _check_finite("up_logvar", Lv)
     q = GaussianParams(mu=Mu[0].copy(), sigma=Sy[0].copy())
-    return q, Latent(data=Yhat[0], shape=params.shape)
+    return q, Yhat[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Forward diffusion, ancestral reverse denoising, and the receiver-side
 operations that treat channel noise as part of the forward process.
 
-Two receive strategies are supported.  ``adaptive_receive`` scales the
-received signal so it matches the forward state at the step nearest the
-channel's noise level, and denoising starts there.  ``compensate_to_step``
-instead adds just enough extra noise to reach a chosen target step, so a
+A latent is a nonempty one-dimensional float64 array of finite values.
+Each public function checks the latent it is given (``reverse_step``
+the one it returns), and none writes into its input.
+
+The receiver starts the reverse process in one of two ways.  The
+adaptive route scales the received signal by the ``scale`` of its step
+mapping (``sigma2_to_step``), so it matches the forward state at the
+mapped step, and denoising starts there.  ``compensate_to_step`` instead
+adds just enough extra noise to reach a chosen target step, so a
 fixed-length reverse run can be used regardless of channel quality.
 
 The denoiser is pluggable: it maps a latent and a step to a plain array
@@ -19,101 +24,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .schedule import (
-    Schedule,
-    StepMapping,
-    compensation_variance,
-    sigma2_to_step,
-)
+from .schedule import Schedule, compensation_variance
 
 __all__ = [
-    "Latent",
     "Denoiser",
     "GaussianSourceModel",
     "AnalyticGaussianDenoiser",
     "forward_sample",
     "reverse_step",
     "compensate_to_step",
-    "adaptive_receive",
     "denoise_from_step",
 ]
 
-def _checked_data(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """``data`` checked and made read-only in place, or ValueError.
 
-    The one check on latent values, shared by the constructor and
-    ``Latent._adopt``: one-dimensional, ``w * h * c`` elements for the
-    (already validated) ``shape``, all finite.  ``data`` must be a
-    float64 array the new latent owns.
-    """
-    if data.ndim != 1:
-        raise ValueError(f"latent data must be one-dimensional, got {data.ndim}")
-    w, h, c = shape
-    if w * h * c != data.size:
-        raise ValueError(
-            f"shape {shape} implies {w * h * c} elements, data has {data.size}"
-        )
+def _checked(y: np.ndarray) -> np.ndarray:
+    """``y`` itself if it is a latent, else ValueError: the one check on
+    latents, a nonempty one-dimensional float64 array of finite values."""
+    if not (isinstance(y, np.ndarray) and y.dtype == np.float64):
+        raise ValueError(f"latent must be a float64 array, got {getattr(y, 'dtype', type(y))}")
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"latent must be nonempty and one-dimensional, got shape {y.shape}")
     # NaN and inf propagate through the squares and their sum, so a finite
     # dot product proves every element finite; only an overflow of finite
     # values needs the elementwise test.  ``vdot``, unlike ``@``, does not
     # warn about that overflow.
-    if not (math.isfinite(np.vdot(data, data)) or np.isfinite(data).all()):
+    if not (math.isfinite(np.vdot(y, y)) or np.isfinite(y).all()):
         raise ValueError("latent components must be finite")
-    data.flags.writeable = False
-    return data
-
-
-@dataclass(frozen=True)
-class Latent:
-    """Flat real-valued latent with its logical (width, height, channels) shape.
-
-    The constructor copies the given values, so the caller's array stays
-    writable and later writes to it (or to the array it is a view of)
-    never reach the latent.
-    """
-
-    data: np.ndarray
-    shape: tuple[int, int, int]
-
-    def __post_init__(self):
-        shape = tuple(map(int, self.shape))
-        if len(shape) != 3 or min(shape) < 1:
-            raise ValueError(f"shape must be three positive integers, got {shape}")
-        object.__setattr__(self, "shape", shape)
-        data = np.array(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", _checked_data(data, shape))
-
-    @property
-    def n(self) -> int:
-        return self.data.size
-
-    def _adopt(self, data: np.ndarray, shape: Optional[tuple[int, int, int]] = None) -> "Latent":
-        """A latent holding ``data`` itself, not a copy, for a float64 array
-        the caller has just allocated and no one else references.  ``shape``
-        (this latent's by default) is trusted, not re-validated; the data
-        get the constructor's checks and are read-only afterwards."""
-        shape = self.shape if shape is None else shape
-        out = object.__new__(Latent)
-        object.__setattr__(out, "data", _checked_data(data, shape))
-        object.__setattr__(out, "shape", shape)
-        return out
-
-    def as_image(self) -> np.ndarray:
-        """View as a (width, height, channels) array for windowed metrics."""
-        return self.data.reshape(self.shape)
+    return y
 
 
 @runtime_checkable
 class Denoiser(Protocol):
     """Noise-prediction interface consumed by the reverse process."""
 
-    def predict_noise(self, y_t: Latent, t: int) -> np.ndarray:
-        """Estimate the standard-normal noise present in ``y_t`` at step
-        ``t``, as a float64 array shaped like ``y_t.data``."""
+    def predict_noise(self, y_t: np.ndarray, t: int) -> np.ndarray:
+        """Estimate the standard-normal noise present in the latent ``y_t``
+        at step ``t``, as a float64 array shaped like ``y_t``."""
         ...
 
 
@@ -130,10 +80,9 @@ class GaussianSourceModel:
         if not (math.isfinite(self.variance) and self.variance >= 0.0):
             raise ValueError(f"variance must be finite and >= 0, got {self.variance!r}")
 
-    def draw(self, shape: tuple[int, int, int], rng: np.random.Generator) -> Latent:
-        w, h, c = shape
-        data = self.mean + math.sqrt(self.variance) * rng.standard_normal(w * h * c)
-        return Latent(data=data, shape=tuple(shape))
+    def draw(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        """Source draws of shape ``size``, from one ``rng.standard_normal(size)`` call."""
+        return self.mean + math.sqrt(self.variance) * rng.standard_normal(size)
 
 
 @dataclass(frozen=True)
@@ -171,43 +120,44 @@ class AnalyticGaussianDenoiser:
         coefs = zip(np.sqrt(1.0 - ab).tolist(), signal_means, denom.tolist())
         object.__setattr__(self, "_coefs", tuple(coefs))
 
-    def predict_noise(self, y_t: Latent, t: int) -> np.ndarray:
+    def predict_noise(self, y_t: np.ndarray, t: int) -> np.ndarray:
         self.schedule._check_step(t, lo=0)
         noise_sd, signal_mean, denom = self._coefs[t]
         # y - (+0.0) is y bit for bit for every finite y, -0.0 included, so
         # that subtraction is skipped; y - (-0.0) turns -0.0 into +0.0 and
         # is kept.
         if signal_mean is None:
-            eps = y_t.data * noise_sd
+            eps = y_t * noise_sd
         else:
-            eps = y_t.data - signal_mean
+            eps = y_t - signal_mean
             eps *= noise_sd
         eps /= denom
         return eps
 
 
 def forward_sample(
-    y0: Latent, t: int, schedule: Schedule, rng: np.random.Generator
-) -> Latent:
+    y0: np.ndarray, t: int, schedule: Schedule, rng: np.random.Generator
+) -> np.ndarray:
     """Jump directly to forward step ``t``:
     ``sqrt(ab_t) * y0 + sqrt(1 - ab_t) * eps``.
 
-    ``t = 0`` returns ``y0`` unchanged without consuming generator state.
+    ``t = 0`` returns ``y0`` itself without consuming generator state.
     """
+    _checked(y0)
     ab = schedule.alpha_bar(t)
     if t == 0:
         return y0
-    eps = rng.standard_normal(y0.n)
-    return y0._adopt(math.sqrt(ab) * y0.data + math.sqrt(1.0 - ab) * eps)
+    eps = rng.standard_normal(y0.size)
+    return math.sqrt(ab) * y0 + math.sqrt(1.0 - ab) * eps
 
 
 def reverse_step(
-    y_t: Latent,
+    y_t: np.ndarray,
     t: int,
     denoiser: Denoiser,
     schedule: Schedule,
     rng: np.random.Generator,
-) -> Latent:
+) -> np.ndarray:
     """One ancestral reverse step from ``t`` to ``t - 1``.
 
     The mean subtracts the predicted noise::
@@ -222,32 +172,39 @@ def reverse_step(
     The scalars come from ``schedule.reverse_coefs``, built once from the
     same expressions, and the update runs in place on one new array, so
     the result is bit-identical to evaluating the formulas above per
-    call.  Each step draws ``y_t.n`` standard normals from ``rng``
+    call.  Each step draws ``y_t.size`` standard normals from ``rng``
     (none at ``t = 1``) through its one call, ``rng.standard_normal(size)``,
     and may scale the returned array in place; any object with that
-    method serves.  The prediction is a bare array and the result
-    is the step's one new ``Latent``: a prediction that is not finite,
-    or not shaped like ``y_t.data``, raises ValueError here.
+    method serves.  The prediction is a bare array, and the step checks
+    its result, not its input: each operation acts on each element
+    alone, so a value of ``y_t`` or of the prediction that is not finite
+    makes the result's value non-finite too, and the step raises
+    ValueError.  A latent that is not one-dimensional, or a prediction
+    not shaped like ``y_t``, raises ValueError before any draw.
     """
     schedule._check_step(t, lo=1)
     c_eps, sqrt_a, sd = schedule.reverse_coefs[t - 1]
-    mu = denoiser.predict_noise(y_t, t) * c_eps
-    np.subtract(y_t.data, mu, out=mu)
+    mu = denoiser.predict_noise(y_t, t)
+    if mu.shape != y_t.shape or y_t.ndim != 1:
+        _checked(y_t)
+        raise ValueError(f"predicted noise has shape {mu.shape}, the latent {y_t.shape}")
+    mu = mu * c_eps
+    np.subtract(y_t, mu, out=mu)
     mu /= sqrt_a
     if t > 1:
-        z = rng.standard_normal(y_t.n)
+        z = rng.standard_normal(y_t.size)
         z *= sd
         mu += z
-    return y_t._adopt(mu)
+    return _checked(mu)
 
 
 def compensate_to_step(
-    s_hat: Latent,
+    s_hat: np.ndarray,
     sigma2: float,
     t_target: int,
     schedule: Schedule,
     rng: np.random.Generator,
-) -> Latent:
+) -> np.ndarray:
     """Top up channel noise so the signal sits exactly at step ``t_target``.
 
     Adds independent noise of variance ``step_to_sigma2(t_target) - sigma2``
@@ -258,42 +215,25 @@ def compensate_to_step(
     Raises CompensationInfeasibleError (via ``compensation_variance``)
     when the channel is noisier than the target step allows.
     """
+    _checked(s_hat)
     extra = compensation_variance(schedule, t_target, sigma2)
     ab = schedule.alpha_bar(t_target)
     if extra == 0.0:
-        data = math.sqrt(ab) * s_hat.data
-    else:
-        eps = rng.standard_normal(s_hat.n)
-        data = math.sqrt(ab) * (s_hat.data + math.sqrt(extra) * eps)
-    return s_hat._adopt(data)
-
-
-def adaptive_receive(
-    s_hat: Latent, sigma2: float, schedule: Schedule
-) -> tuple[Latent, StepMapping]:
-    """Scale a received signal onto the nearest forward step.
-
-    Returns the scaled latent ``sqrt(ab_u) * s_hat`` and the mapping that
-    says which step ``u`` the reverse process should start from.  With
-    ``sigma2 = 0`` the signal is already clean: step 0, scale 1, and the
-    data pass through unchanged.
-    """
-    mapping = sigma2_to_step(schedule, sigma2)
-    if mapping.step_u == 0:
-        return s_hat, mapping
-    return s_hat._adopt(mapping.scale * s_hat.data), mapping
+        return math.sqrt(ab) * s_hat
+    eps = rng.standard_normal(s_hat.size)
+    return math.sqrt(ab) * (s_hat + math.sqrt(extra) * eps)
 
 
 def denoise_from_step(
-    y_u: Latent,
+    y_u: np.ndarray,
     u: int,
     denoiser: Denoiser,
     schedule: Schedule,
     rng: np.random.Generator,
-) -> Latent:
+) -> np.ndarray:
     """Run the reverse process from step ``u`` down to the clean state.
 
-    ``u = 0`` is already clean and returns the input unchanged.  One
+    ``u = 0`` is already clean and returns the input itself.  One
     ``reverse_step`` call per step: this is the one-row case of the
     chain engine that also denoises the streams of a MIMO trial
     together.  The ``u - 1`` steps that add noise take their normals
@@ -302,8 +242,9 @@ def denoise_from_step(
     in the same order as one draw per step, and leaves ``rng`` in the
     same state, whether the chain finishes or raises.
     """
+    _checked(y_u)
     schedule._check_step(u, lo=0)
-    noise = rng.standard_normal((max(u - 1, 0), y_u.n))
+    noise = rng.standard_normal((max(u - 1, 0), y_u.size))
     (y,) = _denoise_rows([y_u], [u], [noise], denoiser, schedule)
     return y
 
@@ -322,13 +263,13 @@ class _TableNoise:
 
 
 def _denoise_rows(
-    starts: list[Latent],
+    starts: list[np.ndarray],
     steps: list[int],
     noises: list[np.ndarray],
     denoiser: Denoiser,
     schedule: Schedule,
-) -> list[Latent]:
-    """Reverse chains of equal-shape rows, run as one ragged chain.
+) -> list[np.ndarray]:
+    """Reverse chains of equal-length latents (rows), run as one ragged chain.
 
     Row ``i`` starts from ``starts[i]`` at step ``steps[i]`` (in
     ``[0, T]``) and takes its noise from ``noises[i]``, the
@@ -337,24 +278,22 @@ def _denoise_rows(
     them in place.  The rows are ordered by descending start step, ties
     in the given order, so the active rows are always a prefix: a row
     joins when ``t`` reaches its start step, and each step makes one
-    ``reverse_step`` call on the latent of the active rows, their data
-    joined in that order with shape ``(k * a, b, c)`` for ``k`` rows of
-    shape ``(a, b, c)``.  The noise is laid out in one step-major table
-    of ``top - 1`` rows for the largest start step ``top``: row ``s``
-    holds step ``top - s``, the active rows' columns first and
-    contiguous in that order, so a step's noise is ``table[s, :k * w]``.
-    One row uses its own noise as the table, with no copy.  Every
-    operation of the step acts on each element alone, as
-    ``AnalyticGaussianDenoiser`` does, so each row's result is
-    bit-identical to its own chain's.  One row makes the calls of its
-    own chain exactly.  Returns each row's clean latent, in the given
-    order; a row from step 0 is its start, unchanged.
+    ``reverse_step`` call on the active rows joined end to end in that
+    order.  The noise is laid out in one step-major table of ``top - 1``
+    rows for the largest start step ``top``: row ``s`` holds step
+    ``top - s``, the active rows' columns first and contiguous in that
+    order, so a step's noise is ``table[s, :k * w]``.  One row uses its
+    own noise as the table, with no copy.  Every operation of the step
+    acts on each element alone, as ``AnalyticGaussianDenoiser`` does, so
+    each row's result is bit-identical to its own chain's.  One row makes
+    the calls of its own chain exactly.  Returns each row's clean latent,
+    in the given order, as a view of the chain's last array; a row from
+    step 0 is its start itself.
     """
     order = sorted(range(len(starts)), key=lambda i: -steps[i])
     joins = [steps[i] for i in order] + [-1]  # no t reaches the sentinel
     top = joins[0]
-    a, b, c = starts[0].shape
-    w = a * b * c
+    w = starts[0].size
     if len(starts) == 1:
         table = noises[0]
     else:
@@ -371,14 +310,13 @@ def _denoise_rows(
             if k == 1:
                 y = starts[order[0]]
             else:
-                parts = [starts[i].data for i in order[joined:k]]
-                data = np.concatenate(parts if y is None else [y.data, *parts])
-                y = starts[0]._adopt(data, (k * a, b, c))
+                parts = [starts[i] for i in order[joined:k]]
+                y = np.concatenate(parts if y is None else [y, *parts])
         y = reverse_step(y, t, denoiser, schedule, noise)
     out = list(starts)
     if k == 1:
         out[order[0]] = y
     else:
         for j, i in enumerate(order[:k]):
-            out[i] = starts[i]._adopt(y.data[j * w : (j + 1) * w])
+            out[i] = y[j * w : (j + 1) * w]
     return out

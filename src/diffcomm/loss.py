@@ -249,7 +249,7 @@ def _draw_batch(
     """``batch`` rows of length ``n``: fresh draws from a Gaussian model, or a
     dataset's rows from row ``start`` on, cycled (drawing nothing from ``rng``)."""
     if isinstance(source, GaussianSourceModel):
-        return source.mean + math.sqrt(source.variance) * rng.standard_normal((batch, n))
+        return source.draw((batch, n), rng)
     return source[(start + np.arange(batch)) % len(source)]
 
 

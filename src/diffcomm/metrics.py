@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
-
-from .diffusion import Latent
 
 __all__ = [
     "GaussianityReport",
@@ -36,18 +33,10 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_KERNEL_SIGMA = 1.5
 
-ArrayLike = Union[Latent, np.ndarray]
 
-
-def _values(x: ArrayLike) -> np.ndarray:
-    if isinstance(x, Latent):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
-def mse(a: ArrayLike, b: ArrayLike) -> float:
+def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared difference between two equally shaped signals."""
-    av, bv = _values(a), _values(b)
+    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
     d = av - bv
@@ -63,7 +52,7 @@ def psnr_from_mse(err: float) -> float:
     return min(10.0 * math.log10(1.0 / err), PSNR_CAP_DB)
 
 
-def psnr(a: ArrayLike, b: ArrayLike) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB at unit peak; identical inputs
     return the 99 dB cap."""
     return psnr_from_mse(mse(a, b))
@@ -129,8 +118,9 @@ def ssim_batch(A: np.ndarray, B: np.ndarray, window: int = 7) -> np.ndarray:
     return rows.reshape(n_img, channels, wo * ho).mean(axis=2).mean(axis=1)
 
 
-def ssim(a: Latent, b: Latent, window: int = 7) -> float:
-    """Structural similarity with Gaussian-weighted local statistics.
+def ssim(a: np.ndarray, b: np.ndarray, window: int = 7) -> float:
+    """Structural similarity of two ``(w, h, c)`` images with
+    Gaussian-weighted local statistics.
 
     Each channel slice is scanned with a ``window x window`` Gaussian
     kernel over every fully contained position; per-channel map means are
@@ -143,7 +133,7 @@ def ssim(a: Latent, b: Latent, window: int = 7) -> float:
         On shape mismatch, an even or too-small window, or a window
         larger than the image plane.
     """
-    return float(ssim_batch(a.as_image()[None], b.as_image()[None], window)[0])
+    return float(ssim_batch(np.asarray(a)[None], np.asarray(b)[None], window)[0])
 
 
 @dataclass(frozen=True)
@@ -164,8 +154,8 @@ class GaussianityReport:
 
 def gaussianity_check(
     samples: np.ndarray,
-    mu: ArrayLike,
-    sigma2: ArrayLike,
+    mu: float | np.ndarray,
+    sigma2: float | np.ndarray,
     tol_se: float = 4.0,
 ) -> GaussianityReport:
     """Check sample means and variances against a Gaussian prediction.
@@ -187,8 +177,8 @@ def gaussianity_check(
     n, d = samples.shape
     if n < 1000:
         raise ValueError(f"too few samples: need at least 1000 draws, got {n}")
-    mu_t = np.broadcast_to(np.asarray(_values(mu), dtype=np.float64), (d,))
-    s2_t = np.broadcast_to(np.asarray(_values(sigma2), dtype=np.float64), (d,))
+    mu_t = np.broadcast_to(np.asarray(mu, dtype=np.float64), (d,))
+    s2_t = np.broadcast_to(np.asarray(sigma2, dtype=np.float64), (d,))
     if np.any(s2_t < 0.0):
         raise ValueError("sigma2 must be >= 0")
 

@@ -20,10 +20,8 @@ from diffcomm import (
     CodecArch,
     CompensationInfeasibleError,
     GaussianSourceModel,
-    Latent,
     LossWeights,
     TrainConfig,
-    adaptive_receive,
     awgn_transmit,
     build_linear_schedule,
     compensate_to_step,
@@ -112,18 +110,14 @@ def _exact_point(sigma2_nominal):
     return u, step_to_sigma2(SCH, u)
 
 
-def _flat(data):
-    return Latent(data=data, shape=(data.size, 1, 1))
-
-
 def _noise_pair_ok(received_real, y0, sigma2_exact, u, rng):
     """Scale the received signal into the diffusion frame and test that its
     noise matches a fresh forward sample at step u: both ensembles against
     N(0, 1 - alpha_bar_u), then their first two moments against each other."""
-    lat, mapping = adaptive_receive(_flat(received_real), sigma2_exact, SCH)
+    mapping = sigma2_to_step(SCH, sigma2_exact)
     assert mapping.step_u == u and mapping.residual == 0.0
-    ch = lat.data - mapping.scale * y0
-    fwd = forward_sample(_flat(y0), u, SCH, rng).data - mapping.scale * y0
+    ch = mapping.scale * received_real - mapping.scale * y0
+    fwd = forward_sample(y0, u, SCH, rng) - mapping.scale * y0
     target = 1.0 - mapping.alpha_bar_u
     if not (gaussianity_check(ch, 0.0, target).passed
             and gaussianity_check(fwd, 0.0, target).passed):
@@ -224,15 +218,15 @@ def test_criterion_03_compensation_variance(capsys):
         rng = np.random.default_rng(300 + i)
         y0 = rng.standard_normal(N_DRAWS)
         s_hat = y0 + math.sqrt(s2) * rng.standard_normal(N_DRAWS)
-        y_t = compensate_to_step(_flat(s_hat), s2, t_target, SCH, rng)
+        y_t = compensate_to_step(s_hat, s2, t_target, SCH, rng)
         ab = SCH.alpha_bar(t_target)
-        residual = y_t.data - math.sqrt(ab) * y0
+        residual = y_t - math.sqrt(ab) * y0
         ok &= gaussianity_check(residual, 0.0, 1.0 - ab).passed
         parts.append(f"(sigma2={s2}, T={t_target})")
     with pytest.raises(CompensationInfeasibleError):
         rng = np.random.default_rng(310)
         y0 = rng.standard_normal(64)
-        compensate_to_step(_flat(y0 + 2.0 * rng.standard_normal(64)), 4.0, 200, SCH, rng)
+        compensate_to_step(y0 + 2.0 * rng.standard_normal(64), 4.0, 200, SCH, rng)
     parts.append("infeasible (sigma2=4, T=200) raises")
     _verdict(capsys, 3, "compensation-total-variance", 30.0, t0, bool(ok),
              "; ".join(parts) + f"; 4 SE over {N_DRAWS} draws")
@@ -287,9 +281,9 @@ def test_criterion_05_denoiser_end_to_end(capsys):
     for _ in range(10):  # 10 chains x 1000 elements = 1e4 element trials
         y0 = rng.standard_normal(1000)
         out = awgn_transmit(y0, math.sqrt(s2e), rng, SCH)
-        lat, mapping = adaptive_receive(_flat(out.received), s2e, SCH)
-        recon = denoise_from_step(lat, mapping.step_u, denoiser, SCH, rng)
-        errors.append(np.mean((recon.data - y0) ** 2))
+        mapping = sigma2_to_step(SCH, s2e)
+        recon = denoise_from_step(mapping.scale * out.received, mapping.step_u, denoiser, SCH, rng)
+        errors.append(np.mean((recon - y0) ** 2))
     measured = float(np.mean(errors))
     mse_ok = abs(measured - oracle) <= 0.15 * oracle
 
@@ -300,9 +294,9 @@ def test_criterion_05_denoiser_end_to_end(capsys):
         for _ in range(4):
             y0 = rng.standard_normal(1000)
             out = awgn_transmit(y0, math.sqrt(s2), rng, SCH)
-            lat, mapping = adaptive_receive(_flat(out.received), s2, SCH)
-            recon = denoise_from_step(lat, mapping.step_u, denoiser, SCH, rng)
-            cell.append(np.mean((recon.data - y0) ** 2))
+            mapping = sigma2_to_step(SCH, s2)
+            recon = denoise_from_step(mapping.scale * out.received, mapping.step_u, denoiser, SCH, rng)
+            cell.append(np.mean((recon - y0) ** 2))
         psnrs.append(psnr_from_mse(float(np.mean(cell))))
     monotone = all(a < b for a, b in zip(psnrs, psnrs[1:]))
 

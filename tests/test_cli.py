@@ -13,7 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffcomm import ConfigurationError, build_linear_schedule, diffusion, load_codec, step_to_sigma2
+from diffcomm import (
+    ChannelOutput,
+    ConfigurationError,
+    build_linear_schedule,
+    diffusion,
+    load_codec,
+    sigma2_to_step,
+    step_to_sigma2,
+)
 from diffcomm.cli import (
     RunResult,
     emit_csv,
@@ -456,6 +464,51 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
         with (tmp_path / "results.csv").open(newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(calls) == sum(int(r["trials"]) * int(r["step_u"]) for r in rows)
+
+
+def _run_adaptive_route(base, sigma2s, monkeypatch):
+    """The adaptive route's ``_receive`` on ``base`` split into one stream
+    per variance, mapped as a channel maps it; also returns what the
+    route handed the chain (starts and steps)."""
+    cfg = parse_config(_cfg())
+    schedule = cfg.schedule.built
+    out = ChannelOutput(
+        received=base,
+        mappings=tuple(sigma2_to_step(schedule, s2) for s2 in sigma2s),
+        effective_sigma2=tuple(sigma2s),
+    )
+    handed = []
+    real = run_module._denoise_rows
+
+    def recording(starts, steps, *args):
+        handed.append(([y.copy() for y in starts], list(steps)))
+        return real(starts, steps, *args)
+
+    monkeypatch.setattr(run_module, "_denoise_rows", recording)
+    rng = np.random.default_rng(0)
+    recon, steps = run_module._receive(run_module._trial_setup(cfg), base, out, rng)
+    return out, handed[0], recon, steps, rng
+
+
+def test_adaptive_route_scales_each_stream_onto_its_mapped_step(monkeypatch):
+    schedule = build_linear_schedule()
+    sigma2s = (step_to_sigma2(schedule, 300), step_to_sigma2(schedule, 120))
+    base = np.linspace(-1.0, 1.0, 32)
+    out, (starts, steps), _, run_steps, _ = _run_adaptive_route(base, sigma2s, monkeypatch)
+    assert steps == [300, 120] and run_steps == (420, 300)
+    for i, (mapping, start) in enumerate(zip(out.mappings, starts)):
+        assert mapping.residual == 0.0
+        assert start.tobytes() == (mapping.scale * base[16 * i : 16 * (i + 1)]).tobytes()
+
+
+def test_adaptive_route_passes_a_clean_signal_through(monkeypatch):
+    """Noise-free, a stream maps to step 0 at scale 1: no reverse step
+    runs, nothing is drawn, and the received values come back as they are."""
+    base = np.linspace(-1.0, 1.0, 8)
+    out, _, recon, run_steps, rng = _run_adaptive_route(base, (0.0,), monkeypatch)
+    assert out.mappings[0].step_u == 0 and run_steps == (0, 0)
+    assert recon.tobytes() == base.tobytes()
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_simulate_seed_changes_results(tmp_path):

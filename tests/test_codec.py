@@ -10,7 +10,6 @@ from diffcomm import (
     CodecArch,
     ConfigurationError,
     GaussianParams,
-    Latent,
     NumericOverflowError,
     compressed_length,
     downsample,
@@ -126,35 +125,35 @@ def test_full_rate_codec_is_identity_at_init():
     identities and the residual branches start at zero."""
     p = _params(k=1.0, power_norm=False)
     rng = np.random.default_rng(1)
-    y = Latent(data=rng.standard_normal(256), shape=SHAPE)
+    y = rng.standard_normal(256)
     z = downsample(y, p)
     assert z.shape == (256,)
-    assert np.array_equal(z, y.data)
+    assert np.array_equal(z, y)
     q, _ = upsample(z, 10.0, p, np.random.default_rng(2))
-    assert np.array_equal(q.mu, y.data)
+    assert np.array_equal(q.mu, y)
 
 
 def test_power_normalization_gives_unit_rms():
     p = _params()
-    y = Latent(data=np.random.default_rng(5).standard_normal(256) * 7.0, shape=SHAPE)
+    y = np.random.default_rng(5).standard_normal(256) * 7.0
     assert float(np.mean(downsample(y, p) ** 2)) == pytest.approx(1.0, rel=1e-12)
     # disabled normalization transmits the raw projection output unscaled
     p_raw = _params(power_norm=False)
-    _, ctx = forward_down_batch(p_raw, y.data[None, :])
+    _, ctx = forward_down_batch(p_raw, y[None, :])
     assert np.array_equal(downsample(y, p_raw), ctx["z_raw"][0])
 
 
 def test_downsample_rejects_all_zero_signal():
     p = _params()
-    y = Latent(data=np.zeros(256), shape=SHAPE)
+    y = np.zeros(256)
     with pytest.raises(ValueError, match="zero"):
         downsample(y, p)
 
 
 def test_downsample_shape_mismatch():
     p = _params()
-    y = Latent(data=np.zeros(128), shape=(8, 8, 2))
-    with pytest.raises(ValueError, match="shape"):
+    y = np.zeros(128)
+    with pytest.raises(ValueError, match=r"^latent shape \(128,\) does not match codec length 256$"):
         downsample(y, p)
 
 
@@ -186,7 +185,7 @@ def test_snr_ablation_is_invariant():
     q_low, y_low = upsample(z, 1.0, p, np.random.default_rng(9))
     q_high, y_high = upsample(z, 15.0, p, np.random.default_rng(9))
     assert np.array_equal(q_low.sigma, q_high.sigma)
-    assert np.array_equal(y_low.data, y_high.data)
+    assert np.array_equal(y_low, y_high)
 
 
 def test_snr_to_mu_column_is_zero_initialized():
@@ -219,9 +218,9 @@ def test_upsample_sample_is_mu_plus_sigma_eps():
     rng = np.random.default_rng(5)
     eps = copy.deepcopy(rng).standard_normal(p.n)
     q, sample = upsample(z, 4.0, p, rng)
-    assert sample.shape == SHAPE
-    assert np.array_equal(sample.data, q.mu + q.sigma * eps)
-    assert not np.array_equal(sample.data, q.mu)
+    assert sample.shape == (p.n,)
+    assert np.array_equal(sample, q.mu + q.sigma * eps)
+    assert not np.array_equal(sample, q.mu)
 
 
 def test_gaussian_params_require_positive_sigma():
@@ -254,7 +253,7 @@ def test_overflow_is_reported_with_layer_name():
     p = _params()
     bad = vector_to_params(p, params_to_vector(p))
     bad.down_blocks[0].fc1.W[0, :] = np.inf
-    y = Latent(data=np.ones(256), shape=SHAPE)
+    y = np.ones(256)
     with np.errstate(invalid="ignore"), pytest.raises(
         NumericOverflowError, match="down_block_0"
     ):

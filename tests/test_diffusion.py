@@ -8,6 +8,7 @@ statistically tight, since every element is an independent replica.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,16 +21,18 @@ from diffcomm import (
     CompensationInfeasibleError,
     Denoiser,
     GaussianSourceModel,
-    Latent,
-    adaptive_receive,
+    CodecArch,
     build_linear_schedule,
     compensate_to_step,
     denoise_from_step,
+    downsample,
     forward_sample,
     gaussianity_check,
+    init_codec,
     reverse_step,
     sigma2_to_step,
     step_to_sigma2,
+    upsample,
 )
 from diffcomm import diffusion
 
@@ -47,51 +50,67 @@ class _FixedNoise:
 
 
 # ---------------------------------------------------------------------------
-# Latent
+# the latent check
 
 
-def test_latent_validation_and_views():
-    lat = Latent(data=np.arange(12, dtype=np.float64), shape=(2, 3, 2))
-    assert lat.n == 12
-    assert lat.as_image().shape == (2, 3, 2)
-    assert np.array_equal(Latent(data=lat.data * 2, shape=lat.shape).data, lat.data * 2)
-    with pytest.raises(ValueError):
-        Latent(data=np.arange(5, dtype=np.float64), shape=(2, 3, 2))
-    with pytest.raises(ValueError):
-        Latent(data=np.array([1.0, np.nan]), shape=(2, 1, 1))
-    with pytest.raises(ValueError):
-        Latent(data=np.zeros(0), shape=(0, 1, 1))
-    with pytest.raises(ValueError):
-        lat.data[0] = 99.0
-    for value in (np.nan, np.inf, -np.inf):
-        data = np.zeros(12)
-        data[5] = value
-        with pytest.raises(ValueError, match="finite"):
-            Latent(data=data, shape=lat.shape)
-    for data, message in (
-        (np.zeros((2, 6)), "one-dimensional"),
-        (np.zeros((12, 1)), "one-dimensional"),
-        (np.zeros(11), "implies 12 elements"),
-        (np.zeros(13), "implies 12 elements"),
+def _entry_points():
+    """Each public function that takes a latent, as a call on that latent."""
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
+    params = init_codec((2, 3, 2), 0.5, CodecArch(hidden=4, blocks=1), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    return {
+        "forward_sample": lambda y: forward_sample(y, 5, SCHEDULE, rng),
+        "compensate_to_step": lambda y: compensate_to_step(y, 0.0, 5, SCHEDULE, rng),
+        "denoise_from_step": lambda y: denoise_from_step(y, 5, den, SCHEDULE, rng),
+        "reverse_step": lambda y: reverse_step(y, 5, den, SCHEDULE, rng),
+        "downsample": lambda y: downsample(y, params),
+    }
+
+
+def test_every_entry_point_rejects_a_malformed_latent():
+    """A latent is a nonempty one-dimensional float64 array of finite
+    values.  ``reverse_step`` checks its result: a non-finite input value
+    reaches it through the arithmetic, which may warn on the way."""
+    bad = [
+        (np.zeros((2, 6)), r"^latent must be nonempty and one-dimensional, got shape \(2, 6\)$"),
+        (np.zeros(0), r"^latent must be nonempty and one-dimensional, got shape \(0,\)$"),
+        (np.r_[np.zeros(11), np.nan], "^latent components must be finite$"),
+        (np.r_[np.inf, np.zeros(11)], "^latent components must be finite$"),
+    ]
+    for name, call in _entry_points().items():
+        for y, message in bad:
+            # only reverse_step computes with the latent before checking
+            with np.errstate(invalid="ignore" if name == "reverse_step" else "warn"):
+                with pytest.raises(ValueError, match=message):
+                    call(y)
+    for y, message in (
+        (np.arange(12), "^latent must be a float64 array, got int64$"),
+        (np.zeros(12, dtype=np.float32), "^latent must be a float64 array, got float32$"),
+        ([0.0] * 12, "^latent must be a float64 array, got <class 'list'>$"),
     ):
         with pytest.raises(ValueError, match=message):
-            Latent(data=data, shape=lat.shape)
-    out = Latent(data=np.ones(12), shape=lat.shape)
-    assert out.shape == lat.shape and out.n == 12
-    with pytest.raises(ValueError):
-        out.data[0] = 99.0
+            forward_sample(y, 5, SCHEDULE, np.random.default_rng(0))
 
 
-def test_latent_copies_the_caller_array():
-    x = np.arange(8, dtype=np.float64)
-    lat = Latent(data=x, shape=(2, 2, 2))
-    x[0] = 99.0  # the caller's array stays writable and detached
-    assert lat.data[0] == 0.0
-    # a view: a value written to its base after validation never shows up
-    base = np.zeros(10)
-    from_view = Latent(data=base[:4], shape=(4, 1, 1))
-    base[1] = np.nan
-    assert base.flags.writeable and np.isfinite(from_view.data).all()
+def test_no_latent_function_writes_into_its_input():
+    """Each latent is a plain array the caller keeps: every public function
+    leaves a read-only input bit-for-bit as it was."""
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(mean=0.4, variance=2.0), SCHEDULE)
+    params = init_codec((2, 3, 2), 0.5, CodecArch(hidden=4, blocks=1), np.random.default_rng(0))
+    y = np.random.default_rng(1).standard_normal(12)
+    z = np.random.default_rng(2).standard_normal(params.m)
+    frozen = y.copy(), z.copy()
+    for arr in (y, z):
+        arr.flags.writeable = False
+    rng = np.random.default_rng(3)
+    forward_sample(y, 300, SCHEDULE, rng)
+    compensate_to_step(y, step_to_sigma2(SCHEDULE, 300), 300, SCHEDULE, rng)  # adds nothing
+    compensate_to_step(y, 0.25, 300, SCHEDULE, rng)  # tops up
+    reverse_step(y, 300, den, SCHEDULE, rng)
+    denoise_from_step(y, 300, den, SCHEDULE, rng)
+    downsample(y, params)
+    upsample(z, 4.0, params, rng)
+    assert y.tobytes() == frozen[0].tobytes() and z.tobytes() == frozen[1].tobytes()
 
 
 # finite values whose squares (or their sum) overflow to inf
@@ -104,10 +123,12 @@ HUGE_FINITE = [
 
 @pytest.mark.parametrize("data", HUGE_FINITE, ids=["1e200", "-1.7e308", "mixed"])
 def test_latent_accepts_finite_values_whose_squares_overflow(data):
+    """Through the check at two entry points that return step 0's latent itself."""
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lat = Latent(data=data, shape=(2, 3, 2))
-        assert np.array_equal(lat.data, data)
+        assert forward_sample(data, 0, SCHEDULE, np.random.default_rng(0)) is data
+        assert denoise_from_step(data, 0, den, SCHEDULE, np.random.default_rng(0)) is data
 
 
 @pytest.mark.parametrize("position", [0, 5, 11])
@@ -117,13 +138,13 @@ def test_latent_rejects_non_finite_at_any_position(fill, value, position):
     data = np.full(12, fill)
     data[position] = value
     with pytest.raises(ValueError, match=r"^latent components must be finite$"):
-        Latent(data=data, shape=(2, 3, 2))
+        forward_sample(data, 0, SCHEDULE, np.random.default_rng(0))
 
 
 def test_source_model_draw_statistics():
     model = GaussianSourceModel(mean=0.5, variance=4.0)
-    lat = model.draw((50, 40, 10), np.random.default_rng(0))
-    report = gaussianity_check(lat.data, 0.5, 4.0)
+    lat = model.draw(20_000, np.random.default_rng(0))
+    report = gaussianity_check(lat, 0.5, 4.0)
     assert report.passed, report.failures
     with pytest.raises(ValueError):
         GaussianSourceModel(variance=-1.0)
@@ -135,19 +156,19 @@ def test_source_model_draw_statistics():
 
 def test_forward_sample_statistics():
     rng = np.random.default_rng(1)
-    y0 = Latent(data=np.full(100_000, 2.0), shape=(100_000, 1, 1))
+    y0 = np.full(100_000, 2.0)
     t = 300
     ab = SCHEDULE.alpha_bar(t)
     y_t = forward_sample(y0, t, SCHEDULE, rng)
-    report = gaussianity_check(y_t.data, math.sqrt(ab) * 2.0, 1.0 - ab)
+    report = gaussianity_check(y_t, math.sqrt(ab) * 2.0, 1.0 - ab)
     assert report.passed, report.failures
 
 
 def test_forward_sample_t0_identity_no_rng():
     rng = np.random.default_rng(2)
-    y0 = Latent(data=np.ones(8), shape=(8, 1, 1))
+    y0 = np.ones(8)
     out = forward_sample(y0, 0, SCHEDULE, rng)
-    assert np.array_equal(out.data, y0.data)
+    assert np.array_equal(out, y0)
     assert rng.standard_normal() == np.random.default_rng(2).standard_normal()
 
 
@@ -159,30 +180,30 @@ def test_reverse_step_t1_is_deterministic_and_inverts_forward():
     """With the true noise handed to it, the t=1 ancestral step undoes the
     forward update exactly (up to float rounding)."""
     rng = np.random.default_rng(3)
-    y0 = Latent(data=rng.standard_normal(256), shape=(256, 1, 1))
+    y0 = rng.standard_normal(256)
     eps = rng.standard_normal(256)
     ab1 = SCHEDULE.alpha_bar(1)
-    y1 = Latent(data=math.sqrt(ab1) * y0.data + math.sqrt(1.0 - ab1) * eps, shape=y0.shape)
+    y1 = math.sqrt(ab1) * y0 + math.sqrt(1.0 - ab1) * eps
     state = np.random.default_rng(9)
     rec = reverse_step(y1, 1, _FixedNoise(eps), SCHEDULE, state)
-    assert np.allclose(rec.data, y0.data, atol=1e-12)
+    assert np.allclose(rec, y0, atol=1e-12)
     assert state.standard_normal() == np.random.default_rng(9).standard_normal()
 
 
 def test_reverse_step_posterior_variance():
     t = 400
     n = 100_000
-    y_t = Latent(data=np.full(n, 1.0), shape=(n, 1, 1))
+    y_t = np.full(n, 1.0)
     out = reverse_step(y_t, t, _FixedNoise(np.zeros(n)), SCHEDULE, np.random.default_rng(4))
     a_t = float(SCHEDULE.alphas[t - 1])
     mu = 1.0 / math.sqrt(a_t)
     var = (1.0 - SCHEDULE.alpha_bar(t - 1)) * (1.0 - a_t) / (1.0 - SCHEDULE.alpha_bar(t))
-    report = gaussianity_check(out.data, mu, var)
+    report = gaussianity_check(out, mu, var)
     assert report.passed, report.failures
 
 
 def test_reverse_step_range_check():
-    y = Latent(data=np.zeros(4), shape=(4, 1, 1))
+    y = np.zeros(4)
     with pytest.raises(IndexError):
         reverse_step(y, 0, _FixedNoise(np.zeros(4)), SCHEDULE, np.random.default_rng(0))
     with pytest.raises(IndexError):
@@ -191,26 +212,32 @@ def test_reverse_step_range_check():
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (1,), (4, 1), (1, 4)])
 def test_reverse_step_rejects_a_wrongly_shaped_prediction(shape):
-    y = Latent(data=np.zeros(4), shape=(4, 1, 1))
-    with pytest.raises(ValueError):
-        reverse_step(y, 10, _FixedNoise(np.zeros(shape)), SCHEDULE, np.random.default_rng(0))
+    y = np.zeros(4)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    message = rf"^predicted noise has shape {re.escape(str(shape))}, the latent \(4,\)$"
+    with pytest.raises(ValueError, match=message):
+        reverse_step(y, 10, _FixedNoise(np.zeros(shape)), SCHEDULE, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_chain_checks_one_latent_per_step(monkeypatch):
-    """The prediction is a bare array, so each reverse step builds and
-    checks only its own output latent."""
-    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    """A chain from step ``u`` checks its start, then each reverse step
+    checks only the latent it returns: ``u + 1`` checks."""
+    y = np.ones(4)
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
     checked = []
-    real = diffusion._checked_data
+    real = diffusion._checked
 
-    def counting(data, shape):
-        checked.append(shape)
-        return real(data, shape)
+    def counting(y):
+        checked.append(y.shape)
+        return real(y)
 
-    monkeypatch.setattr(diffusion, "_checked_data", counting)
-    denoise_from_step(y, 10, den, SCHEDULE, np.random.default_rng(0))
-    assert len(checked) == 10
+    monkeypatch.setattr(diffusion, "_checked", counting)
+    for u in (0, 1, 10):
+        checked.clear()
+        denoise_from_step(y, u, den, SCHEDULE, np.random.default_rng(0))
+        assert checked == [(4,)] * (u + 1), u
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +254,8 @@ def test_analytic_denoiser_formula_hand_check():
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
     t = 100
     ab = SCHEDULE.alpha_bar(t)
-    y = Latent(data=np.array([0.0, 1.0, -2.5]), shape=(3, 1, 1))
-    expected = math.sqrt(1.0 - ab) * (y.data - math.sqrt(ab) * 2.0) / (ab * 3.0 + 1.0 - ab)
+    y = np.array([0.0, 1.0, -2.5])
+    expected = math.sqrt(1.0 - ab) * (y - math.sqrt(ab) * 2.0) / (ab * 3.0 + 1.0 - ab)
     assert np.allclose(den.predict_noise(y, t), expected, rtol=1e-15)
 
 
@@ -241,14 +268,12 @@ def test_analytic_denoiser_recovers_noise_for_deterministic_source():
     t = 350
     eps = rng.standard_normal(512)
     ab = SCHEDULE.alpha_bar(t)
-    y_t = Latent(
-        data=math.sqrt(ab) * 1.5 + math.sqrt(1.0 - ab) * eps, shape=(512, 1, 1)
-    )
+    y_t = math.sqrt(ab) * 1.5 + math.sqrt(1.0 - ab) * eps
     assert np.allclose(den.predict_noise(y_t, t), eps, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# compensation and adaptive receive
+# compensation
 
 
 def test_compensation_total_variance_matches_target_step():
@@ -256,10 +281,10 @@ def test_compensation_total_variance_matches_target_step():
     n = 100_000
     sigma2 = 0.25
     t_target = 200
-    s_hat = Latent(data=math.sqrt(sigma2) * rng.standard_normal(n), shape=(n, 1, 1))
+    s_hat = math.sqrt(sigma2) * rng.standard_normal(n)
     y_t = compensate_to_step(s_hat, sigma2, t_target, SCHEDULE, rng)
     ab = SCHEDULE.alpha_bar(t_target)
-    report = gaussianity_check(y_t.data, 0.0, 1.0 - ab)
+    report = gaussianity_check(y_t, 0.0, 1.0 - ab)
     assert report.passed, report.failures
 
 
@@ -267,33 +292,17 @@ def test_compensation_boundary_adds_nothing():
     rng = np.random.default_rng(7)
     t = 259
     sigma2 = step_to_sigma2(SCHEDULE, t)
-    s_hat = Latent(data=rng.standard_normal(64), shape=(64, 1, 1))
+    s_hat = rng.standard_normal(64)
     state = np.random.default_rng(8)
     y_t = compensate_to_step(s_hat, sigma2, t, SCHEDULE, state)
-    assert np.array_equal(y_t.data, math.sqrt(SCHEDULE.alpha_bar(t)) * s_hat.data)
+    assert np.array_equal(y_t, math.sqrt(SCHEDULE.alpha_bar(t)) * s_hat)
     assert state.standard_normal() == np.random.default_rng(8).standard_normal()
 
 
 def test_compensation_infeasible_raises():
-    s_hat = Latent(data=np.zeros(4), shape=(4, 1, 1))
+    s_hat = np.zeros(4)
     with pytest.raises(CompensationInfeasibleError):
         compensate_to_step(s_hat, 1.0, 200, SCHEDULE, np.random.default_rng(0))
-
-
-def test_adaptive_receive_scales_onto_step():
-    sigma2 = step_to_sigma2(SCHEDULE, 300)
-    s_hat = Latent(data=np.linspace(-1, 1, 32), shape=(32, 1, 1))
-    y_u, mapping = adaptive_receive(s_hat, sigma2, SCHEDULE)
-    assert mapping.step_u == 300
-    assert mapping.residual == 0.0
-    assert np.array_equal(y_u.data, mapping.scale * s_hat.data)
-
-
-def test_adaptive_receive_clean_signal_passes_through():
-    s_hat = Latent(data=np.ones(8), shape=(8, 1, 1))
-    y_u, mapping = adaptive_receive(s_hat, 0.0, SCHEDULE)
-    assert mapping.step_u == 0
-    assert np.array_equal(y_u.data, s_hat.data)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +311,15 @@ def test_adaptive_receive_clean_signal_passes_through():
 
 def test_denoise_from_step_zero_is_identity():
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
-    y = Latent(data=np.ones(16), shape=(16, 1, 1))
-    out = denoise_from_step(y, 0, den, SCHEDULE, np.random.default_rng(0))
-    assert np.array_equal(out.data, y.data)
+    y = np.ones(16)
+    assert denoise_from_step(y, 0, den, SCHEDULE, np.random.default_rng(0)) is y
 
 
 def test_denoise_from_step_checks_its_step_as_reverse_step_does():
     """The one step check: an out-of-range step is an IndexError and a
     float step a TypeError, both raised before any noise is drawn."""
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
-    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    y = np.ones(4)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     for u in (-1, SCHEDULE.T + 1):
@@ -328,7 +336,7 @@ def test_a_bool_is_not_a_step_index(step):
     accessors, one reverse step and a whole chain all refuse it, before
     any noise is drawn, as the config parser refuses a bool integer."""
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
-    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    y = np.ones(4)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     calls = [
@@ -345,11 +353,11 @@ def test_a_bool_is_not_a_step_index(step):
 def test_denoise_is_deterministic_given_generator():
     model = GaussianSourceModel()
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
-    y0 = model.draw((16, 16, 1), np.random.default_rng(10))
+    y0 = model.draw(256, np.random.default_rng(10))
     y_u = forward_sample(y0, 150, SCHEDULE, np.random.default_rng(11))
     a = denoise_from_step(y_u, 150, den, SCHEDULE, np.random.default_rng(12))
     b = denoise_from_step(y_u, 150, den, SCHEDULE, np.random.default_rng(12))
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_chain_mse_matches_posterior_sampling_value():
@@ -358,11 +366,11 @@ def test_chain_mse_matches_posterior_sampling_value():
     sigma2 = step_to_sigma2(SCHEDULE, 259)  # nearest step to unit noise
     n = 20_000
     rng = np.random.default_rng(13)
-    y0 = model.draw((n, 1, 1), rng)
-    s_hat = Latent(data=y0.data + math.sqrt(sigma2) * rng.standard_normal(n), shape=y0.shape)
-    y_u, mapping = adaptive_receive(s_hat, sigma2, SCHEDULE)
-    rec = denoise_from_step(y_u, mapping.step_u, den, SCHEDULE, rng)
-    err = float(np.mean((rec.data - y0.data) ** 2))
+    y0 = model.draw(n, rng)
+    s_hat = y0 + math.sqrt(sigma2) * rng.standard_normal(n)
+    mapping = sigma2_to_step(SCHEDULE, sigma2)
+    rec = denoise_from_step(mapping.scale * s_hat, mapping.step_u, den, SCHEDULE, rng)
+    err = float(np.mean((rec - y0) ** 2))
     oracle = 2.0 * sigma2 / (1.0 + sigma2)
     assert err == pytest.approx(oracle, rel=0.10)
 
@@ -375,11 +383,11 @@ def test_chain_mse_decreases_with_snr():
     for snr_db in (0.0, 6.0, 12.0):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         rng = np.random.default_rng(14)
-        y0 = model.draw((n, 1, 1), rng)
-        s_hat = Latent(data=y0.data + math.sqrt(sigma2) * rng.standard_normal(n), shape=y0.shape)
-        y_u, mapping = adaptive_receive(s_hat, sigma2, SCHEDULE)
-        rec = denoise_from_step(y_u, mapping.step_u, den, SCHEDULE, rng)
-        errors.append(float(np.mean((rec.data - y0.data) ** 2)))
+        y0 = model.draw(n, rng)
+        s_hat = y0 + math.sqrt(sigma2) * rng.standard_normal(n)
+        mapping = sigma2_to_step(SCHEDULE, sigma2)
+        rec = denoise_from_step(mapping.scale * s_hat, mapping.step_u, den, SCHEDULE, rng)
+        errors.append(float(np.mean((rec - y0) ** 2)))
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -391,14 +399,14 @@ def _reference_chain(y_u, u, model, schedule, rng):
     y = y_u
     for t in range(u, 0, -1):
         ab = schedule.alpha_bar(t)
-        eps = math.sqrt(1.0 - ab) * (y.data - math.sqrt(ab) * m) / (ab * v + (1.0 - ab))
+        eps = math.sqrt(1.0 - ab) * (y - math.sqrt(ab) * m) / (ab * v + (1.0 - ab))
         a_t = float(schedule.alphas[t - 1])
         ab_prev = schedule.alpha_bar(t - 1)
-        mu = (y.data - (1.0 - a_t) / math.sqrt(1.0 - ab) * eps) / math.sqrt(a_t)
+        mu = (y - (1.0 - a_t) / math.sqrt(1.0 - ab) * eps) / math.sqrt(a_t)
         if t > 1:
             var = (1.0 - ab_prev) * (1.0 - a_t) / (1.0 - ab)
-            mu = mu + math.sqrt(var) * rng.standard_normal(y.n)
-        y = Latent(data=mu, shape=y.shape)
+            mu = mu + math.sqrt(var) * rng.standard_normal(y.size)
+        y = mu
     return y
 
 
@@ -408,14 +416,14 @@ def test_chain_is_bit_identical_to_reference_chain():
     n = 257
     for u in (1, 2, 145, 780, SCHEDULE.T):
         y_u = forward_sample(
-            model.draw((n, 1, 1), np.random.default_rng(u)), u, SCHEDULE,
+            model.draw(n, np.random.default_rng(u)), u, SCHEDULE,
             np.random.default_rng(u + 1),
         )
         ref_rng, rng = np.random.default_rng(20 + u), np.random.default_rng(20 + u)
         expected = _reference_chain(y_u, u, model, SCHEDULE, ref_rng)
         got = denoise_from_step(y_u, u, den, SCHEDULE, rng)
         assert got.shape == y_u.shape
-        assert np.array_equal(got.data, expected.data), f"u={u}"
+        assert np.array_equal(got, expected), f"u={u}"
         assert rng.standard_normal() == ref_rng.standard_normal(), f"u={u}"
 
 
@@ -450,14 +458,14 @@ def test_chain_noise_blocks_keep_values_and_generator_state(rows):
     den = AnalyticGaussianDenoiser(model, SCHEDULE)
     for u in _CHAIN_STEPS[rows]:
         y_u = forward_sample(
-            model.draw((n, 1, 1), np.random.default_rng(u)), u, SCHEDULE,
+            model.draw(n, np.random.default_rng(u)), u, SCHEDULE,
             np.random.default_rng(u + 1),
         )
         ref_rng, rng = np.random.default_rng(40 + u), np.random.default_rng(40 + u)
         counting = _CountingGenerator(rng)
         expected = _reference_chain(y_u, u, model, SCHEDULE, ref_rng)
         got = denoise_from_step(y_u, u, den, SCHEDULE, counting)
-        assert np.array_equal(got.data, expected.data), f"u={u}"
+        assert np.array_equal(got, expected), f"u={u}"
         assert rng.bit_generator.state == ref_rng.bit_generator.state, f"u={u}"
         assert counting.calls == 1, f"u={u}"
 
@@ -496,7 +504,7 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
     received = np.random.default_rng(seed).standard_normal((len(steps), width))
 
     def start(i, rng):
-        s_hat = Latent(data=received[i], shape=(width, 1, 1))
+        s_hat = received[i]
         if compensate:  # draws the top-up from rng
             return compensate_to_step(s_hat, 0.0, steps[i], SHORT, rng)
         return s_hat
@@ -514,8 +522,8 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
     got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
 
     for want, have in zip(expected, got):
-        assert have.shape == (width, 1, 1)
-        assert np.array_equal(have.data, want.data)
+        assert have.shape == (width,)
+        assert np.array_equal(have, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -527,18 +535,18 @@ def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
     real = diffusion.reverse_step
 
     def recording(y_t, t, *args):
-        calls.append((t, y_t.shape, y_t.data[::2].copy()))
+        calls.append((t, y_t.shape, y_t[::2].copy()))
         return real(y_t, t, *args)
 
     monkeypatch.setattr(diffusion, "reverse_step", recording)
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SHORT)
     steps = [2, 0, 4, 2]
-    starts = [Latent(data=np.full(2, float(i)), shape=(2, 1, 1)) for i in range(4)]
+    starts = [np.full(2, float(i)) for i in range(4)]
     rng = np.random.default_rng(0)
     noises = [rng.standard_normal((max(u - 1, 0), 2)) for u in steps]
     got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
     assert [(t, shape) for t, shape, _ in calls] == [
-        (4, (2, 1, 1)), (3, (2, 1, 1)), (2, (6, 1, 1)), (1, (6, 1, 1))]
+        (4, (2,)), (3, (2,)), (2, (6,)), (1, (6,))]
     assert calls[2][2].tolist()[1:] == [0.0, 3.0]  # rows 0 and 3 join after row 2
     assert got[1] is starts[1]
 
@@ -554,7 +562,7 @@ def test_chain_makes_one_reverse_step_call_per_step(monkeypatch, u):
 
     monkeypatch.setattr(diffusion, "reverse_step", counting)
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
-    y = Latent(data=np.ones(16), shape=(16, 1, 1))
+    y = np.ones(16)
     denoise_from_step(y, u, den, SCHEDULE, np.random.default_rng(0))
     assert steps == list(range(u, 0, -1))
 
@@ -573,7 +581,7 @@ def test_coefficient_tables_match_step_formulas():
     # range, compared byte for byte so that the sign of a zero counts; a
     # source mean of +0.0 skips the subtraction, one of -0.0 does not
     data = np.array([0.0, 1.0, -2.5, -0.0, 5e-324, -5e-324, 1e300, -1e300])
-    y = Latent(data=data, shape=(data.size, 1, 1))
+    y = data
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for m, v in ((-1.25, 0.4), (0.0, 0.4), (-0.0, 0.4), (0.0, 0.0), (1.5, 0.0)):
@@ -600,11 +608,11 @@ class _NanAtStep:
         self.bad_t = bad_t
 
     def predict_noise(self, y_t, t):
-        return np.full(y_t.n, np.nan if t == self.bad_t else 0.0)
+        return np.full(y_t.size, np.nan if t == self.bad_t else 0.0)
 
 
 def test_chain_rejects_non_finite_prediction_mid_chain():
-    y = Latent(data=np.ones(4), shape=(4, 1, 1))
+    y = np.ones(4)
     with pytest.raises(ValueError, match="finite"):
         denoise_from_step(y, 50, _NanAtStep(20), SCHEDULE, np.random.default_rng(0))
 
@@ -637,11 +645,12 @@ def test_chain_mse_matches_closed_form_law(snr_db, route, expected):
     sigma2 = 10.0 ** (-snr_db / 10.0)
     n = 20_000
     rng = np.random.default_rng(int(30 + snr_db))
-    y0 = model.draw((n, 1, 1), rng)
-    s_hat = Latent(data=y0.data + math.sqrt(sigma2) * rng.standard_normal(n), shape=y0.shape)
+    y0 = model.draw(n, rng)
+    s_hat = y0 + math.sqrt(sigma2) * rng.standard_normal(n)
     if route == "adaptive":
-        y_u, mapping = adaptive_receive(s_hat, sigma2, SCHEDULE)
+        mapping = sigma2_to_step(SCHEDULE, sigma2)
         u, scale, carried = mapping.step_u, mapping.scale, sigma2
+        y_u = scale * s_hat
     else:
         u = 300
         y_u = compensate_to_step(s_hat, sigma2, u, SCHEDULE, rng)
@@ -649,6 +658,6 @@ def test_chain_mse_matches_closed_form_law(snr_db, route, expected):
     law = _closed_form_mse(SCHEDULE, u, scale, carried, model.variance)
     if expected is not None:
         assert law == pytest.approx(expected, abs=5e-5)
-    sq = (denoise_from_step(y_u, u, den, SCHEDULE, rng).data - y0.data) ** 2
+    sq = (denoise_from_step(y_u, u, den, SCHEDULE, rng).data - y0) ** 2
     se = float(np.std(sq, ddof=1)) / math.sqrt(n)
     assert abs(float(np.mean(sq)) - law) < 4.0 * se

@@ -49,7 +49,10 @@ def test_cli_exports_exactly_what_it_imports():
 
 def test_every_bench_trace_target_resolves():
     """The tracer skips a target it cannot find and reports zero for it, so
-    a rename would silently zero a per-layer metric."""
+    a rename would silently zero a per-layer metric.  The one exception is
+    ``diffusion.Latent``: the package now carries latents as plain arrays,
+    and the target reads zero until the benchmark's own change drops it
+    (ROADMAP item 1(b)), which restores ``unresolved == []``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -59,7 +62,7 @@ def test_every_bench_trace_target_resolves():
         for layer, label, owner, attr in tracer.TARGETS
         if tracer._resolve(layer, owner, attr)[1] is None
     ]
-    assert unresolved == []
+    assert unresolved == ["diffusion.Latent"]
 
 
 def test_readme_library_example_runs(capsys):

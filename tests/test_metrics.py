@@ -12,7 +12,6 @@ import pytest
 
 from diffcomm import (
     GaussianityReport,
-    Latent,
     gaussianity_check,
     mse,
     psnr,
@@ -52,22 +51,17 @@ def test_psnr_of_signals():
 # SSIM
 
 
-def _latent(img):
-    img = np.asarray(img, dtype=np.float64)
-    return Latent(data=img.reshape(-1), shape=img.shape)
-
-
 def test_ssim_identical_is_one():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 1, size=(10, 10, 3))
-    assert ssim(_latent(img), _latent(img)) == 1.0
+    assert ssim(img, img) == 1.0
 
 
 def test_ssim_constant_shift_hand_value():
     """Zero-variance images isolate the luminance term
     (2*mu_a*mu_b + c1) / (mu_a^2 + mu_b^2 + c1)."""
-    a = _latent(np.zeros((8, 8, 1)))
-    b = _latent(np.full((8, 8, 1), 0.5))
+    a = np.zeros((8, 8, 1))
+    b = np.full((8, 8, 1), 0.5)
     c1 = 1e-4
     expected = c1 / (0.25 + c1)
     assert ssim(a, b) == pytest.approx(expected, rel=1e-12)
@@ -81,7 +75,7 @@ def test_ssim_anticorrelated_structure_is_negative():
     rng = np.random.default_rng(2)
     img = rng.uniform(0.0, 1.0, size=(12, 12, 1))
     reflected = 1.0 - img
-    assert ssim(_latent(img), _latent(reflected)) < 0.0
+    assert ssim(img, reflected) < 0.0
 
 
 def _ssim_loop_oracle(a, b, window=7):
@@ -115,19 +109,19 @@ def test_ssim_matches_scalar_loop_oracle():
     rng = np.random.default_rng(3)
     a = rng.uniform(0, 1, size=(12, 12, 2))
     b = np.clip(a + 0.1 * rng.standard_normal(a.shape), 0, 1)
-    got = ssim(_latent(a), _latent(b))
+    got = ssim(a, b)
     want = _ssim_loop_oracle(a, b)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_ssim_validation():
-    a = _latent(np.zeros((8, 8, 1)))
+    a = np.zeros((8, 8, 1))
     with pytest.raises(ValueError, match="odd"):
         ssim(a, a, window=4)
     with pytest.raises(ValueError, match="window"):
         ssim(a, a, window=9)
     with pytest.raises(ValueError, match="shape"):
-        ssim(a, _latent(np.zeros((8, 8, 2))))
+        ssim(a, np.zeros((8, 8, 2)))
 
 
 # (image shape, window) pairs, including a plane narrower than it is tall
@@ -147,7 +141,7 @@ def test_ssim_batch_is_bit_identical_to_per_image_ssim(shape, window, count):
     a, b = _stacks(shape, count, seed=10 + count)
     got = ssim_batch(a, b, window=window)
     assert got.shape == (count,)
-    want = [ssim(_latent(a[i]), _latent(b[i]), window=window) for i in range(count)]
+    want = [ssim(a[i], b[i], window=window) for i in range(count)]
     assert np.array_equal(got, want)
 
 
