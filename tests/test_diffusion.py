@@ -53,10 +53,14 @@ class _FixedNoise:
 # the latent check
 
 
+def _small_codec():
+    return init_codec((2, 3, 2), 0.5, CodecArch(hidden=4, blocks=1), np.random.default_rng(0))
+
+
 def _entry_points():
     """Each public function that takes a latent, as a call on that latent."""
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
-    params = init_codec((2, 3, 2), 0.5, CodecArch(hidden=4, blocks=1), np.random.default_rng(0))
+    params = _small_codec()
     rng = np.random.default_rng(0)
     return {
         "forward_sample": lambda y: forward_sample(y, 5, SCHEDULE, rng),
@@ -96,7 +100,7 @@ def test_no_latent_function_writes_into_its_input():
     """Each latent is a plain array the caller keeps: every public function
     leaves a read-only input bit-for-bit as it was."""
     den = AnalyticGaussianDenoiser(GaussianSourceModel(mean=0.4, variance=2.0), SCHEDULE)
-    params = init_codec((2, 3, 2), 0.5, CodecArch(hidden=4, blocks=1), np.random.default_rng(0))
+    params = _small_codec()
     y = np.random.default_rng(1).standard_normal(12)
     z = np.random.default_rng(2).standard_normal(params.m)
     frozen = y.copy(), z.copy()
