@@ -5,8 +5,9 @@ draw -> codec downsample -> channel -> decode -> adaptive, fixed-step or
 compare receive -> MSE/SSIM.  A receive route denoises all the streams
 of a trial (a MIMO channel's eigenmodes) in one ragged reverse chain, one
 ``reverse_step`` call per step for the streams that have started; the
-trial's generator feeds it in stream order, so every draw and result is
-that of denoising the streams in turn.  Every random draw comes from a
+chain reads each stream's start and then draws its noise from the
+trial's generator, in stream order, so every draw and result is that of
+denoising the streams in turn.  Every random draw comes from a
 generator derived by hashing the run seed together with the coordinates
 of the work item.  Trial ``i`` of a simulate cell uses the key
 ``(seed, channel type, sigma2, i)``; trial ``i`` of a sweep point uses
@@ -299,26 +300,25 @@ def _receive(
     ``scale`` onto its mapped step.  Compensate route: top it up to
     ``t_target`` from the variance it carries (``effective_sigma2``),
     whatever the fading convention mapped.
-    Stream by stream, ``rng`` gives the stream's start (the top-up), then
-    its ``u - 1`` noise rows in one draw, as if each stream were denoised
-    in turn.  The chain lays those draws into one noise table and makes
-    one reverse step call per step for all the streams that have
-    started.  Returns the array, the reverse steps run summed over the
-    streams (trial-steps) and the chain's steps (the largest ``u``).
+    The starts reach the chain as a generator expression, so stream by
+    stream ``rng`` gives the stream's start (the top-up), then the
+    chain's draw of its noise, as if each stream were denoised in turn.
+    Returns the array, the reverse steps run summed over the streams
+    (trial-steps) and the chain's steps (the largest ``u``).
     """
     schedule = setup.cfg.schedule.built
     width = base.size // len(out.mappings)
-    starts, steps, noises = [], [], []
-    for i, (mapping, s2) in enumerate(zip(out.mappings, out.effective_sigma2)):
-        s_hat = base[i * width : (i + 1) * width]
-        if t_target is None:
-            y, u = mapping.scale * s_hat, mapping.step_u
-        else:
-            y, u = compensate_to_step(s_hat, s2, t_target, schedule, rng), t_target
-        starts.append(y)
-        steps.append(u)
-        noises.append(rng.standard_normal((max(u - 1, 0), width)))
-    ys = _denoise_rows(starts, steps, noises, setup.denoiser, schedule)
+    streams = [base[i * width : (i + 1) * width] for i in range(len(out.mappings))]
+    if t_target is None:
+        steps = [mapping.step_u for mapping in out.mappings]
+        starts = (mapping.scale * s_hat for mapping, s_hat in zip(out.mappings, streams))
+    else:
+        steps = [t_target] * len(streams)
+        starts = (
+            compensate_to_step(s_hat, s2, t_target, schedule, rng)
+            for s_hat, s2 in zip(streams, out.effective_sigma2)
+        )
+    ys = _denoise_rows(starts, steps, width, setup.denoiser, schedule, rng)
     return np.concatenate(ys), (sum(steps), max(steps))
 
 

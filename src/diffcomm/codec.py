@@ -543,7 +543,8 @@ _META_DTYPES = {bool: np.bool_, int: np.int64, tuple: np.float64}
 
 def save_codec(params: CodecParams, path) -> None:
     """Serialize the layout (every ``CodecArch`` field under its own name)
-    and the parameters as named arrays with a layout version."""
+    and the parameters as named arrays with a layout version, to exactly
+    ``path``: ``np.savez`` given a name would append ``.npz`` to it."""
     meta = {
         "layout_version": np.int64(LAYOUT_VERSION),
         "shape": np.asarray(params.shape, dtype=np.int64),
@@ -552,7 +553,8 @@ def save_codec(params: CodecParams, path) -> None:
     for f in fields(CodecArch):
         meta[f.name] = np.asarray(getattr(params.arch, f.name), dtype=_META_DTYPES[type(f.default)])
     arrays = {name: arr for name, arr in _param_arrays(params)}
-    np.savez(path, **meta, **arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **meta, **arrays)
 
 
 def load_codec(path) -> CodecParams:

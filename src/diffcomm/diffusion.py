@@ -3,7 +3,8 @@ operations that treat channel noise as part of the forward process.
 
 A latent is a nonempty one-dimensional float64 array of finite values.
 Each public function checks the latent it is given (``reverse_step``
-the one it returns), and none writes into its input.
+its dtype and shape, and the values of the one it returns), and none
+writes into its input.
 
 The receiver starts the reverse process in one of two ways.  The
 adaptive route scales the received signal by the ``scale`` of its step
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -156,7 +157,7 @@ def reverse_step(
     t: int,
     denoiser: Denoiser,
     schedule: Schedule,
-    rng: np.random.Generator,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
     """One ancestral reverse step from ``t`` to ``t - 1``.
 
@@ -169,32 +170,33 @@ def reverse_step(
     previous state is noiseless (``ab_0 = 1``), the variance vanishes,
     and the step is deterministic.
 
+    ``noise`` is the step's ``y_t.size`` standard normals, an array
+    shaped like ``y_t``; at ``t = 1``, which adds none, it is ``None``.
     The scalars come from ``schedule.reverse_coefs``, built once from the
-    same expressions, and the update runs in place on one new array, so
-    the result is bit-identical to evaluating the formulas above per
-    call.  Each step draws ``y_t.size`` standard normals from ``rng``
-    (none at ``t = 1``) through its one call, ``rng.standard_normal(size)``,
-    and may scale the returned array in place; any object with that
-    method serves.  The prediction is a bare array, and the step checks
-    its result, not its input: each operation acts on each element
-    alone, so a value of ``y_t`` or of the prediction that is not finite
-    makes the result's value non-finite too, and the step raises
-    ValueError.  A latent that is not one-dimensional, or a prediction
-    not shaped like ``y_t``, raises ValueError before any draw.
+    same expressions; the mean is updated in place on one new array, and
+    ``noise * sd`` computed into another, so the step writes into none of
+    its inputs and its result is bit-identical to evaluating the formulas
+    above per call.  The prediction is a bare array, and the step checks
+    its result: each operation acts on each element alone, so a value of
+    ``y_t``, of the prediction or of ``noise`` that is not finite makes
+    the result's value non-finite too, and the step raises ValueError.
+    A ``y_t`` array that is not one-dimensional float64, a prediction not
+    shaped like it, or a missing or mis-shaped ``noise`` at ``t > 1``
+    raises ValueError before the arithmetic.
     """
     schedule._check_step(t, lo=1)
     c_eps, sqrt_a, sd = schedule.reverse_coefs[t - 1]
     mu = denoiser.predict_noise(y_t, t)
-    if mu.shape != y_t.shape or y_t.ndim != 1:
+    if mu.shape != y_t.shape or y_t.ndim != 1 or y_t.dtype != np.float64:
         _checked(y_t)
         raise ValueError(f"predicted noise has shape {mu.shape}, the latent {y_t.shape}")
+    if t > 1 and getattr(noise, "shape", None) != y_t.shape:
+        raise ValueError(f"noise has shape {getattr(noise, 'shape', None)}, the latent {y_t.shape}")
     mu = mu * c_eps
     np.subtract(y_t, mu, out=mu)
     mu /= sqrt_a
     if t > 1:
-        z = rng.standard_normal(y_t.size)
-        z *= sd
-        mu += z
+        mu += noise * sd
     return _checked(mu)
 
 
@@ -244,63 +246,58 @@ def denoise_from_step(
     """
     _checked(y_u)
     schedule._check_step(u, lo=0)
-    noise = rng.standard_normal((max(u - 1, 0), y_u.size))
-    (y,) = _denoise_rows([y_u], [u], [noise], denoiser, schedule)
+    (y,) = _denoise_rows([y_u], [u], y_u.size, denoiser, schedule, rng)
     return y
 
 
-class _TableNoise:
-    """The chain's noise source: the ``i``-th ``standard_normal(size)`` call
-    returns the first ``size`` elements of row ``i`` of a noise table."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, table: np.ndarray):
-        self.rows = iter(table)
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        return next(self.rows)[:size]
-
-
 def _denoise_rows(
-    starts: list[np.ndarray],
+    starts: Iterable[np.ndarray],
     steps: list[int],
-    noises: list[np.ndarray],
+    width: int,
     denoiser: Denoiser,
     schedule: Schedule,
+    rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """Reverse chains of equal-length latents (rows), run as one ragged chain.
+    """Reverse chains of latents of ``width`` elements (rows), run as one
+    ragged chain: the one place that draws a chain's noise.
 
-    Row ``i`` starts from ``starts[i]`` at step ``steps[i]`` (in
-    ``[0, T]``) and takes its noise from ``noises[i]``, the
-    ``(max(steps[i] - 1, 0), w)`` normals of its steps from
-    ``steps[i]`` down to 2, for ``w`` elements per row; the chain scales
-    them in place.  The rows are ordered by descending start step, ties
-    in the given order, so the active rows are always a prefix: a row
-    joins when ``t`` reaches its start step, and each step makes one
-    ``reverse_step`` call on the active rows joined end to end in that
-    order.  The noise is laid out in one step-major table of ``top - 1``
-    rows for the largest start step ``top``: row ``s`` holds step
-    ``top - s``, the active rows' columns first and contiguous in that
-    order, so a step's noise is ``table[s, :k * w]``.  One row uses its
-    own noise as the table, with no copy.  Every operation of the step
-    acts on each element alone, as ``AnalyticGaussianDenoiser`` does, so
-    each row's result is bit-identical to its own chain's.  One row makes
-    the calls of its own chain exactly.  Returns each row's clean latent,
-    in the given order, as a view of the chain's last array; a row from
-    step 0 is its start itself.
+    Row ``i`` starts from the ``i``-th latent of ``starts`` at step
+    ``steps[i]`` (in ``[0, T]``).  ``starts`` is read one row at a time,
+    in the given order, and right after each row comes its one
+    ``rng.standard_normal((max(steps[i] - 1, 0), w))`` call, written
+    straight into the noise table, so a start drawn from ``rng`` (a
+    generator expression) comes right before its own noise, and only one
+    row's draw is alive at a time.  The rows are ordered by descending
+    start step, ties in the given order, so the active rows are always a
+    prefix: a row joins when ``t`` reaches its start step, and each step
+    makes one ``reverse_step`` call on the active rows joined end to end
+    in that order.  The table is step-major, ``top - 1`` rows for the
+    largest start step ``top``, with the active rows' columns first and
+    contiguous in that order: ``k`` active rows take
+    ``table[top - t, :k * w]`` at step ``t`` (``None`` at ``t = 1``).  One
+    row's draw is the table.  Every operation of the step acts on each
+    element alone, as ``AnalyticGaussianDenoiser`` does, so each row's
+    result is bit-identical to its own chain's; one row makes the calls
+    of its own chain exactly.  Returns each row's clean latent, in the
+    given order, as a view of the chain's last array; a row from step 0
+    is its start itself.
     """
-    order = sorted(range(len(starts)), key=lambda i: -steps[i])
+    order = sorted(range(len(steps)), key=lambda i: -steps[i])
     joins = [steps[i] for i in order] + [-1]  # no t reaches the sentinel
     top = joins[0]
-    w = starts[0].size
-    if len(starts) == 1:
-        table = noises[0]
+    if len(steps) == 1:
+        rows = list(starts)
+        table = rng.standard_normal((max(top - 1, 0), width))
     else:
-        table = np.empty((max(top - 1, 0), len(starts) * w))
-        for j, i in enumerate(order):
-            table[top - steps[i] :, j * w : (j + 1) * w] = noises[i]
-    noise = _TableNoise(table)
+        column = {i: j * width for j, i in enumerate(order)}
+        rows = []
+        table = np.empty((max(top - 1, 0), len(steps) * width))
+        for i, start in enumerate(starts):
+            rows.append(start)
+            c = column[i]
+            table[top - steps[i] :, c : c + width] = rng.standard_normal(
+                (max(steps[i] - 1, 0), width)
+            )
     y, k = None, 0
     for t in range(top, 0, -1):
         if t == joins[k]:
@@ -308,15 +305,11 @@ def _denoise_rows(
             while t == joins[k]:
                 k += 1
             if k == 1:
-                y = starts[order[0]]
+                y = rows[order[0]]
             else:
-                parts = [starts[i] for i in order[joined:k]]
+                parts = [rows[i] for i in order[joined:k]]
                 y = np.concatenate(parts if y is None else [y, *parts])
-        y = reverse_step(y, t, denoiser, schedule, noise)
-    out = list(starts)
-    if k == 1:
-        out[order[0]] = y
-    else:
-        for j, i in enumerate(order[:k]):
-            out[i] = y[j * w : (j + 1) * w]
-    return out
+        y = reverse_step(y, t, denoiser, schedule, table[top - t, : y.size] if t > 1 else None)
+    for j, i in enumerate(order[:k]):
+        rows[i] = y if k == 1 else y[j * width : (j + 1) * width]
+    return rows

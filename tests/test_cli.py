@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import subprocess
+import tracemalloc
 import venv
 from pathlib import Path
 
@@ -481,8 +482,15 @@ def _run_adaptive_route(base, sigma2s, monkeypatch):
     real = run_module._denoise_rows
 
     def recording(starts, steps, *args):
-        handed.append(([y.copy() for y in starts], list(steps)))
-        return real(starts, steps, *args)
+        seen = []
+        handed.append((seen, list(steps)))
+
+        def passing():  # each start as the chain reads it, not before
+            for y in starts:
+                seen.append(y.copy())
+                yield y
+
+        return real(passing(), steps, *args)
 
     monkeypatch.setattr(run_module, "_denoise_rows", recording)
     rng = np.random.default_rng(0)
@@ -509,6 +517,30 @@ def test_adaptive_route_passes_a_clean_signal_through(monkeypatch):
     assert out.mappings[0].step_u == 0 and run_steps == (0, 0)
     assert recon.tobytes() == base.tobytes()
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_compensate_route_holds_one_streams_noise_draw_at_a_time():
+    """A 4-stream chain from ``t_target`` 800 lays each stream's draw into
+    its noise table as it is made: the route's peak allocation is the
+    table and one stream's draw (1.25 tables), not the table and every
+    draw (2)."""
+    cfg = parse_config(_cfg(source={"shape": [8, 8, 4], "count": 1},
+                            mode={"kind": "fixed_step", "t_target": 800}))
+    setup = run_module._trial_setup(cfg)
+    out = ChannelOutput(received=np.linspace(-1.0, 1.0, 256), mappings=(None,) * 4,
+                        effective_sigma2=(0.01,) * 4)
+    table_bytes = (800 - 1) * 256 * 8
+    # the first call's one-time work (imports) is not the route's
+    run_module._receive(setup, out.received, out, np.random.default_rng(0), 800)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        _, steps = run_module._receive(setup, out.received, out, rng, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == (4 * 800, 800)
+    assert peak < 1.4 * table_bytes
 
 
 def test_simulate_seed_changes_results(tmp_path):
@@ -632,6 +664,18 @@ def test_simulate_runs_a_trained_codec_of_the_configured_arch(tmp_path, trained_
     replay = json.loads((out / "resolved_config.json").read_text())["codec"]
     assert replay["arch"] == {"hidden": 6, "blocks": 3}
     assert (replay["snr_to_mu"], replay["power_norm"], replay["snr_db_range"]) == (True, False, [-2.0, 8.0])
+
+
+def test_train_writes_the_configured_params_name_that_simulate_loads(tmp_path):
+    """``output.params`` is the file a run writes, whatever its suffix, and
+    a simulate run loads it from there."""
+    out = tmp_path / "train"
+    cfg = {**TRAIN_CFG, "codec": HANDOFF_CODEC, "output": {"params": "weights.bin"}}
+    assert main(["train", "--config", _write_cfg(tmp_path, json.dumps(cfg)), "--out", str(out)]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["output"]["params"] == "weights.bin"
+    assert sorted(os.listdir(out)) == ["resolved_config.json", "results.csv", "run.log", "weights.bin"]
+    code, sim = _simulate_stored(tmp_path, {**HANDOFF_CODEC, "params_path": str(out / "weights.bin")})
+    assert code == 0 and (sim / "results.csv").exists()
 
 
 @pytest.mark.parametrize("codec, configured", [

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import os
 
 import numpy as np
 import pytest
@@ -345,6 +346,17 @@ def test_save_load_round_trip(tmp_path):
     assert q.shape == p.shape
     assert q.k == p.k
     assert q.arch == p.arch
+    assert np.array_equal(params_to_vector(q), params_to_vector(p))
+
+
+def test_save_writes_exactly_the_given_path(tmp_path):
+    """A name without the ``.npz`` suffix is written as given, and loads back."""
+    p = _params(seed=24)
+    path = tmp_path / "weights.bin"
+    save_codec(p, path)
+    assert sorted(os.listdir(tmp_path)) == ["weights.bin"]
+    q = load_codec(path)
+    assert q.shape == p.shape and q.k == p.k and q.arch == p.arch
     assert np.array_equal(params_to_vector(q), params_to_vector(p))
 
 

@@ -66,55 +66,63 @@ def _entry_points():
         "forward_sample": lambda y: forward_sample(y, 5, SCHEDULE, rng),
         "compensate_to_step": lambda y: compensate_to_step(y, 0.0, 5, SCHEDULE, rng),
         "denoise_from_step": lambda y: denoise_from_step(y, 5, den, SCHEDULE, rng),
-        "reverse_step": lambda y: reverse_step(y, 5, den, SCHEDULE, rng),
+        "reverse_step": lambda y: reverse_step(y, 5, den, SCHEDULE, np.ones(np.shape(y))),
         "downsample": lambda y: downsample(y, params),
     }
 
 
 def test_every_entry_point_rejects_a_malformed_latent():
     """A latent is a nonempty one-dimensional float64 array of finite
-    values.  ``reverse_step`` checks its result: a non-finite input value
-    reaches it through the arithmetic, which may warn on the way."""
+    values.  ``reverse_step`` checks the dtype and shape of its input but
+    the values of its result: a non-finite input value reaches that check
+    through the arithmetic, which may warn on the way."""
     bad = [
         (np.zeros((2, 6)), r"^latent must be nonempty and one-dimensional, got shape \(2, 6\)$"),
         (np.zeros(0), r"^latent must be nonempty and one-dimensional, got shape \(0,\)$"),
         (np.r_[np.zeros(11), np.nan], "^latent components must be finite$"),
         (np.r_[np.inf, np.zeros(11)], "^latent components must be finite$"),
     ]
-    for name, call in _entry_points().items():
+    calls = _entry_points()
+    for name, call in calls.items():
         for y, message in bad:
             # only reverse_step computes with the latent before checking
             with np.errstate(invalid="ignore" if name == "reverse_step" else "warn"):
                 with pytest.raises(ValueError, match=message):
                     call(y)
-    for y, message in (
-        (np.arange(12), "^latent must be a float64 array, got int64$"),
-        (np.zeros(12, dtype=np.float32), "^latent must be a float64 array, got float32$"),
-        ([0.0] * 12, "^latent must be a float64 array, got <class 'list'>$"),
+    # a list reaches reverse_step's denoiser first, which needs an array
+    for y, message, names in (
+        (np.arange(12), "^latent must be a float64 array, got int64$",
+         ("forward_sample", "reverse_step")),
+        (np.zeros(12, dtype=np.float32), "^latent must be a float64 array, got float32$",
+         ("forward_sample", "reverse_step")),
+        ([0.0] * 12, "^latent must be a float64 array, got <class 'list'>$", ("forward_sample",)),
     ):
-        with pytest.raises(ValueError, match=message):
-            forward_sample(y, 5, SCHEDULE, np.random.default_rng(0))
+        for name in names:
+            with pytest.raises(ValueError, match=message):
+                calls[name](y)
 
 
 def test_no_latent_function_writes_into_its_input():
     """Each latent is a plain array the caller keeps: every public function
-    leaves a read-only input bit-for-bit as it was."""
+    leaves a read-only input bit-for-bit as it was, and ``reverse_step``
+    its noise too."""
     den = AnalyticGaussianDenoiser(GaussianSourceModel(mean=0.4, variance=2.0), SCHEDULE)
     params = _small_codec()
     y = np.random.default_rng(1).standard_normal(12)
     z = np.random.default_rng(2).standard_normal(params.m)
-    frozen = y.copy(), z.copy()
-    for arr in (y, z):
+    noise = np.random.default_rng(4).standard_normal(12)
+    frozen = y.copy(), z.copy(), noise.copy()
+    for arr in (y, z, noise):
         arr.flags.writeable = False
     rng = np.random.default_rng(3)
     forward_sample(y, 300, SCHEDULE, rng)
     compensate_to_step(y, step_to_sigma2(SCHEDULE, 300), 300, SCHEDULE, rng)  # adds nothing
     compensate_to_step(y, 0.25, 300, SCHEDULE, rng)  # tops up
-    reverse_step(y, 300, den, SCHEDULE, rng)
+    reverse_step(y, 300, den, SCHEDULE, noise)
     denoise_from_step(y, 300, den, SCHEDULE, rng)
     downsample(y, params)
     upsample(z, 4.0, params, rng)
-    assert y.tobytes() == frozen[0].tobytes() and z.tobytes() == frozen[1].tobytes()
+    assert [a.tobytes() for a in (y, z, noise)] == [a.tobytes() for a in frozen]
 
 
 # finite values whose squares (or their sum) overflow to inf
@@ -188,17 +196,16 @@ def test_reverse_step_t1_is_deterministic_and_inverts_forward():
     eps = rng.standard_normal(256)
     ab1 = SCHEDULE.alpha_bar(1)
     y1 = math.sqrt(ab1) * y0 + math.sqrt(1.0 - ab1) * eps
-    state = np.random.default_rng(9)
-    rec = reverse_step(y1, 1, _FixedNoise(eps), SCHEDULE, state)
+    rec = reverse_step(y1, 1, _FixedNoise(eps), SCHEDULE, None)
     assert np.allclose(rec, y0, atol=1e-12)
-    assert state.standard_normal() == np.random.default_rng(9).standard_normal()
 
 
 def test_reverse_step_posterior_variance():
     t = 400
     n = 100_000
     y_t = np.full(n, 1.0)
-    out = reverse_step(y_t, t, _FixedNoise(np.zeros(n)), SCHEDULE, np.random.default_rng(4))
+    noise = np.random.default_rng(4).standard_normal(n)
+    out = reverse_step(y_t, t, _FixedNoise(np.zeros(n)), SCHEDULE, noise)
     a_t = float(SCHEDULE.alphas[t - 1])
     mu = 1.0 / math.sqrt(a_t)
     var = (1.0 - SCHEDULE.alpha_bar(t - 1)) * (1.0 - a_t) / (1.0 - SCHEDULE.alpha_bar(t))
@@ -209,20 +216,31 @@ def test_reverse_step_posterior_variance():
 def test_reverse_step_range_check():
     y = np.zeros(4)
     with pytest.raises(IndexError):
-        reverse_step(y, 0, _FixedNoise(np.zeros(4)), SCHEDULE, np.random.default_rng(0))
+        reverse_step(y, 0, _FixedNoise(np.zeros(4)), SCHEDULE, None)
     with pytest.raises(IndexError):
-        reverse_step(y, SCHEDULE.T + 1, _FixedNoise(np.zeros(4)), SCHEDULE, np.random.default_rng(0))
+        reverse_step(y, SCHEDULE.T + 1, _FixedNoise(np.zeros(4)), SCHEDULE, np.zeros(4))
 
 
 @pytest.mark.parametrize("shape", [(3,), (5,), (1,), (4, 1), (1, 4)])
 def test_reverse_step_rejects_a_wrongly_shaped_prediction(shape):
     y = np.zeros(4)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    noise = np.ones(4)
+    noise.flags.writeable = False
     message = rf"^predicted noise has shape {re.escape(str(shape))}, the latent \(4,\)$"
     with pytest.raises(ValueError, match=message):
-        reverse_step(y, 10, _FixedNoise(np.zeros(shape)), SCHEDULE, rng)
-    assert rng.bit_generator.state == state
+        reverse_step(y, 10, _FixedNoise(np.zeros(shape)), SCHEDULE, noise)
+    assert np.array_equal(noise, np.ones(4))
+
+
+@pytest.mark.parametrize("noise", [None, np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros((1, 4))],
+                         ids=["None", "(3,)", "(5,)", "(4, 1)", "(1, 4)"])
+def test_reverse_step_rejects_missing_or_misshaped_noise(noise):
+    """Every step above 1 adds noise, so it needs an array shaped like the latent."""
+    den = AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE)
+    shape = None if noise is None else noise.shape
+    message = rf"^noise has shape {re.escape(str(shape))}, the latent \(4,\)$"
+    with pytest.raises(ValueError, match=message):
+        reverse_step(np.ones(4), 2, den, SCHEDULE, noise)
 
 
 def test_chain_checks_one_latent_per_step(monkeypatch):
@@ -345,7 +363,7 @@ def test_a_bool_is_not_a_step_index(step):
     state = rng.bit_generator.state
     calls = [
         lambda: SCHEDULE.alpha_bar(step),
-        lambda: reverse_step(y, step, den, SCHEDULE, rng),
+        lambda: reverse_step(y, step, den, SCHEDULE, np.zeros(4)),
         lambda: denoise_from_step(y, step, den, SCHEDULE, rng),
     ]
     for call in calls:
@@ -519,38 +537,37 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
         expected.append(_reference_chain(start(i, ref_rng), u, model, SHORT, ref_rng))
 
     rng = np.random.default_rng(seed + 1)
-    starts, noises = [], []
-    for i, u in enumerate(steps):
-        starts.append(start(i, rng))
-        noises.append(rng.standard_normal((max(u - 1, 0), width)))
-    got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
+    counting = _CountingGenerator(rng)
+    starts = (start(i, counting) for i in range(len(steps)))
+    got = diffusion._denoise_rows(starts, steps, width, den, SHORT, counting)
 
     for want, have in zip(expected, got):
         assert have.shape == (width,)
         assert np.array_equal(have, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # one noise draw per row, after its top-up if it has one
+    assert counting.calls == len(steps) * (2 if compensate else 1)
 
 
 def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
     """Rows join as t reaches their start step: one call per step of the
     longest row, on the rows started so far, joined in descending-step
-    order (ties in the given order)."""
+    order (ties in the given order), each with noise shaped like its
+    latent but at t = 1."""
     calls = []
     real = diffusion.reverse_step
 
-    def recording(y_t, t, *args):
-        calls.append((t, y_t.shape, y_t[::2].copy()))
-        return real(y_t, t, *args)
+    def recording(y_t, t, denoiser, schedule, noise):
+        calls.append((t, y_t.shape, y_t[::2].copy(), None if noise is None else noise.shape))
+        return real(y_t, t, denoiser, schedule, noise)
 
     monkeypatch.setattr(diffusion, "reverse_step", recording)
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SHORT)
     steps = [2, 0, 4, 2]
     starts = [np.full(2, float(i)) for i in range(4)]
-    rng = np.random.default_rng(0)
-    noises = [rng.standard_normal((max(u - 1, 0), 2)) for u in steps]
-    got = diffusion._denoise_rows(starts, steps, noises, den, SHORT)
-    assert [(t, shape) for t, shape, _ in calls] == [
-        (4, (2,)), (3, (2,)), (2, (6,)), (1, (6,))]
+    got = diffusion._denoise_rows(iter(starts), steps, 2, den, SHORT, np.random.default_rng(0))
+    assert [(t, shape, noise) for t, shape, _, noise in calls] == [
+        (4, (2,), (2,)), (3, (2,), (2,)), (2, (6,), (6,)), (1, (6,), None)]
     assert calls[2][2].tolist()[1:] == [0.0, 3.0]  # rows 0 and 3 join after row 2
     assert got[1] is starts[1]
 
@@ -605,8 +622,9 @@ def test_coefficient_tables_match_step_formulas():
 
 
 class _NanAtStep:
-    """Test denoiser whose prediction array turns NaN at one step; only the
-    reverse step's own check on its output can catch it."""
+    """Test denoiser that predicts NaN at step ``bad_t`` and zeros
+    elsewhere: nothing checks a prediction's values, so only the reverse
+    step's check on the latent it returns catches it."""
 
     def __init__(self, bad_t):
         self.bad_t = bad_t
@@ -641,7 +659,7 @@ def _closed_form_mse(schedule, u, scale, sigma2, v):
 @pytest.mark.parametrize(
     "snr_db, route, expected",
     [(0.0, "adaptive", 0.9921), (6.0, "adaptive", 0.3951), (12.0, "adaptive", 0.1158),
-     (6.0, "compensate", None)],
+     (20.0, "adaptive", 0.01835), (30.0, "adaptive", 0.001538), (6.0, "compensate", None)],
 )
 def test_chain_mse_matches_closed_form_law(snr_db, route, expected):
     model = GaussianSourceModel()
@@ -662,6 +680,6 @@ def test_chain_mse_matches_closed_form_law(snr_db, route, expected):
     law = _closed_form_mse(SCHEDULE, u, scale, carried, model.variance)
     if expected is not None:
         assert law == pytest.approx(expected, abs=5e-5)
-    sq = (denoise_from_step(y_u, u, den, SCHEDULE, rng).data - y0) ** 2
+    sq = (denoise_from_step(y_u, u, den, SCHEDULE, rng) - y0) ** 2
     se = float(np.std(sq, ddof=1)) / math.sqrt(n)
     assert abs(float(np.mean(sq)) - law) < 4.0 * se
