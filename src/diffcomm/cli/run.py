@@ -1,13 +1,12 @@
 """Seeded experiment drivers: simulation grids, training, sweeps, CSV.
 
 Simulate and sweep share one per-trial pipeline, ``_run_trials``: source
-draw -> codec downsample -> channel -> decode -> adaptive, fixed-step or
-compare receive -> MSE/SSIM.  A receive route denoises all the streams
-of a trial (a MIMO channel's eigenmodes) in one ragged reverse chain, one
-``reverse_step`` call per step for the streams that have started; the
-chain reads each stream's start and then draws its noise from the
-trial's generator, in stream order, so every draw and result is that of
-denoising the streams in turn.  Every random draw comes from a
+draw -> codec downsample -> channel -> decode -> receive -> MSE/SSIM.
+The receive runs a trial's streams (a MIMO channel's eigenmodes) and
+routes as rows of one ragged reverse chain, one ``reverse_step`` call
+per step; the chain reads each row's start and then draws its noise
+from the trial's generator, so every draw and result is that of
+denoising the rows in turn.  Every random draw comes from a
 generator derived by hashing the run seed together with the coordinates
 of the work item.  Trial ``i`` of a simulate cell uses the key
 ``(seed, channel type, sigma2, i)``; trial ``i`` of a sweep point uses
@@ -60,7 +59,6 @@ from ..diffusion import (
     GaussianSourceModel,
     _denoise_rows,
     compensate_to_step,
-    denoise_from_step,
     forward_sample,
 )
 from ..errors import ConfigurationError, SaturationError
@@ -289,37 +287,47 @@ def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
 
 def _receive(
     setup: _TrialSetup,
+    routes: tuple[str, ...],
+    y0: np.ndarray,
     base: np.ndarray,
     out: ChannelOutput,
     rng: np.random.Generator,
-    t_target: Optional[int] = None,
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Denoise the equal-width streams of ``base`` in one ragged chain.
+) -> tuple[list[np.ndarray], tuple[int, int]]:
+    """Denoise each of ``routes`` from the received ``base`` (the forward
+    route from the source ``y0``) as rows of one ragged chain.
 
-    Adaptive route (no ``t_target``): scale a stream by its mapping's
-    ``scale`` onto its mapped step.  Compensate route: top it up to
-    ``t_target`` from the variance it carries (``effective_sigma2``),
-    whatever the fading convention mapped.
-    The starts reach the chain as a generator expression, so stream by
-    stream ``rng`` gives the stream's start (the top-up), then the
-    chain's draw of its noise, as if each stream were denoised in turn.
-    Returns the array, the reverse steps run summed over the streams
-    (trial-steps) and the chain's steps (the largest ``u``).
+    A route has a row per equal-width stream of ``base``: adaptive scales
+    it by its mapping's ``scale`` onto its mapped step, and compensate
+    tops it up to ``t_target`` from the variance it carries
+    (``effective_sigma2``), whatever the fading convention mapped.  The
+    forward route has one row, ``forward_sample(y0, t_target)``.  The
+    chain reads the starts from a generator, so ``rng`` gives each row's
+    start, then its noise, as if the rows were denoised in turn.  Returns
+    each route's reconstruction, the reverse steps summed over the rows
+    (trial-steps) and the chain's steps (the largest start step).
     """
     schedule = setup.cfg.schedule.built
+    t_target = setup.cfg.mode.t_target
     width = base.size // len(out.mappings)
     streams = [base[i * width : (i + 1) * width] for i in range(len(out.mappings))]
-    if t_target is None:
-        steps = [mapping.step_u for mapping in out.mappings]
-        starts = (mapping.scale * s_hat for mapping, s_hat in zip(out.mappings, streams))
-    else:
-        steps = [t_target] * len(streams)
-        starts = (
-            compensate_to_step(s_hat, s2, t_target, schedule, rng)
-            for s_hat, s2 in zip(streams, out.effective_sigma2)
-        )
-    ys = _denoise_rows(starts, steps, width, setup.denoiser, schedule, rng)
-    return np.concatenate(ys), (sum(steps), max(steps))
+    # one (route, stream) per row, in generator order
+    rows = [(r, i) for r in routes for i in range(1 if r == "forward" else len(streams))]
+    steps = [out.mappings[i].step_u if r == "adaptive" else t_target for r, i in rows]
+    widths = [y0.size if r == "forward" else width for r, _ in rows]
+
+    def starts():
+        for route, i in rows:
+            if route == "adaptive":
+                yield out.mappings[i].scale * streams[i]
+            elif route == "compensate":
+                s2 = out.effective_sigma2[i]
+                yield compensate_to_step(streams[i], s2, t_target, schedule, rng)
+            else:
+                yield forward_sample(y0, t_target, schedule, rng)
+
+    ys = _denoise_rows(starts(), steps, widths, setup.denoiser, schedule, rng)
+    recons = [np.concatenate([y for (r, _), y in zip(rows, ys) if r == route]) for route in routes]
+    return recons, (sum(steps), max(steps))
 
 
 def _run_trials(
@@ -328,16 +336,15 @@ def _run_trials(
     """Run ``trials`` latents through the receiver chain at noise ``sigma2``.
 
     Trial ``i`` draws everything from ``_derive_rng(*key, i)``.  ``kind``
-    picks the routes (``_ROUTES``): ``adaptive`` denoises each stream from
-    its mapped step, ``compensate`` tops it up to ``mode.t_target`` first,
-    and ``forward`` denoises a pure forward draw of the source to the
-    target.  Returns each route's per-trial MSEs under its name, and the
-    mean SSIM of a single-route mode's reconstructions (None in compare
-    mode or without an SSIM window).  SSIM is scored in blocks of trials,
-    one ``ssim_batch`` call per block, and averaged in trial order.  Last
-    come the reverse steps run over all trials, streams and routes
-    (trial-steps), and the reverse step calls that ran them (chain
-    steps, fewer where the streams of a trial share a chain).
+    picks the routes (``_ROUTES``), and one ``_receive`` call per trial
+    runs them all in one chain.  Returns each route's per-trial MSEs
+    under its name, and the mean SSIM of a single-route mode's
+    reconstructions (None in compare mode or without an SSIM window).
+    SSIM is scored in blocks of trials, one ``ssim_batch`` call per
+    block, and averaged in trial order.  Last come the reverse steps run
+    over all trials, streams and routes (trial-steps), and the reverse
+    step calls that ran them (chain steps, fewer where a trial has more
+    than one stream or route).
     """
     cfg, params, source = setup.cfg, setup.params, setup.source
     schedule = cfg.schedule.built
@@ -345,7 +352,6 @@ def _run_trials(
     snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
     routes = _ROUTES[kind]
     window = None if kind == "compare" else _ssim_window(cfg.source.shape)
-    t_target = cfg.mode.t_target
     if window is not None:
         block = min(trials, max(1, _SSIM_BLOCK_ELEMENTS // cfg.source.n))
         refs = np.empty((block, *cfg.source.shape))
@@ -366,17 +372,10 @@ def _run_trials(
         if params is not None:
             base = upsample(base[: params.m], snr_nominal, params, rng)[1]
 
-        for route in routes:
-            if route == "forward":
-                fwd_t = forward_sample(y0, t_target, schedule, rng)
-                recon = denoise_from_step(fwd_t, t_target, setup.denoiser, schedule, rng)
-                route_steps = (t_target, t_target)
-            else:
-                recon, route_steps = _receive(
-                    setup, base, out, rng, t_target if route == "compensate" else None
-                )
-            steps += route_steps[0]
-            chain_steps += route_steps[1]
+        trial_recons, trial_steps = _receive(setup, routes, y0, base, out, rng)
+        steps += trial_steps[0]
+        chain_steps += trial_steps[1]
+        for route, recon in zip(routes, trial_recons):
             mses[route].append(mse(recon, y0))
         if window is not None:
             row = trial % block
@@ -475,9 +474,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     confidence interval on compensate-vs-forward.  Failures carry the
     coordinates of the offending cell.  The log ends with the wall time
     of the grid and its trials per second, the ``reverse_step`` calls
-    made (``chain_steps``: one per step of a trial's chain, whose streams
-    share it), then the reverse steps run (trial-steps over every stream
-    and route) and their rate.
+    made (``chain_steps``: one per step of a trial's chain, which its
+    streams and routes share), then the reverse steps run (trial-steps
+    over every stream and route) and their rate.
     """
     setup = _trial_setup(cfg)
     if cfg.codec.enabled:

@@ -180,15 +180,16 @@ def reverse_step(
     its result: each operation acts on each element alone, so a value of
     ``y_t``, of the prediction or of ``noise`` that is not finite makes
     the result's value non-finite too, and the step raises ValueError.
-    A ``y_t`` array that is not one-dimensional float64, a prediction not
-    shaped like it, or a missing or mis-shaped ``noise`` at ``t > 1``
-    raises ValueError before the arithmetic.
+    ValueError: a ``y_t`` that is not a one-dimensional float64 array,
+    before the denoiser sees it; a prediction not shaped like it, or a
+    missing or mis-shaped ``noise`` at ``t > 1``, before the arithmetic.
     """
     schedule._check_step(t, lo=1)
+    if not (isinstance(y_t, np.ndarray) and y_t.ndim == 1 and y_t.dtype == np.float64):
+        _checked(y_t)
     c_eps, sqrt_a, sd = schedule.reverse_coefs[t - 1]
     mu = denoiser.predict_noise(y_t, t)
-    if mu.shape != y_t.shape or y_t.ndim != 1 or y_t.dtype != np.float64:
-        _checked(y_t)
+    if mu.shape != y_t.shape:
         raise ValueError(f"predicted noise has shape {mu.shape}, the latent {y_t.shape}")
     if t > 1 and getattr(noise, "shape", None) != y_t.shape:
         raise ValueError(f"noise has shape {getattr(noise, 'shape', None)}, the latent {y_t.shape}")
@@ -237,7 +238,7 @@ def denoise_from_step(
 
     ``u = 0`` is already clean and returns the input itself.  One
     ``reverse_step`` call per step: this is the one-row case of the
-    chain engine that also denoises the streams of a MIMO trial
+    chain engine that also denoises the streams and routes of a trial
     together.  The ``u - 1`` steps that add noise take their normals
     from one ``rng.standard_normal((u - 1, n))`` call made before the
     chain runs (``(0, n)`` for ``u`` 0 or 1).  That is the same values
@@ -246,35 +247,35 @@ def denoise_from_step(
     """
     _checked(y_u)
     schedule._check_step(u, lo=0)
-    (y,) = _denoise_rows([y_u], [u], y_u.size, denoiser, schedule, rng)
+    (y,) = _denoise_rows([y_u], [u], [y_u.size], denoiser, schedule, rng)
     return y
 
 
 def _denoise_rows(
     starts: Iterable[np.ndarray],
     steps: list[int],
-    width: int,
+    widths: list[int],
     denoiser: Denoiser,
     schedule: Schedule,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """Reverse chains of latents of ``width`` elements (rows), run as one
-    ragged chain: the one place that draws a chain's noise.
+    """Reverse chains of latents (rows), run as one ragged chain: the one
+    place that draws a chain's noise, for the streams and routes of a trial.
 
-    Row ``i`` starts from the ``i``-th latent of ``starts`` at step
-    ``steps[i]`` (in ``[0, T]``).  ``starts`` is read one row at a time,
-    in the given order, and right after each row comes its one
-    ``rng.standard_normal((max(steps[i] - 1, 0), w))`` call, written
-    straight into the noise table, so a start drawn from ``rng`` (a
-    generator expression) comes right before its own noise, and only one
-    row's draw is alive at a time.  The rows are ordered by descending
-    start step, ties in the given order, so the active rows are always a
-    prefix: a row joins when ``t`` reaches its start step, and each step
-    makes one ``reverse_step`` call on the active rows joined end to end
-    in that order.  The table is step-major, ``top - 1`` rows for the
-    largest start step ``top``, with the active rows' columns first and
-    contiguous in that order: ``k`` active rows take
-    ``table[top - t, :k * w]`` at step ``t`` (``None`` at ``t = 1``).  One
+    Row ``i`` starts from the ``i``-th latent of ``starts``, of
+    ``widths[i]`` elements, at step ``u = steps[i]`` (in ``[0, T]``).
+    ``starts`` is read one row at a time, in the given order, each row
+    followed by its ``rng.standard_normal((max(u - 1, 0), widths[i]))``
+    call, written straight into the noise table, so a start drawn from
+    ``rng`` comes right before its own noise, and one row's draw is
+    alive at a time.  The rows are ordered by descending start step, ties
+    in the given order, so the active rows are always a prefix: a row
+    joins when ``t`` reaches its start step, and each step makes one
+    ``reverse_step`` call on the active rows joined end to end in that
+    order.  The table is step-major, ``top - 1`` rows for the largest
+    start step ``top``, with the active rows' columns first and
+    contiguous in that order: active rows of ``w`` elements in all take
+    ``table[top - t, :w]`` at step ``t`` (``None`` at ``t = 1``).  One
     row's draw is the table.  Every operation of the step acts on each
     element alone, as ``AnalyticGaussianDenoiser`` does, so each row's
     result is bit-identical to its own chain's; one row makes the calls
@@ -285,18 +286,18 @@ def _denoise_rows(
     order = sorted(range(len(steps)), key=lambda i: -steps[i])
     joins = [steps[i] for i in order] + [-1]  # no t reaches the sentinel
     top = joins[0]
+    # row i's columns, in the table and in the chain, end at end[i]
+    end = dict(zip(order, np.cumsum([widths[i] for i in order]).tolist()))
     if len(steps) == 1:
         rows = list(starts)
-        table = rng.standard_normal((max(top - 1, 0), width))
+        table = rng.standard_normal((max(top - 1, 0), widths[0]))
     else:
-        column = {i: j * width for j, i in enumerate(order)}
         rows = []
-        table = np.empty((max(top - 1, 0), len(steps) * width))
+        table = np.empty((max(top - 1, 0), sum(widths)))
         for i, start in enumerate(starts):
             rows.append(start)
-            c = column[i]
-            table[top - steps[i] :, c : c + width] = rng.standard_normal(
-                (max(steps[i] - 1, 0), width)
+            table[top - steps[i] :, end[i] - widths[i] : end[i]] = rng.standard_normal(
+                (max(steps[i] - 1, 0), widths[i])
             )
     y, k = None, 0
     for t in range(top, 0, -1):
@@ -310,6 +311,6 @@ def _denoise_rows(
                 parts = [rows[i] for i in order[joined:k]]
                 y = np.concatenate(parts if y is None else [y, *parts])
         y = reverse_step(y, t, denoiser, schedule, table[top - t, : y.size] if t > 1 else None)
-    for j, i in enumerate(order[:k]):
-        rows[i] = y if k == 1 else y[j * width : (j + 1) * width]
+    for i in order[:k]:
+        rows[i] = y if k == 1 else y[end[i] - widths[i] : end[i]]
     return rows

@@ -18,7 +18,10 @@ from diffcomm import (
     ChannelOutput,
     ConfigurationError,
     build_linear_schedule,
+    compensate_to_step,
+    denoise_from_step,
     diffusion,
+    forward_sample,
     load_codec,
     sigma2_to_step,
     step_to_sigma2,
@@ -430,11 +433,11 @@ def _logged_steps(path) -> tuple[int, int]:
 def test_simulate_makes_one_reverse_step_call_per_trial_step(
     tmp_path, monkeypatch, overrides, one_stream
 ):
-    """One ``reverse_step`` call per trial-step with one stream per trial,
-    over every route, as counted in ``run.log``; with one route also as
-    ``results.csv`` implies (trials x step_u per cell).  The streams of a
-    MIMO trial share one chain: one call per step of the longest, so
-    ``run.log`` counts those calls apart from the trial-steps."""
+    """One ``reverse_step`` call per trial-step with one stream and one
+    route per trial, as counted in ``run.log``; with one route also as
+    ``results.csv`` implies (trials x step_u per cell).  The streams and
+    routes of a trial share one chain: one call per step of the longest
+    row, so ``run.log`` counts those calls apart from the trial-steps."""
     calls = []
     real = diffusion.reverse_step
 
@@ -444,14 +447,14 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
 
     monkeypatch.setattr(diffusion, "reverse_step", counting)
     steps_u = []  # each trial's per-stream steps, as the channel mapped them
-    real_transmit = run_module.mimo_transmit
+    for name in ("awgn_transmit", "mimo_transmit"):
 
-    def recording(*args):
-        out = real_transmit(*args)
-        steps_u.append([m.step_u for m in out.mappings])
-        return out
+        def recording(*args, real_transmit=getattr(run_module, name)):
+            out = real_transmit(*args)
+            steps_u.append([m.step_u for m in out.mappings])
+            return out
 
-    monkeypatch.setattr(run_module, "mimo_transmit", recording)
+        monkeypatch.setattr(run_module, name, recording)
     cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 3}, **overrides))
     run_simulate(cfg, out_dir=str(tmp_path))
     chain_steps, trial_steps = _logged_steps(tmp_path / "run.log")
@@ -459,6 +462,13 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
         assert len(steps_u) == 2 * 3 and all(len(u) == 2 for u in steps_u)
         assert trial_steps == sum(map(sum, steps_u))
         assert len(calls) == chain_steps == sum(map(max, steps_u)) < trial_steps
+        return
+    assert len(steps_u) == len(cfg.channel.cells) * 3 and all(len(u) == 1 for u in steps_u)
+    if cfg.mode.kind == "compare":  # adaptive from u, compensate and forward from t_target
+        t_target = cfg.mode.t_target
+        assert trial_steps == sum(u + 2 * t_target for (u,) in steps_u)
+        assert len(calls) == chain_steps == sum(max(u, t_target) for (u,) in steps_u)
+        assert chain_steps < trial_steps
         return
     assert len(calls) == chain_steps == trial_steps > 0
     if one_stream:
@@ -494,7 +504,9 @@ def _run_adaptive_route(base, sigma2s, monkeypatch):
 
     monkeypatch.setattr(run_module, "_denoise_rows", recording)
     rng = np.random.default_rng(0)
-    recon, steps = run_module._receive(run_module._trial_setup(cfg), base, out, rng)
+    setup = run_module._trial_setup(cfg)
+    # the source only starts the forward route, so any array stands in for it
+    (recon,), steps = run_module._receive(setup, ("adaptive",), base, base, out, rng)
     return out, handed[0], recon, steps, rng
 
 
@@ -520,27 +532,76 @@ def test_adaptive_route_passes_a_clean_signal_through(monkeypatch):
 
 
 def test_compensate_route_holds_one_streams_noise_draw_at_a_time():
-    """A 4-stream chain from ``t_target`` 800 lays each stream's draw into
-    its noise table as it is made: the route's peak allocation is the
-    table and one stream's draw (1.25 tables), not the table and every
-    draw (2)."""
-    cfg = parse_config(_cfg(source={"shape": [8, 8, 4], "count": 1},
-                            mode={"kind": "fixed_step", "t_target": 800}))
+    """A 4-stream chain from ``t_target`` 800 lays each row's draw into
+    its noise table as it is made: the receive's peak allocation is the
+    table and one row's draw, not the table and every draw.  With one
+    route that is 1.25 tables, not 2.  In compare mode the table also
+    holds the adaptive route's four rows and the forward route's row,
+    which is as wide as the four streams: the table and that row's draw
+    make about 1.33 tables, where every draw would make 2."""
+    for kind in ("fixed_step", "compare"):
+        cfg = parse_config(_cfg(source={"shape": [8, 8, 4], "count": 1},
+                                mode={"kind": kind, "t_target": 800}))
+        setup = run_module._trial_setup(cfg)
+        mapping = sigma2_to_step(cfg.schedule.built, 0.01)
+        out = ChannelOutput(received=np.linspace(-1.0, 1.0, 256), mappings=(mapping,) * 4,
+                            effective_sigma2=(0.01,) * 4)
+        routes = run_module._ROUTES[kind]
+        table_bytes = (800 - 1) * (256 if kind == "fixed_step" else 3 * 256) * 8
+        # the source only starts the forward route; the received values stand in
+        args = (setup, routes, out.received, out.received, out)
+        # the first call's one-time work (imports) is not the receive's
+        run_module._receive(*args, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            _, steps = run_module._receive(*args, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if kind == "fixed_step":
+            assert steps == (4 * 800, 800)
+        else:
+            assert steps == (4 * mapping.step_u + 5 * 800, 800)
+        assert peak < 1.4 * table_bytes, kind
+
+
+def test_one_chain_receive_matches_each_row_denoised_in_turn():
+    """A 2-stream MIMO compare trial runs its five rows (two adaptive
+    streams, one of them clean at step 0, two compensated streams and the
+    forward row, twice as wide as a stream) as one chain.  Each route's
+    result and the generator's end state are those of taking each row's
+    start and denoising it on its own, row by row."""
+    cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 1},
+                            channel={"type": "mimo", "M": 2, "snr_db": [3.0]},
+                            mode={"kind": "compare", "t_target": 300}))
     setup = run_module._trial_setup(cfg)
-    out = ChannelOutput(received=np.linspace(-1.0, 1.0, 256), mappings=(None,) * 4,
-                        effective_sigma2=(0.01,) * 4)
-    table_bytes = (800 - 1) * 256 * 8
-    # the first call's one-time work (imports) is not the route's
-    run_module._receive(setup, out.received, out, np.random.default_rng(0), 800)
-    rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        _, steps = run_module._receive(setup, out.received, out, rng, 800)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert steps == (4 * 800, 800)
-    assert peak < 1.4 * table_bytes
+    schedule = cfg.schedule.built
+    sigma2s = (0.0, step_to_sigma2(schedule, 120))
+    out = ChannelOutput(received=np.linspace(-1.0, 1.0, 16),
+                        mappings=tuple(sigma2_to_step(schedule, s2) for s2 in sigma2s),
+                        effective_sigma2=sigma2s)
+    y0 = np.random.default_rng(5).standard_normal(16)
+    rng = np.random.default_rng(7)
+    recons, steps = run_module._receive(setup, run_module._ROUTES["compare"], y0,
+                                        out.received, out, rng)
+
+    ref_rng = np.random.default_rng(7)
+    streams = (out.received[:8], out.received[8:])
+
+    def denoised(start, u):
+        return denoise_from_step(start, u, setup.denoiser, schedule, ref_rng)
+
+    adaptive = [denoised(m.scale * s, m.step_u) for m, s in zip(out.mappings, streams)]
+    compensate = [denoised(compensate_to_step(s, s2, 300, schedule, ref_rng), 300)
+                  for s, s2 in zip(streams, sigma2s)]
+    forward = denoised(forward_sample(y0, 300, schedule, ref_rng), 300)
+
+    assert [m.step_u for m in out.mappings] == [0, 120]
+    assert steps == (0 + 120 + 2 * 300 + 300, 300)
+    assert recons[0].tobytes() == np.concatenate(adaptive).tobytes()
+    assert recons[1].tobytes() == np.concatenate(compensate).tobytes()
+    assert recons[2].tobytes() == forward.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_simulate_seed_changes_results(tmp_path):

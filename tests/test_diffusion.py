@@ -73,9 +73,10 @@ def _entry_points():
 
 def test_every_entry_point_rejects_a_malformed_latent():
     """A latent is a nonempty one-dimensional float64 array of finite
-    values.  ``reverse_step`` checks the dtype and shape of its input but
-    the values of its result: a non-finite input value reaches that check
-    through the arithmetic, which may warn on the way."""
+    values.  ``reverse_step`` checks the type, dtype and shape of its
+    input before its denoiser sees it, but the values of its result: a
+    non-finite input value reaches that check through the arithmetic,
+    which may warn on the way."""
     bad = [
         (np.zeros((2, 6)), r"^latent must be nonempty and one-dimensional, got shape \(2, 6\)$"),
         (np.zeros(0), r"^latent must be nonempty and one-dimensional, got shape \(0,\)$"),
@@ -89,13 +90,14 @@ def test_every_entry_point_rejects_a_malformed_latent():
             with np.errstate(invalid="ignore" if name == "reverse_step" else "warn"):
                 with pytest.raises(ValueError, match=message):
                     call(y)
-    # a list reaches reverse_step's denoiser first, which needs an array
+    # reverse_step tests its input before its denoiser sees it
     for y, message, names in (
         (np.arange(12), "^latent must be a float64 array, got int64$",
          ("forward_sample", "reverse_step")),
         (np.zeros(12, dtype=np.float32), "^latent must be a float64 array, got float32$",
          ("forward_sample", "reverse_step")),
-        ([0.0] * 12, "^latent must be a float64 array, got <class 'list'>$", ("forward_sample",)),
+        ([0.0] * 12, "^latent must be a float64 array, got <class 'list'>$",
+         ("forward_sample", "reverse_step")),
     ):
         for name in names:
             with pytest.raises(ValueError, match=message):
@@ -497,9 +499,9 @@ SHORT = build_linear_schedule(40, 1e-3, 0.2)
 
 @st.composite
 def stream_sets(draw):
-    """1-4 streams of one width; start steps ragged or tied, 0 and 1 among
-    them (at least 1 where a top-up draws the start); the draw order; and
-    the source mean."""
+    """1-4 rows, of one width or of widths of their own; start steps
+    ragged or tied, 0 and 1 among them (at least 1 where a top-up draws
+    the start); the draw order; and the source mean."""
     compensate = draw(st.booleans())
     lo = 1 if compensate else 0
     m = draw(st.integers(1, 4))
@@ -508,22 +510,26 @@ def stream_sets(draw):
     else:
         pool = st.one_of(st.sampled_from([lo, 1, 2]), st.integers(lo, SHORT.T))
         steps = draw(st.lists(pool, min_size=m, max_size=m))
-    width = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        widths = [draw(st.integers(1, 5))] * m
+    else:
+        widths = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
     mean = draw(st.sampled_from([0.0, -0.0, 0.7]))
-    return compensate, steps, width, mean, draw(st.integers(0, 2**32))
+    return compensate, steps, widths, mean, draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=80, deadline=None)
 @given(stream_sets())
 def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
-    """One ragged chain over a trial's streams, fed from one generator in
-    the caller's order (each stream's start, then its noise rows), gives
-    each stream's own chain bit for bit and leaves the generator where
-    denoising the streams in turn leaves it."""
-    compensate, steps, width, mean, seed = case
+    """One ragged chain over a trial's rows (streams, and routes whose
+    rows may be wider), fed from one generator in the caller's order
+    (each row's start, then its noise rows), gives each row's own chain
+    bit for bit and leaves the generator where denoising the rows in turn
+    leaves it."""
+    compensate, steps, widths, mean, seed = case
     model = GaussianSourceModel(mean=mean, variance=1.5)
     den = AnalyticGaussianDenoiser(model, SHORT)
-    received = np.random.default_rng(seed).standard_normal((len(steps), width))
+    received = [np.random.default_rng(seed + i).standard_normal(w) for i, w in enumerate(widths)]
 
     def start(i, rng):
         s_hat = received[i]
@@ -539,9 +545,9 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
     rng = np.random.default_rng(seed + 1)
     counting = _CountingGenerator(rng)
     starts = (start(i, counting) for i in range(len(steps)))
-    got = diffusion._denoise_rows(starts, steps, width, den, SHORT, counting)
+    got = diffusion._denoise_rows(starts, steps, widths, den, SHORT, counting)
 
-    for want, have in zip(expected, got):
+    for want, have, width in zip(expected, got, widths):
         assert have.shape == (width,)
         assert np.array_equal(have, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -553,7 +559,7 @@ def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
     """Rows join as t reaches their start step: one call per step of the
     longest row, on the rows started so far, joined in descending-step
     order (ties in the given order), each with noise shaped like its
-    latent but at t = 1."""
+    latent but at t = 1.  Each row comes back at its own width."""
     calls = []
     real = diffusion.reverse_step
 
@@ -563,12 +569,14 @@ def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
 
     monkeypatch.setattr(diffusion, "reverse_step", recording)
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SHORT)
-    steps = [2, 0, 4, 2]
-    starts = [np.full(2, float(i)) for i in range(4)]
-    got = diffusion._denoise_rows(iter(starts), steps, 2, den, SHORT, np.random.default_rng(0))
+    steps, widths = [2, 0, 4, 2], [2, 1, 3, 2]
+    starts = [np.full(w, float(i)) for i, w in enumerate(widths)]
+    got = diffusion._denoise_rows(iter(starts), steps, widths, den, SHORT,
+                                  np.random.default_rng(0))
     assert [(t, shape, noise) for t, shape, _, noise in calls] == [
-        (4, (2,), (2,)), (3, (2,), (2,)), (2, (6,), (6,)), (1, (6,), None)]
-    assert calls[2][2].tolist()[1:] == [0.0, 3.0]  # rows 0 and 3 join after row 2
+        (4, (3,), (3,)), (3, (3,), (3,)), (2, (7,), (7,)), (1, (7,), None)]
+    assert calls[2][2].tolist()[2:] == [0.0, 3.0]  # rows 0 and 3 join after row 2
+    assert [y.shape for y in got] == [(2,), (1,), (3,), (2,)]
     assert got[1] is starts[1]
 
 
