@@ -1,9 +1,9 @@
 """Channel simulation: AWGN, flat Rayleigh fading with MMSE equalization,
 and MIMO via singular-value decomposition.
 
-Every transmit operation returns the received signal together with the
-step mapping(s) that tell the receiver which forward-diffusion state the
-signal corresponds to, so denoising can start at the right step.
+The channels only transmit: each returns the received signal with the
+noise variance every stream carries and the variance its step mapping
+reads.  The receiver maps a stream onto the step it starts from.
 
 Conventions
 -----------
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeepFadeError, RankDeficientChannelError
-from .schedule import Schedule, StepMapping, sigma2_to_step
 
 __all__ = [
     "ChannelOutput",
@@ -71,25 +70,26 @@ def _deinterleave(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelOutput:
-    """Received real vector plus the diffusion-step bookkeeping for the receiver.
+    """Received real vector plus two noise variances per stream.
 
     ``received`` is the real vector of the transmitted length, stream
-    ``i`` of ``M`` in its ``i``-th contiguous ``1/M``.  ``mappings`` holds
-    one StepMapping per independent stream: a single entry for scalar
-    channels, one per subchannel for MIMO.  ``effective_sigma2`` is the
-    actual per-real-element noise variance of each stream of the
-    (rescaled) received signal.
+    ``i`` of ``M`` in its ``i``-th contiguous ``1/M``: a single stream for
+    scalar channels, one per subchannel for MIMO.  ``effective_sigma2`` is
+    the actual per-real-element noise variance of each stream of the
+    (rescaled) received signal.  ``mapped_sigma2`` is the variance that a
+    stream's step mapping reads: the carried one, except ``sigma^2*|h|^2``
+    under Rayleigh's ``gain_weighted`` convention.
     """
 
     received: np.ndarray
-    mappings: tuple[StepMapping, ...]
     effective_sigma2: tuple[float, ...]
+    mapped_sigma2: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.mappings) == 0:
-            raise ValueError("at least one stream mapping is required")
-        if len(self.effective_sigma2) != len(self.mappings):
-            raise ValueError("one effective variance per stream mapping is required")
+        if len(self.effective_sigma2) == 0:
+            raise ValueError("at least one stream is required")
+        if len(self.mapped_sigma2) != len(self.effective_sigma2):
+            raise ValueError("one mapped variance per stream is required")
 
 
 def _complex_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
@@ -111,17 +111,15 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def awgn_transmit(
-    z: np.ndarray, sigma: float, rng: np.random.Generator, schedule: Schedule
-) -> ChannelOutput:
+def awgn_transmit(z: np.ndarray, sigma: float, rng: np.random.Generator) -> ChannelOutput:
     """Send ``z`` through an additive white Gaussian noise channel.
 
     The received signal is ``z + n0`` with noise variance ``sigma^2`` per
-    complex symbol.  The returned mapping locates the forward step whose
-    noise level matches ``sigma^2``.  This is the flat fading channel at
-    ``h = 1``, where both fading conventions map ``sigma^2``.
+    complex symbol, which the stream both carries and maps.  This is the
+    flat fading channel at ``h = 1``, where both fading conventions map
+    ``sigma^2``.
     """
-    return rayleigh_transmit_mmse(z, 1.0, sigma, rng, schedule)
+    return rayleigh_transmit_mmse(z, 1.0, sigma, rng)
 
 
 def rayleigh_transmit_mmse(
@@ -129,7 +127,6 @@ def rayleigh_transmit_mmse(
     h: complex,
     sigma: float,
     rng: np.random.Generator,
-    schedule: Schedule,
     convention: str = "gain_weighted",
 ) -> ChannelOutput:
     """Send ``z`` through a flat fading channel and equalize with MMSE.
@@ -145,7 +142,7 @@ def rayleigh_transmit_mmse(
     equalize-then-rescale and keeps ``h = 1`` bit-identical to
     ``awgn_transmit`` under a shared generator.
 
-    ``convention`` selects which variance feeds the step mapping:
+    ``convention`` selects ``mapped_sigma2``, the variance the mapping reads:
 
     - ``"gain_weighted"`` : ``sigma^2 * |h|^2``
     - ``"mmse"``          : ``sigma^2 / |h|^2``  (the variance the rescaled
@@ -173,8 +170,7 @@ def rayleigh_transmit_mmse(
     sigma2 = sigma * sigma
     carried_sigma2 = sigma2 / gain2
     mapped_sigma2 = sigma2 * gain2 if convention == "gain_weighted" else carried_sigma2
-    mapping = sigma2_to_step(schedule, mapped_sigma2)
-    return ChannelOutput(received=received, mappings=(mapping,), effective_sigma2=(carried_sigma2,))
+    return ChannelOutput(received, (carried_sigma2,), (mapped_sigma2,))
 
 
 @dataclass(frozen=True)
@@ -224,7 +220,6 @@ def mimo_transmit(
     channel: MimoChannel,
     sigma: float,
     rng: np.random.Generator,
-    schedule: Schedule,
 ) -> ChannelOutput:
     """Send ``z`` over ``M`` parallel eigenmode streams.
 
@@ -233,8 +228,8 @@ def mimo_transmit(
     ``[2*i*L, 2*(i+1)*L)``), precoded with ``V``, passed through ``H``
     with additive noise, and multiplied by ``U^H`` at the receiver,
     which diagonalizes the channel.  Each stream ``i`` is then divided by
-    its singular value, leaving ``y_i + (sigma/s_i) * eps`` and one step
-    mapping per stream at effective variance ``(sigma/s_i)^2``.
+    its singular value, leaving ``y_i + (sigma/s_i) * eps``: stream ``i``
+    carries and maps the variance ``(sigma/s_i)^2``.
     """
     re, im = _interleave(z)
     sigma = _check_sigma(sigma)
@@ -259,5 +254,4 @@ def mimo_transmit(
 
     sigma2 = sigma * sigma
     eff = tuple(sigma2 / float(si * si) for si in s)
-    mappings = tuple(sigma2_to_step(schedule, e) for e in eff)
-    return ChannelOutput(received=received, mappings=mappings, effective_sigma2=eff)
+    return ChannelOutput(received=received, effective_sigma2=eff, mapped_sigma2=eff)

@@ -2,11 +2,12 @@
 
 Simulate and sweep share one per-trial pipeline, ``_run_trials``: source
 draw -> codec downsample -> channel -> decode -> receive -> MSE/SSIM.
-The receive runs a trial's streams (a MIMO channel's eigenmodes) and
-routes as rows of one ragged reverse chain, one ``reverse_step`` call
-per step; the chain reads each row's start and then draws its noise
-from the trial's generator, so every draw and result is that of
-denoising the rows in turn.  Every random draw comes from a
+The channel only transmits; the receive maps a stream to a start step
+for a route that starts there, and runs a trial's streams (a MIMO
+channel's eigenmodes) and routes as rows of one ragged reverse chain,
+one ``reverse_step`` call per step; the chain reads each row's start
+and then draws its noise from the trial's generator, so every draw and
+result is that of denoising the rows in turn.  Every random draw comes from a
 generator derived by hashing the run seed together with the coordinates
 of the work item.  Trial ``i`` of a simulate cell uses the key
 ``(seed, channel type, sigma2, i)``; trial ``i`` of a sweep point uses
@@ -64,7 +65,7 @@ from ..diffusion import (
 from ..errors import ConfigurationError, SaturationError
 from ..loss import LossWeights, train_codec
 from ..metrics import mse, psnr_from_mse, ssim_batch
-from ..schedule import Schedule
+from ..schedule import sigma2_to_step
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
 __all__ = [
@@ -243,7 +244,6 @@ def _transmit(
     values: np.ndarray,
     sigma: float,
     rng: np.random.Generator,
-    schedule: Schedule,
 ) -> ChannelOutput:
     """Send a real vector through the configured channel.
 
@@ -255,16 +255,16 @@ def _transmit(
     z = values if values.size % 2 == 0 else np.concatenate([values, [0.0]])
     ch = cfg.channel
     if ch.type == "awgn":
-        return awgn_transmit(z, sigma, rng, schedule)
+        return awgn_transmit(z, sigma, rng)
     if ch.type == "rayleigh":
         h = ch.h
         if h is None:
             h = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-        return rayleigh_transmit_mmse(z, h, sigma, rng, schedule, convention=ch.convention)
+        return rayleigh_transmit_mmse(z, h, sigma, rng, convention=ch.convention)
     H = (
         rng.standard_normal((ch.M, ch.M)) + 1j * rng.standard_normal((ch.M, ch.M))
     ) / math.sqrt(2.0)
-    return mimo_transmit(z, mimo_svd_decompose(H), sigma, rng, schedule)
+    return mimo_transmit(z, mimo_svd_decompose(H), sigma, rng)
 
 
 @dataclass(frozen=True)
@@ -296,29 +296,36 @@ def _receive(
     """Denoise each of ``routes`` from the received ``base`` (the forward
     route from the source ``y0``) as rows of one ragged chain.
 
-    A route has a row per equal-width stream of ``base``: adaptive scales
-    it by its mapping's ``scale`` onto its mapped step, and compensate
-    tops it up to ``t_target`` from the variance it carries
-    (``effective_sigma2``), whatever the fading convention mapped.  The
-    forward route has one row, ``forward_sample(y0, t_target)``.  The
-    chain reads the starts from a generator, so ``rng`` gives each row's
-    start, then its noise, as if the rows were denoised in turn.  Returns
-    each route's reconstruction, the reverse steps summed over the rows
-    (trial-steps) and the chain's steps (the largest start step).
+    Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of ``base``
+    (the config refuses a codec, which would mix them, over MIMO).  A
+    route has a row per stream.  Adaptive maps the stream's
+    ``mapped_sigma2`` onto its start step, the trial's one
+    ``sigma2_to_step`` call per stream, and scales the stream by that
+    mapping's ``scale``.  Compensate maps nothing: it tops the stream up
+    to ``t_target`` from the variance it carries (``effective_sigma2``),
+    so a pinned fade is held to ``sigma^2/|h|^2`` under either
+    convention.  The forward route has one row, ``forward_sample(y0,
+    t_target)``.  The chain reads the starts from a generator, so ``rng``
+    gives each row's start, then its noise, as if the rows were denoised
+    in turn.  Returns each route's reconstruction, the reverse steps
+    summed over the rows (trial-steps) and the chain's steps (the largest
+    start step).
     """
     schedule = setup.cfg.schedule.built
     t_target = setup.cfg.mode.t_target
-    width = base.size // len(out.mappings)
-    streams = [base[i * width : (i + 1) * width] for i in range(len(out.mappings))]
+    width = base.size // len(out.mapped_sigma2)
+    streams = [base[i * width : (i + 1) * width] for i in range(len(out.mapped_sigma2))]
+    if "adaptive" in routes:
+        mappings = [sigma2_to_step(schedule, s2) for s2 in out.mapped_sigma2]
     # one (route, stream) per row, in generator order
     rows = [(r, i) for r in routes for i in range(1 if r == "forward" else len(streams))]
-    steps = [out.mappings[i].step_u if r == "adaptive" else t_target for r, i in rows]
+    steps = [mappings[i].step_u if r == "adaptive" else t_target for r, i in rows]
     widths = [y0.size if r == "forward" else width for r, _ in rows]
 
     def starts():
         for route, i in rows:
             if route == "adaptive":
-                yield out.mappings[i].scale * streams[i]
+                yield mappings[i].scale * streams[i]
             elif route == "compensate":
                 s2 = out.effective_sigma2[i]
                 yield compensate_to_step(streams[i], s2, t_target, schedule, rng)
@@ -347,7 +354,6 @@ def _run_trials(
     than one stream or route).
     """
     cfg, params, source = setup.cfg, setup.params, setup.source
-    schedule = cfg.schedule.built
     sigma = math.sqrt(sigma2)
     snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
     routes = _ROUTES[kind]
@@ -367,7 +373,7 @@ def _run_trials(
         else:  # a file source cycles through its rows
             y0 = source[trial % len(source)]
         transmitted = y0 if params is None else downsample(y0, params)
-        out = _transmit(cfg, transmitted, sigma, rng, schedule)
+        out = _transmit(cfg, transmitted, sigma, rng)
         base = out.received
         if params is not None:
             base = upsample(base[: params.m], snr_nominal, params, rng)[1]

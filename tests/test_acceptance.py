@@ -138,8 +138,8 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         u, s2e = _exact_point(s2_nom)
         rng = np.random.default_rng(200 + i)
         y0 = rng.standard_normal(N_DRAWS)
-        out = awgn_transmit(y0, math.sqrt(s2e), rng, SCH)
-        ok &= out.mappings[0].step_u == u
+        out = awgn_transmit(y0, math.sqrt(s2e), rng)
+        ok &= sigma2_to_step(SCH, out.mapped_sigma2[0]).step_u == u
         ok &= _noise_pair_ok(out.received, y0, s2e, u, rng)
         checked.append(f"awgn u={u}")
 
@@ -151,8 +151,8 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         u, s2e = _exact_point(s2_nom)
         rng = np.random.default_rng(210 + i)
         y0 = rng.standard_normal(N_DRAWS)
-        out = rayleigh_transmit_mmse(y0, h, math.sqrt(s2e * gain2), rng, SCH, convention="mmse")
-        ok &= out.mappings[0].step_u == u
+        out = rayleigh_transmit_mmse(y0, h, math.sqrt(s2e * gain2), rng, convention="mmse")
+        ok &= sigma2_to_step(SCH, out.mapped_sigma2[0]).step_u == u
         ok &= _noise_pair_ok(out.received, y0, s2e, u, rng)
     checked.append("rayleigh/mmse |h|^2=0.45")
 
@@ -161,8 +161,8 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
     u, s2e = _exact_point(1.0)
     rng = np.random.default_rng(220)
     y0 = rng.standard_normal(N_DRAWS)
-    out = rayleigh_transmit_mmse(y0, h1, math.sqrt(s2e), rng, SCH, convention="gain_weighted")
-    ok &= out.mappings[0].step_u == u
+    out = rayleigh_transmit_mmse(y0, h1, math.sqrt(s2e), rng, convention="gain_weighted")
+    ok &= sigma2_to_step(SCH, out.mapped_sigma2[0]).step_u == u
     ok &= _noise_pair_ok(out.received, y0, s2e, u, rng)
     checked.append("rayleigh/gain_weighted |h|=1")
 
@@ -171,7 +171,7 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
     # carried variance is asserted and the mismatch ratio is reported
     rng = np.random.default_rng(221)
     y0 = rng.standard_normal(N_DRAWS)
-    out = rayleigh_transmit_mmse(y0, h, 1.0, rng, SCH, convention="gain_weighted")
+    out = rayleigh_transmit_mmse(y0, h, 1.0, rng, convention="gain_weighted")
     carried = out.effective_sigma2[0]
     ok &= gaussianity_check(out.received - y0, 0.0, carried).passed
     mapped_over_carried = (1.0 * gain2) / carried
@@ -190,12 +190,12 @@ def test_criterion_02_channel_to_forward_equivalence(capsys):
         u, s2e = _exact_point(1.0)
         sigma = float(s[target_stream]) * math.sqrt(s2e)
         y0 = rng.standard_normal(4 * L)
-        out = mimo_transmit(y0, channel, sigma, rng, SCH)
+        out = mimo_transmit(y0, channel, sigma, rng)
         r = out.received
         for i in range(2):
             sl = slice(2 * i * L, 2 * (i + 1) * L)
             if i == target_stream:
-                ok &= out.mappings[i].step_u == u
+                ok &= sigma2_to_step(SCH, out.mapped_sigma2[i]).step_u == u
                 ok &= _noise_pair_ok(r[sl], y0[sl], s2e, u, rng)
             else:
                 eff = out.effective_sigma2[i]
@@ -278,10 +278,12 @@ def test_criterion_05_denoiser_end_to_end(capsys):
     oracle = 2.0 * s2e / (1.0 + s2e)
     rng = np.random.default_rng(500)
     errors = []
+    steps_ok = True
     for _ in range(10):  # 10 chains x 1000 elements = 1e4 element trials
         y0 = rng.standard_normal(1000)
-        out = awgn_transmit(y0, math.sqrt(s2e), rng, SCH)
-        mapping = sigma2_to_step(SCH, s2e)
+        out = awgn_transmit(y0, math.sqrt(s2e), rng)
+        mapping = sigma2_to_step(SCH, out.mapped_sigma2[0])
+        steps_ok &= mapping.step_u == u
         recon = denoise_from_step(mapping.scale * out.received, mapping.step_u, denoiser, SCH, rng)
         errors.append(np.mean((recon - y0) ** 2))
     measured = float(np.mean(errors))
@@ -293,15 +295,16 @@ def test_criterion_05_denoiser_end_to_end(capsys):
         cell = []
         for _ in range(4):
             y0 = rng.standard_normal(1000)
-            out = awgn_transmit(y0, math.sqrt(s2), rng, SCH)
-            mapping = sigma2_to_step(SCH, s2)
+            out = awgn_transmit(y0, math.sqrt(s2), rng)
+            mapping = sigma2_to_step(SCH, out.mapped_sigma2[0])
             recon = denoise_from_step(mapping.scale * out.received, mapping.step_u, denoiser, SCH, rng)
             cell.append(np.mean((recon - y0) ** 2))
         psnrs.append(psnr_from_mse(float(np.mean(cell))))
     monotone = all(a < b for a, b in zip(psnrs, psnrs[1:]))
 
-    _verdict(capsys, 5, "analytic-denoiser-end-to-end", 300.0, t0, mse_ok and monotone,
-             f"mse {measured:.4f} vs oracle {oracle:.4f} (tol 15%); "
+    _verdict(capsys, 5, "analytic-denoiser-end-to-end", 300.0, t0,
+             steps_ok and mse_ok and monotone,
+             f"channel noise maps to u={u}; mse {measured:.4f} vs oracle {oracle:.4f} (tol 15%); "
              "psnr over 0..12 dB: " + "/".join(f"{p:.2f}" for p in psnrs))
 
 

@@ -17,9 +17,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from diffcomm import awgn_transmit, build_linear_schedule  # noqa: E402
+from diffcomm import awgn_transmit  # noqa: E402
 
-SCHEDULE = build_linear_schedule()
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -40,7 +39,7 @@ def _even_vectors(values):
 @SETTINGS
 @given(_even_vectors(_magnitudes(1e-300, 1e300)))
 def test_round_trip_is_within_one_ulp(x):
-    back = awgn_transmit(x, 0.0, np.random.default_rng(0), SCHEDULE).received
+    back = awgn_transmit(x, 0.0, np.random.default_rng(0)).received
     assert back.shape == x.shape
     assert np.all(np.abs(back - x) <= np.spacing(np.abs(x)))
 
@@ -50,4 +49,4 @@ def test_round_trip_is_within_one_ulp(x):
 def test_odd_lengths_are_rejected(half):
     size = 2 * half + 1
     with pytest.raises(ValueError, match=rf"^real length must be even, got {size}$"):
-        awgn_transmit(np.ones(size), 0.5, np.random.default_rng(0), SCHEDULE)
+        awgn_transmit(np.ones(size), 0.5, np.random.default_rng(0))

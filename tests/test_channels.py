@@ -28,6 +28,11 @@ SCHEDULE = build_linear_schedule()
 SQRT2 = math.sqrt(2.0)
 
 
+def _step(sigma2):
+    """The step a stream's variance maps to, as the receiver maps it."""
+    return sigma2_to_step(SCHEDULE, sigma2).step_u
+
+
 def _bridged(x, noise_re=0.0, noise_im=0.0):
     """``x`` carried on complex symbols with the given noise and back, in
     the channels' own order of operations."""
@@ -40,15 +45,15 @@ def _bridged(x, noise_re=0.0, noise_im=0.0):
 def _transmit_each(z, rng):
     """``z`` through each channel type, one call each."""
     ch = mimo_svd_decompose(np.eye(2, dtype=complex))
-    yield lambda: awgn_transmit(z, 0.5, rng, SCHEDULE)
-    yield lambda: rayleigh_transmit_mmse(z, 0.3 - 1.2j, 0.5, rng, SCHEDULE)
-    yield lambda: mimo_transmit(z, ch, 0.5, rng, SCHEDULE)
+    yield lambda: awgn_transmit(z, 0.5, rng)
+    yield lambda: rayleigh_transmit_mmse(z, 0.3 - 1.2j, 0.5, rng)
+    yield lambda: mimo_transmit(z, ch, 0.5, rng)
 
 
 def test_interleave_round_trip_within_one_ulp():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2048)
-    back = awgn_transmit(x, 0.0, rng, SCHEDULE).received
+    back = awgn_transmit(x, 0.0, rng).received
     assert back.shape == x.shape
     assert np.all(np.abs(back - x) <= np.abs(x) * 2.0**-51)
 
@@ -81,7 +86,7 @@ def test_received_signal_that_overflows_is_rejected():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         ValueError, match="^signal components must be finite$"
     ):
-        rayleigh_transmit_mmse(np.ones(8), h, 1e150, np.random.default_rng(0), SCHEDULE)
+        rayleigh_transmit_mmse(np.ones(8), h, 1e150, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,7 @@ def test_awgn_noise_statistics():
     n_real = 100_000
     x = np.zeros(n_real)
     sigma = 0.7
-    out = awgn_transmit(x, sigma, rng, SCHEDULE)
+    out = awgn_transmit(x, sigma, rng)
     report = gaussianity_check(out.received, 0.0, sigma * sigma)
     assert report.passed, report.failures
 
@@ -102,8 +107,8 @@ def test_awgn_step_mapping_matches_module():
     rng = np.random.default_rng(11)
     z = rng.standard_normal(128)
     sigma2 = step_to_sigma2(SCHEDULE, 259)
-    out = awgn_transmit(z, math.sqrt(sigma2), rng, SCHEDULE)
-    assert out.mappings[0].step_u == sigma2_to_step(SCHEDULE, sigma2).step_u
+    out = awgn_transmit(z, math.sqrt(sigma2), rng)
+    assert _step(out.mapped_sigma2[0]) == _step(sigma2)
     assert out.effective_sigma2[0] == pytest.approx(sigma2, rel=1e-15)
 
 
@@ -111,22 +116,22 @@ def test_awgn_received_signal_is_signal_plus_drawn_noise():
     # rebuilt from a twin generator: the real parts' noise is drawn first
     x = np.random.default_rng(20).standard_normal(256)
     sigma = 0.8
-    out = awgn_transmit(x, sigma, np.random.default_rng(77), SCHEDULE)
+    out = awgn_transmit(x, sigma, np.random.default_rng(77))
     twin = np.random.default_rng(77)
     c = sigma / SQRT2
     noise_re = c * twin.standard_normal(128)
     noise_im = c * twin.standard_normal(128)
     assert np.array_equal(out.received, _bridged(x, noise_re, noise_im))
-    assert out.effective_sigma2 == (sigma * sigma,)
-    assert out.mappings[0].step_u == sigma2_to_step(SCHEDULE, sigma * sigma).step_u
+    assert out.effective_sigma2 == out.mapped_sigma2 == (sigma * sigma,)
+    assert _step(out.mapped_sigma2[0]) == _step(sigma * sigma)
 
 
 def test_awgn_zero_noise_is_exact_and_consumes_no_randomness():
     rng = np.random.default_rng(12)
     x = np.linspace(-1, 1, 64)
-    out = awgn_transmit(x, 0.0, rng, SCHEDULE)
+    out = awgn_transmit(x, 0.0, rng)
     assert np.array_equal(out.received, _bridged(x))
-    assert out.mappings[0].step_u == 0
+    assert _step(out.mapped_sigma2[0]) == 0
     # generator state untouched by the zero-noise path
     fresh = np.random.default_rng(12)
     assert rng.standard_normal() == fresh.standard_normal()
@@ -138,7 +143,7 @@ def test_awgn_zero_noise_is_exact_and_consumes_no_randomness():
 
 def test_rayleigh_zero_noise_exact_passthrough():
     x = np.random.default_rng(21).standard_normal(64)
-    out = rayleigh_transmit_mmse(x, 0.3 - 1.2j, 0.0, np.random.default_rng(0), SCHEDULE)
+    out = rayleigh_transmit_mmse(x, 0.3 - 1.2j, 0.0, np.random.default_rng(0))
     assert np.array_equal(out.received, _bridged(x))
 
 
@@ -148,7 +153,7 @@ def test_rayleigh_noise_statistics_after_equalization():
     sigma = 0.5
     rng = np.random.default_rng(22)
     x = np.zeros(100_000)
-    out = rayleigh_transmit_mmse(x, h, sigma, rng, SCHEDULE)
+    out = rayleigh_transmit_mmse(x, h, sigma, rng)
     eff = sigma * sigma / abs(h) ** 2
     report = gaussianity_check(out.received, 0.0, eff)
     assert report.passed, report.failures
@@ -160,33 +165,35 @@ def test_rayleigh_convention_switch():
     sigma = 0.5
     z = np.random.default_rng(23).standard_normal(128)
     weighted = rayleigh_transmit_mmse(
-        z, h, sigma, np.random.default_rng(5), SCHEDULE, convention="gain_weighted"
+        z, h, sigma, np.random.default_rng(5), convention="gain_weighted"
     )
-    mmse = rayleigh_transmit_mmse(z, h, sigma, np.random.default_rng(5), SCHEDULE, convention="mmse")
+    mmse = rayleigh_transmit_mmse(z, h, sigma, np.random.default_rng(5), convention="mmse")
     gain2 = abs(h) ** 2
-    assert weighted.mappings[0].step_u == sigma2_to_step(SCHEDULE, sigma * sigma * gain2).step_u
-    assert mmse.mappings[0].step_u == sigma2_to_step(SCHEDULE, sigma * sigma / gain2).step_u
+    assert weighted.mapped_sigma2 == (sigma * sigma * gain2,)
+    assert mmse.mapped_sigma2 == (sigma * sigma / gain2,)
+    assert _step(weighted.mapped_sigma2[0]) == _step(sigma * sigma * gain2)
+    assert _step(mmse.mapped_sigma2[0]) == _step(sigma * sigma / gain2)
     # the physical received signal is identical; only the step label moves
     assert np.array_equal(weighted.received, mmse.received)
-    assert weighted.effective_sigma2 == mmse.effective_sigma2
+    assert weighted.effective_sigma2 == mmse.effective_sigma2 == (sigma * sigma / gain2,)
     with pytest.raises(ValueError, match="convention"):
-        rayleigh_transmit_mmse(z, h, sigma, np.random.default_rng(5), SCHEDULE, convention="other")
+        rayleigh_transmit_mmse(z, h, sigma, np.random.default_rng(5), convention="other")
 
 
 def test_rayleigh_conventions_coincide_at_unit_gain():
     h = complex(math.cos(0.7), math.sin(0.7))  # |h| = 1
     z = np.random.default_rng(24).standard_normal(64)
     weighted = rayleigh_transmit_mmse(
-        z, h, 0.6, np.random.default_rng(6), SCHEDULE, convention="gain_weighted"
+        z, h, 0.6, np.random.default_rng(6), convention="gain_weighted"
     )
-    mmse = rayleigh_transmit_mmse(z, h, 0.6, np.random.default_rng(6), SCHEDULE, convention="mmse")
-    assert weighted.mappings[0].step_u == mmse.mappings[0].step_u
+    mmse = rayleigh_transmit_mmse(z, h, 0.6, np.random.default_rng(6), convention="mmse")
+    assert _step(weighted.mapped_sigma2[0]) == _step(mmse.mapped_sigma2[0])
 
 
 def test_rayleigh_deep_fade():
     z = np.ones(8)
     with pytest.raises(DeepFadeError):
-        rayleigh_transmit_mmse(z, 0.0j, 0.5, np.random.default_rng(0), SCHEDULE)
+        rayleigh_transmit_mmse(z, 0.0j, 0.5, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +251,7 @@ def test_mimo_stream_noise_statistics():
     ch = mimo_svd_decompose(H)
     sigma = 0.4
     n_complex = 20_000  # 10k symbols per stream
-    out = mimo_transmit(np.zeros(2 * n_complex), ch, sigma, rng, SCHEDULE)
+    out = mimo_transmit(np.zeros(2 * n_complex), ch, sigma, rng)
     received = out.received
     width = received.size // 2
     for i in range(2):
@@ -253,14 +260,14 @@ def test_mimo_stream_noise_statistics():
         stream = received[i * width : (i + 1) * width]
         report = gaussianity_check(stream, 0.0, eff)
         assert report.passed, (i, report.failures)
-        assert out.mappings[i].step_u == sigma2_to_step(SCHEDULE, out.effective_sigma2[i]).step_u
+        assert _step(out.mapped_sigma2[i]) == _step(out.effective_sigma2[i])
 
 
 def test_mimo_zero_noise_recovers_signal():
     rng = np.random.default_rng(33)
     ch = mimo_svd_decompose(_random_H(rng))
     x = rng.standard_normal(64)
-    out = mimo_transmit(x, ch, 0.0, rng, SCHEDULE)
+    out = mimo_transmit(x, ch, 0.0, rng)
     assert out.received.shape == x.shape
     assert np.allclose(out.received, x, atol=1e-12)
 
@@ -271,7 +278,7 @@ def test_mimo_rank_deficient_raises():
     ch = mimo_svd_decompose(H)
     z = np.ones(8)
     with pytest.raises(RankDeficientChannelError):
-        mimo_transmit(z, ch, 0.5, np.random.default_rng(0), SCHEDULE)
+        mimo_transmit(z, ch, 0.5, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.0])
@@ -282,7 +289,7 @@ def test_mimo_singular_value_whose_square_underflows_is_dead(sigma):
     assert ch.singular_values[1] == 1e-170
     z = np.ones(8)
     with pytest.raises(RankDeficientChannelError) as err:
-        mimo_transmit(z, ch, sigma, np.random.default_rng(0), SCHEDULE)
+        mimo_transmit(z, ch, sigma, np.random.default_rng(0))
     assert err.value.dead_streams == [1]
 
 
@@ -291,7 +298,7 @@ def test_mimo_stream_divisibility():
     ch = mimo_svd_decompose(_random_H(rng))
     z = np.ones(6)  # 3 symbols, 2 streams
     with pytest.raises(ValueError, match="divisible"):
-        mimo_transmit(z, ch, 0.5, rng, SCHEDULE)
+        mimo_transmit(z, ch, 0.5, rng)
 
 
 def test_mimo_channel_copies_the_caller_arrays():

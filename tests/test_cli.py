@@ -446,16 +446,18 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
         return real(y_t, t, *args)
 
     monkeypatch.setattr(diffusion, "reverse_step", counting)
-    steps_u = []  # each trial's per-stream steps, as the channel mapped them
+    steps_u = []  # each trial's per-stream steps, mapped from the channel's variances
+    cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 3}, **overrides))
     for name in ("awgn_transmit", "mimo_transmit"):
 
         def recording(*args, real_transmit=getattr(run_module, name)):
             out = real_transmit(*args)
-            steps_u.append([m.step_u for m in out.mappings])
+            steps_u.append(
+                [sigma2_to_step(cfg.schedule.built, s2).step_u for s2 in out.mapped_sigma2]
+            )
             return out
 
         monkeypatch.setattr(run_module, name, recording)
-    cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 3}, **overrides))
     run_simulate(cfg, out_dir=str(tmp_path))
     chain_steps, trial_steps = _logged_steps(tmp_path / "run.log")
     if cfg.channel.type == "mimo":
@@ -479,15 +481,13 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
 
 def _run_adaptive_route(base, sigma2s, monkeypatch):
     """The adaptive route's ``_receive`` on ``base`` split into one stream
-    per variance, mapped as a channel maps it; also returns what the
-    route handed the chain (starts and steps)."""
+    per variance, each carried and mapped as an AWGN channel reports it;
+    returns the streams' mappings and what the route handed the chain
+    (starts and steps)."""
     cfg = parse_config(_cfg())
     schedule = cfg.schedule.built
-    out = ChannelOutput(
-        received=base,
-        mappings=tuple(sigma2_to_step(schedule, s2) for s2 in sigma2s),
-        effective_sigma2=tuple(sigma2s),
-    )
+    out = ChannelOutput(received=base, effective_sigma2=sigma2s, mapped_sigma2=sigma2s)
+    mappings = [sigma2_to_step(schedule, s2) for s2 in sigma2s]
     handed = []
     real = run_module._denoise_rows
 
@@ -507,16 +507,16 @@ def _run_adaptive_route(base, sigma2s, monkeypatch):
     setup = run_module._trial_setup(cfg)
     # the source only starts the forward route, so any array stands in for it
     (recon,), steps = run_module._receive(setup, ("adaptive",), base, base, out, rng)
-    return out, handed[0], recon, steps, rng
+    return mappings, handed[0], recon, steps, rng
 
 
 def test_adaptive_route_scales_each_stream_onto_its_mapped_step(monkeypatch):
     schedule = build_linear_schedule()
     sigma2s = (step_to_sigma2(schedule, 300), step_to_sigma2(schedule, 120))
     base = np.linspace(-1.0, 1.0, 32)
-    out, (starts, steps), _, run_steps, _ = _run_adaptive_route(base, sigma2s, monkeypatch)
+    mappings, (starts, steps), _, run_steps, _ = _run_adaptive_route(base, sigma2s, monkeypatch)
     assert steps == [300, 120] and run_steps == (420, 300)
-    for i, (mapping, start) in enumerate(zip(out.mappings, starts)):
+    for i, (mapping, start) in enumerate(zip(mappings, starts)):
         assert mapping.residual == 0.0
         assert start.tobytes() == (mapping.scale * base[16 * i : 16 * (i + 1)]).tobytes()
 
@@ -525,8 +525,8 @@ def test_adaptive_route_passes_a_clean_signal_through(monkeypatch):
     """Noise-free, a stream maps to step 0 at scale 1: no reverse step
     runs, nothing is drawn, and the received values come back as they are."""
     base = np.linspace(-1.0, 1.0, 8)
-    out, _, recon, run_steps, rng = _run_adaptive_route(base, (0.0,), monkeypatch)
-    assert out.mappings[0].step_u == 0 and run_steps == (0, 0)
+    mappings, _, recon, run_steps, rng = _run_adaptive_route(base, (0.0,), monkeypatch)
+    assert mappings[0].step_u == 0 and run_steps == (0, 0)
     assert recon.tobytes() == base.tobytes()
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
@@ -544,8 +544,8 @@ def test_compensate_route_holds_one_streams_noise_draw_at_a_time():
                                 mode={"kind": kind, "t_target": 800}))
         setup = run_module._trial_setup(cfg)
         mapping = sigma2_to_step(cfg.schedule.built, 0.01)
-        out = ChannelOutput(received=np.linspace(-1.0, 1.0, 256), mappings=(mapping,) * 4,
-                            effective_sigma2=(0.01,) * 4)
+        out = ChannelOutput(received=np.linspace(-1.0, 1.0, 256), effective_sigma2=(0.01,) * 4,
+                            mapped_sigma2=(0.01,) * 4)
         routes = run_module._ROUTES[kind]
         table_bytes = (800 - 1) * (256 if kind == "fixed_step" else 3 * 256) * 8
         # the source only starts the forward route; the received values stand in
@@ -577,9 +577,9 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     setup = run_module._trial_setup(cfg)
     schedule = cfg.schedule.built
     sigma2s = (0.0, step_to_sigma2(schedule, 120))
-    out = ChannelOutput(received=np.linspace(-1.0, 1.0, 16),
-                        mappings=tuple(sigma2_to_step(schedule, s2) for s2 in sigma2s),
-                        effective_sigma2=sigma2s)
+    out = ChannelOutput(received=np.linspace(-1.0, 1.0, 16), effective_sigma2=sigma2s,
+                        mapped_sigma2=sigma2s)
+    mappings = [sigma2_to_step(schedule, s2) for s2 in sigma2s]
     y0 = np.random.default_rng(5).standard_normal(16)
     rng = np.random.default_rng(7)
     recons, steps = run_module._receive(setup, run_module._ROUTES["compare"], y0,
@@ -591,12 +591,12 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     def denoised(start, u):
         return denoise_from_step(start, u, setup.denoiser, schedule, ref_rng)
 
-    adaptive = [denoised(m.scale * s, m.step_u) for m, s in zip(out.mappings, streams)]
+    adaptive = [denoised(m.scale * s, m.step_u) for m, s in zip(mappings, streams)]
     compensate = [denoised(compensate_to_step(s, s2, 300, schedule, ref_rng), 300)
                   for s, s2 in zip(streams, sigma2s)]
     forward = denoised(forward_sample(y0, 300, schedule, ref_rng), 300)
 
-    assert [m.step_u for m in out.mappings] == [0, 120]
+    assert [m.step_u for m in mappings] == [0, 120]
     assert steps == (0 + 120 + 2 * 300 + 300, 300)
     assert recons[0].tobytes() == np.concatenate(adaptive).tobytes()
     assert recons[1].tobytes() == np.concatenate(compensate).tobytes()
@@ -630,6 +630,31 @@ def test_simulate_errors_carry_cell_coordinates(tmp_path):
     cfg = parse_config(_cfg(channel={"type": "rayleigh", "h": [1.0, 0.0], "sigma": [200.0]}))
     with pytest.raises(RuntimeError, match="cell channel=rayleigh"):
         run_simulate(cfg, out_dir=str(tmp_path))
+
+
+def test_fixed_step_maps_nothing_so_a_gain_weighted_fade_runs(tmp_path):
+    """A pinned |h| = 3 at -34.77 dB carries 3000 / 9 = 333, well under
+    step 1000's variance, but the gain-weighted mapping reads 3000 * 9,
+    past the schedule's last step.  Fixed-step mode compensates from the
+    carried variance and never maps, so it runs with the bytes of the
+    mmse convention; compare mode's adaptive route maps and fails."""
+
+    def config(convention, kind="fixed_step"):
+        return _cfg(
+            channel={"type": "rayleigh", "h": [3.0, 0.0], "snr_db": [-34.77, 0.0],
+                     "convention": convention},
+            source={"shape": [2, 2, 4], "count": 3},
+            mode={"kind": kind, "t_target": 1000},
+        )
+
+    for convention in ("gain_weighted", "mmse"):
+        run_simulate(parse_config(config(convention)), out_dir=str(tmp_path / convention))
+    csv_bytes = [(tmp_path / c / "results.csv").read_bytes() for c in ("gain_weighted", "mmse")]
+    assert csv_bytes[0] == csv_bytes[1]
+    with pytest.raises(
+        RuntimeError, match=r"^cell channel=rayleigh snr_db=-34\.77: noise variance 26992\.5 exceeds"
+    ):
+        run_simulate(parse_config(config("gain_weighted", "compare")), out_dir=str(tmp_path / "c"))
 
 
 def test_simulate_runs_cells_whose_nominal_variance_saturates(tmp_path):

@@ -1,10 +1,12 @@
 """Public names: every export resolves, the package and its ``cli``
-subpackage export what they import, every function the benchmark tracer
-wraps still exists, and the README's library example runs."""
+subpackage export what they import, the channels leave the step mapping
+to the receiver, every function the benchmark tracer wraps still
+exists, and the README's library example runs."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -45,6 +47,21 @@ def test_package_exports_exactly_what_it_imports():
 
 def test_cli_exports_exactly_what_it_imports():
     _assert_exports_what_it_imports(diffcomm.cli)
+
+
+def test_channels_transmit_without_the_schedule():
+    """The channels only transmit; the receiver maps a stream onto a step."""
+    import diffcomm.channels as channels
+
+    tree = ast.parse(Path(channels.__file__).read_text())
+    sources = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module is not None
+    ]
+    assert "schedule" not in sources and "diffcomm.schedule" not in sources
+    for fn in (channels.awgn_transmit, channels.rayleigh_transmit_mmse, channels.mimo_transmit):
+        assert "schedule" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_every_bench_trace_target_resolves():
