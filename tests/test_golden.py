@@ -11,6 +11,16 @@ The ``resolved_config.json`` each run writes is pinned by its sha256 in
 ``RESOLVED_SHA256`` (bytes, so an int written as a float shows), for
 every config but those with a file source, whose configs hold a
 temporary path.
+
+The CSVs print 6 significant digits, so they cannot see a change in the
+last bits of a result.  ``RECON_SHA256`` pins the bits of every config:
+for a simulate or sweep config, a sha256 over the float64 bytes of each
+reconstruction that ``run._receive`` returns, route by route in call
+order (so at one thread); for a train config, over the float64 bytes of
+``params_to_vector`` of the params ``run_train`` returns (the bytes of
+``codec.npz`` depend on numpy's zip writer).  Like the CSVs, the digests
+are re-pinned only for a named behaviour change; ``--write`` prints the
+table to paste.
 """
 
 import hashlib
@@ -23,6 +33,8 @@ import numpy as np
 import pytest
 
 from diffcomm.cli import parse_config, run_simulate, run_sweep, run_train
+from diffcomm.cli import run as run_module
+from diffcomm.codec import params_to_vector
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -166,6 +178,41 @@ RESOLVED_SHA256 = {
     "train-momentum": "e7a7af1ca1d17673f04e6e29ddfe49fde97fad4459880d096aece00425bb84b6",
 }
 
+RECON_SHA256 = {
+    "simulate-awgn-adaptive": "616957632a5f863fa9f151b36e97ff7ffdaaa54d13c5c24c29e304dbb622eafe",
+    "simulate-awgn-adaptive-codec": "4067cccd8cee4e4a90f02714e34498df611a717180d601c4c60f086d1af59612",
+    "simulate-awgn-adaptive-codec-odd": "b4838c53fe282731e00bc85a8a758df9fdc1c869c3865b9fb32b573e73c193e1",
+    "simulate-awgn-compare": "1e382d43f06ff255ca63b99fa68a6cc132ce7860edbad9c5cd9746e8c7953051",
+    "simulate-awgn-compare-codec": "5151581f983446612dce916bd48ee5aac0a58863482199fbb34962cacf4ed030",
+    "simulate-awgn-fixed_step": "d0ea24fa1c2de93cde9e37eedc037aed86b4ddc194ef3d94bd8dc94d4abdec05",
+    "simulate-awgn-fixed_step-codec": "139598a4a839dc2efd328ee0f18fb1e7e696548bc58ab9e6e72561759654be6e",
+    "simulate-awgn-ssim": "abc6f59f89905a6462ddd409fe0f0d8cd4f94c32ea4590d49a2b68b6af46fd17",
+    "simulate-file-source": "5f4874bba79e08fbbdfeb57bcbd8920c65d07720eb1ed8fd3be2d1906a3f00ae",
+    "simulate-mimo-adaptive": "f393486b17cc06c9e29f1ced97d37488ffc9c2c5df07c60051b05aac2cf5cfcd",
+    "simulate-mimo-compare": "e8627e7429b53b0925b0927d5f3777a9ca640a67f35a54c3012fb32631627e22",
+    "simulate-mimo-fixed_step": "be9ab92b4a060a625a68db6f3eae2466d8fa078b6cf22beb3835bcb62556a861",
+    "simulate-mimo4-adaptive": "c538da04b4ba3625359dd02f2c4b8bf639d023f7326926c6b3d1df00610394b1",
+    "simulate-mimo4-compare": "c5a391909d316231ffd9f10781bb0cd9956f56e39c626497b36fad81937672a6",
+    "simulate-mimo4-fixed_step": "804bec3f8eef47513ebb14777c0b387a1190c121c4ba013305b61039b8d360c1",
+    "simulate-rayleigh-adaptive": "7a21a12b5cc77fe0ced6168e5309afd6e1dd136236715683e6c88ea80a7c6437",
+    "simulate-rayleigh-adaptive-codec": "ca0b68ff622349dcebca28fdb23526c1199cebe895e8024dc5cc5b50fd61f889",
+    "simulate-rayleigh-compare": "538d044b54064a541a27017da173f2514236b58896a44f985686300c8a7f69a9",
+    "simulate-rayleigh-compare-codec": "b11d042cd081f897872c72f0475a25c0a4290b1c2cd39e42c4de26520337141e",
+    "simulate-rayleigh-compare-codec-odd": "e6b7f7c94a11116b79ec80a571c406a06dbb4e54d737c914ce58a19d2687ad5d",
+    "simulate-rayleigh-fixed_step": "e3c35cf52ec4f85b6a03fb7c58a26da34513c6cbdb89a22dbe526611a38b2334",
+    "simulate-rayleigh-fixed_step-codec": "429fc453495e0f6eb3cfacc0e09c66c09a2bd61ad718b5681069b6d2cf4e1c36",
+    "simulate-rayleigh-mmse": "a36bb8cb2680cdf07edcae3275dc45878c1bae11b9d063625e6a604860cf9bee",
+    "simulate-rayleigh-saturating-cell": "8ecd70f87942e055fe58d4b169b4b62515977971e3c71680983ff71e21ba0eed",
+    "sweep-C": "2e7ea2081bdbbe2e6dfe0a3607d4ae0cc86f4c93bf784ff4a4f015aeeff17465",
+    "sweep-file-source": "233b2c6b3c1ea3f53e66ce354bdc07e470fde5662264e1756b1155ae08a33d91",
+    "sweep-gamma": "687541bf26d55e433e400979075783382e07a98f55d3ae56183c5d19f28f6871",
+    "sweep-lambda": "7998572e53afb682dd6cc8dd80f5ae79d2b887be06e95c6743f692fe559be129",
+    "sweep-rayleigh": "739714436a2fd64eb0a3fb407fd54656dc1c61bf44a2b123003c36a00b6c5c56",
+    "train-default": "fa72ed25f4bd1708f631b1761fa163581dc5c915cc9bbc9460e8d04170df64a2",
+    "train-file-source": "bcec385a47910c1f88de0d738fe3ea08d035b1b748cf49e9262dec3adf7a7304",
+    "train-momentum": "006a7d8da3325d3e1040b55677162f785c6de74e809b2317d8de4e3f9e9ff4d7",
+}
+
 
 def _write_latents(work: Path) -> str:
     path = work / "latents.npz"
@@ -174,17 +221,33 @@ def _write_latents(work: Path) -> str:
     return str(path)
 
 
-def _run(name: str, work: Path, threads: int = 1) -> bytes:
-    """Run config ``name`` under ``work/out``; returns its results.csv bytes."""
+def _run(name: str, work: Path, threads: int = 1) -> tuple[bytes, str]:
+    """Run config ``name`` under ``work/out``; returns its results.csv bytes
+    and the digest ``RECON_SHA256`` pins (taken in call order, so it is
+    that digest only at one thread)."""
     runner, cfg = CONFIGS[name]
     if cfg["source"].get("kind") == "file":
         cfg = {**cfg, "source": {**cfg["source"], "path": _write_latents(work)}}
     out_dir = work / "out"
-    if runner is run_train:  # training is serial and takes no thread count
-        runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir))
-    else:
-        runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir), threads=threads)
-    return (out_dir / "results.csv").read_bytes()
+    digest = hashlib.sha256()
+    receive = run_module._receive
+
+    def recording(*args):
+        recons, steps = receive(*args)
+        for recon in recons:
+            digest.update(recon.tobytes())
+        return recons, steps
+
+    run_module._receive = recording
+    try:
+        if runner is run_train:  # training is serial and takes no thread count
+            params, _ = runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir))
+            digest.update(params_to_vector(params).tobytes())
+        else:
+            runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir), threads=threads)
+    finally:
+        run_module._receive = receive
+    return (out_dir / "results.csv").read_bytes(), digest.hexdigest()
 
 
 def _first_difference(golden: bytes, actual: bytes) -> str:
@@ -207,7 +270,7 @@ def test_golden_files_match_the_config_list():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_results_csv_matches_golden(name, tmp_path):
-    _check(name, _run(name, tmp_path))
+    _check(name, _run(name, tmp_path)[0])
 
 
 def test_resolved_config_table_covers_every_config_without_a_path():
@@ -222,9 +285,18 @@ def test_resolved_config_matches_pinned_digest(name, tmp_path):
     assert hashlib.sha256(text).hexdigest() == RESOLVED_SHA256[name]
 
 
+def test_recon_table_covers_every_config():
+    assert sorted(RECON_SHA256) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(RECON_SHA256))
+def test_reconstructions_match_pinned_digest(name, tmp_path):
+    assert _run(name, tmp_path)[1] == RECON_SHA256[name]
+
+
 @pytest.mark.parametrize("name", ["simulate-mimo-adaptive", "sweep-lambda"])
 def test_results_csv_matches_golden_at_two_threads(name, tmp_path):
-    _check(name, _run(name, tmp_path, threads=2))
+    _check(name, _run(name, tmp_path, threads=2)[0])
 
 
 def main(argv: list[str]) -> int:
@@ -232,12 +304,18 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     GOLDEN.mkdir(exist_ok=True)
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CONFIGS):
             work = Path(tmp) / name
             work.mkdir()
-            (GOLDEN / f"{name}.csv").write_bytes(_run(name, work))
+            results, digests[name] = _run(name, work)
+            (GOLDEN / f"{name}.csv").write_bytes(results)
             print(f"wrote {GOLDEN.name}/{name}.csv")
+    print("RECON_SHA256 = {")
+    for name, digest in digests.items():
+        print(f'    "{name}": "{digest}",')
+    print("}")
     return 0
 
 
