@@ -2,19 +2,19 @@
 
 Simulate and sweep share one per-trial pipeline, ``_run_trials``: source
 draw -> codec downsample -> channel -> decode -> receive -> MSE/SSIM.
-The channel only transmits; the receive maps a stream to a start step
-for a route that starts there, and runs a trial's streams (a MIMO
-channel's eigenmodes) and routes as rows of one ragged reverse chain,
-one ``reverse_step`` call per step; the chain reads each row's start
-and then draws its noise from the trial's generator, so every draw and
-result is that of denoising the rows in turn.  Every random draw comes from a
-generator derived by hashing the run seed together with the coordinates
-of the work item.  Trial ``i`` of a simulate cell uses the key
-``(seed, channel type, sigma2, i)``; trial ``i`` of a sweep point uses
-``(seed, "sweep-eval", param, value, i)``.  Cells are therefore
-order-independent and individually replayable, grids can run on a
-thread pool without affecting results, and repeated runs produce
-byte-identical CSV files.
+The channel only transmits.  The receive runs a trial's routes as rows
+of one ragged reverse chain, one ``reverse_step`` call per step: a row
+per stream (a MIMO channel's eigenmode), or the clean source's one row
+for forward.  A row starts scaled onto its mapped step or topped up from
+the variance it carries (0 for the source), right before its noise draw
+from the trial's generator, as if the rows were denoised in turn.  Every
+random draw comes from a generator derived by hashing the run seed
+together with the coordinates of the work item.  Trial ``i`` of a
+simulate cell uses the key ``(seed, channel type, sigma2, i)``; trial
+``i`` of a sweep point uses ``(seed, "sweep-eval", param, value, i)``.
+Cells are therefore order-independent and individually replayable,
+grids can run on a thread pool without affecting results, and repeated
+runs produce byte-identical CSV files.
 
 Float columns are written at 6 significant digits.  Each driver writes
 a resolved copy of its configuration (defaults and derived quantities
@@ -33,7 +33,7 @@ import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,12 +60,11 @@ from ..diffusion import (
     GaussianSourceModel,
     _denoise_rows,
     compensate_to_step,
-    forward_sample,
 )
 from ..errors import ConfigurationError, SaturationError
 from ..loss import LossWeights, train_codec
 from ..metrics import mse, psnr_from_mse, ssim_batch
-from ..schedule import sigma2_to_step
+from ..schedule import Schedule, sigma2_to_step
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
 __all__ = [
@@ -96,8 +95,8 @@ _SWEEP_HEADER = ("param", "value", "psnr_db", "ssim", "mse")
 # Elements per SSIM block: a cell scores max(1, this // n) trials
 # per ``ssim_batch`` call, so its buffers do not grow with the trial count.
 _SSIM_BLOCK_ELEMENTS = 65536
-# The receive routes each mode runs per trial, in the order they draw from
-# the trial's generator.
+# The receive routes each mode runs per trial, in the order their chain rows
+# (``_receive``) draw from the trial's generator.
 _ROUTES = {
     "adaptive": ("adaptive",),
     "fixed_step": ("compensate",),
@@ -285,6 +284,20 @@ def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
     )
 
 
+class _Row(NamedTuple):
+    route: str
+    vector: np.ndarray
+    step: int
+    scale: float = 1.0
+    carried: Optional[float] = None
+
+    def start(self, schedule: Schedule, rng: np.random.Generator) -> np.ndarray:
+        """The row's start at ``step``: ``vector`` scaled by ``scale``, or topped up from ``carried``."""
+        if self.carried is None:
+            return self.scale * self.vector
+        return compensate_to_step(self.vector, self.carried, self.step, schedule, rng)
+
+
 def _receive(
     setup: _TrialSetup,
     routes: tuple[str, ...],
@@ -293,47 +306,34 @@ def _receive(
     out: ChannelOutput,
     rng: np.random.Generator,
 ) -> tuple[list[np.ndarray], tuple[int, int]]:
-    """Denoise each of ``routes`` from the received ``base`` (the forward
-    route from the source ``y0``) as rows of one ragged chain.
+    """Denoise each of ``routes`` as rows (``_Row``) of one ragged chain.
 
-    Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of ``base``
-    (the config refuses a codec, which would mix them, over MIMO).  A
-    route has a row per stream.  Adaptive maps the stream's
-    ``mapped_sigma2`` onto its start step, the trial's one
-    ``sigma2_to_step`` call per stream, and scales the stream by that
-    mapping's ``scale``.  Compensate maps nothing: it tops the stream up
-    to ``t_target`` from the variance it carries (``effective_sigma2``),
+    Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of the
+    received ``base`` (the config refuses a codec, which would mix them,
+    over MIMO).  Adaptive has a row per stream at the step its
+    ``mapped_sigma2`` maps to (one ``sigma2_to_step`` call per stream);
+    compensate a row per stream that carries its ``effective_sigma2``,
     so a pinned fade is held to ``sigma^2/|h|^2`` under either
-    convention.  The forward route has one row, ``forward_sample(y0,
-    t_target)``.  The chain reads the starts from a generator, so ``rng``
-    gives each row's start, then its noise, as if the rows were denoised
-    in turn.  Returns each route's reconstruction, the reverse steps
-    summed over the rows (trial-steps) and the chain's steps (the largest
-    start step).
+    convention; forward one row, the clean source ``y0``, carrying 0.
+    The chain takes each row's start right before its noise draw, as if
+    the rows were denoised in turn.  Returns each route's rows joined in
+    order, the reverse steps summed over the rows (trial-steps) and the
+    chain's steps (the largest start step).
     """
     schedule = setup.cfg.schedule.built
-    t_target = setup.cfg.mode.t_target
-    width = base.size // len(out.mapped_sigma2)
-    streams = [base[i * width : (i + 1) * width] for i in range(len(out.mapped_sigma2))]
-    if "adaptive" in routes:
-        mappings = [sigma2_to_step(schedule, s2) for s2 in out.mapped_sigma2]
-    # one (route, stream) per row, in generator order
-    rows = [(r, i) for r in routes for i in range(1 if r == "forward" else len(streams))]
-    steps = [mappings[i].step_u if r == "adaptive" else t_target for r, i in rows]
-    widths = [y0.size if r == "forward" else width for r, _ in rows]
-
-    def starts():
-        for route, i in rows:
-            if route == "adaptive":
-                yield mappings[i].scale * streams[i]
-            elif route == "compensate":
-                s2 = out.effective_sigma2[i]
-                yield compensate_to_step(streams[i], s2, t_target, schedule, rng)
-            else:
-                yield forward_sample(y0, t_target, schedule, rng)
-
-    ys = _denoise_rows(starts(), steps, widths, setup.denoiser, schedule, rng)
-    recons = [np.concatenate([y for (r, _), y in zip(rows, ys) if r == route]) for route in routes]
+    streams = np.split(base, len(out.mapped_sigma2))
+    rows = []  # in generator order
+    for route in routes:
+        if route == "adaptive":
+            maps = [sigma2_to_step(schedule, s2) for s2 in out.mapped_sigma2]
+            rows += [_Row(route, s, m.step_u, m.scale) for s, m in zip(streams, maps)]
+        else:  # compensate tops up the streams, forward the clean source
+            carried = zip(streams, out.effective_sigma2) if route == "compensate" else [(y0, 0.0)]
+            rows += [_Row(route, v, setup.cfg.mode.t_target, carried=s2) for v, s2 in carried]
+    steps = [row.step for row in rows]
+    starts = (row.start(schedule, rng) for row in rows)
+    ys = _denoise_rows(starts, steps, [r.vector.size for r in rows], setup.denoiser, schedule, rng)
+    recons = [np.concatenate([y for r, y in zip(rows, ys) if r.route == route]) for route in routes]
     return recons, (sum(steps), max(steps))
 
 

@@ -139,8 +139,8 @@ class AnalyticGaussianDenoiser:
 def forward_sample(
     y0: np.ndarray, t: int, schedule: Schedule, rng: np.random.Generator
 ) -> np.ndarray:
-    """Jump directly to forward step ``t``:
-    ``sqrt(ab_t) * y0 + sqrt(1 - ab_t) * eps``.
+    """Draw q(y_t | y_0), for library users and for tests as the reference
+    forward process: ``sqrt(ab_t) * y0 + sqrt(1 - ab_t) * eps``.
 
     ``t = 0`` returns ``y0`` itself without consuming generator state.
     """

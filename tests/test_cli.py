@@ -21,7 +21,6 @@ from diffcomm import (
     compensate_to_step,
     denoise_from_step,
     diffusion,
-    forward_sample,
     load_codec,
     sigma2_to_step,
     step_to_sigma2,
@@ -570,7 +569,8 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     streams, one of them clean at step 0, two compensated streams and the
     forward row, twice as wide as a stream) as one chain.  Each route's
     result and the generator's end state are those of taking each row's
-    start and denoising it on its own, row by row."""
+    start and denoising it on its own, row by row; the forward row's start
+    is the clean source topped up to ``t_target`` from variance 0."""
     cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 1},
                             channel={"type": "mimo", "M": 2, "snr_db": [3.0]},
                             mode={"kind": "compare", "t_target": 300}))
@@ -594,7 +594,7 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     adaptive = [denoised(m.scale * s, m.step_u) for m, s in zip(mappings, streams)]
     compensate = [denoised(compensate_to_step(s, s2, 300, schedule, ref_rng), 300)
                   for s, s2 in zip(streams, sigma2s)]
-    forward = denoised(forward_sample(y0, 300, schedule, ref_rng), 300)
+    forward = denoised(compensate_to_step(y0, 0.0, 300, schedule, ref_rng), 300)
 
     assert [m.step_u for m in mappings] == [0, 120]
     assert steps == (0 + 120 + 2 * 300 + 300, 300)

@@ -186,6 +186,20 @@ def test_forward_sample_t0_identity_no_rng():
     assert rng.standard_normal() == np.random.default_rng(2).standard_normal()
 
 
+@pytest.mark.parametrize("t", [1, 2, 300, SCHEDULE.T])
+def test_top_up_from_zero_variance_is_the_forward_sample(t):
+    """The CLI's forward route tops the clean source up from variance 0.
+    That draws the normals ``forward_sample`` draws, leaves the generator
+    in the same state, and differs from it only by rounding."""
+    for seed in range(20):
+        y0 = np.random.default_rng(seed).standard_normal(256)
+        rng_top, rng_fwd = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        topped = compensate_to_step(y0, 0.0, t, SCHEDULE, rng_top)
+        y_t = forward_sample(y0, t, SCHEDULE, rng_fwd)
+        assert rng_top.bit_generator.state == rng_fwd.bit_generator.state
+        assert np.max(np.abs(topped - y_t)) <= 4 * np.finfo(np.float64).eps * np.max(np.abs(y_t))
+
+
 # ---------------------------------------------------------------------------
 # reverse process
 

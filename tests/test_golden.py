@@ -183,13 +183,13 @@ RECON_SHA256 = {
     "simulate-awgn-adaptive-codec": "4067cccd8cee4e4a90f02714e34498df611a717180d601c4c60f086d1af59612",
     "simulate-awgn-adaptive-codec-odd": "b4838c53fe282731e00bc85a8a758df9fdc1c869c3865b9fb32b573e73c193e1",
     "simulate-awgn-compare": "1e382d43f06ff255ca63b99fa68a6cc132ce7860edbad9c5cd9746e8c7953051",
-    "simulate-awgn-compare-codec": "5151581f983446612dce916bd48ee5aac0a58863482199fbb34962cacf4ed030",
+    "simulate-awgn-compare-codec": "88dbed9d2c24784d17353bd13c788448fb9fab3584be5d8344d9c3f9c1d68a05",
     "simulate-awgn-fixed_step": "d0ea24fa1c2de93cde9e37eedc037aed86b4ddc194ef3d94bd8dc94d4abdec05",
     "simulate-awgn-fixed_step-codec": "139598a4a839dc2efd328ee0f18fb1e7e696548bc58ab9e6e72561759654be6e",
     "simulate-awgn-ssim": "abc6f59f89905a6462ddd409fe0f0d8cd4f94c32ea4590d49a2b68b6af46fd17",
     "simulate-file-source": "5f4874bba79e08fbbdfeb57bcbd8920c65d07720eb1ed8fd3be2d1906a3f00ae",
     "simulate-mimo-adaptive": "f393486b17cc06c9e29f1ced97d37488ffc9c2c5df07c60051b05aac2cf5cfcd",
-    "simulate-mimo-compare": "e8627e7429b53b0925b0927d5f3777a9ca640a67f35a54c3012fb32631627e22",
+    "simulate-mimo-compare": "7a73f2908cbb379cf19fe8746e2c75e807147871f16431150b7330fdd50a2ecc",
     "simulate-mimo-fixed_step": "be9ab92b4a060a625a68db6f3eae2466d8fa078b6cf22beb3835bcb62556a861",
     "simulate-mimo4-adaptive": "c538da04b4ba3625359dd02f2c4b8bf639d023f7326926c6b3d1df00610394b1",
     "simulate-mimo4-compare": "c5a391909d316231ffd9f10781bb0cd9956f56e39c626497b36fad81937672a6",
@@ -197,7 +197,7 @@ RECON_SHA256 = {
     "simulate-rayleigh-adaptive": "7a21a12b5cc77fe0ced6168e5309afd6e1dd136236715683e6c88ea80a7c6437",
     "simulate-rayleigh-adaptive-codec": "ca0b68ff622349dcebca28fdb23526c1199cebe895e8024dc5cc5b50fd61f889",
     "simulate-rayleigh-compare": "538d044b54064a541a27017da173f2514236b58896a44f985686300c8a7f69a9",
-    "simulate-rayleigh-compare-codec": "b11d042cd081f897872c72f0475a25c0a4290b1c2cd39e42c4de26520337141e",
+    "simulate-rayleigh-compare-codec": "e64054b40b8fb60d1fca327b5f0671230a16fcd78da36a353c5623870b498b14",
     "simulate-rayleigh-compare-codec-odd": "e6b7f7c94a11116b79ec80a571c406a06dbb4e54d737c914ce58a19d2687ad5d",
     "simulate-rayleigh-fixed_step": "e3c35cf52ec4f85b6a03fb7c58a26da34513c6cbdb89a22dbe526611a38b2334",
     "simulate-rayleigh-fixed_step-codec": "429fc453495e0f6eb3cfacc0e09c66c09a2bd61ad718b5681069b6d2cf4e1c36",
