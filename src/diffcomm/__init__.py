@@ -58,8 +58,6 @@ from .loss import (
     train_codec,
 )
 from .metrics import (
-    GaussianityReport,
-    gaussianity_check,
     mse,
     psnr,
     psnr_from_mse,
@@ -88,7 +86,6 @@ __all__ = [
     "Denoiser",
     "GaussianParams",
     "GaussianSourceModel",
-    "GaussianityReport",
     "LossBreakdown",
     "LossWeights",
     "MimoChannel",
@@ -108,7 +105,6 @@ __all__ = [
     "denoise_from_step",
     "downsample",
     "forward_sample",
-    "gaussianity_check",
     "guidance_kl",
     "hybrid_loss_batch",
     "init_codec",

@@ -5,9 +5,9 @@ draw -> codec downsample -> channel -> decode -> receive -> MSE/SSIM.
 The channel only transmits.  The receive runs a trial's routes as rows
 of one ragged reverse chain, one ``reverse_step`` call per step: a row
 per stream (a MIMO channel's eigenmode), or the clean source's one row
-for forward.  A row starts scaled onto its mapped step or topped up from
-the variance it carries (0 for the source), right before its noise draw
-from the trial's generator, as if the rows were denoised in turn.  Every
+for forward.  The receive only declares the rows; the engine starts each,
+topped up if it carries a variance (0 for the source), right before its
+noise draw from the trial's generator, as if denoised in turn.  Every
 random draw comes from a generator derived by hashing the run seed
 together with the coordinates of the work item.  Trial ``i`` of a
 simulate cell uses the key ``(seed, channel type, sigma2, i)``; trial
@@ -33,7 +33,7 @@ import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,12 +59,12 @@ from ..diffusion import (
     AnalyticGaussianDenoiser,
     GaussianSourceModel,
     _denoise_rows,
-    compensate_to_step,
+    _Row,
 )
 from ..errors import ConfigurationError, SaturationError
 from ..loss import LossWeights, train_codec
 from ..metrics import mse, psnr_from_mse, ssim_batch
-from ..schedule import Schedule, sigma2_to_step
+from ..schedule import sigma2_to_step
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
 __all__ = [
@@ -95,8 +95,8 @@ _SWEEP_HEADER = ("param", "value", "psnr_db", "ssim", "mse")
 # Elements per SSIM block: a cell scores max(1, this // n) trials
 # per ``ssim_batch`` call, so its buffers do not grow with the trial count.
 _SSIM_BLOCK_ELEMENTS = 65536
-# The receive routes each mode runs per trial, in the order their chain rows
-# (``_receive``) draw from the trial's generator.
+# The receive routes each mode runs per trial, in the order the chain starts
+# their rows (``_receive``) and draws from the trial's generator.
 _ROUTES = {
     "adaptive": ("adaptive",),
     "fixed_step": ("compensate",),
@@ -284,20 +284,6 @@ def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
     )
 
 
-class _Row(NamedTuple):
-    route: str
-    vector: np.ndarray
-    step: int
-    scale: float = 1.0
-    carried: Optional[float] = None
-
-    def start(self, schedule: Schedule, rng: np.random.Generator) -> np.ndarray:
-        """The row's start at ``step``: ``vector`` scaled by ``scale``, or topped up from ``carried``."""
-        if self.carried is None:
-            return self.scale * self.vector
-        return compensate_to_step(self.vector, self.carried, self.step, schedule, rng)
-
-
 def _receive(
     setup: _TrialSetup,
     routes: tuple[str, ...],
@@ -306,34 +292,35 @@ def _receive(
     out: ChannelOutput,
     rng: np.random.Generator,
 ) -> tuple[list[np.ndarray], tuple[int, int]]:
-    """Denoise each of ``routes`` as rows (``_Row``) of one ragged chain.
+    """Denoise each of ``routes`` as rows (``diffusion._Row``) of one ragged chain.
 
     Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of the
     received ``base`` (the config refuses a codec, which would mix them,
-    over MIMO).  Adaptive has a row per stream at the step its
+    over MIMO).  Adaptive has a row per stream, scaled onto the step its
     ``mapped_sigma2`` maps to (one ``sigma2_to_step`` call per stream);
     compensate a row per stream that carries its ``effective_sigma2``,
     so a pinned fade is held to ``sigma^2/|h|^2`` under either
     convention; forward one row, the clean source ``y0``, carrying 0.
-    The chain takes each row's start right before its noise draw, as if
-    the rows were denoised in turn.  Returns each route's rows joined in
-    order, the reverse steps summed over the rows (trial-steps) and the
-    chain's steps (the largest start step).
+    The engine starts each row right before its noise draw, as if the
+    rows were denoised in turn, and each route's rows are one contiguous
+    run.  Returns each route's rows joined in order, the reverse steps
+    summed over the rows (trial-steps) and the chain's steps (the
+    largest start step).
     """
     schedule = setup.cfg.schedule.built
     streams = np.split(base, len(out.mapped_sigma2))
-    rows = []  # in generator order
+    routed = []  # each route's rows, in generator order
     for route in routes:
         if route == "adaptive":
             maps = [sigma2_to_step(schedule, s2) for s2 in out.mapped_sigma2]
-            rows += [_Row(route, s, m.step_u, m.scale) for s, m in zip(streams, maps)]
+            routed.append([_Row(m.scale * s, m.step_u) for s, m in zip(streams, maps)])
         else:  # compensate tops up the streams, forward the clean source
             carried = zip(streams, out.effective_sigma2) if route == "compensate" else [(y0, 0.0)]
-            rows += [_Row(route, v, setup.cfg.mode.t_target, carried=s2) for v, s2 in carried]
+            routed.append([_Row(v, setup.cfg.mode.t_target, s2) for v, s2 in carried])
+    rows = [row for route_rows in routed for row in route_rows]
+    ys = iter(_denoise_rows(rows, setup.denoiser, schedule, rng))
+    recons = [np.concatenate([next(ys) for _ in route_rows]) for route_rows in routed]
     steps = [row.step for row in rows]
-    starts = (row.start(schedule, rng) for row in rows)
-    ys = _denoise_rows(starts, steps, [r.vector.size for r in rows], setup.denoiser, schedule, rng)
-    recons = [np.concatenate([y for r, y in zip(rows, ys) if r.route == route]) for route in routes]
     return recons, (sum(steps), max(steps))
 
 

@@ -6,12 +6,12 @@ Each public function checks the latent it is given (``reverse_step``
 its dtype and shape, and the values of the one it returns), and none
 writes into its input.
 
-The receiver starts the reverse process in one of two ways.  The
-adaptive route scales the received signal by the ``scale`` of its step
-mapping (``sigma2_to_step``), so it matches the forward state at the
-mapped step, and denoising starts there.  ``compensate_to_step`` instead
-adds just enough extra noise to reach a chosen target step, so a
-fixed-length reverse run can be used regardless of channel quality.
+The receiver starts the reverse process by one of the two start rules
+of a chain row (``_Row``).  An adaptive row is the received signal
+scaled by the ``scale`` of its step mapping (``sigma2_to_step``), so it
+matches the forward state at the mapped step, and starts as it is.  A
+row that carries its variance is topped up (``compensate_to_step``) to a
+chosen target step, so a fixed-length reverse run serves any channel.
 
 The denoiser is pluggable: it maps a latent and a step to a plain array
 of predicted noise.  ``AnalyticGaussianDenoiser`` is the built-in
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -247,57 +247,68 @@ def denoise_from_step(
     """
     _checked(y_u)
     schedule._check_step(u, lo=0)
-    (y,) = _denoise_rows([y_u], [u], [y_u.size], denoiser, schedule, rng)
+    (y,) = _denoise_rows([_Row(y_u, u)], denoiser, schedule, rng)
     return y
 
 
+class _Row(NamedTuple):
+    """A chain row: ``vector`` enters at ``step``, as it is or topped up from ``carried``."""
+
+    vector: np.ndarray
+    step: int
+    carried: float | None = None
+
+    def start(self, schedule: Schedule, rng: np.random.Generator) -> np.ndarray:
+        """The row's start at ``step``: ``vector``, or ``compensate_to_step`` from ``carried``."""
+        if self.carried is None:
+            return self.vector
+        return compensate_to_step(self.vector, self.carried, self.step, schedule, rng)
+
+
 def _denoise_rows(
-    starts: Iterable[np.ndarray],
-    steps: list[int],
-    widths: list[int],
+    rows: list[_Row],
     denoiser: Denoiser,
     schedule: Schedule,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Reverse chains of latents (rows), run as one ragged chain: the one
-    place that draws a chain's noise, for the streams and routes of a trial.
+    place that starts a trial's rows and draws their noise.
 
-    Row ``i`` starts from the ``i``-th latent of ``starts``, of
-    ``widths[i]`` elements, at step ``u = steps[i]`` (in ``[0, T]``).
-    ``starts`` is read one row at a time, in the given order, each row
-    followed by its ``rng.standard_normal((max(u - 1, 0), widths[i]))``
-    call, written straight into the noise table, so a start drawn from
-    ``rng`` comes right before its own noise, and one row's draw is
-    alive at a time.  The rows are ordered by descending start step, ties
-    in the given order, so the active rows are always a prefix: a row
-    joins when ``t`` reaches its start step, and each step makes one
-    ``reverse_step`` call on the active rows joined end to end in that
-    order.  The table is step-major, ``top - 1`` rows for the largest
-    start step ``top``, with the active rows' columns first and
-    contiguous in that order: active rows of ``w`` elements in all take
-    ``table[top - t, :w]`` at step ``t`` (``None`` at ``t = 1``).  One
-    row's draw is the table.  Every operation of the step acts on each
-    element alone, as ``AnalyticGaussianDenoiser`` does, so each row's
-    result is bit-identical to its own chain's; one row makes the calls
-    of its own chain exactly.  Returns each row's clean latent, in the
-    given order, as a view of the chain's last array; a row from step 0
-    is its start itself.
+    A row of ``w`` elements starts at its step ``u`` (in ``[0, T]``).  In
+    the given order, each row takes its start (``_Row.start``), then
+    draws its ``rng.standard_normal((max(u - 1, 0), w))`` straight into
+    the noise table, so a top-up comes right before its own row's noise,
+    and one row's draw is alive at a time.  The rows are ordered by
+    descending start step, ties in the given order, so the active rows
+    are always a prefix: a row joins when ``t`` reaches its start step,
+    and each step makes one ``reverse_step`` call on the active rows
+    joined end to end in that order.  The table is step-major, ``top - 1``
+    rows for the largest start step ``top``, with the active rows'
+    columns first and contiguous in that order: active rows of ``w``
+    elements in all take ``table[top - t, :w]`` at step ``t`` (``None`` at
+    ``t = 1``).  One row's draw is the table.  Every operation of the step
+    acts on each element alone, as ``AnalyticGaussianDenoiser`` does, so
+    each row's result is bit-identical to its own chain's; one row makes
+    the calls of its own chain exactly.  Returns each row's clean latent,
+    in the given order, as a view of the chain's last array; a row from
+    step 0 is its start itself.
     """
-    order = sorted(range(len(steps)), key=lambda i: -steps[i])
-    joins = [steps[i] for i in order] + [-1]  # no t reaches the sentinel
+    widths = [row.vector.size for row in rows]
+    order = sorted(range(len(rows)), key=lambda i: -rows[i].step)
+    joins = [rows[i].step for i in order] + [-1]  # no t reaches the sentinel
     top = joins[0]
     # row i's columns, in the table and in the chain, end at end[i]
     end = dict(zip(order, np.cumsum([widths[i] for i in order]).tolist()))
-    if len(steps) == 1:
-        rows = list(starts)
+    if len(rows) == 1:
+        starts = [rows[0].start(schedule, rng)]
         table = rng.standard_normal((max(top - 1, 0), widths[0]))
     else:
-        rows = []
+        starts = []
         table = np.empty((max(top - 1, 0), sum(widths)))
-        for i, start in enumerate(starts):
-            rows.append(start)
-            table[top - steps[i] :, end[i] - widths[i] : end[i]] = rng.standard_normal(
-                (max(steps[i] - 1, 0), widths[i])
+        for i, row in enumerate(rows):
+            starts.append(row.start(schedule, rng))
+            table[top - row.step :, end[i] - widths[i] : end[i]] = rng.standard_normal(
+                (max(row.step - 1, 0), widths[i])
             )
     y, k = None, 0
     for t in range(top, 0, -1):
@@ -305,12 +316,9 @@ def _denoise_rows(
             joined = k
             while t == joins[k]:
                 k += 1
-            if k == 1:
-                y = rows[order[0]]
-            else:
-                parts = [rows[i] for i in order[joined:k]]
-                y = np.concatenate(parts if y is None else [y, *parts])
+            parts = [starts[i] for i in order[joined:k]]
+            y = np.concatenate(parts if y is None else [y, *parts])
         y = reverse_step(y, t, denoiser, schedule, table[top - t, : y.size] if t > 1 else None)
     for i in order[:k]:
-        rows[i] = y if k == 1 else y[end[i] - widths[i] : end[i]]
-    return rows
+        starts[i] = y[end[i] - widths[i] : end[i]]
+    return starts

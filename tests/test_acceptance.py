@@ -27,7 +27,6 @@ from diffcomm import (
     compensate_to_step,
     denoise_from_step,
     forward_sample,
-    gaussianity_check,
     guidance_kl,
     hybrid_loss_batch,
     init_codec,
@@ -49,6 +48,8 @@ from diffcomm.codec import (
     snr_feature,
     vector_to_params,
 )
+
+from moments import gaussianity_check
 
 SCH = build_linear_schedule(1000, 1e-4, 0.02)
 

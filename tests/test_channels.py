@@ -16,13 +16,14 @@ from diffcomm import (
     RankDeficientChannelError,
     awgn_transmit,
     build_linear_schedule,
-    gaussianity_check,
     mimo_svd_decompose,
     mimo_transmit,
     rayleigh_transmit_mmse,
     sigma2_to_step,
     step_to_sigma2,
 )
+
+from moments import gaussianity_check
 
 SCHEDULE = build_linear_schedule()
 SQRT2 = math.sqrt(2.0)

@@ -481,8 +481,7 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
 def _run_adaptive_route(base, sigma2s, monkeypatch):
     """The adaptive route's ``_receive`` on ``base`` split into one stream
     per variance, each carried and mapped as an AWGN channel reports it;
-    returns the streams' mappings and what the route handed the chain
-    (starts and steps)."""
+    returns the streams' mappings and the rows the route handed the chain."""
     cfg = parse_config(_cfg())
     schedule = cfg.schedule.built
     out = ChannelOutput(received=base, effective_sigma2=sigma2s, mapped_sigma2=sigma2s)
@@ -490,16 +489,9 @@ def _run_adaptive_route(base, sigma2s, monkeypatch):
     handed = []
     real = run_module._denoise_rows
 
-    def recording(starts, steps, *args):
-        seen = []
-        handed.append((seen, list(steps)))
-
-        def passing():  # each start as the chain reads it, not before
-            for y in starts:
-                seen.append(y.copy())
-                yield y
-
-        return real(passing(), steps, *args)
+    def recording(rows, *args):
+        handed.append(list(rows))
+        return real(rows, *args)
 
     monkeypatch.setattr(run_module, "_denoise_rows", recording)
     rng = np.random.default_rng(0)
@@ -513,11 +505,12 @@ def test_adaptive_route_scales_each_stream_onto_its_mapped_step(monkeypatch):
     schedule = build_linear_schedule()
     sigma2s = (step_to_sigma2(schedule, 300), step_to_sigma2(schedule, 120))
     base = np.linspace(-1.0, 1.0, 32)
-    mappings, (starts, steps), _, run_steps, _ = _run_adaptive_route(base, sigma2s, monkeypatch)
-    assert steps == [300, 120] and run_steps == (420, 300)
-    for i, (mapping, start) in enumerate(zip(mappings, starts)):
+    mappings, rows, _, run_steps, _ = _run_adaptive_route(base, sigma2s, monkeypatch)
+    assert [row.step for row in rows] == [300, 120] and run_steps == (420, 300)
+    for i, (mapping, row) in enumerate(zip(mappings, rows)):
         assert mapping.residual == 0.0
-        assert start.tobytes() == (mapping.scale * base[16 * i : 16 * (i + 1)]).tobytes()
+        assert row.carried is None  # so the row starts from its vector as it is
+        assert row.vector.tobytes() == (mapping.scale * base[16 * i : 16 * (i + 1)]).tobytes()
 
 
 def test_adaptive_route_passes_a_clean_signal_through(monkeypatch):

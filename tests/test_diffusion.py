@@ -27,7 +27,6 @@ from diffcomm import (
     denoise_from_step,
     downsample,
     forward_sample,
-    gaussianity_check,
     init_codec,
     reverse_step,
     sigma2_to_step,
@@ -35,6 +34,8 @@ from diffcomm import (
     upsample,
 )
 from diffcomm import diffusion
+
+from moments import gaussianity_check
 
 SCHEDULE = build_linear_schedule()
 
@@ -536,30 +537,27 @@ def stream_sets(draw):
 @given(stream_sets())
 def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
     """One ragged chain over a trial's rows (streams, and routes whose
-    rows may be wider), fed from one generator in the caller's order
-    (each row's start, then its noise rows), gives each row's own chain
-    bit for bit and leaves the generator where denoising the rows in turn
-    leaves it."""
+    rows may be wider), fed from one generator in the given order (each
+    row's top-up if it carries a variance, then its noise rows), gives
+    each row's own chain bit for bit and leaves the generator where
+    denoising the rows in turn leaves it."""
     compensate, steps, widths, mean, seed = case
     model = GaussianSourceModel(mean=mean, variance=1.5)
     den = AnalyticGaussianDenoiser(model, SHORT)
     received = [np.random.default_rng(seed + i).standard_normal(w) for i, w in enumerate(widths)]
-
-    def start(i, rng):
-        s_hat = received[i]
-        if compensate:  # draws the top-up from rng
-            return compensate_to_step(s_hat, 0.0, steps[i], SHORT, rng)
-        return s_hat
+    # a carried variance makes the row's start a top-up drawn from the generator
+    rows = [diffusion._Row(s_hat, u, 0.0 if compensate else None)
+            for s_hat, u in zip(received, steps)]
 
     ref_rng = np.random.default_rng(seed + 1)
     expected = []
-    for i, u in enumerate(steps):
-        expected.append(_reference_chain(start(i, ref_rng), u, model, SHORT, ref_rng))
+    for s_hat, u in zip(received, steps):
+        start = compensate_to_step(s_hat, 0.0, u, SHORT, ref_rng) if compensate else s_hat
+        expected.append(_reference_chain(start, u, model, SHORT, ref_rng))
 
     rng = np.random.default_rng(seed + 1)
     counting = _CountingGenerator(rng)
-    starts = (start(i, counting) for i in range(len(steps)))
-    got = diffusion._denoise_rows(starts, steps, widths, den, SHORT, counting)
+    got = diffusion._denoise_rows(rows, den, SHORT, counting)
 
     for want, have, width in zip(expected, got, widths):
         assert have.shape == (width,)
@@ -584,14 +582,13 @@ def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
     monkeypatch.setattr(diffusion, "reverse_step", recording)
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SHORT)
     steps, widths = [2, 0, 4, 2], [2, 1, 3, 2]
-    starts = [np.full(w, float(i)) for i, w in enumerate(widths)]
-    got = diffusion._denoise_rows(iter(starts), steps, widths, den, SHORT,
-                                  np.random.default_rng(0))
+    rows = [diffusion._Row(np.full(w, float(i)), u) for i, (u, w) in enumerate(zip(steps, widths))]
+    got = diffusion._denoise_rows(rows, den, SHORT, np.random.default_rng(0))
     assert [(t, shape, noise) for t, shape, _, noise in calls] == [
         (4, (3,), (3,)), (3, (3,), (3,)), (2, (7,), (7,)), (1, (7,), None)]
     assert calls[2][2].tolist()[2:] == [0.0, 3.0]  # rows 0 and 3 join after row 2
     assert [y.shape for y in got] == [(2,), (1,), (3,), (2,)]
-    assert got[1] is starts[1]
+    assert got[1] is rows[1].vector
 
 
 @pytest.mark.parametrize("u", [0, 1, 145, SCHEDULE.T])

@@ -1,7 +1,8 @@
 """Public names: every export resolves, the package and its ``cli``
 subpackage export what they import, the channels leave the step mapping
-to the receiver, every function the benchmark tracer wraps still
-exists, and the README's library example runs."""
+to the receiver, the CLI leaves starting chain rows to the engine, every
+function the benchmark tracer wraps still exists, and the README's
+library example runs."""
 
 import ast
 import importlib
@@ -62,6 +63,21 @@ def test_channels_transmit_without_the_schedule():
     assert "schedule" not in sources and "diffcomm.schedule" not in sources
     for fn in (channels.awgn_transmit, channels.rayleigh_transmit_mmse, channels.mimo_transmit):
         assert "schedule" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_cli_declares_chain_rows_without_starting_them():
+    """The receive only declares chain rows; the chain engine starts them,
+    so the CLI imports neither start rule's forward-process draw."""
+    import diffcomm.cli.run as run
+
+    tree = ast.parse(Path(run.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"compensate_to_step", "forward_sample"})
 
 
 def test_every_bench_trace_target_resolves():

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from diffcomm import (
-    GaussianityReport,
-    gaussianity_check,
     mse,
     psnr,
     psnr_from_mse,
     ssim,
     ssim_batch,
 )
+
+from moments import GaussianityReport, gaussianity_check
 
 # ---------------------------------------------------------------------------
 # MSE / PSNR
