@@ -10,11 +10,12 @@ Conventions
 Every channel takes a real vector of even length ``2n`` and returns the
 received real vector of the same length.  Noise variance ``sigma^2`` is
 per complex symbol, split ``sigma^2/2`` into each real component.
-Inside a channel, consecutive pairs of the real vector ride on ``n``
-complex symbols, scaled by ``1/sqrt(2)`` so that per-symbol signal power
-equals the vector's mean squared value; the received symbols are
-de-interleaved and scaled back, so each real element carries noise of
-variance ``sigma^2``.  That makes the per-symbol variance convention and
+Inside a channel, the ``n`` complex symbols are a complex view of the
+real vector scaled by ``1/sqrt(2)``: consecutive pairs are one symbol's
+real and imaginary parts, and per-symbol signal power equals the
+vector's mean squared value.  The received symbols are viewed back as
+reals and scaled up, so each real element carries noise of variance
+``sigma^2``.  That makes the per-symbol variance convention and
 the real-domain diffusion equivalence ``alpha_bar_u = 1/(1+sigma^2)``
 agree.  The scaling is the only non-trivial part of the bridge; a
 noiseless round trip is exact up to one unit in the last place.
@@ -41,9 +42,9 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _interleave(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (re, im) parts of the symbols that a finite, nonempty 1-D real
-    vector of even length 2n rides on: consecutive pairs over 1/sqrt(2)."""
+def _interleave(values: np.ndarray) -> np.ndarray:
+    """The ``n`` symbols that a finite, nonempty 1-D real vector of even
+    length 2n rides on: a complex view of the vector over 1/sqrt(2)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("expected a one-dimensional real vector")
@@ -53,19 +54,16 @@ def _interleave(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("signal must contain at least one symbol")
     if not np.all(np.isfinite(values)):
         raise ValueError("signal components must be finite")
-    return values[0::2] / _SQRT2, values[1::2] / _SQRT2
+    return (values / _SQRT2).view(np.complex128)
 
 
-def _deinterleave(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The real vector of length 2n that received symbols carry; the
-    inverse scaling of :func:`_interleave`.  A deep fade can overflow the
-    received signal, so it must be finite."""
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+def _deinterleave(symbols: np.ndarray) -> np.ndarray:
+    """The real vector of length 2n that ``n`` contiguous received symbols
+    carry; the inverse scaling of :func:`_interleave`.  A deep fade can
+    overflow the received signal, so it must be finite."""
+    if not np.all(np.isfinite(symbols)):
         raise ValueError("signal components must be finite")
-    out = np.empty(2 * re.size, dtype=np.float64)
-    out[0::2] = re * _SQRT2
-    out[1::2] = im * _SQRT2
-    return out
+    return symbols.view(np.float64) * _SQRT2
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,7 @@ def rayleigh_transmit_mmse(
     Both agree at ``|h| = 1``.  ``effective_sigma2`` always reports the
     carried variance ``sigma^2 / |h|^2``.
     """
-    re, im = _interleave(z)
+    symbols = _interleave(z)
     sigma = _check_sigma(sigma)
     if convention not in ("gain_weighted", "mmse"):
         raise ValueError(
@@ -162,10 +160,8 @@ def rayleigh_transmit_mmse(
     if gain2 == 0.0:
         raise DeepFadeError("channel gain is zero; the signal is lost")
 
-    noise = _complex_noise(rng, re.size, sigma)
-    noise_coeff = h.conjugate() / gain2
-    eff = noise_coeff * noise
-    received = _deinterleave(re + eff.real, im + eff.imag)
+    noise = _complex_noise(rng, symbols.size, sigma)
+    received = _deinterleave(symbols + h.conjugate() / gain2 * noise)
 
     sigma2 = sigma * sigma
     carried_sigma2 = sigma2 / gain2
@@ -231,7 +227,7 @@ def mimo_transmit(
     its singular value, leaving ``y_i + (sigma/s_i) * eps``: stream ``i``
     carries and maps the variance ``(sigma/s_i)^2``.
     """
-    re, im = _interleave(z)
+    symbols = _interleave(z)
     sigma = _check_sigma(sigma)
     M = channel.M
     s = channel.singular_values
@@ -239,18 +235,16 @@ def mimo_transmit(
     dead = [i for i in range(M) if s[i] * s[i] == 0.0]
     if dead:
         raise RankDeficientChannelError(dead)
-    if re.size % M != 0:
-        raise ValueError(f"symbol count {re.size} is not divisible by {M} streams")
-    L = re.size // M
+    if symbols.size % M != 0:
+        raise ValueError(f"symbol count {symbols.size} is not divisible by {M} streams")
+    L = symbols.size // M
 
-    Y = (re + 1j * im).reshape(M, L)
-    X = channel.V @ Y
+    X = channel.V @ symbols.reshape(M, L)
     noise = _complex_noise(rng, M * L, sigma).reshape(M, L)
     Y_rx = channel.H @ X + noise
     Y_eq = channel.U.conj().T @ Y_rx
 
-    out = (Y_eq / s[:, None]).reshape(-1)
-    received = _deinterleave(out.real, out.imag)
+    received = _deinterleave((Y_eq / s[:, None]).reshape(-1))
 
     sigma2 = sigma * sigma
     eff = tuple(sigma2 / float(si * si) for si in s)

@@ -151,8 +151,6 @@ def compressed_length(n: int, k: float) -> int:
     m = int(round(k * n))
     if m < 1:
         raise ConfigurationError("k", f"ratio {k!r} rounds to an empty vector for n={n}")
-    if m > n:
-        raise ConfigurationError("k", f"ratio {k!r} exceeds the uncompressed length for n={n}")
     return m
 
 
@@ -191,9 +189,12 @@ def _repeat_matrix(n: int, m: int) -> np.ndarray:
     return Q
 
 
-def _layout(shape: tuple[int, int, int], k: float, arch: CodecArch) -> CodecParams:
-    """A validated codec of the given layout whose layers are not yet bound
-    to a flat vector (see :func:`_bind`)."""
+def _layout(
+    shape: tuple[int, int, int], k: float, arch: CodecArch, flat: Optional[np.ndarray] = None
+) -> CodecParams:
+    """A validated codec of the given layout with every ``W`` and ``b`` a
+    view into ``flat`` (a fresh zero vector when None), laid out in
+    :func:`_layers` order."""
     shape = tuple(int(v) for v in shape)
     if len(shape) != 3 or any(v < 1 for v in shape):
         raise ConfigurationError("shape", f"must be three positive integers, got {shape}")
@@ -208,7 +209,7 @@ def _layout(shape: tuple[int, int, int], k: float, arch: CodecArch) -> CodecPara
         return [ResidualBlock(fc1=lin(arch.hidden, n), fc2=lin(n, arch.hidden))
                 for _ in range(arch.blocks)]
 
-    return CodecParams(
+    params = CodecParams(
         shape=shape,
         k=float(k),
         arch=arch,
@@ -219,13 +220,19 @@ def _layout(shape: tuple[int, int, int], k: float, arch: CodecArch) -> CodecPara
         lv_fc1=lin(arch.hidden, m + 1),
         lv_fc2=lin(n, arch.hidden),
     )
-
-
-def _zero_codec(shape: tuple[int, int, int], k: float, arch: CodecArch) -> CodecParams:
-    """A validated codec of the given layout with every weight zero, bound
-    to one flat vector."""
-    template = _layout(shape, k, arch)
-    return _bind(template, np.zeros(sum(arr.size for _, arr in _param_arrays(template))))
+    count = sum(arr.size for _, arr in _param_arrays(params))
+    if flat is None:
+        flat = np.zeros(count)
+    elif flat.size != count:
+        raise ValueError(f"vector length {flat.size} does not match parameter count {count}")
+    offset = 0
+    for _, layer in _layers(params):
+        for f in fields(LinearParams):
+            arr = getattr(layer, f.name)
+            setattr(layer, f.name, flat[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
+    params.flat = flat
+    return params
 
 
 def init_codec(
@@ -238,7 +245,7 @@ def init_codec(
     head is small-random throughout so SNR conditioning is live from the
     start.
     """
-    params = _zero_codec(shape, k, arch)
+    params = _layout(shape, k, arch)
     n, m = params.n, params.m
     # draw order: down blocks, up blocks, then the variance head
     for block in params.down_blocks + params.up_mu_blocks:
@@ -366,7 +373,7 @@ def forward_up_batch(
 
 def zero_grads(params: CodecParams) -> CodecParams:
     """Parameter-shaped container of zeros over a fresh vector."""
-    return _bind(params, np.zeros_like(params.flat))
+    return _layout(params.shape, params.k, params.arch)
 
 
 def backward_batch(
@@ -511,22 +518,6 @@ def _param_arrays(params: CodecParams) -> list[tuple[str, np.ndarray]]:
             for name, layer in _layers(params) for f in fields(LinearParams)]
 
 
-def _bind(template: CodecParams, flat: np.ndarray) -> CodecParams:
-    """A codec of ``template``'s layout with every ``W`` and ``b`` a view into ``flat``."""
-    params = _layout(template.shape, template.k, template.arch)
-    count = sum(arr.size for _, arr in _param_arrays(params))
-    if flat.size != count:
-        raise ValueError(f"vector length {flat.size} does not match parameter count {count}")
-    offset = 0
-    for _, layer in _layers(params):
-        for f in fields(LinearParams):
-            arr = getattr(layer, f.name)
-            setattr(layer, f.name, flat[offset : offset + arr.size].reshape(arr.shape))
-            offset += arr.size
-    params.flat = flat
-    return params
-
-
 def params_to_vector(params: CodecParams) -> np.ndarray:
     """Copy of all trainable values in the fixed documented order."""
     return params.flat.copy()
@@ -534,7 +525,7 @@ def params_to_vector(params: CodecParams) -> np.ndarray:
 
 def vector_to_params(template: CodecParams, vec: np.ndarray) -> CodecParams:
     """Parameters over a copy of a flat vector (inverse of params_to_vector)."""
-    return _bind(template, np.array(vec, dtype=np.float64))
+    return _layout(template.shape, template.k, template.arch, np.array(vec, dtype=np.float64))
 
 
 # saved dtype of a CodecArch field, by the type of its default
@@ -574,7 +565,7 @@ def load_codec(path) -> CodecParams:
         version = int(read("layout_version"))
         if version != LAYOUT_VERSION:
             raise ValueError(f"unsupported codec layout version {version}")
-        params = _zero_codec(
+        params = _layout(
             shape=tuple(int(v) for v in read("shape")),
             k=float(read("k")),
             arch=CodecArch(**{f.name: read(f.name).tolist() for f in fields(CodecArch)}),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from diffcomm import (
+    ChannelOutput,
     DeepFadeError,
     MimoChannel,
     RankDeficientChannelError,
@@ -43,12 +44,12 @@ def _bridged(x, noise_re=0.0, noise_im=0.0):
     return out
 
 
-def _transmit_each(z, rng):
+def _transmit_each(z, rng, sigma=0.5):
     """``z`` through each channel type, one call each."""
     ch = mimo_svd_decompose(np.eye(2, dtype=complex))
-    yield lambda: awgn_transmit(z, 0.5, rng)
-    yield lambda: rayleigh_transmit_mmse(z, 0.3 - 1.2j, 0.5, rng)
-    yield lambda: mimo_transmit(z, ch, 0.5, rng)
+    yield lambda: awgn_transmit(z, sigma, rng)
+    yield lambda: rayleigh_transmit_mmse(z, 0.3 - 1.2j, sigma, rng)
+    yield lambda: mimo_transmit(z, ch, sigma, rng)
 
 
 def test_interleave_round_trip_within_one_ulp():
@@ -79,6 +80,30 @@ def test_every_channel_checks_its_real_input(z, message):
         with pytest.raises(ValueError, match=message):
             call()
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sigma, shown", [
+    (-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf"),
+], ids=["negative", "nan", "inf"])
+def test_every_channel_checks_its_sigma(sigma, shown):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for call in _transmit_each(np.ones(4), rng, sigma):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (info.type, str(info.value)) == (
+            ValueError, f"sigma must be finite and >= 0, got {shown}")
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("effective, mapped, message", [
+    ((), (), "at least one stream is required"),
+    ((0.5, 0.25), (0.5,), "one mapped variance per stream is required"),
+], ids=["no-stream", "unpaired"])
+def test_channel_output_pairs_every_stream_with_a_mapped_variance(effective, mapped, message):
+    with pytest.raises(ValueError) as info:
+        ChannelOutput(np.zeros(4), effective, mapped)
+    assert (info.type, str(info.value)) == (ValueError, message)
 
 
 def test_received_signal_that_overflows_is_rejected():

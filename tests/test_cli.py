@@ -826,6 +826,26 @@ def test_sweep_errors_carry_grid_coordinates(tmp_path):
             run_sweep(parse_config(json.dumps(cfg)), out_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("codec", {"arch": {"hidden": 6, "blocks": 1}},
+     "codec.C, codec.k: sweep training needs a compression setting"),
+    ("channel", {"type": "mimo", "snr_db": [5.0]},
+     "channel.type: sweep evaluation does not support mimo"),
+], ids=["no-compression", "mimo"])
+def test_sweep_rejects_a_setting_it_cannot_run_before_training(
+    tmp_path, monkeypatch, section, value, message
+):
+    cfg = json.loads(_sweep_cfg([1.0]))
+    cfg[section] = value
+    calls = []
+    monkeypatch.setattr(run_module, "train_codec", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError) as info:
+        run_sweep(parse_config(json.dumps(cfg)), out_dir=str(out))
+    assert (info.type, str(info.value)) == (ConfigurationError, message)
+    assert calls == [] and not out.exists()
+
+
 def test_main_rejects_out_of_range_sweep_channel_count_before_training(tmp_path, capsys):
     # round(0.0013 * 1000 * 8) = 10 symbols do not fit an 8-element latent
     cfg_path = _write_cfg(tmp_path, _sweep_cfg([100, 1000], param="C"))
@@ -918,6 +938,17 @@ def test_integer_and_float_latents_load_as_float64(tmp_path, dtype):
     assert rows.dtype == np.float64 and np.array_equal(rows, np.full((2, 8), 4.0))
 
 
+@pytest.mark.parametrize("shape", [(3, 8), (3, 2, 2, 4)], ids=["flat", "other-shape"])
+def test_source_rejects_latents_of_another_shape(tmp_path, shape):
+    cfg = _file_sweep_cfg(tmp_path, latents=np.zeros(shape))
+    with pytest.raises(ConfigurationError) as info:
+        run_module._load_source(cfg)
+    assert (info.type, str(info.value)) == (
+        ConfigurationError,
+        f"source.path: expected latents of shape (count, 2, 2, 2), got {shape}",
+    )
+
+
 def test_sweep_trains_and_evaluates_on_file_source(tmp_path):
     cfg = _file_sweep_cfg(tmp_path, latents=np.full((2, 2, 2, 2), 4.0))
     from_file = run_sweep(cfg, out_dir=str(tmp_path / "file"))
@@ -959,7 +990,8 @@ def _write_foreign_archive(path):
     (_write_text_file, "source", None),  # numpy's own message follows
     (_write_renamed_npy, "source", "not an .npz archive"),
     (_write_foreign_archive, "codec", "not a saved codec: no 'layout_version' array"),
-], ids=["text-as-source", "npy-as-source", "foreign-archive-as-codec"])
+    (_write_renamed_npy, "codec", "not an .npz archive"),
+], ids=["text-as-source", "npy-as-source", "foreign-archive-as-codec", "npy-as-codec"])
 def test_main_rejects_a_malformed_archive_before_any_output(tmp_path, capsys, write, section, message):
     path = tmp_path / "input.npz"
     write(path)
@@ -1017,6 +1049,29 @@ def test_report_renders_aligned_table(tmp_path):
     assert lines[2].endswith("   1.5")
     assert lines[3].endswith("123.25")
     assert len(lines[2]) == len(lines[3])
+
+
+@pytest.mark.parametrize("text, table", [
+    ("", ""),
+    ("step,total,eval_psnr\n1,0.5,\n2,0.25,12.5\n",
+     "step  total  eval_psnr\n----  -----  ---------\n   1    0.5\n   2   0.25       12.5\n"),
+], ids=["empty", "train-with-empty-eval-cells"])
+def test_report_renders_empty_files_and_empty_cells(tmp_path, text, table):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert render_report(str(path)) == table
+
+
+@pytest.mark.parametrize("call, verb", [
+    (render_report, "read"),
+    (lambda path: run_module._write_text(path, "x"), "write"),
+], ids=["report", "write-text"])
+def test_a_path_in_a_missing_directory_is_a_runtime_error(tmp_path, call, verb):
+    path = str(tmp_path / "missing" / "t.csv")
+    with pytest.raises(RuntimeError) as info:
+        call(path)
+    assert (info.type, type(info.value.__cause__)) == (RuntimeError, FileNotFoundError)
+    assert str(info.value) == f"cannot {verb} {path}: {info.value.__cause__}"
 
 
 # ---------------------------------------------------------------------------

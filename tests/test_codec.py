@@ -121,6 +121,14 @@ def test_init_shapes():
     assert p.lv_fc1.W.shape == (64, 129)  # m + snr feature column
 
 
+def test_init_rejects_a_shape_with_an_empty_axis():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigurationError) as info:
+        init_codec((0, 2, 2), 0.5, CodecArch(), rng)
+    assert (info.type, str(info.value)) == (
+        ConfigurationError, "shape: must be three positive integers, got (0, 2, 2)")
+
+
 def test_full_rate_codec_is_identity_at_init():
     """k=1 without power normalization: the fixed projections are exact
     identities and the residual branches start at zero."""
@@ -227,6 +235,12 @@ def test_upsample_sample_is_mu_plus_sigma_eps():
 def test_gaussian_params_require_positive_sigma():
     with pytest.raises(ValueError):
         GaussianParams(mu=np.zeros(2), sigma=np.array([1.0, 0.0]))
+
+
+def test_gaussian_params_require_matching_shapes():
+    with pytest.raises(ValueError) as info:
+        GaussianParams(mu=np.zeros(2), sigma=np.ones(3))
+    assert (info.type, str(info.value)) == (ValueError, "mu and sigma shapes differ: (2,) vs (3,)")
 
 
 def test_upsample_length_check():

@@ -165,6 +165,13 @@ def test_source_model_draw_statistics():
         GaussianSourceModel(variance=-1.0)
 
 
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_source_model_requires_a_finite_mean(mean):
+    with pytest.raises(ValueError) as info:
+        GaussianSourceModel(mean=mean)
+    assert (info.type, str(info.value)) == (ValueError, f"mean must be finite, got {mean!r}")
+
+
 # ---------------------------------------------------------------------------
 # forward process
 

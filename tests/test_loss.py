@@ -463,6 +463,13 @@ def test_train_diverges_with_absurd_learning_rate():
     assert err.value.last_finite_step == err.value.step - 1
 
 
+@pytest.mark.parametrize("sigma", [0.0, -0.5, math.nan, math.inf])
+def test_train_requires_a_finite_positive_sigma(sigma):
+    with pytest.raises(ValueError) as info:
+        _train(sigma=sigma)
+    assert (info.type, str(info.value)) == (ValueError, f"sigma must be finite and > 0, got {sigma!r}")
+
+
 def test_train_config_validation():
     _check_bounds(TrainConfig, "train", [
         ("steps", -1, "must be >= 0, got -1", "steps"),

@@ -186,6 +186,17 @@ def test_step_mapping_rejects_inconsistent_scale():
         StepMapping(step_u=3, alpha_bar_u=0.0, residual=0.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("step_u", -1, "step_u must be >= 0, got -1"),
+    ("residual", -0.5, "residual must be >= 0, got -0.5"),
+    ("residual", math.nan, "residual must be >= 0, got nan"),
+], ids=["negative-step", "negative-residual", "nan-residual"])
+def test_step_mapping_rejects_a_negative_step_or_residual(field, value, message):
+    with pytest.raises(ValueError) as info:
+        StepMapping(**{"step_u": 3, "alpha_bar_u": 0.25, "residual": 0.0, field: value})
+    assert (info.type, str(info.value)) == (ValueError, message)
+
+
 # ---------------------------------------------------------------------------
 # compensation
 
@@ -210,6 +221,18 @@ def test_compensation_infeasible_raises():
     step_var = step_to_sigma2(sch, 200)
     with pytest.raises(CompensationInfeasibleError):
         compensation_variance(sch, 200, step_var * 1.01)
+
+
+@pytest.mark.parametrize("t_target, sigma2, error, message", [
+    (200, -0.25, ValueError, "sigma2 must be finite and >= 0, got -0.25"),
+    (200, math.nan, ValueError, "sigma2 must be finite and >= 0, got nan"),
+    (200, math.inf, ValueError, "sigma2 must be finite and >= 0, got inf"),
+    (0, 0.25, IndexError, "t_target must be >= 1"),
+], ids=["negative", "nan", "inf", "step-0"])
+def test_compensation_variance_checks_its_arguments(t_target, sigma2, error, message):
+    with pytest.raises(error) as info:
+        compensation_variance(build_linear_schedule(), t_target, sigma2)
+    assert (info.type, str(info.value)) == (error, message)
 
 
 def test_schedule_constructor_validates_consistency():
