@@ -3,6 +3,9 @@
 Each case in ``FAULTS`` breaks one rule of the schema in an otherwise
 valid config and pins the exact ``ConfigurationError`` text, so any
 change to how a key is read, bounded or named shows up here.  The
+generated cases do the same for every scalar key: each is given a JSON
+value of each other kind, and each ``_field`` bound is broken, with the
+cases built from the schema's fields, type hints and metadata.  The
 resolved-config cases pin ``resolved_config`` for an all-defaults config
 and for one that sets every key away from its default.
 """
@@ -351,6 +354,95 @@ FAULTS = [
 def test_single_fault_message(case, message):
     with pytest.raises(ConfigurationError) as info:
         parse_config(_build(case))
+    assert str(info.value) == message
+
+
+# the wording of each scalar kind in a type error, and JSON values of other kinds
+KIND_WORDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+WRONG_KIND = {
+    bool: ["x", 1, None],
+    int: ["x", True, 1.5, None],
+    float: ["x", True, None],
+    str: [1, True, None],
+}
+
+
+def _scalar_kind(hint):
+    """``hint``'s scalar kind, also through Optional[...]; None for any other type."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is typing.Union and len(args) == 1:
+        hint = args[0]
+    return hint if hint in KIND_WORDS else None
+
+
+def _scalar_keys() -> dict:
+    """Every scalar key by its dotted path, with its kind and ``_field``
+    bounds: ``seed``, and each constructor field of a section whose type
+    is a scalar kind.  ``hidden`` and ``blocks`` are read from ``codec.arch``."""
+    keys = {"seed": (int, {"minimum": 0})}
+    for section in dataclasses.fields(ExperimentConfig):
+        cls = next((t for t in (section.type, *typing.get_args(section.type))
+                    if dataclasses.is_dataclass(t)), None)
+        if cls is None:
+            continue
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kind = _scalar_kind(hints[f.name])
+            if f.init and kind is not None:
+                prefix = "codec.arch" if f.name in ("hidden", "blocks") else section.name
+                keys[f"{prefix}.{_key(f.name)}"] = (kind, f.metadata.get("bounds", {}))
+    return keys
+
+
+SCALAR_KEYS = _scalar_keys()
+
+
+def _with(path: str, value) -> str:
+    """Config text: BASE with the key at dotted ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(BASE))
+    *sections, key = path.split(".")
+    node = cfg
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return json.dumps(cfg)
+
+
+def _bound_cases():
+    for path, (kind, bounds) in SCALAR_KEYS.items():
+        for bound, limit in bounds.items():
+            if bound == "minimum":
+                value, message = limit - 1, f"must be >= {limit}, got {limit - 1}"
+            elif bound == "exclusive_minimum":
+                value, message = limit, f"must be > {limit}, got {float(limit)}"
+            else:
+                value, message = "nope", f"must be one of {sorted(limit)}, got 'nope'"
+            yield pytest.param(path, value, f"{path}: {message}", id=f"{path}-{bound}")
+
+
+def test_every_scalar_key_is_generated():
+    # seed, codec.arch.hidden and blocks, and the 36 keys _take_fields reads;
+    # 12 of those carry _field bounds, and seed has its own
+    assert len(SCALAR_KEYS) == 39
+    assert sum(len(bounds) for _, bounds in SCALAR_KEYS.values()) == 13
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(path, value, f"{path}: expected {KIND_WORDS[kind]}, got {type(value).__name__}",
+                 id=f"{path}-{type(value).__name__}")
+    for path, (kind, _) in SCALAR_KEYS.items()
+    for value in WRONG_KIND[kind]
+])
+def test_every_scalar_key_rejects_another_kind(path, value, message):
+    with pytest.raises(ConfigurationError) as info:
+        parse_config(_with(path, value))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path, value, message", list(_bound_cases()))
+def test_every_field_bound_is_enforced(path, value, message):
+    with pytest.raises(ConfigurationError) as info:
+        parse_config(_with(path, value))
     assert str(info.value) == message
 
 
