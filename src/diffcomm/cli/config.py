@@ -13,9 +13,10 @@ The section dataclasses are the schema.  ``loss``, ``train`` and
 ``schedule`` holds the ``Schedule`` it builds at parse time; those types
 state their defaults and bounds, and ``_take_fields`` re-raises their
 ``ConfigurationError`` at the JSON path.  The other sections' fields
-state their defaults and, through ``_field``, their readers' bounds.
-``_take_fields`` parses a section, picking each reader from the field's
-type, and ``_plain`` writes one back out; ``_KEYS`` holds the JSON keys
+state their defaults and, through ``_field``, their bounds.
+``_take_fields`` parses a section, reading each field by
+``_Section.take`` with the kind its type names, and ``_plain`` writes
+one back out; ``_KEYS`` holds the JSON keys
 that differ from the attribute name.  Only the keys with a structure of
 their own (``source.shape``, the channel's noise grid and fade ``h``,
 ``codec.arch``, ``codec.snr_db_range``, ``sweep.values``) and the checks
@@ -33,7 +34,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional, Sequence, get_type_hints
+from typing import Any, Optional, Sequence, get_args, get_type_hints
 
 from ..codec import CodecArch, compressed_length, k_from_channel_count
 from ..errors import CompensationInfeasibleError, ConfigurationError, SaturationError
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 _MISSING = object()
+
+# how a type error names each scalar kind
+_KIND_WORDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 class _Section:
@@ -80,39 +84,23 @@ class _Section:
             raise ConfigurationError(self.child(name), f"expected an object, got {type(raw).__name__}")
         return _Section(raw, self.child(name))
 
-    def take_bool(self, name: str, default: bool) -> bool:
+    def take(self, name: str, default, kind: type, minimum=None, exclusive_minimum=None,
+             choices: Optional[Sequence[str]] = None):
+        """``name`` checked to be a ``kind`` within the bounds given, or
+        ``default`` when it is missing."""
         raw = self._pop(name)
         if raw is _MISSING:
             return default
-        if not isinstance(raw, bool):
-            raise ConfigurationError(self.child(name), f"expected a boolean, got {type(raw).__name__}")
-        return raw
-
-    def take_int(self, name: str, default, minimum: Optional[int] = None):
-        raw = self._pop(name)
-        if raw is _MISSING:
-            return default
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigurationError(self.child(name), f"expected an integer, got {type(raw).__name__}")
+        if kind is float:
+            raw = self._as_float(self.child(name), raw)
+        elif not isinstance(raw, kind) or (isinstance(raw, bool) and kind is not bool):
+            raise ConfigurationError(
+                self.child(name), f"expected {_KIND_WORDS[kind]}, got {type(raw).__name__}"
+            )
         if minimum is not None and raw < minimum:
             raise ConfigurationError(self.child(name), f"must be >= {minimum}, got {raw}")
-        return raw
-
-    def take_float(self, name: str, default, exclusive_minimum: Optional[float] = None):
-        raw = self._pop(name)
-        if raw is _MISSING:
-            return default
-        val = self._as_float(self.child(name), raw)
-        if exclusive_minimum is not None and val <= exclusive_minimum:
-            raise ConfigurationError(self.child(name), f"must be > {exclusive_minimum}, got {val}")
-        return val
-
-    def take_str(self, name: str, default, choices: Optional[Sequence[str]] = None):
-        raw = self._pop(name)
-        if raw is _MISSING:
-            return default
-        if not isinstance(raw, str):
-            raise ConfigurationError(self.child(name), f"expected a string, got {type(raw).__name__}")
+        if exclusive_minimum is not None and raw <= exclusive_minimum:
+            raise ConfigurationError(self.child(name), f"must be > {exclusive_minimum}, got {raw}")
         if choices is not None and raw not in choices:
             raise ConfigurationError(self.child(name), f"must be one of {sorted(choices)}, got {raw!r}")
         return raw
@@ -129,7 +117,7 @@ class _Section:
 
     def _as_float(self, path: str, raw) -> float:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigurationError(path, f"expected a number, got {type(raw).__name__}")
+            raise ConfigurationError(path, f"expected {_KIND_WORDS[float]}, got {type(raw).__name__}")
         val = float(raw)
         if not math.isfinite(val):
             raise ConfigurationError(path, f"must be finite, got {val!r}")
@@ -150,9 +138,8 @@ class _Section:
 
 
 def _field(default, **bounds):
-    """A config field: its default and the keyword bounds its
-    ``_Section.take_*`` reader enforces (``minimum``, ``exclusive_minimum``,
-    ``choices``)."""
+    """A config field: its default and the keyword bounds ``_Section.take``
+    enforces (``minimum``, ``exclusive_minimum``, ``choices``)."""
     return field(default=default, metadata={"bounds": bounds})
 
 
@@ -283,31 +270,23 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # parsing
 
-# the reader for each field type _take_fields accepts; the types come from
-# typing.get_type_hints, because the library modules postpone annotations
-_READERS = {
-    int: _Section.take_int, Optional[int]: _Section.take_int,
-    float: _Section.take_float, Optional[float]: _Section.take_float,
-    str: _Section.take_str, Optional[str]: _Section.take_str,
-    bool: _Section.take_bool,
-}
-
-
 def _key(name: str) -> str:
     return _KEYS.get(name, name)
 
 
 def _take_fields(cls, sec: _Section, **given):
     """A ``cls`` read from ``sec``: ``given`` values as they are, every
-    other constructor field by the reader for its type, with its key,
-    default and bounds.  Keys left over are rejected; a ConfigurationError
-    from ``cls`` is raised again at the JSON path of the field it names."""
-    kinds = get_type_hints(cls)
+    other constructor field by ``_Section.take`` with its key, default,
+    bounds and the kind its type names (``X`` for ``Optional[X]``).  Keys
+    left over are rejected; a ConfigurationError from ``cls`` is raised
+    again at the JSON path of the field it names."""
+    # typing.get_type_hints, because the library modules postpone annotations
+    hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
         if f.init and f.name not in given:
-            read = _READERS[kinds[f.name]]
-            values[f.name] = read(sec, _key(f.name), f.default, **f.metadata.get("bounds", {}))
+            kind = next(t for t in (hints[f.name], *get_args(hints[f.name])) if t in _KIND_WORDS)
+            values[f.name] = sec.take(_key(f.name), f.default, kind, **f.metadata.get("bounds", {}))
     sec.finish()
     try:
         return cls(**values, **given)
@@ -400,7 +379,7 @@ def _parse_channel(sec: _Section) -> ChannelConfig:
 
 def _parse_codec(sec: _Section) -> CodecConfig:
     arch_sec = sec.take_section("arch")
-    arch = {name: arch_sec.take_int(name, getattr(CodecArch, name)) for name in ("hidden", "blocks")}
+    arch = {name: arch_sec.take(name, getattr(CodecArch, name), int) for name in ("hidden", "blocks")}
     arch_sec.finish()
 
     snr_db_range = sec.take_float_list("snr_db_range")
@@ -457,7 +436,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError("config", f"top level must be an object, got {type(raw).__name__}")
 
     top = _Section(raw, "")
-    seed = top.take_int("seed", 0, minimum=0)
+    seed = top.take("seed", 0, int, minimum=0)
     schedule = _take_fields(ScheduleConfig, top.take_section("schedule"))
     source = _parse_source(top.take_section("source"))
     if not top.has("channel"):

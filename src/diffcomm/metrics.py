@@ -29,20 +29,25 @@ SSIM_KERNEL_SIGMA = 1.5
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared difference between two equally shaped signals."""
+    """Mean squared difference between two equally shaped, nonempty signals."""
     av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
+    if av.size == 0:
+        raise ValueError(f"mse of empty signals of shape {av.shape}")
     d = av - bv
     return float(np.mean(d * d))
 
 
 def psnr_from_mse(err: float) -> float:
-    """PSNR in dB at unit peak for a known mean squared error, capped at 99 dB."""
+    """PSNR in dB at unit peak for a known mean squared error, capped at 99 dB;
+    an infinite error gives -inf, the limit at the other end."""
     if err < 0.0:
         raise ValueError(f"mse must be >= 0, got {err!r}")
     if err == 0.0:
         return PSNR_CAP_DB
+    if err == math.inf:
+        return -math.inf
     return min(10.0 * math.log10(1.0 / err), PSNR_CAP_DB)
 
 

@@ -250,9 +250,8 @@ def compensation_variance(schedule: Schedule, t_target: int, sigma2: float) -> f
     sigma2 = float(sigma2)
     if not math.isfinite(sigma2) or sigma2 < 0.0:
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2!r}")
+    schedule._check_step(t_target, lo=1)
     step_sigma2 = step_to_sigma2(schedule, t_target)
-    if t_target == 0:
-        raise IndexError("t_target must be >= 1")
     if sigma2 > step_sigma2:
         raise CompensationInfeasibleError(sigma2, step_sigma2, t_target)
     return step_sigma2 - sigma2

@@ -666,6 +666,18 @@ def test_simulate_runs_cells_whose_nominal_variance_saturates(tmp_path):
     assert "saturates" not in cells[1]
 
 
+def test_simulate_finishes_a_grid_whose_error_overflows(tmp_path):
+    # sigma^2 |h|^2 maps every trial to step 0, and the noise the fade
+    # scales by 1e160 squares to inf: the cells report the limits
+    text = _cfg(channel={"type": "rayleigh", "snr_db": [0, 6], "h": [1e-160, 0]},
+                source={"shape": [2, 2, 4], "count": 3})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        result = run_simulate(parse_config(text), out_dir=str(tmp_path))
+    assert [(row[1], row[5], row[7]) for row in result.rows] == [
+        (0.0, -math.inf, math.inf), (6.0, -math.inf, math.inf)
+    ]
+
+
 def test_simulate_with_codec_round_trip(tmp_path):
     cfg = parse_config(_cfg(codec={"enabled": True, "k": 0.5},
                             source={"shape": [4, 4, 2], "count": 2}))

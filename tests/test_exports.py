@@ -1,8 +1,9 @@
 """Public names: every export resolves, the package and its ``cli``
 subpackage export what they import, the channels leave the step mapping
-to the receiver, the CLI leaves starting chain rows to the engine, every
-function the benchmark tracer wraps still exists, and the README's
-library example runs."""
+to the receiver, the CLI leaves starting chain rows to the engine, the
+config parser reads every scalar through one reader, every function the
+benchmark tracer wraps still exists, and the README's library example
+runs."""
 
 import ast
 import importlib
@@ -78,6 +79,25 @@ def test_cli_declares_chain_rows_without_starting_them():
         for alias in node.names
     }
     assert imported.isdisjoint({"compensate_to_step", "forward_sample"})
+
+
+def test_config_reads_every_scalar_through_one_reader():
+    """``_Section`` has one scalar reader, ``take``, beside the readers of a
+    nested object and of a number list; no table maps types to readers."""
+    import diffcomm.cli.config as config
+
+    tree = ast.parse(Path(config.__file__).read_text())
+    section = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Section"
+    )
+    readers = {
+        node.name
+        for node in section.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("take")
+    }
+    assert readers == {"take", "take_section", "take_float_list"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_READERS" not in names
 
 
 def test_every_bench_trace_target_resolves():

@@ -31,6 +31,10 @@ def test_mse_hand_values():
     assert mse(a, a) == 0.0
     with pytest.raises(ValueError):
         mse(np.zeros(3), np.zeros(4))
+    for shape in ((0,), (2, 0, 4)):
+        with pytest.raises(ValueError) as info:
+            mse(np.zeros(shape), np.zeros(shape))
+        assert str(info.value) == f"mse of empty signals of shape {shape}"
 
 
 def test_psnr_hand_values_and_cap():
@@ -39,6 +43,11 @@ def test_psnr_hand_values_and_cap():
     assert psnr_from_mse(1e-30) == 99.0
     with pytest.raises(ValueError):
         psnr_from_mse(-0.1)
+    # an infinite error gives the limit at the other end
+    assert psnr_from_mse(1e300) == pytest.approx(-3000.0, rel=1e-12)
+    assert psnr_from_mse(math.inf) == -math.inf
+    with pytest.warns(RuntimeWarning, match="overflow"):  # the squares overflow to inf
+        assert psnr(np.zeros(2), np.full(2, 1e200)) == -math.inf
 
 
 def test_psnr_of_signals():

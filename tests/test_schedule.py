@@ -227,8 +227,10 @@ def test_compensation_infeasible_raises():
     (200, -0.25, ValueError, "sigma2 must be finite and >= 0, got -0.25"),
     (200, math.nan, ValueError, "sigma2 must be finite and >= 0, got nan"),
     (200, math.inf, ValueError, "sigma2 must be finite and >= 0, got inf"),
-    (0, 0.25, IndexError, "t_target must be >= 1"),
-], ids=["negative", "nan", "inf", "step-0"])
+    (0, 0.25, IndexError, "step 0 outside [1, 1000]"),
+    (-1, 0.25, IndexError, "step -1 outside [1, 1000]"),
+    (1001, 0.25, IndexError, "step 1001 outside [1, 1000]"),
+], ids=["negative", "nan", "inf", "step-0", "step-below", "step-above"])
 def test_compensation_variance_checks_its_arguments(t_target, sigma2, error, message):
     with pytest.raises(error) as info:
         compensation_variance(build_linear_schedule(), t_target, sigma2)
