@@ -19,7 +19,6 @@ from .channels import (
 from .codec import (
     CodecArch,
     CodecParams,
-    GaussianParams,
     compressed_length,
     downsample,
     init_codec,
@@ -84,7 +83,6 @@ __all__ = [
     "ConfigurationError",
     "DeepFadeError",
     "Denoiser",
-    "GaussianParams",
     "GaussianSourceModel",
     "LossBreakdown",
     "LossWeights",

@@ -291,28 +291,33 @@ def _receive(
     base: np.ndarray,
     out: ChannelOutput,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], tuple[int, int]]:
+) -> tuple[list[np.ndarray], tuple[int, int, int]]:
     """Denoise each of ``routes`` as rows (``diffusion._Row``) of one ragged chain.
 
     Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of the
     received ``base`` (the config refuses a codec, which would mix them,
     over MIMO).  Adaptive has a row per stream, scaled onto the step its
     ``mapped_sigma2`` maps to (one ``sigma2_to_step`` call per stream);
+    a stream past the schedule's last variance is clipped to it, so its
+    row starts at step T from the stream scaled by sqrt(alpha_bar_T);
     compensate a row per stream that carries its ``effective_sigma2``,
     so a pinned fade is held to ``sigma^2/|h|^2`` under either
     convention; forward one row, the clean source ``y0``, carrying 0.
     The engine starts each row right before its noise draw, as if the
     rows were denoised in turn, and each route's rows are one contiguous
-    run.  Returns each route's rows joined in order, the reverse steps
-    summed over the rows (trial-steps) and the chain's steps (the
-    largest start step).
+    run.  Returns each route's rows joined in order, and three counts:
+    the reverse steps summed over the rows (trial-steps), the chain's
+    steps (the largest start step) and the clipped streams.
     """
     schedule = setup.cfg.schedule.built
+    top = schedule.max_sigma2
     streams = np.split(base, len(out.mapped_sigma2))
     routed = []  # each route's rows, in generator order
+    clipped = 0
     for route in routes:
         if route == "adaptive":
-            maps = [sigma2_to_step(schedule, s2) for s2 in out.mapped_sigma2]
+            clipped = sum(s2 > top for s2 in out.mapped_sigma2)
+            maps = [sigma2_to_step(schedule, min(s2, top)) for s2 in out.mapped_sigma2]
             routed.append([_Row(m.scale * s, m.step_u) for s, m in zip(streams, maps)])
         else:  # compensate tops up the streams, forward the clean source
             carried = zip(streams, out.effective_sigma2) if route == "compensate" else [(y0, 0.0)]
@@ -321,12 +326,12 @@ def _receive(
     ys = iter(_denoise_rows(rows, setup.denoiser, schedule, rng))
     recons = [np.concatenate([next(ys) for _ in route_rows]) for route_rows in routed]
     steps = [row.step for row in rows]
-    return recons, (sum(steps), max(steps))
+    return recons, (sum(steps), max(steps), clipped)
 
 
 def _run_trials(
     setup: _TrialSetup, sigma2: float, kind: str, trials: int, key: tuple
-) -> tuple[dict[str, list[float]], Optional[float], tuple[int, int]]:
+) -> tuple[dict[str, list[float]], Optional[float], tuple[int, int, int]]:
     """Run ``trials`` latents through the receiver chain at noise ``sigma2``.
 
     Trial ``i`` draws everything from ``_derive_rng(*key, i)``.  ``kind``
@@ -336,9 +341,9 @@ def _run_trials(
     reconstructions (None in compare mode or without an SSIM window).
     SSIM is scored in blocks of trials, one ``ssim_batch`` call per
     block, and averaged in trial order.  Last come the reverse steps run
-    over all trials, streams and routes (trial-steps), and the reverse
-    step calls that ran them (chain steps, fewer where a trial has more
-    than one stream or route).
+    over all trials, streams and routes (trial-steps), the reverse step
+    calls that ran them (chain steps, fewer where a trial has more than
+    one stream or route) and the streams clipped to the schedule's end.
     """
     cfg, params, source = setup.cfg, setup.params, setup.source
     sigma = math.sqrt(sigma2)
@@ -352,7 +357,7 @@ def _run_trials(
 
     mses: dict[str, list[float]] = {route: [] for route in routes}
     ssims: list[float] = []
-    steps = chain_steps = 0
+    totals = [0, 0, 0]  # trial-steps, chain steps, clipped streams
     for trial in range(trials):
         rng = _derive_rng(*key, trial)
         if isinstance(source, GaussianSourceModel):
@@ -363,11 +368,10 @@ def _run_trials(
         out = _transmit(cfg, transmitted, sigma, rng)
         base = out.received
         if params is not None:
-            base = upsample(base[: params.m], snr_nominal, params, rng)[1]
+            _, _, base = upsample(base[: params.m], snr_nominal, params, rng)
 
-        trial_recons, trial_steps = _receive(setup, routes, y0, base, out, rng)
-        steps += trial_steps[0]
-        chain_steps += trial_steps[1]
+        trial_recons, counts = _receive(setup, routes, y0, base, out, rng)
+        totals = [total + count for total, count in zip(totals, counts)]
         for route, recon in zip(routes, trial_recons):
             mses[route].append(mse(recon, y0))
         if window is not None:
@@ -377,14 +381,15 @@ def _run_trials(
             if row == block - 1 or trial == trials - 1:
                 ssims += ssim_batch(refs[: row + 1], recons[: row + 1], window=window).tolist()
 
-    return mses, (float(np.mean(ssims)) if ssims else None), (steps, chain_steps)
+    return mses, (float(np.mean(ssims)) if ssims else None), tuple(totals)
 
 
-def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, tuple[int, int]]:
-    """The cell's CSV row, and the trial-steps and chain steps its trials ran."""
+def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, tuple[int, int, int]]:
+    """The cell's CSV row, and the trial-steps, chain steps and clipped
+    streams of its trials."""
     cfg = setup.cfg
     kind = cfg.mode.kind
-    mses, mean_ssim, steps = _run_trials(
+    mses, mean_ssim, counts = _run_trials(
         setup, cell.sigma2, kind, cfg.source.count, (cfg.seed, cfg.channel.type, cell.sigma2)
     )
     coords = (cfg.channel.type, cell.snr_db, cell.sigma2)
@@ -407,7 +412,7 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, tuple[int, int]]:
             center - half,
             center + half,
         )
-        return row, steps
+        return row, counts
 
     if kind == "adaptive":
         step_u = _nominal_step_u(cfg.schedule.built, cell.sigma2)
@@ -416,7 +421,7 @@ def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, tuple[int, int]]:
     (route,) = _ROUTES[kind]
     mean_mse = float(np.mean(mses[route]))
     row = (*coords, step_u, cfg.source.count, psnr_from_mse(mean_mse), mean_ssim, mean_mse)
-    return row, steps
+    return row, counts
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +470,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     adaptive, compensate-to-target, and pure-forward routes on shared
     source and channel draws and reports the paired deltas with a 95%
     confidence interval on compensate-vs-forward.  Failures carry the
-    coordinates of the offending cell.  The log ends with the wall time
-    of the grid and its trials per second, the ``reverse_step`` calls
+    coordinates of the offending cell.  The log counts the streams that
+    adaptive clipped to the schedule's last step, then ends with the wall
+    time of the grid and its trials per second, the ``reverse_step`` calls
     made (``chain_steps``: one per step of a trial's chain, which its
     streams and routes share), then the reverse steps run (trial-steps
     over every stream and route) and their rate.
@@ -483,8 +489,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     )
     wall_s = time.perf_counter() - start
     rows = tuple(row for row, _ in results)
-    steps = sum(cell_steps for _, (cell_steps, _) in results)
-    chain_steps = sum(cell_chain_steps for _, (_, cell_chain_steps) in results)
+    steps, chain_steps, clipped = (sum(column) for column in zip(*(c for _, c in results)))
 
     header = _COMPARE_HEADER if cfg.mode.kind == "compare" else _SIMULATE_HEADER
     log_lines = [f"simulate mode={cfg.mode.kind} cells={len(rows)} trials={cfg.source.count}"]
@@ -493,6 +498,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
         for cell in cfg.channel.cells
     ]
     trials = len(rows) * cfg.source.count
+    log_lines.append(f"simulate clipped_streams={clipped}")
     log_lines.append(f"simulate wall_s={wall_s:.6g} trials_per_s={trials / wall_s:.6g}")
     log_lines.append(f"simulate chain_steps={chain_steps}")
     log_lines.append(f"simulate reverse_steps={steps} steps_per_s={steps / wall_s:.6g}")
@@ -547,7 +553,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     ``sweep.trials`` latents end to end (codec, channel at the training
     SNR, adaptive receive, denoise) and reports PSNR/SSIM/MSE.  A training
     variance past the schedule's last step is a ConfigurationError at
-    ``train.snr_db``, raised before any point trains.
+    ``train.snr_db``, raised before any point trains; a faded stream past
+    it is clipped to that step, and the log counts the clipped streams.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep", "section is required for a sweep run")
@@ -578,16 +585,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
         params0 = _init_codec(cfg, k, rng)
         weights = LossWeights(lam, gamma)
         params, _ = train_codec(source, math.sqrt(sigma2), params0, weights, tcfg, rng)
-        mses, mean_ssim, _ = _run_trials(
+        mses, mean_ssim, counts = _run_trials(
             replace(setup, params=params), sigma2, "adaptive", trials,
             (cfg.seed, "sweep-eval", param, value),
         )
         mean_mse = float(np.mean(mses["adaptive"]))
-        return (param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse)
+        return (param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse), counts[2]
 
-    rows = _map_cells(run_point, cfg.sweep.values, lambda v: f"grid {param}={v:.6g}", threads)
-    log_lines = [f"sweep param={param} points={len(rows)} steps={steps} trials={trials}"]
-    result = RunResult(_SWEEP_HEADER, tuple(rows))
+    results = _map_cells(run_point, cfg.sweep.values, lambda v: f"grid {param}={v:.6g}", threads)
+    rows = tuple(row for row, _ in results)
+    log_lines = [
+        f"sweep param={param} points={len(rows)} steps={steps} trials={trials}",
+        f"sweep clipped_streams={sum(clipped for _, clipped in results)}",
+    ]
+    result = RunResult(_SWEEP_HEADER, rows)
     _write_run_files(cfg, out_dir, result, log_lines)
     return result
 

@@ -39,7 +39,6 @@ __all__ = [
     "LinearParams",
     "ResidualBlock",
     "CodecParams",
-    "GaussianParams",
     "compressed_length",
     "k_from_channel_count",
     "init_codec",
@@ -124,24 +123,6 @@ class CodecParams:
     @property
     def m(self) -> int:
         return self.down_proj.W.shape[0]
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Elementwise Gaussian over the reconstruction: mean and positive scale."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        if mu.shape != sigma.shape:
-            raise ValueError(f"mu and sigma shapes differ: {mu.shape} vs {sigma.shape}")
-        if not np.all(sigma > 0.0):
-            raise ValueError("sigma must be strictly positive")
 
 
 def compressed_length(n: int, k: float) -> int:
@@ -297,19 +278,6 @@ def _block_forward(block: ResidualBlock, x: np.ndarray) -> tuple[np.ndarray, dic
     return out, {"x": x, "a": a, "h": hmid}
 
 
-def _block_backward(
-    block: ResidualBlock, ctx: dict, dout: np.ndarray, grads: ResidualBlock
-) -> np.ndarray:
-    """Input gradient of one block; its parameter gradients go into ``grads``."""
-    dh = dout @ block.fc2.W
-    np.matmul(dout.T, ctx["h"], out=grads.fc2.W)
-    np.sum(dout, axis=0, out=grads.fc2.b)
-    da = dh * _lrelu_grad(ctx["a"])
-    np.matmul(da.T, ctx["x"], out=grads.fc1.W)
-    np.sum(da, axis=0, out=grads.fc1.b)
-    return dout + da @ block.fc1.W
-
-
 def forward_down_batch(params: CodecParams, Y: np.ndarray) -> tuple[np.ndarray, dict]:
     """Compress a (batch, n) array; returns (batch, m) and the backward context."""
     x = Y
@@ -319,15 +287,13 @@ def forward_down_batch(params: CodecParams, Y: np.ndarray) -> tuple[np.ndarray, 
         blocks_ctx.append(ctx)
     z_raw = x @ params.down_proj.W.T + params.down_proj.b
     ctx = {"blocks": blocks_ctx, "x_proj_in": x, "z_raw": z_raw}
+    Z = z_raw
     if params.arch.power_norm:
         c = np.sqrt(np.mean(z_raw * z_raw, axis=1))
         if np.any(c == 0.0):
             raise ValueError("cannot power-normalize an all-zero transmit vector")
         Z = z_raw / c[:, None]
         ctx["c"] = c
-    else:
-        Z = z_raw
-    ctx["Z"] = Z
     return Z, ctx
 
 
@@ -365,8 +331,6 @@ def forward_up_batch(
         "a2": a2,
         "h2": h2,
         "clamp_mask": (lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX),
-        "Sy": Sy,
-        "eps_y": eps_y,
     }
     return Mu, Lv, Sy, Yhat, ctx
 
@@ -374,6 +338,26 @@ def forward_up_batch(
 def zero_grads(params: CodecParams) -> CodecParams:
     """Parameter-shaped container of zeros over a fresh vector."""
     return _layout(params.shape, params.k, params.arch)
+
+
+def _linear_backward(
+    layer: LinearParams, x: np.ndarray, d: np.ndarray, grads: LinearParams
+) -> np.ndarray:
+    """The one linear-layer rule: with input ``x`` and output gradient ``d``, write
+    ``d.T @ x`` and the batch sum of ``d`` into ``grads``; return ``d @ layer.W``."""
+    np.matmul(d.T, x, out=grads.W)
+    np.sum(d, axis=0, out=grads.b)
+    return d @ layer.W
+
+
+def _blocks_backward(
+    blocks: list[ResidualBlock], ctxs: list[dict], grads: list[ResidualBlock], dout: np.ndarray
+) -> np.ndarray:
+    """Input gradient of a stack of residual blocks, run last to first."""
+    for block, ctx, g in zip(reversed(blocks), reversed(ctxs), reversed(grads)):
+        da = _linear_backward(block.fc2, ctx["h"], dout, g.fc2) * _lrelu_grad(ctx["a"])
+        dout = dout + _linear_backward(block.fc1, ctx["x"], da, g.fc1)
+    return dout
 
 
 def backward_batch(
@@ -390,9 +374,9 @@ def backward_batch(
     ``dMu`` and ``dLv`` are the loss gradients at the decoder outputs
     (after the caller has folded in the reparameterization chain).  The
     channel noise between encoder and decoder is additive, so the decoder
-    input gradient passes straight through to the encoder output.
-    Returns a parameter-shaped structure of gradients, whose ``flat``
-    lines up with ``params.flat``.
+    input gradient passes straight through to the encoder output.  Each
+    layer's gradient is one :func:`_linear_backward` call, and the
+    returned parameter-shaped gradients line up with ``params.flat``.
 
     ``out`` (from :func:`zero_grads` on the same layout) receives the
     gradients instead of a fresh container and is returned; every layer's
@@ -404,44 +388,22 @@ def backward_batch(
 
     # variance head
     dlv_raw = dLv * up_ctx["clamp_mask"]
-    np.matmul(dlv_raw.T, up_ctx["h2"], out=g.lv_fc2.W)
-    np.sum(dlv_raw, axis=0, out=g.lv_fc2.b)
-    dh2 = dlv_raw @ params.lv_fc2.W
-    da2 = dh2 * _lrelu_grad(up_ctx["a2"])
-    np.matmul(da2.T, up_ctx["lv_in"], out=g.lv_fc1.W)
-    np.sum(da2, axis=0, out=g.lv_fc1.b)
-    dZhat = (da2 @ params.lv_fc1.W)[:, :m]
+    da2 = _linear_backward(params.lv_fc2, up_ctx["h2"], dlv_raw, g.lv_fc2) * _lrelu_grad(up_ctx["a2"])
+    dZhat = _linear_backward(params.lv_fc1, up_ctx["lv_in"], da2, g.lv_fc1)[:, :m]
 
     # mean head
-    dx = dMu
-    for block, bctx, gblock in zip(
-        reversed(params.up_mu_blocks),
-        reversed(up_ctx["mu_blocks"]),
-        reversed(g.up_mu_blocks),
-    ):
-        dx = _block_backward(block, bctx, dx, gblock)
-    np.matmul(dx.T, up_ctx["mu_in"], out=g.up_mu_proj.W)
-    np.sum(dx, axis=0, out=g.up_mu_proj.b)
-    dZhat = dZhat + (dx @ params.up_mu_proj.W)[:, :m]
+    dx = _blocks_backward(params.up_mu_blocks, up_ctx["mu_blocks"], g.up_mu_blocks, dMu)
+    dZhat = dZhat + _linear_backward(params.up_mu_proj, up_ctx["mu_in"], dx, g.up_mu_proj)[:, :m]
 
     # through the additive channel noise into the encoder
-    dZ = dZhat
+    dz_raw = dZhat
     if params.arch.power_norm:
         z_raw = down_ctx["z_raw"]
         c = down_ctx["c"][:, None]
-        inner = np.sum(dZ * z_raw, axis=1, keepdims=True)
-        dz_raw = dZ / c - z_raw * inner / (z_raw.shape[1] * c**3)
-    else:
-        dz_raw = dZ
-    np.matmul(dz_raw.T, down_ctx["x_proj_in"], out=g.down_proj.W)
-    np.sum(dz_raw, axis=0, out=g.down_proj.b)
-    dx = dz_raw @ params.down_proj.W
-    for block, bctx, gblock in zip(
-        reversed(params.down_blocks),
-        reversed(down_ctx["blocks"]),
-        reversed(g.down_blocks),
-    ):
-        dx = _block_backward(block, bctx, dx, gblock)
+        inner = np.sum(dZhat * z_raw, axis=1, keepdims=True)
+        dz_raw = dZhat / c - z_raw * inner / (z_raw.shape[1] * c**3)
+    dx = _linear_backward(params.down_proj, down_ctx["x_proj_in"], dz_raw, g.down_proj)
+    _blocks_backward(params.down_blocks, down_ctx["blocks"], g.down_blocks, dx)
     return g
 
 
@@ -475,12 +437,13 @@ def downsample(y: np.ndarray, params: CodecParams) -> np.ndarray:
 
 def upsample(
     z_hat: np.ndarray, snr: float, params: CodecParams, rng: np.random.Generator
-) -> tuple[GaussianParams, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode a received ``(m,)`` vector into a Gaussian and a reparameterized draw.
 
-    Returns the elementwise Gaussian ``(mu, sigma)`` and the ``(n,)``
-    sample ``mu + sigma * eps`` with ``eps`` drawn from ``rng``.  ``snr``
-    is the linear channel SNR used for conditioning.
+    Returns ``(mu, sigma, sample)``, three ``(n,)`` arrays: the elementwise
+    Gaussian's mean and scale (``exp`` of half the clamped log variance, so
+    positive) and the sample ``mu + sigma * eps`` with ``eps`` drawn from
+    ``rng``.  ``snr`` is the linear channel SNR used for conditioning.
     """
     z_hat = np.asarray(z_hat, dtype=np.float64)
     if z_hat.shape != (params.m,):
@@ -492,8 +455,7 @@ def upsample(
     Mu, Lv, Sy, Yhat, _ = forward_up_batch(params, z_hat[None, :], feat, eps_y[None, :])
     _check_finite("up_mu", Mu)
     _check_finite("up_logvar", Lv)
-    q = GaussianParams(mu=Mu[0].copy(), sigma=Sy[0].copy())
-    return q, Yhat[0]
+    return Mu[0], Sy[0], Yhat[0]
 
 
 # ---------------------------------------------------------------------------

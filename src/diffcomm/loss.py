@@ -176,7 +176,7 @@ def hybrid_loss_batch(
     dMu = scale * (lam * Mu + 2.0 * resid + gamma * diff * inv_eLv)
     dLv = scale * (
         lam * 0.5 * (eLv - 1.0)
-        + resid * up_ctx["eps_y"] * Sy
+        + resid * eps_y * Sy
         + gamma * 0.5 * (1.0 - (sigma * sigma + diff * diff) * inv_eLv)
     )
     grads = backward_batch(params, down_ctx, up_ctx, dMu, dLv, out=out)
@@ -307,7 +307,6 @@ def train_codec(
     g = grads.flat
     velocity = np.zeros_like(params.flat)
     records: list[TrainRecord] = []
-    last_finite = 0
 
     for step in range(1, cfg.steps + 1):
         Y = _draw_batch(source, n, cfg.batch, rng, (step - 1) * cfg.batch)
@@ -319,8 +318,7 @@ def train_codec(
             params, Y, sigma, snr, eps1, eps2, eps_y, weights, out=grads, grad_scale=cfg.lr
         )
         if not math.isfinite(breakdown.total):
-            raise TrainingDivergedError(step=step, last_finite_step=last_finite)
-        last_finite = step
+            raise TrainingDivergedError(step=step, last_finite_step=step - 1)
 
         # g holds the step; velocity = momentum * velocity - g, in place
         if cfg.momentum > 0.0:

@@ -506,7 +506,7 @@ def test_adaptive_route_scales_each_stream_onto_its_mapped_step(monkeypatch):
     sigma2s = (step_to_sigma2(schedule, 300), step_to_sigma2(schedule, 120))
     base = np.linspace(-1.0, 1.0, 32)
     mappings, rows, _, run_steps, _ = _run_adaptive_route(base, sigma2s, monkeypatch)
-    assert [row.step for row in rows] == [300, 120] and run_steps == (420, 300)
+    assert [row.step for row in rows] == [300, 120] and run_steps == (420, 300, 0)
     for i, (mapping, row) in enumerate(zip(mappings, rows)):
         assert mapping.residual == 0.0
         assert row.carried is None  # so the row starts from its vector as it is
@@ -518,9 +518,32 @@ def test_adaptive_route_passes_a_clean_signal_through(monkeypatch):
     runs, nothing is drawn, and the received values come back as they are."""
     base = np.linspace(-1.0, 1.0, 8)
     mappings, _, recon, run_steps, rng = _run_adaptive_route(base, (0.0,), monkeypatch)
-    assert mappings[0].step_u == 0 and run_steps == (0, 0)
+    assert mappings[0].step_u == 0 and run_steps == (0, 0, 0)
     assert recon.tobytes() == base.tobytes()
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_adaptive_route_clips_a_stream_past_the_last_step():
+    """A stream mapped past the schedule's last variance gets the row that
+    variance maps to, step T, and is counted; the other stream maps as
+    usual.  Both reconstructions are those of mapping at the last variance."""
+    cfg = parse_config(_cfg())
+    schedule = cfg.schedule.built
+    top = schedule.max_sigma2
+    assert sigma2_to_step(schedule, top).step_u == schedule.T
+    setup = run_module._trial_setup(cfg)
+    base = np.linspace(-1.0, 1.0, 32)
+    received = []
+    for mapped in ((4.0 * top, 2.0), (top, 2.0)):
+        out = ChannelOutput(received=base, effective_sigma2=mapped, mapped_sigma2=mapped)
+        rng = np.random.default_rng(0)
+        received.append(run_module._receive(setup, ("adaptive",), base, base, out, rng))
+    step = sigma2_to_step(schedule, 2.0).step_u
+    (clipped,), counts = received[0]
+    (reference,), reference_counts = received[1]
+    assert counts == (schedule.T + step, schedule.T, 1)
+    assert reference_counts == (schedule.T + step, schedule.T, 0)
+    assert clipped.tobytes() == reference.tobytes()
 
 
 def test_compensate_route_holds_one_streams_noise_draw_at_a_time():
@@ -551,9 +574,9 @@ def test_compensate_route_holds_one_streams_noise_draw_at_a_time():
         finally:
             tracemalloc.stop()
         if kind == "fixed_step":
-            assert steps == (4 * 800, 800)
+            assert steps == (4 * 800, 800, 0)
         else:
-            assert steps == (4 * mapping.step_u + 5 * 800, 800)
+            assert steps == (4 * mapping.step_u + 5 * 800, 800, 0)
         assert peak < 1.4 * table_bytes, kind
 
 
@@ -590,7 +613,7 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     forward = denoised(compensate_to_step(y0, 0.0, 300, schedule, ref_rng), 300)
 
     assert [m.step_u for m in mappings] == [0, 120]
-    assert steps == (0 + 120 + 2 * 300 + 300, 300)
+    assert steps == (0 + 120 + 2 * 300 + 300, 300, 0)
     assert recons[0].tobytes() == np.concatenate(adaptive).tobytes()
     assert recons[1].tobytes() == np.concatenate(compensate).tobytes()
     assert recons[2].tobytes() == forward.tobytes()
@@ -617,12 +640,27 @@ def test_simulate_compare_mode_columns(tmp_path):
     assert row[9] <= row[10]  # interval is ordered
 
 
+# a random fade deep enough carries more than step 50's variance, which
+# no compensation can reach; the parser leaves a random fade to the run
+INFEASIBLE = {"channel": {"type": "rayleigh", "snr_db": [0.0]},
+              "mode": {"kind": "fixed_step", "t_target": 50}}
+
+
 def test_simulate_errors_carry_cell_coordinates(tmp_path):
-    # sigma^2 |h|^2 = 4e4 exceeds the schedule's maximum representable noise;
-    # the parser leaves a fade, even a pinned one, to the run
-    cfg = parse_config(_cfg(channel={"type": "rayleigh", "h": [1.0, 0.0], "sigma": [200.0]}))
+    cfg = parse_config(_cfg(**INFEASIBLE))
     with pytest.raises(RuntimeError, match="cell channel=rayleigh"):
         run_simulate(cfg, out_dir=str(tmp_path))
+
+
+def test_adaptive_clips_a_pinned_fade_past_the_last_step(tmp_path):
+    """sigma^2 |h|^2 = 4e4 exceeds the schedule's maximum representable
+    noise; the parser leaves a fade, even a pinned one, to the run, which
+    starts every such stream at step T and counts it."""
+    cfg = parse_config(_cfg(channel={"type": "rayleigh", "h": [1.0, 0.0], "sigma": [200.0]}))
+    result = run_simulate(cfg, out_dir=str(tmp_path))
+    assert all(math.isfinite(v) for v in (result.rows[0][5], result.rows[0][7]))
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert lines[-4] == f"simulate clipped_streams={SMALL_SOURCE['count']}"
 
 
 def test_fixed_step_maps_nothing_so_a_gain_weighted_fade_runs(tmp_path):
@@ -630,7 +668,8 @@ def test_fixed_step_maps_nothing_so_a_gain_weighted_fade_runs(tmp_path):
     step 1000's variance, but the gain-weighted mapping reads 3000 * 9,
     past the schedule's last step.  Fixed-step mode compensates from the
     carried variance and never maps, so it runs with the bytes of the
-    mmse convention; compare mode's adaptive route maps and fails."""
+    mmse convention; compare mode's adaptive route maps, and clips the
+    -34.77 dB cell's stream to step T in each of its 3 trials."""
 
     def config(convention, kind="fixed_step"):
         return _cfg(
@@ -644,10 +683,10 @@ def test_fixed_step_maps_nothing_so_a_gain_weighted_fade_runs(tmp_path):
         run_simulate(parse_config(config(convention)), out_dir=str(tmp_path / convention))
     csv_bytes = [(tmp_path / c / "results.csv").read_bytes() for c in ("gain_weighted", "mmse")]
     assert csv_bytes[0] == csv_bytes[1]
-    with pytest.raises(
-        RuntimeError, match=r"^cell channel=rayleigh snr_db=-34\.77: noise variance 26992\.5 exceeds"
-    ):
-        run_simulate(parse_config(config("gain_weighted", "compare")), out_dir=str(tmp_path / "c"))
+    cfg = parse_config(config("gain_weighted", "compare"))
+    result = run_simulate(cfg, out_dir=str(tmp_path / "c"))
+    assert len(result.rows) == 2
+    assert "simulate clipped_streams=3" in (tmp_path / "c" / "run.log").read_text().splitlines()
 
 
 def test_simulate_runs_cells_whose_nominal_variance_saturates(tmp_path):
@@ -820,6 +859,18 @@ def test_sweep_rows_are_reorder_invariant(tmp_path):
     fwd = run_sweep(parse_config(_sweep_cfg([1.0, 0.1])), out_dir=str(tmp_path / "f"))
     rev = run_sweep(parse_config(_sweep_cfg([0.1, 1.0])), out_dir=str(tmp_path / "r"))
     assert {r[1]: r for r in fwd.rows} == {r[1]: r for r in rev.rows}
+
+
+def test_sweep_clips_a_faded_evaluation_stream_and_logs_the_count(tmp_path):
+    """A pinned |h| = 0.005 carries the training variance 1 as 4e4, past
+    the schedule's last step: each of the 2 trials of both points clips."""
+    cfg = json.loads(_sweep_cfg([1.0, 0.1]))
+    cfg["channel"] = {"type": "rayleigh", "snr_db": [0.0], "h": [0.005, 0.0],
+                      "convention": "mmse"}
+    cfg["train"] = {**cfg["train"], "snr_db": 0.0}
+    result = run_sweep(parse_config(json.dumps(cfg)), out_dir=str(tmp_path))
+    assert all(math.isfinite(row[2]) and math.isfinite(row[4]) for row in result.rows)
+    assert (tmp_path / "run.log").read_text().splitlines()[-1] == "sweep clipped_streams=4"
 
 
 def test_sweep_requires_section_and_values(tmp_path):
@@ -1142,8 +1193,7 @@ def test_adaptive_mode_ignores_default_t_target_past_short_schedule():
 
 
 def test_main_runtime_error_exit_code(tmp_path, capsys):
-    channel = {"type": "rayleigh", "h": [1.0, 0.0], "sigma": [200.0]}
-    cfg_path = _write_cfg(tmp_path, _cfg(channel=channel))
+    cfg_path = _write_cfg(tmp_path, _cfg(**INFEASIBLE))
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "runtime error" in err and "cell channel=rayleigh" in err

@@ -10,7 +10,6 @@ import pytest
 from diffcomm import (
     CodecArch,
     ConfigurationError,
-    GaussianParams,
     NumericOverflowError,
     compressed_length,
     downsample,
@@ -138,8 +137,8 @@ def test_full_rate_codec_is_identity_at_init():
     z = downsample(y, p)
     assert z.shape == (256,)
     assert np.array_equal(z, y)
-    q, _ = upsample(z, 10.0, p, np.random.default_rng(2))
-    assert np.array_equal(q.mu, y)
+    mu, _, _ = upsample(z, 10.0, p, np.random.default_rng(2))
+    assert np.array_equal(mu, y)
 
 
 def test_power_normalization_gives_unit_rms():
@@ -182,18 +181,18 @@ def test_snr_feature_normalization():
 def test_snr_conditioning_changes_variance_head():
     p = _params()
     z = np.random.default_rng(6).standard_normal(128)
-    q_low, _ = upsample(z, 1.0, p, np.random.default_rng(7))
-    q_high, _ = upsample(z, 15.0, p, np.random.default_rng(7))
-    assert not np.array_equal(q_low.sigma, q_high.sigma)
+    _, sigma_low, _ = upsample(z, 1.0, p, np.random.default_rng(7))
+    _, sigma_high, _ = upsample(z, 15.0, p, np.random.default_rng(7))
+    assert not np.array_equal(sigma_low, sigma_high)
 
 
 def test_snr_ablation_is_invariant():
     p = _params(snr_conditioning=False)
     assert snr_feature(p, 123.0) == 0.0
     z = np.random.default_rng(8).standard_normal(128)
-    q_low, y_low = upsample(z, 1.0, p, np.random.default_rng(9))
-    q_high, y_high = upsample(z, 15.0, p, np.random.default_rng(9))
-    assert np.array_equal(q_low.sigma, q_high.sigma)
+    _, sigma_low, y_low = upsample(z, 1.0, p, np.random.default_rng(9))
+    _, sigma_high, y_high = upsample(z, 15.0, p, np.random.default_rng(9))
+    assert np.array_equal(sigma_low, sigma_high)
     assert np.array_equal(y_low, y_high)
 
 
@@ -202,9 +201,9 @@ def test_snr_to_mu_column_is_zero_initialized():
     cond = _params(seed=11, snr_to_mu=True)
     assert cond.up_mu_proj.W.shape == (256, 129)
     z = np.random.default_rng(12).standard_normal(128)
-    q_a, _ = upsample(z, 4.0, base, np.random.default_rng(13))
-    q_b, _ = upsample(z, 4.0, cond, np.random.default_rng(13))
-    assert np.array_equal(q_a.mu, q_b.mu)
+    mu_a, _, _ = upsample(z, 4.0, base, np.random.default_rng(13))
+    mu_b, _, _ = upsample(z, 4.0, cond, np.random.default_rng(13))
+    assert np.array_equal(mu_a, mu_b)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +213,8 @@ def test_snr_to_mu_column_is_zero_initialized():
 def test_logvar_clamp_bounds_sigma():
     p = _params()
     huge = np.full(128, 1e8)
-    q, _ = upsample(huge, 4.0, p, np.random.default_rng(14))
-    logvar = 2.0 * np.log(q.sigma)
+    _, sigma, _ = upsample(huge, 4.0, p, np.random.default_rng(14))
+    logvar = 2.0 * np.log(sigma)
     assert np.all(logvar <= 10.0 + 1e-9)
     assert np.all(logvar >= -10.0 - 1e-9)
     assert np.max(np.abs(logvar)) == pytest.approx(10.0, rel=1e-12)
@@ -226,21 +225,11 @@ def test_upsample_sample_is_mu_plus_sigma_eps():
     z = np.random.default_rng(4).standard_normal(128)
     rng = np.random.default_rng(5)
     eps = copy.deepcopy(rng).standard_normal(p.n)
-    q, sample = upsample(z, 4.0, p, rng)
-    assert sample.shape == (p.n,)
-    assert np.array_equal(sample, q.mu + q.sigma * eps)
-    assert not np.array_equal(sample, q.mu)
-
-
-def test_gaussian_params_require_positive_sigma():
-    with pytest.raises(ValueError):
-        GaussianParams(mu=np.zeros(2), sigma=np.array([1.0, 0.0]))
-
-
-def test_gaussian_params_require_matching_shapes():
-    with pytest.raises(ValueError) as info:
-        GaussianParams(mu=np.zeros(2), sigma=np.ones(3))
-    assert (info.type, str(info.value)) == (ValueError, "mu and sigma shapes differ: (2,) vs (3,)")
+    mu, sigma, sample = upsample(z, 4.0, p, rng)
+    assert mu.shape == sigma.shape == sample.shape == (p.n,)
+    assert np.all(sigma > 0.0)
+    assert np.array_equal(sample, mu + sigma * eps)
+    assert not np.array_equal(sample, mu)
 
 
 def test_upsample_length_check():

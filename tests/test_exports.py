@@ -1,9 +1,10 @@
 """Public names: every export resolves, the package and its ``cli``
 subpackage export what they import, the channels leave the step mapping
 to the receiver, the CLI leaves starting chain rows to the engine, the
-config parser reads every scalar through one reader, every function the
-benchmark tracer wraps still exists, and the README's library example
-runs."""
+config parser reads every scalar through one reader, the codec writes
+every layer gradient through one rule and decodes to plain arrays, every
+function the benchmark tracer wraps still exists, and the README's
+library example runs."""
 
 import ast
 import importlib
@@ -98,6 +99,40 @@ def test_config_reads_every_scalar_through_one_reader():
     assert readers == {"take", "take_section", "take_float_list"}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "_READERS" not in names
+
+
+def test_codec_writes_every_layer_gradient_through_one_rule():
+    """Every call in ``codec.py`` that writes into an ``out=`` array (a
+    layer's gradient into its view of the gradient vector) is one of the
+    two in ``_linear_backward``."""
+    import diffcomm.codec as codec
+
+    tree = ast.parse(Path(codec.__file__).read_text())
+    rule = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_linear_backward"
+    )
+    in_rule = {id(node) for node in ast.walk(rule)}
+    writes = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == "out" for kw in node.keywords)
+    ]
+    assert len(writes) == 2 and all(id(node) in in_rule for node in writes)
+
+
+def test_no_module_defines_or_imports_a_gaussian_wrapper():
+    """The decoder returns its mean, scale and sample as plain arrays."""
+    package = Path(diffcomm.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        names |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "GaussianParams" not in names, path.name
 
 
 def test_every_bench_trace_target_resolves():

@@ -81,6 +81,12 @@ def _simulate_configs() -> dict:
         "source": SOURCE,
         "channel": {"type": "rayleigh", "snr_db": [-44.5, 0.0], "h": [0.5, 0.0]},
     })
+    # a pinned |h| = 0.005 carries 4e4 at 0 dB, past the schedule's last
+    # variance, so every trial clips to step T there; 6 dB's 1e4 maps
+    configs["simulate-rayleigh-clipped"] = (run_simulate, {
+        "source": SOURCE,
+        "channel": {"type": "rayleigh", "snr_db": SNR_DB, "h": [0.005, 0.0], "convention": "mmse"},
+    })
     # a 2x2 latent has no SSIM window; 3x3 pins the SSIM column too
     configs["simulate-awgn-ssim"] = (run_simulate, {
         "source": {**SOURCE, "shape": [3, 3, 2]},
@@ -163,6 +169,7 @@ RESOLVED_SHA256 = {
     "simulate-mimo4-fixed_step": "13085d11a318c0d988fe5ca8383bba06a4eee2bada89f210c21dbd11733f90ac",
     "simulate-rayleigh-adaptive": "40e7d10315c6de80128660d89e1d19b37d991870afef402087e6555646e8b395",
     "simulate-rayleigh-adaptive-codec": "83004529e7e15962a3c80f987db6fe74e7824ca5aa9529d7776d1ac2d0b9ff99",
+    "simulate-rayleigh-clipped": "fa53f01b8fc8c91cbf66e16ce42ef6d323491d7e2f3fe780170102e05efc38f7",
     "simulate-rayleigh-compare": "9cc4f12830b92eb367ac856bc23df82e7f7b03557c3fa2dba49efdf5f27be273",
     "simulate-rayleigh-compare-codec": "a52447bf2816f71b1810ca46b648c86946276eb7df5e936a1e24ffa103301c3a",
     "simulate-rayleigh-compare-codec-odd": "2c4bf69b775ff8145d6fdfa92b5acfcc675d116568518aed44361a0b5f034019",
@@ -196,6 +203,7 @@ RECON_SHA256 = {
     "simulate-mimo4-fixed_step": "804bec3f8eef47513ebb14777c0b387a1190c121c4ba013305b61039b8d360c1",
     "simulate-rayleigh-adaptive": "7a21a12b5cc77fe0ced6168e5309afd6e1dd136236715683e6c88ea80a7c6437",
     "simulate-rayleigh-adaptive-codec": "ca0b68ff622349dcebca28fdb23526c1199cebe895e8024dc5cc5b50fd61f889",
+    "simulate-rayleigh-clipped": "0df9784afe07306832aea27ce724b17006f4406e4e6d96e263c623d2f2e9b0ad",
     "simulate-rayleigh-compare": "538d044b54064a541a27017da173f2514236b58896a44f985686300c8a7f69a9",
     "simulate-rayleigh-compare-codec": "e64054b40b8fb60d1fca327b5f0671230a16fcd78da36a353c5623870b498b14",
     "simulate-rayleigh-compare-codec-odd": "e6b7f7c94a11116b79ec80a571c406a06dbb4e54d737c914ce58a19d2687ad5d",
