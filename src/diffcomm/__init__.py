@@ -63,6 +63,7 @@ from .metrics import (
     ssim,
     ssim_batch,
 )
+from .pipeline import Channel, run_trials
 from .schedule import (
     Schedule,
     StepMapping,
@@ -76,6 +77,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticGaussianDenoiser",
+    "Channel",
     "ChannelOutput",
     "CodecArch",
     "CodecParams",
@@ -117,6 +119,7 @@ __all__ = [
     "reconstruction_psnr",
     "rayleigh_transmit_mmse",
     "reverse_step",
+    "run_trials",
     "save_codec",
     "sigma2_to_step",
     "ssim",

@@ -13,7 +13,8 @@ The section dataclasses are the schema.  ``loss``, ``train`` and
 ``schedule`` holds the ``Schedule`` it builds at parse time; those types
 state their defaults and bounds, and ``_take_fields`` re-raises their
 ``ConfigurationError`` at the JSON path.  The other sections' fields
-state their defaults and, through ``_field``, their bounds.
+state their defaults and, through ``_field``, their bounds; ``channel``
+is the library's ``Channel`` with its noise grid added.
 ``_take_fields`` parses a section, reading each field by
 ``_Section.take`` with the kind its type names, and ``_plain`` writes
 one back out; ``_KEYS`` holds the JSON keys
@@ -39,6 +40,7 @@ from typing import Any, Optional, Sequence, get_args, get_type_hints
 from ..codec import CodecArch, compressed_length, k_from_channel_count
 from ..errors import CompensationInfeasibleError, ConfigurationError, SaturationError
 from ..loss import LossWeights, TrainConfig
+from ..pipeline import Channel
 from ..schedule import Schedule, build_linear_schedule, sigma2_to_step, step_to_sigma2
 
 __all__ = [
@@ -188,12 +190,13 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Channel):
+    """The library's ``Channel`` and the noise grid of its cells."""
+
     type: str = _field("awgn", choices=("awgn", "rayleigh", "mimo"))
-    cells: tuple[Cell, ...] = ()
-    h: Optional[complex] = None
     M: int = _field(2, minimum=1)
     convention: str = _field("gain_weighted", choices=("gain_weighted", "mmse"))
+    cells: tuple[Cell, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,9 @@
 """Seeded experiment drivers: simulation grids, training, sweeps, CSV.
 
-Simulate and sweep share one per-trial pipeline, ``_run_trials``: source
-draw -> codec downsample -> channel -> decode -> receive -> MSE/SSIM.
-The channel only transmits.  The receive runs a trial's routes as rows
-of one ragged reverse chain, one ``reverse_step`` call per step: a row
-per stream (a MIMO channel's eigenmode), or the clean source's one row
-for forward.  The receive only declares the rows; the engine starts each,
-topped up if it carries a variance (0 for the source), right before its
-noise draw from the trial's generator, as if denoised in turn.  Every
-random draw comes from a generator derived by hashing the run seed
+Simulate and sweep run their trials through the library's one trial
+pipeline, ``diffcomm.pipeline.run_trials``; this module loads the source
+and codec, seeds the trials, loops the cells and writes the results.
+Every random draw comes from a generator derived by hashing the run seed
 together with the coordinates of the work item.  Trial ``i`` of a
 simulate cell uses the key ``(seed, channel type, sigma2, i)``; trial
 ``i`` of a sweep point uses ``(seed, "sweep-eval", param, value, i)``.
@@ -37,34 +32,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..channels import (
-    ChannelOutput,
-    awgn_transmit,
-    mimo_svd_decompose,
-    mimo_transmit,
-    rayleigh_transmit_mmse,
-)
-from ..codec import (
-    CodecArch,
-    CodecParams,
-    compressed_length,
-    downsample,
-    init_codec,
-    k_from_channel_count,
-    load_codec,
-    save_codec,
-    upsample,
-)
-from ..diffusion import (
-    AnalyticGaussianDenoiser,
-    GaussianSourceModel,
-    _denoise_rows,
-    _Row,
-)
+from ..codec import (CodecArch, CodecParams, compressed_length, init_codec, k_from_channel_count,
+                     load_codec, save_codec)
+from ..diffusion import AnalyticGaussianDenoiser, GaussianSourceModel
 from ..errors import ConfigurationError, SaturationError
 from ..loss import LossWeights, train_codec
-from ..metrics import mse, psnr_from_mse, ssim_batch
-from ..schedule import sigma2_to_step
+from ..metrics import psnr_from_mse
+from ..pipeline import ROUTES, run_trials
 from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
 
 __all__ = [
@@ -92,16 +66,6 @@ _COMPARE_HEADER = (
 )
 _TRAIN_HEADER = ("step", "l_kl", "l_mse", "l_g", "total", "eval_psnr")
 _SWEEP_HEADER = ("param", "value", "psnr_db", "ssim", "mse")
-# Elements per SSIM block: a cell scores max(1, this // n) trials
-# per ``ssim_batch`` call, so its buffers do not grow with the trial count.
-_SSIM_BLOCK_ELEMENTS = 65536
-# The receive routes each mode runs per trial, in the order the chain starts
-# their rows (``_receive``) and draws from the trial's generator.
-_ROUTES = {
-    "adaptive": ("adaptive",),
-    "fixed_step": ("compensate",),
-    "compare": ("adaptive", "compensate", "forward"),
-}
 
 
 @dataclass(frozen=True)
@@ -182,13 +146,6 @@ def _training_source(cfg: ExperimentConfig, source: GaussianSourceModel | np.nda
     return source[np.arange(cfg.source.count) % len(source)]
 
 
-def _ssim_window(shape: tuple[int, int, int]) -> Optional[int]:
-    side = min(7, shape[0], shape[1])
-    if side % 2 == 0:
-        side -= 1
-    return side if side >= 3 else None
-
-
 # ---------------------------------------------------------------------------
 # codec and trainer set-up
 
@@ -197,10 +154,6 @@ def _codec_arch(cfg: ExperimentConfig) -> CodecArch:
     """The configured arch as a plain ``CodecArch``, which compares equal to
     a stored codec's (dataclass equality needs the same class)."""
     return CodecArch(**{f.name: getattr(cfg.codec, f.name) for f in fields(CodecArch)})
-
-
-def _init_codec(cfg: ExperimentConfig, k: float, rng: np.random.Generator) -> CodecParams:
-    return init_codec(cfg.source.shape, k, _codec_arch(cfg), rng)
 
 
 def _codec_params(cfg: ExperimentConfig) -> CodecParams:
@@ -231,194 +184,48 @@ def _codec_params(cfg: ExperimentConfig) -> CodecParams:
                 f"stored arch {params.arch} does not match configured arch {arch}",
             )
         return params
-    return _init_codec(cfg, k, _derive_rng(cfg.seed, "codec-init"))
+    return init_codec(cfg.source.shape, k, _codec_arch(cfg), _derive_rng(cfg.seed, "codec-init"))
 
 
 # ---------------------------------------------------------------------------
-# the per-trial pipeline
+# cells
 
 
-def _transmit(
-    cfg: ExperimentConfig,
-    values: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
-) -> ChannelOutput:
-    """Send a real vector through the configured channel.
-
-    The channels take an even length, so an odd-length codec vector is
-    zero-padded by one element, and the received vector keeps the pad
-    for the caller to drop.  Fading coefficients not pinned in the
-    config are drawn per trial.
-    """
-    z = values if values.size % 2 == 0 else np.concatenate([values, [0.0]])
-    ch = cfg.channel
-    if ch.type == "awgn":
-        return awgn_transmit(z, sigma, rng)
-    if ch.type == "rayleigh":
-        h = ch.h
-        if h is None:
-            h = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-        return rayleigh_transmit_mmse(z, h, sigma, rng, convention=ch.convention)
-    H = (
-        rng.standard_normal((ch.M, ch.M)) + 1j * rng.standard_normal((ch.M, ch.M))
-    ) / math.sqrt(2.0)
-    return mimo_transmit(z, mimo_svd_decompose(H), sigma, rng)
+def _denoiser(cfg: ExperimentConfig) -> AnalyticGaussianDenoiser:
+    model = GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v)
+    return AnalyticGaussianDenoiser(model, cfg.schedule.built)
 
 
-@dataclass(frozen=True)
-class _TrialSetup:
-    cfg: ExperimentConfig
-    denoiser: AnalyticGaussianDenoiser
-    source: GaussianSourceModel | np.ndarray  # see _load_source
-    params: Optional[CodecParams] = None
-
-
-def _trial_setup(cfg: ExperimentConfig) -> _TrialSetup:
-    return _TrialSetup(
-        cfg=cfg,
-        denoiser=AnalyticGaussianDenoiser(
-            GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v), cfg.schedule.built
-        ),
-        source=_load_source(cfg),
-    )
-
-
-def _receive(
-    setup: _TrialSetup,
-    routes: tuple[str, ...],
-    y0: np.ndarray,
-    base: np.ndarray,
-    out: ChannelOutput,
-    rng: np.random.Generator,
-) -> tuple[list[np.ndarray], tuple[int, int, int]]:
-    """Denoise each of ``routes`` as rows (``diffusion._Row``) of one ragged chain.
-
-    Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of the
-    received ``base`` (the config refuses a codec, which would mix them,
-    over MIMO).  Adaptive has a row per stream, scaled onto the step its
-    ``mapped_sigma2`` maps to (one ``sigma2_to_step`` call per stream);
-    a stream past the schedule's last variance is clipped to it, so its
-    row starts at step T from the stream scaled by sqrt(alpha_bar_T);
-    compensate a row per stream that carries its ``effective_sigma2``,
-    so a pinned fade is held to ``sigma^2/|h|^2`` under either
-    convention; forward one row, the clean source ``y0``, carrying 0.
-    The engine starts each row right before its noise draw, as if the
-    rows were denoised in turn, and each route's rows are one contiguous
-    run.  Returns each route's rows joined in order, and three counts:
-    the reverse steps summed over the rows (trial-steps), the chain's
-    steps (the largest start step) and the clipped streams.
-    """
-    schedule = setup.cfg.schedule.built
-    top = schedule.max_sigma2
-    streams = np.split(base, len(out.mapped_sigma2))
-    routed = []  # each route's rows, in generator order
-    clipped = 0
-    for route in routes:
-        if route == "adaptive":
-            clipped = sum(s2 > top for s2 in out.mapped_sigma2)
-            maps = [sigma2_to_step(schedule, min(s2, top)) for s2 in out.mapped_sigma2]
-            routed.append([_Row(m.scale * s, m.step_u) for s, m in zip(streams, maps)])
-        else:  # compensate tops up the streams, forward the clean source
-            carried = zip(streams, out.effective_sigma2) if route == "compensate" else [(y0, 0.0)]
-            routed.append([_Row(v, setup.cfg.mode.t_target, s2) for v, s2 in carried])
-    rows = [row for route_rows in routed for row in route_rows]
-    ys = iter(_denoise_rows(rows, setup.denoiser, schedule, rng))
-    recons = [np.concatenate([next(ys) for _ in route_rows]) for route_rows in routed]
-    steps = [row.step for row in rows]
-    return recons, (sum(steps), max(steps), clipped)
-
-
-def _run_trials(
-    setup: _TrialSetup, sigma2: float, kind: str, trials: int, key: tuple
-) -> tuple[dict[str, list[float]], Optional[float], tuple[int, int, int]]:
-    """Run ``trials`` latents through the receiver chain at noise ``sigma2``.
-
-    Trial ``i`` draws everything from ``_derive_rng(*key, i)``.  ``kind``
-    picks the routes (``_ROUTES``), and one ``_receive`` call per trial
-    runs them all in one chain.  Returns each route's per-trial MSEs
-    under its name, and the mean SSIM of a single-route mode's
-    reconstructions (None in compare mode or without an SSIM window).
-    SSIM is scored in blocks of trials, one ``ssim_batch`` call per
-    block, and averaged in trial order.  Last come the reverse steps run
-    over all trials, streams and routes (trial-steps), the reverse step
-    calls that ran them (chain steps, fewer where a trial has more than
-    one stream or route) and the streams clipped to the schedule's end.
-    """
-    cfg, params, source = setup.cfg, setup.params, setup.source
-    sigma = math.sqrt(sigma2)
-    snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
-    routes = _ROUTES[kind]
-    window = None if kind == "compare" else _ssim_window(cfg.source.shape)
-    if window is not None:
-        block = min(trials, max(1, _SSIM_BLOCK_ELEMENTS // cfg.source.n))
-        refs = np.empty((block, *cfg.source.shape))
-        recons = np.empty_like(refs)
-
-    mses: dict[str, list[float]] = {route: [] for route in routes}
-    ssims: list[float] = []
-    totals = [0, 0, 0]  # trial-steps, chain steps, clipped streams
-    for trial in range(trials):
-        rng = _derive_rng(*key, trial)
-        if isinstance(source, GaussianSourceModel):
-            y0 = source.draw(cfg.source.n, rng)
-        else:  # a file source cycles through its rows
-            y0 = source[trial % len(source)]
-        transmitted = y0 if params is None else downsample(y0, params)
-        out = _transmit(cfg, transmitted, sigma, rng)
-        base = out.received
-        if params is not None:
-            _, _, base = upsample(base[: params.m], snr_nominal, params, rng)
-
-        trial_recons, counts = _receive(setup, routes, y0, base, out, rng)
-        totals = [total + count for total, count in zip(totals, counts)]
-        for route, recon in zip(routes, trial_recons):
-            mses[route].append(mse(recon, y0))
-        if window is not None:
-            row = trial % block
-            refs[row] = y0.reshape(cfg.source.shape)
-            recons[row] = recon.reshape(cfg.source.shape)
-            if row == block - 1 or trial == trials - 1:
-                ssims += ssim_batch(refs[: row + 1], recons[: row + 1], window=window).tolist()
-
-    return mses, (float(np.mean(ssims)) if ssims else None), tuple(totals)
-
-
-def _run_cell(setup: _TrialSetup, cell: Cell) -> tuple[tuple, tuple[int, int, int]]:
+def _run_cell(
+    cfg: ExperimentConfig, denoiser: AnalyticGaussianDenoiser,
+    source: GaussianSourceModel | np.ndarray, params: Optional[CodecParams], cell: Cell,
+) -> tuple[tuple, tuple[int, int, int]]:
     """The cell's CSV row, and the trial-steps, chain steps and clipped
     streams of its trials."""
-    cfg = setup.cfg
     kind = cfg.mode.kind
-    mses, mean_ssim, counts = _run_trials(
-        setup, cell.sigma2, kind, cfg.source.count, (cfg.seed, cfg.channel.type, cell.sigma2)
+    key = (cfg.seed, cfg.channel.type, cell.sigma2)
+    mses, mean_ssim, counts = run_trials(
+        cfg.schedule.built, denoiser, source, cfg.source.shape, params, cfg.channel,
+        cell.sigma2, ROUTES[kind], cfg.mode.t_target,
+        [_derive_rng(*key, trial) for trial in range(cfg.source.count)],
     )
     coords = (cfg.channel.type, cell.snr_db, cell.sigma2)
 
     if kind == "compare":
-        p_ad, p_comp, p_fwd = (psnr_from_mse(float(np.mean(mses[r]))) for r in _ROUTES[kind])
+        p_ad, p_comp, p_fwd = (psnr_from_mse(float(np.mean(mses[r]))) for r in ROUTES[kind])
         d = np.asarray([
             10.0 * math.log10(f / c) for c, f in zip(mses["compensate"], mses["forward"])
         ])
         half = 1.96 * float(np.std(d, ddof=1)) / math.sqrt(d.size) if d.size > 1 else 0.0
         center = float(np.mean(d))
-        row = (
-            *coords,
-            cfg.source.count,
-            p_ad,
-            p_comp,
-            p_fwd,
-            p_ad - p_comp,
-            p_comp - p_fwd,
-            center - half,
-            center + half,
-        )
-        return row, counts
+        deltas = (p_ad - p_comp, p_comp - p_fwd, center - half, center + half)
+        return (*coords, cfg.source.count, p_ad, p_comp, p_fwd, *deltas), counts
 
     if kind == "adaptive":
         step_u = _nominal_step_u(cfg.schedule.built, cell.sigma2)
     else:
         step_u = cfg.mode.t_target
-    (route,) = _ROUTES[kind]
+    (route,) = ROUTES[kind]
     mean_mse = float(np.mean(mses[route]))
     row = (*coords, step_u, cfg.source.count, psnr_from_mse(mean_mse), mean_ssim, mean_mse)
     return row, counts
@@ -477,12 +284,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     streams and routes share), then the reverse steps run (trial-steps
     over every stream and route) and their rate.
     """
-    setup = _trial_setup(cfg)
-    if cfg.codec.enabled:
-        setup = replace(setup, params=_codec_params(cfg))
+    source = _load_source(cfg)
+    params = _codec_params(cfg) if cfg.codec.enabled else None
+    denoiser = _denoiser(cfg)
     start = time.perf_counter()
     results = _map_cells(
-        lambda cell: _run_cell(setup, cell),
+        lambda cell: _run_cell(cfg, denoiser, source, params, cell),
         cfg.channel.cells,
         lambda cell: f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g}",
         threads,
@@ -563,31 +370,34 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
     if cfg.channel.type == "mimo":
         raise ConfigurationError("channel.type", "sweep evaluation does not support mimo")
 
-    setup = _trial_setup(cfg)
+    eval_source = _load_source(cfg)
     # evaluation maps the training variance as the channel carries it;
     # check it before any point spends its training
     sigma = math.sqrt(cfg.train.sigma2)
     max_sigma2 = cfg.schedule.built.max_sigma2
     if sigma * sigma > max_sigma2:
         raise ConfigurationError("train.snr_db", str(SaturationError(sigma * sigma, max_sigma2)))
-    source = _training_source(cfg, setup.source)
+    source = _training_source(cfg, eval_source)
     param = cfg.sweep.param
     steps = cfg.train.steps if cfg.sweep.steps is None else cfg.sweep.steps
     trials = cfg.source.count if cfg.sweep.trials is None else cfg.sweep.trials
     tcfg = replace(cfg.train, steps=steps, eval_every=max(1, steps))
     sigma2 = cfg.train.sigma2
+    denoiser = _denoiser(cfg)
 
     def run_point(value: float) -> tuple:
         lam = value if param == "lambda" else cfg.loss.lam
         gamma = value if param == "gamma" else cfg.loss.gamma
         k = k_from_channel_count(int(value), cfg.source.n) if param == "C" else cfg.codec_k()
         rng = _derive_rng(cfg.seed, "sweep", param, value)
-        params0 = _init_codec(cfg, k, rng)
+        params0 = init_codec(cfg.source.shape, k, _codec_arch(cfg), rng)
         weights = LossWeights(lam, gamma)
         params, _ = train_codec(source, math.sqrt(sigma2), params0, weights, tcfg, rng)
-        mses, mean_ssim, counts = _run_trials(
-            replace(setup, params=params), sigma2, "adaptive", trials,
-            (cfg.seed, "sweep-eval", param, value),
+        key = (cfg.seed, "sweep-eval", param, value)
+        mses, mean_ssim, counts = run_trials(
+            cfg.schedule.built, denoiser, eval_source, cfg.source.shape, params, cfg.channel,
+            sigma2, ROUTES["adaptive"], cfg.mode.t_target,
+            [_derive_rng(*key, trial) for trial in range(trials)],
         )
         mean_mse = float(np.mean(mses["adaptive"]))
         return (param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse), counts[2]

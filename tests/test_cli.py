@@ -15,13 +15,16 @@ import numpy as np
 import pytest
 
 from diffcomm import (
+    AnalyticGaussianDenoiser,
     ChannelOutput,
     ConfigurationError,
+    GaussianSourceModel,
     build_linear_schedule,
     compensate_to_step,
     denoise_from_step,
     diffusion,
     load_codec,
+    pipeline,
     sigma2_to_step,
     step_to_sigma2,
 )
@@ -46,6 +49,12 @@ def _cfg(**overrides):
     base = {"channel": {"snr_db": [3.0]}, "source": dict(SMALL_SOURCE)}
     base.update(overrides)
     return json.dumps(base)
+
+
+def _denoiser(cfg):
+    """The analytic denoiser a run of ``cfg`` builds."""
+    model = GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v)
+    return AnalyticGaussianDenoiser(model, cfg.schedule.built)
 
 
 def _write_cfg(tmp_path, text, name="cfg.json"):
@@ -330,8 +339,8 @@ def test_simulate_decomposes_one_mimo_channel_per_trial(tmp_path, monkeypatch):
     """The benchmark's tracer counts channels.mimo_svd_decompose calls, so a
     MIMO trial goes through it rather than building MimoChannel directly."""
     calls = []
-    real = run_module.mimo_svd_decompose
-    monkeypatch.setattr(run_module, "mimo_svd_decompose", lambda H: calls.append(H) or real(H))
+    real = pipeline.mimo_svd_decompose
+    monkeypatch.setattr(pipeline, "mimo_svd_decompose", lambda H: calls.append(H) or real(H))
     cfg = parse_config(_cfg(channel={"type": "mimo", "snr_db": [3.0, 9.0]},
                             source={**SMALL_SOURCE, "count": 3}))
     result = run_simulate(cfg, out_dir=str(tmp_path))
@@ -376,11 +385,11 @@ def test_simulate_ssim_blocks_do_not_change_the_csv(tmp_path, monkeypatch):
     text = _cfg(source={"shape": [3, 3, 2], "count": 7},
                 channel={"type": "rayleigh", "snr_db": [0.0, 6.0]})
     n = 3 * 3 * 2
-    default = run_module._SSIM_BLOCK_ELEMENTS
+    default = pipeline._SSIM_BLOCK_ELEMENTS
     assert default // n >= 7
     outs = []
     for name, elements in (("one", 1), ("three", 3 * n), ("default", default)):
-        monkeypatch.setattr(run_module, "_SSIM_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(pipeline, "_SSIM_BLOCK_ELEMENTS", elements)
         result = run_simulate(parse_config(text), out_dir=str(tmp_path / name))
         assert all(0.0 < row[6] < 1.0 for row in result.rows)
         outs.append((tmp_path / name / "results.csv").read_bytes())
@@ -449,14 +458,14 @@ def test_simulate_makes_one_reverse_step_call_per_trial_step(
     cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 3}, **overrides))
     for name in ("awgn_transmit", "mimo_transmit"):
 
-        def recording(*args, real_transmit=getattr(run_module, name)):
+        def recording(*args, real_transmit=getattr(pipeline, name)):
             out = real_transmit(*args)
             steps_u.append(
                 [sigma2_to_step(cfg.schedule.built, s2).step_u for s2 in out.mapped_sigma2]
             )
             return out
 
-        monkeypatch.setattr(run_module, name, recording)
+        monkeypatch.setattr(pipeline, name, recording)
     run_simulate(cfg, out_dir=str(tmp_path))
     chain_steps, trial_steps = _logged_steps(tmp_path / "run.log")
     if cfg.channel.type == "mimo":
@@ -487,17 +496,17 @@ def _run_adaptive_route(base, sigma2s, monkeypatch):
     out = ChannelOutput(received=base, effective_sigma2=sigma2s, mapped_sigma2=sigma2s)
     mappings = [sigma2_to_step(schedule, s2) for s2 in sigma2s]
     handed = []
-    real = run_module._denoise_rows
+    real = pipeline._denoise_rows
 
     def recording(rows, *args):
         handed.append(list(rows))
         return real(rows, *args)
 
-    monkeypatch.setattr(run_module, "_denoise_rows", recording)
+    monkeypatch.setattr(pipeline, "_denoise_rows", recording)
     rng = np.random.default_rng(0)
-    setup = run_module._trial_setup(cfg)
     # the source only starts the forward route, so any array stands in for it
-    (recon,), steps = run_module._receive(setup, ("adaptive",), base, base, out, rng)
+    (recon,), steps = pipeline._receive(schedule, _denoiser(cfg), ("adaptive",), cfg.mode.t_target,
+                                        base, base, out, rng)
     return mappings, handed[0], recon, steps, rng
 
 
@@ -531,13 +540,14 @@ def test_adaptive_route_clips_a_stream_past_the_last_step():
     schedule = cfg.schedule.built
     top = schedule.max_sigma2
     assert sigma2_to_step(schedule, top).step_u == schedule.T
-    setup = run_module._trial_setup(cfg)
+    denoiser = _denoiser(cfg)
     base = np.linspace(-1.0, 1.0, 32)
     received = []
     for mapped in ((4.0 * top, 2.0), (top, 2.0)):
         out = ChannelOutput(received=base, effective_sigma2=mapped, mapped_sigma2=mapped)
         rng = np.random.default_rng(0)
-        received.append(run_module._receive(setup, ("adaptive",), base, base, out, rng))
+        received.append(pipeline._receive(schedule, denoiser, ("adaptive",), cfg.mode.t_target,
+                                          base, base, out, rng))
     step = sigma2_to_step(schedule, 2.0).step_u
     (clipped,), counts = received[0]
     (reference,), reference_counts = received[1]
@@ -557,19 +567,19 @@ def test_compensate_route_holds_one_streams_noise_draw_at_a_time():
     for kind in ("fixed_step", "compare"):
         cfg = parse_config(_cfg(source={"shape": [8, 8, 4], "count": 1},
                                 mode={"kind": kind, "t_target": 800}))
-        setup = run_module._trial_setup(cfg)
-        mapping = sigma2_to_step(cfg.schedule.built, 0.01)
+        schedule = cfg.schedule.built
+        mapping = sigma2_to_step(schedule, 0.01)
         out = ChannelOutput(received=np.linspace(-1.0, 1.0, 256), effective_sigma2=(0.01,) * 4,
                             mapped_sigma2=(0.01,) * 4)
-        routes = run_module._ROUTES[kind]
+        routes = pipeline.ROUTES[kind]
         table_bytes = (800 - 1) * (256 if kind == "fixed_step" else 3 * 256) * 8
         # the source only starts the forward route; the received values stand in
-        args = (setup, routes, out.received, out.received, out)
+        args = (schedule, _denoiser(cfg), routes, cfg.mode.t_target, out.received, out.received, out)
         # the first call's one-time work (imports) is not the receive's
-        run_module._receive(*args, np.random.default_rng(0))
+        pipeline._receive(*args, np.random.default_rng(0))
         tracemalloc.start()
         try:
-            _, steps = run_module._receive(*args, np.random.default_rng(0))
+            _, steps = pipeline._receive(*args, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -590,7 +600,7 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 1},
                             channel={"type": "mimo", "M": 2, "snr_db": [3.0]},
                             mode={"kind": "compare", "t_target": 300}))
-    setup = run_module._trial_setup(cfg)
+    denoiser = _denoiser(cfg)
     schedule = cfg.schedule.built
     sigma2s = (0.0, step_to_sigma2(schedule, 120))
     out = ChannelOutput(received=np.linspace(-1.0, 1.0, 16), effective_sigma2=sigma2s,
@@ -598,14 +608,14 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     mappings = [sigma2_to_step(schedule, s2) for s2 in sigma2s]
     y0 = np.random.default_rng(5).standard_normal(16)
     rng = np.random.default_rng(7)
-    recons, steps = run_module._receive(setup, run_module._ROUTES["compare"], y0,
-                                        out.received, out, rng)
+    recons, steps = pipeline._receive(schedule, denoiser, pipeline.ROUTES["compare"],
+                                      cfg.mode.t_target, y0, out.received, out, rng)
 
     ref_rng = np.random.default_rng(7)
     streams = (out.received[:8], out.received[8:])
 
     def denoised(start, u):
-        return denoise_from_step(start, u, setup.denoiser, schedule, ref_rng)
+        return denoise_from_step(start, u, denoiser, schedule, ref_rng)
 
     adaptive = [denoised(m.scale * s, m.step_u) for m, s in zip(mappings, streams)]
     compensate = [denoised(compensate_to_step(s, s2, 300, schedule, ref_rng), 300)
@@ -969,8 +979,8 @@ def test_main_rejects_non_finite_latents_before_any_trial(tmp_path, capsys, monk
     cfg = json.loads(_sweep_cfg([1.0]))
     cfg["source"] = {**cfg["source"], "kind": "file", "path": str(path), "count": 3}
     calls = []  # a simulate or sweep trial transmits; training calls train_codec
-    for name in ("_transmit", "train_codec"):
-        monkeypatch.setattr(run_module, name, lambda *a, name=name, **k: calls.append(name))
+    monkeypatch.setattr(pipeline, "_transmit", lambda *a, **k: calls.append("_transmit"))
+    monkeypatch.setattr(run_module, "train_codec", lambda *a, **k: calls.append("train_codec"))
     out = tmp_path / "out"
     assert main([command, "--config", _write_cfg(tmp_path, json.dumps(cfg)), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: source.path: {path} holds non-finite latents\n"
@@ -984,7 +994,7 @@ def test_main_rejects_latents_that_are_not_integer_or_float(tmp_path, capsys, mo
     np.savez(path, latents=np.ones((3, 2, 2, 2)).astype(dtype))
     text = _cfg(source={**SMALL_SOURCE, "kind": "file", "path": str(path)})
     calls = []
-    monkeypatch.setattr(run_module, "_transmit", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(pipeline, "_transmit", lambda *a, **k: calls.append(a))
     out = tmp_path / "out"
     assert main(["simulate", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (

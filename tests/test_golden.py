@@ -15,7 +15,7 @@ temporary path.
 The CSVs print 6 significant digits, so they cannot see a change in the
 last bits of a result.  ``RECON_SHA256`` pins the bits of every config:
 for a simulate or sweep config, a sha256 over the float64 bytes of each
-reconstruction that ``run._receive`` returns, route by route in call
+reconstruction that ``pipeline._receive`` returns, route by route in call
 order (so at one thread); for a train config, over the float64 bytes of
 ``params_to_vector`` of the params ``run_train`` returns (the bytes of
 ``codec.npz`` depend on numpy's zip writer).  Like the CSVs, the digests
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from diffcomm.cli import parse_config, run_simulate, run_sweep, run_train
-from diffcomm.cli import run as run_module
+from diffcomm import pipeline
 from diffcomm.codec import params_to_vector
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -238,7 +238,7 @@ def _run(name: str, work: Path, threads: int = 1) -> tuple[bytes, str]:
         cfg = {**cfg, "source": {**cfg["source"], "path": _write_latents(work)}}
     out_dir = work / "out"
     digest = hashlib.sha256()
-    receive = run_module._receive
+    receive = pipeline._receive
 
     def recording(*args):
         recons, steps = receive(*args)
@@ -246,7 +246,7 @@ def _run(name: str, work: Path, threads: int = 1) -> tuple[bytes, str]:
             digest.update(recon.tobytes())
         return recons, steps
 
-    run_module._receive = recording
+    pipeline._receive = recording
     try:
         if runner is run_train:  # training is serial and takes no thread count
             params, _ = runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir))
@@ -254,7 +254,7 @@ def _run(name: str, work: Path, threads: int = 1) -> tuple[bytes, str]:
         else:
             runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir), threads=threads)
     finally:
-        run_module._receive = receive
+        pipeline._receive = receive
     return (out_dir / "results.csv").read_bytes(), digest.hexdigest()
 
 
