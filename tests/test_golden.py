@@ -9,8 +9,8 @@ name that change in CHANGES.md:
 
 The ``resolved_config.json`` each run writes is pinned by its sha256 in
 ``RESOLVED_SHA256`` (bytes, so an int written as a float shows), for
-every config but those with a file source, whose configs hold a
-temporary path.
+every config but those with a file source (``WITH_PATH``), whose configs
+hold a temporary path.
 
 The CSVs print 6 significant digits, so they cannot see a change in the
 last bits of a result.  ``RECON_SHA256`` pins the bits of every config:
@@ -19,8 +19,8 @@ reconstruction that ``pipeline._receive`` returns, route by route in call
 order (so at one thread); for a train config, over the float64 bytes of
 ``params_to_vector`` of the params ``run_train`` returns (the bytes of
 ``codec.npz`` depend on numpy's zip writer).  Like the CSVs, the digests
-are re-pinned only for a named behaviour change; ``--write`` prints the
-table to paste.
+are re-pinned only for a named behaviour change; ``--write`` prints both
+digest tables, taken from the runs that write the CSVs, to paste.
 """
 
 import hashlib
@@ -152,6 +152,8 @@ CONFIGS = {
     }),
 }
 
+WITH_PATH = {name for name, (_, cfg) in CONFIGS.items() if cfg["source"].get("kind") == "file"}
+
 RESOLVED_SHA256 = {
     "simulate-awgn-adaptive": "3604420cdd69df5303ba8036b22962de1eebc6e144ff1c5948aaf1027bf1e7a3",
     "simulate-awgn-adaptive-codec": "0f125d701d302e9af08164acc1169ad2d8c3de49e8d969dad27290a879f7896e",
@@ -282,8 +284,7 @@ def test_results_csv_matches_golden(name, tmp_path):
 
 
 def test_resolved_config_table_covers_every_config_without_a_path():
-    with_path = {name for name, (_, cfg) in CONFIGS.items() if cfg["source"].get("kind") == "file"}
-    assert sorted(RESOLVED_SHA256) == sorted(set(CONFIGS) - with_path)
+    assert sorted(RESOLVED_SHA256) == sorted(set(CONFIGS) - WITH_PATH)
 
 
 @pytest.mark.parametrize("name", sorted(RESOLVED_SHA256))
@@ -312,18 +313,22 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     GOLDEN.mkdir(exist_ok=True)
-    digests = {}
+    resolved, recon = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CONFIGS):
             work = Path(tmp) / name
             work.mkdir()
-            results, digests[name] = _run(name, work)
+            results, recon[name] = _run(name, work)
             (GOLDEN / f"{name}.csv").write_bytes(results)
             print(f"wrote {GOLDEN.name}/{name}.csv")
-    print("RECON_SHA256 = {")
-    for name, digest in digests.items():
-        print(f'    "{name}": "{digest}",')
-    print("}")
+            if name not in WITH_PATH:
+                text = (work / "out" / "resolved_config.json").read_bytes()
+                resolved[name] = hashlib.sha256(text).hexdigest()
+    for table, digests in (("RESOLVED_SHA256", resolved), ("RECON_SHA256", recon)):
+        print(f"{table} = {{")
+        for name, digest in digests.items():
+            print(f'    "{name}": "{digest}",')
+        print("}")
     return 0
 
 
