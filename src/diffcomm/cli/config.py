@@ -34,7 +34,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional, Sequence, get_args, get_type_hints
 
 from ..codec import CodecArch, compressed_length, k_from_channel_count
@@ -183,10 +183,12 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class Cell:
-    """One simulation grid cell: an SNR label and its noise variance."""
+    """One simulation grid cell: an SNR label, its noise variance and the
+    step its adaptive route maps to (``_cell_step_u``)."""
 
     snr_db: float
     sigma2: float
+    step_u: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,28 @@ def _parse_cells(sec: _Section) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _parse_channel(sec: _Section) -> ChannelConfig:
+def _stream_sigma2(ch: ChannelConfig, sigma2: float) -> tuple[float, float]:
+    """The variance a stream carries at cell variance ``sigma2`` and the one
+    its step mapping reads, in the channel's own arithmetic (it squares
+    sqrt(sigma^2) again and divides or multiplies by |h|^2): exact for AWGN
+    and a pinned fade, whose |h|^2 is known before any draw."""
+    h = 1.0 if ch.h is None else ch.h
+    gain2 = h.real * h.real + h.imag * h.imag
+    sigma = math.sqrt(sigma2)
+    carried = sigma * sigma / gain2  # may overflow to inf
+    return carried, (sigma * sigma * gain2 if ch.convention == "gain_weighted" else carried)
+
+
+def _cell_step_u(sch: Schedule, ch: ChannelConfig, sigma2: float) -> Optional[int]:
+    """The step a cell's trials map to.  A pinned fade's mapped variance
+    is clipped to step T past the schedule's last variance, as the receive
+    clips it; any other cell maps its nominal variance, None past the last."""
+    if ch.h is not None:
+        return sigma2_to_step(sch, min(_stream_sigma2(ch, sigma2)[1], sch.max_sigma2)).step_u
+    return sigma2_to_step(sch, sigma2).step_u if sigma2 <= sch.max_sigma2 else None
+
+
+def _parse_channel(sec: _Section, sch: Schedule) -> ChannelConfig:
     cells = _parse_cells(sec)
     h = None
     h_raw = sec.take_float_list("h")
@@ -377,7 +400,7 @@ def _parse_channel(sec: _Section) -> ChannelConfig:
         raise ConfigurationError("channel.M", "antenna count applies to mimo channels only")
     if has_convention and out.type != "rayleigh":
         raise ConfigurationError("channel.convention", "applies to rayleigh channels only")
-    return out
+    return replace(out, cells=tuple(replace(c, step_u=_cell_step_u(sch, out, c.sigma2)) for c in cells))
 
 
 def _parse_codec(sec: _Section) -> CodecConfig:
@@ -446,7 +469,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError("channel", "section is required (needs an snr_db or sigma list)")
     channel_sec = top.take_section("channel")
     cells_key = channel_sec.child("sigma" if channel_sec.has("sigma") else "snr_db")
-    channel = _parse_channel(channel_sec)
+    channel = _parse_channel(channel_sec, schedule.built)
     codec = _parse_codec(top.take_section("codec"))
     loss = _take_fields(LossWeights, top.take_section("loss"))
     train = _take_fields(TrainSection, top.take_section("train"))
@@ -506,23 +529,19 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
             )
     # An AWGN stream carries its cell's variance and a Rayleigh stream with a
     # pinned fade sigma^2 / |h|^2, under either convention, known before any
-    # draw; check them in the run's own arithmetic (it squares sqrt(sigma^2)
-    # again and divides by this |h|^2).  A compensating mode bounds them by
+    # draw (_stream_sigma2).  A compensating mode bounds them by
     # compensation_variance's limit; an adaptive AWGN cell maps at its
     # variance, which the schedule's last step bounds.  An adaptive fade,
-    # even a pinned one, is left to the run.
+    # even a pinned one, is left to the run, which clips it.
     ch = cfg.channel
-    pinned = ch.type == "rayleigh" and ch.h is not None
     adaptive = cfg.mode.kind == "adaptive"
-    if not (ch.type == "awgn" or (pinned and not adaptive)):
+    if not (ch.type == "awgn" or (ch.h is not None and not adaptive)):
         return
-    gain2 = ch.h.real * ch.h.real + ch.h.imag * ch.h.imag if pinned else 1.0
     sch = cfg.schedule.built
     t = cfg.mode.t_target
     bound = sch.max_sigma2 if adaptive else step_to_sigma2(sch, t)
     for i, cell in enumerate(ch.cells):
-        sigma = math.sqrt(cell.sigma2)
-        carried = sigma * sigma / gain2  # may overflow to inf
+        carried = _stream_sigma2(ch, cell.sigma2)[0]
         if carried > bound:
             if adaptive:
                 exc = SaturationError(carried, bound)
@@ -533,16 +552,6 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
 
 # ---------------------------------------------------------------------------
 # resolved copy
-
-
-def _nominal_step_u(schedule: Schedule, sigma2: float) -> Optional[int]:
-    """Step a cell's nominal variance maps to, or None past the schedule's
-    last step.  A saturating cell can still run: a fixed Rayleigh fade maps
-    every trial at ``sigma2 * |h|^2``."""
-    try:
-        return sigma2_to_step(schedule, sigma2).step_u
-    except SaturationError:
-        return None
 
 
 def _plain(section) -> dict[str, Any]:
@@ -563,7 +572,7 @@ def resolved_config(cfg: ExperimentConfig) -> dict:
     channel = _plain(cfg.channel)
     channel["cells"] = []
     for cell in cfg.channel.cells:
-        entry = {**_plain(cell), "step_u": _nominal_step_u(sch, cell.sigma2)}
+        entry = _plain(cell)
         if math.isinf(cell.snr_db):
             entry["snr_db"] = None
         if entry["step_u"] is None:

@@ -39,7 +39,7 @@ from ..errors import ConfigurationError, SaturationError
 from ..loss import LossWeights, train_codec
 from ..metrics import psnr_from_mse
 from ..pipeline import ROUTES, run_trials
-from .config import Cell, ExperimentConfig, _nominal_step_u, resolved_config
+from .config import Cell, ExperimentConfig, resolved_config
 
 __all__ = [
     "RunResult",
@@ -221,10 +221,7 @@ def _run_cell(
         deltas = (p_ad - p_comp, p_comp - p_fwd, center - half, center + half)
         return (*coords, cfg.source.count, p_ad, p_comp, p_fwd, *deltas), counts
 
-    if kind == "adaptive":
-        step_u = _nominal_step_u(cfg.schedule.built, cell.sigma2)
-    else:
-        step_u = cfg.mode.t_target
+    step_u = cell.step_u if kind == "adaptive" else cfg.mode.t_target
     (route,) = ROUTES[kind]
     mean_mse = float(np.mean(mses[route]))
     row = (*coords, step_u, cfg.source.count, psnr_from_mse(mean_mse), mean_ssim, mean_mse)

@@ -669,6 +669,7 @@ def test_adaptive_clips_a_pinned_fade_past_the_last_step(tmp_path):
     cfg = parse_config(_cfg(channel={"type": "rayleigh", "h": [1.0, 0.0], "sigma": [200.0]}))
     result = run_simulate(cfg, out_dir=str(tmp_path))
     assert all(math.isfinite(v) for v in (result.rows[0][5], result.rows[0][7]))
+    assert result.rows[0][3] == cfg.schedule.T  # the CSV reports the step the trials ran
     lines = (tmp_path / "run.log").read_text().splitlines()
     assert lines[-4] == f"simulate clipped_streams={SMALL_SOURCE['count']}"
 
@@ -701,18 +702,21 @@ def test_fixed_step_maps_nothing_so_a_gain_weighted_fade_runs(tmp_path):
 
 def test_simulate_runs_cells_whose_nominal_variance_saturates(tmp_path):
     # -44.5 dB is past the schedule's last step, but a fixed |h|^2 = 0.25
-    # maps every trial at sigma2 / 4, so the cell runs without a step_u
+    # maps every trial at sigma2 / 4 (gain_weighted), 7046, step 936, and
+    # 0 dB at 0.25, step 145: the CSV and the resolved config report the
+    # steps the trials run
     text = _cfg(channel={"type": "rayleigh", "snr_db": [-44.5, 0.0], "h": [0.5, 0.0]})
     cfg = parse_config(text)
     result = run_simulate(cfg, out_dir=str(tmp_path))
     assert [row[1] for row in result.rows] == [-44.5, 0.0]
-    assert result.rows[0][3] is None and result.rows[1][3] is not None
+    assert [row[3] for row in result.rows] == [936, 145]
     assert all(math.isfinite(row[5]) for row in result.rows)
     lines = (tmp_path / "results.csv").read_text().splitlines()
-    assert lines[1].split(",")[3] == ""
+    assert lines[1].split(",")[3] == "936"
+    assert _logged_steps(tmp_path / "run.log")[1] == SMALL_SOURCE["count"] * (936 + 145)
     cells = resolved_config(cfg)["channel"]["cells"]
-    assert cells[0]["saturates"] is True and cells[0]["step_u"] is None
-    assert "saturates" not in cells[1]
+    assert [cell["step_u"] for cell in cells] == [936, 145]
+    assert not any("saturates" in cell for cell in cells)
 
 
 def test_simulate_finishes_a_grid_whose_error_overflows(tmp_path):

@@ -502,7 +502,8 @@ def test_resolved_config_of_every_key_set(tmp_path):
         "source": {"kind": "file", "m": 0.5, "v": 2.0, "shape": [2, 2, 4], "count": 3,
                    "path": path},
         # sigma^2 / |h|^2 of the last cell, 12.3, stays under step 300's 14.7,
-        # so compare mode can compensate every cell of the pinned fade
+        # so compare mode can compensate every cell of the pinned fade; under
+        # mmse each cell's step_u is that variance's step
         "channel": {"type": "rayleigh", "sigma": [0.5, 0.0, 3.0], "h": [0.8, 0.3],
                     "convention": "mmse"},
         "codec": {"enabled": True, "C": 400, "arch": {"hidden": 6, "blocks": 3},
@@ -524,9 +525,9 @@ def test_resolved_config_of_every_key_set(tmp_path):
         "channel": {
             "type": "rayleigh",
             "cells": [
-                {"snr_db": 6.020599913279624, "sigma2": 0.25, "step_u": 84},
+                {"snr_db": 6.020599913279624, "sigma2": 0.25, "step_u": 96},
                 {"snr_db": None, "sigma2": 0.0, "step_u": 0},
-                {"snr_db": -9.542425094393248, "sigma2": 9.0, "step_u": 274},
+                {"snr_db": -9.542425094393248, "sigma2": 9.0, "step_u": 291},
             ],
             "h": [0.8, 0.3],
             "M": 2,

@@ -171,14 +171,14 @@ RESOLVED_SHA256 = {
     "simulate-mimo4-fixed_step": "13085d11a318c0d988fe5ca8383bba06a4eee2bada89f210c21dbd11733f90ac",
     "simulate-rayleigh-adaptive": "40e7d10315c6de80128660d89e1d19b37d991870afef402087e6555646e8b395",
     "simulate-rayleigh-adaptive-codec": "83004529e7e15962a3c80f987db6fe74e7824ca5aa9529d7776d1ac2d0b9ff99",
-    "simulate-rayleigh-clipped": "fa53f01b8fc8c91cbf66e16ce42ef6d323491d7e2f3fe780170102e05efc38f7",
-    "simulate-rayleigh-compare": "9cc4f12830b92eb367ac856bc23df82e7f7b03557c3fa2dba49efdf5f27be273",
-    "simulate-rayleigh-compare-codec": "a52447bf2816f71b1810ca46b648c86946276eb7df5e936a1e24ffa103301c3a",
-    "simulate-rayleigh-compare-codec-odd": "2c4bf69b775ff8145d6fdfa92b5acfcc675d116568518aed44361a0b5f034019",
-    "simulate-rayleigh-fixed_step": "92d38519d01079f34f9119022bd227d4e1724a7127a7ea38d7517fd7678a8566",
-    "simulate-rayleigh-fixed_step-codec": "5472907105644fbbe69c87c0d136b61cfa01e7bd221855eb25beecaf9aa8c1c0",
+    "simulate-rayleigh-clipped": "b10d5d23bdbc51408ac956f5893431e3956c6fcd2dfc3d799dee4a825d41310a",
+    "simulate-rayleigh-compare": "4b0dffcd359bbb0bef4640cf8959408bba71e3843aaf05eb4f9260eb71bd4dd0",
+    "simulate-rayleigh-compare-codec": "33c6d776bec89c07c3867bbb152dc0ca77c500b7cdd0ff03fbac81d7c5f18a2a",
+    "simulate-rayleigh-compare-codec-odd": "a35734dd9a8f54756bc10e87a246b371400562cc4b51ca7985326432b2014e28",
+    "simulate-rayleigh-fixed_step": "c413f8a3bd22949f88ff05f956e62c9a2851a139c074158e85d840894f220c71",
+    "simulate-rayleigh-fixed_step-codec": "4c1814b63220c0953df2162f651995b45bb241a8d14c6bcdf4cd9ed6d200fd7b",
     "simulate-rayleigh-mmse": "3677552b731b4db2ca8d37926c4c9c3c9db9f732446509f034832c2546b1f577",
-    "simulate-rayleigh-saturating-cell": "1224a2428ebb1464eab26ab203db325f9b46e8b66bb01a6ce9fa58ebf7a0e76a",
+    "simulate-rayleigh-saturating-cell": "c3b8bbae95493eceb54bc0af71f973e42fb72005db9794179326598acdda7a9b",
     "sweep-C": "36b99a1e551cc79883580727eddaac24de13f771d2f0cd12a4e34e53bc25bede",
     "sweep-gamma": "bc340847bd471362e78f0613c5af62b23cc73891bcfcac19422d8cb85e9116d9",
     "sweep-lambda": "c1b3df3032edefa25b8dc90ff6ac8528faabcc1f8f73ea4cf78a764f456d5aa5",
