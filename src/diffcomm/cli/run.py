@@ -52,17 +52,9 @@ __all__ = [
 
 _SIMULATE_HEADER = ("channel", "snr_db", "sigma2", "step_u", "trials", "psnr_db", "ssim", "mse")
 _COMPARE_HEADER = (
-    "channel",
-    "snr_db",
-    "sigma2",
-    "trials",
-    "psnr_adaptive_db",
-    "psnr_compensate_db",
-    "psnr_forward_db",
-    "delta_adaptive_compensate_db",
-    "delta_compensate_forward_db",
-    "ci95_lo_db",
-    "ci95_hi_db",
+    "channel", "snr_db", "sigma2", "trials", "psnr_adaptive_db", "psnr_compensate_db",
+    "psnr_forward_db", "delta_adaptive_compensate_db", "delta_compensate_forward_db",
+    "ci95_lo_db", "ci95_hi_db",
 )
 _TRAIN_HEADER = ("step", "l_kl", "l_mse", "l_g", "total", "eval_psnr")
 _SWEEP_HEADER = ("param", "value", "psnr_db", "ssim", "mse")
@@ -419,9 +411,7 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     return format(float(value), ".6g")
 
@@ -451,8 +441,6 @@ def render_report(path: str) -> str:
         return ""
 
     def is_number(cell: str) -> bool:
-        if cell == "":
-            return False
         try:
             float(cell)
             return True
@@ -468,9 +456,7 @@ def render_report(path: str) -> str:
     ]
 
     def fmt_row(row: list[str]) -> str:
-        parts = []
-        for i, cell in enumerate(row):
-            parts.append(cell.rjust(widths[i]) if numeric[i] else cell.ljust(widths[i]))
+        parts = (c.rjust(w) if num else c.ljust(w) for c, w, num in zip(row, widths, numeric))
         return "  ".join(parts).rstrip()
 
     lines = [fmt_row(grid[0]), "  ".join("-" * w for w in widths)]

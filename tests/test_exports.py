@@ -1,10 +1,11 @@
 """Public names: every export resolves, the package and its ``cli``
 subpackage export what they import, the channels leave the step mapping
-to the receiver, the CLI leaves starting chain rows to the engine, the
-config parser reads every scalar through one reader, the codec writes
-every layer gradient through one rule and decodes to plain arrays, every
-function the benchmark tracer wraps still exists, and the README's
-library example runs."""
+to the receiver, the pipeline leaves starting chain rows to the engine,
+the CLI imports no other module's private names, the config parser reads
+every scalar through one reader, the codec writes every layer gradient
+through one rule and decodes to plain arrays, every function the
+benchmark tracer wraps still exists, and the README's library example
+runs."""
 
 import ast
 import importlib
@@ -69,17 +70,45 @@ def test_channels_transmit_without_the_schedule():
 
 def test_cli_declares_chain_rows_without_starting_them():
     """The receive only declares chain rows; the chain engine starts them,
-    so the CLI imports neither start rule's forward-process draw."""
-    import diffcomm.cli.run as run
+    so the pipeline that declares them imports neither start rule's
+    forward-process draw."""
+    import diffcomm.pipeline as pipeline
 
-    tree = ast.parse(Path(run.__file__).read_text())
+    tree = ast.parse(Path(pipeline.__file__).read_text())
     imported = {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    assert "_Row" in imported
     assert imported.isdisjoint({"compensate_to_step", "forward_sample"})
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    """The CLI parses, seeds, loops cells and writes; what it runs is the
+    library's public surface, so no module under ``cli/`` imports an
+    underscore name from another module, a sibling included, or reads one
+    off a module it imports."""
+    paths = sorted(Path(diffcomm.cli.__file__).parent.rglob("*.py"))
+    private = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            module = f"{node.module or ''}." if isinstance(node, ast.ImportFrom) else ""
+            dotted = [module + alias.name for alias in node.names]
+            private += [f"{path.name}: {name}" for name in dotted
+                        if any(p.startswith("_") and p != "__future__" for p in name.split("."))]
+        bound = {alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names}
+        private += [
+            f"{path.name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ]
+    assert paths and private == []
 
 
 def test_config_reads_every_scalar_through_one_reader():

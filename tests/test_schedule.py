@@ -90,6 +90,9 @@ def test_builder_rejects_bad_parameters():
         build_linear_schedule(beta_start=0.0)
     with pytest.raises(ConfigurationError, match="beta_end"):
         build_linear_schedule(beta_end=1.0)
+    # 0 fails beta_end's own bound, not the order check that names beta_start
+    with pytest.raises(ConfigurationError, match=r"^beta_end: must lie in \(0, 1\), got 0\.0$"):
+        build_linear_schedule(beta_end=0.0)
     with pytest.raises(ConfigurationError, match="beta_start"):
         build_linear_schedule(beta_start=0.5, beta_end=0.1)
 
