@@ -95,13 +95,14 @@ def _receive(
 
     Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of the
     received ``base`` (``run_trials`` refuses a codec, which would mix
-    them, over MIMO).  Adaptive has a row per stream, scaled onto the step its
-    ``mapped_sigma2`` maps to (one ``sigma2_to_step`` call per stream);
-    a stream past the schedule's last variance is clipped to it, so its
-    row starts at step T from the stream scaled by sqrt(alpha_bar_T);
-    compensate a row per stream that carries its ``effective_sigma2``
-    to ``t_target``, so a pinned fade is held to ``sigma^2/|h|^2`` under
-    either convention; forward one row, the clean source ``y0``, carrying 0.
+    them, over MIMO).  Adaptive has a row per stream, scaled onto the
+    step its ``mapped_sigma2`` maps to (one ``sigma2_to_step`` call per
+    stream); a stream past the schedule's last variance is clipped to
+    it, so its row starts at step T from the stream scaled by
+    sqrt(alpha_bar_T); compensate a row per stream that carries its
+    ``effective_sigma2`` to ``t_target``, so a pinned fade is held to
+    ``sigma^2/|h|^2`` under either convention; forward one row, the
+    clean source ``y0``, carrying 0 to ``t_target``.
     The engine starts each row right before its noise draw, as if the
     rows were denoised in turn, and each route's rows are one contiguous
     run.  Returns each route's rows joined in order, and three counts:
@@ -145,12 +146,14 @@ def run_trials(
     ``ssim_batch`` call per block of trials and averaged in trial order;
     and the trial-steps over all trials, streams and routes, the reverse
     step calls that ran them (chain steps) and the streams clipped to
-    the schedule's end.
+    the schedule's end.  ValueError: an unknown or repeated route, or
+    codec ``params`` over a mimo channel, whose streams a codec mixes.
     """
+    # compare runs every route
     if not routes or len(set(routes)) < len(routes) or not set(routes) <= set(ROUTES["compare"]):
         raise ValueError(f"routes must name adaptive, compensate or forward once each, got {routes!r}")
     if params is not None and channel.type == "mimo":
-        raise ValueError("a codec mixes the streams of a mimo channel; send the latent itself")
+        raise ValueError("a codec mixes the streams of a mimo channel; pass params=None")
     n = math.prod(shape)
     trials = len(rngs)
     sigma = math.sqrt(sigma2)
