@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from diffcomm import (
-    AnalyticGaussianDenoiser,
     ChannelOutput,
     ConfigurationError,
-    GaussianSourceModel,
     build_linear_schedule,
     compensate_to_step,
     denoise_from_step,
@@ -49,12 +47,6 @@ def _cfg(**overrides):
     base = {"channel": {"snr_db": [3.0]}, "source": dict(SMALL_SOURCE)}
     base.update(overrides)
     return json.dumps(base)
-
-
-def _denoiser(cfg):
-    """The analytic denoiser a run of ``cfg`` builds."""
-    model = GaussianSourceModel(mean=cfg.source.m, variance=cfg.source.v)
-    return AnalyticGaussianDenoiser(model, cfg.schedule.built)
 
 
 def _write_cfg(tmp_path, text, name="cfg.json"):
@@ -504,8 +496,9 @@ def _run_adaptive_route(base, sigma2s, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_denoise_rows", recording)
     rng = np.random.default_rng(0)
+    denoiser = run_module._denoiser(cfg)
     # the source only starts the forward route, so any array stands in for it
-    (recon,), steps = pipeline._receive(schedule, _denoiser(cfg), ("adaptive",), cfg.mode.t_target,
+    (recon,), steps = pipeline._receive(schedule, denoiser, ("adaptive",), cfg.mode.t_target,
                                         base, base, out, rng)
     return mappings, handed[0], recon, steps, rng
 
@@ -540,7 +533,7 @@ def test_adaptive_route_clips_a_stream_past_the_last_step():
     schedule = cfg.schedule.built
     top = schedule.max_sigma2
     assert sigma2_to_step(schedule, top).step_u == schedule.T
-    denoiser = _denoiser(cfg)
+    denoiser = run_module._denoiser(cfg)
     base = np.linspace(-1.0, 1.0, 32)
     received = []
     for mapped in ((4.0 * top, 2.0), (top, 2.0)):
@@ -574,7 +567,8 @@ def test_compensate_route_holds_one_streams_noise_draw_at_a_time():
         routes = pipeline.ROUTES[kind]
         table_bytes = (800 - 1) * (256 if kind == "fixed_step" else 3 * 256) * 8
         # the source only starts the forward route; the received values stand in
-        args = (schedule, _denoiser(cfg), routes, cfg.mode.t_target, out.received, out.received, out)
+        denoiser = run_module._denoiser(cfg)
+        args = (schedule, denoiser, routes, cfg.mode.t_target, out.received, out.received, out)
         # the first call's one-time work (imports) is not the receive's
         pipeline._receive(*args, np.random.default_rng(0))
         tracemalloc.start()
@@ -600,7 +594,7 @@ def test_one_chain_receive_matches_each_row_denoised_in_turn():
     cfg = parse_config(_cfg(source={"shape": [2, 2, 4], "count": 1},
                             channel={"type": "mimo", "M": 2, "snr_db": [3.0]},
                             mode={"kind": "compare", "t_target": 300}))
-    denoiser = _denoiser(cfg)
+    denoiser = run_module._denoiser(cfg)
     schedule = cfg.schedule.built
     sigma2s = (0.0, step_to_sigma2(schedule, 120))
     out = ChannelOutput(received=np.linspace(-1.0, 1.0, 16), effective_sigma2=sigma2s,
