@@ -37,6 +37,7 @@ __all__ = [
     "rayleigh_transmit_mmse",
     "mimo_svd_decompose",
     "mimo_transmit",
+    "stream_sigma2",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -140,42 +141,40 @@ def rayleigh_transmit_mmse(
     equalize-then-rescale and keeps ``h = 1`` bit-identical to
     ``awgn_transmit`` under a shared generator.
 
-    ``convention`` selects ``mapped_sigma2``, the variance the mapping reads:
-
-    - ``"gain_weighted"`` : ``sigma^2 * |h|^2``
-    - ``"mmse"``          : ``sigma^2 / |h|^2``  (the variance the rescaled
-      output actually carries; see the Monte-Carlo equivalence tests)
-
-    Both agree at ``|h| = 1``.  ``effective_sigma2`` always reports the
-    carried variance ``sigma^2 / |h|^2``.
+    ``stream_sigma2`` gives the variances the stream carries and maps.
     """
     symbols = _interleave(z)
     sigma = _check_sigma(sigma)
-    if convention not in ("gain_weighted", "mmse"):
-        raise ValueError(
-            f"unknown convention {convention!r}; use 'gain_weighted' or 'mmse'"
-        )
     h = complex(h)
+    carried_sigma2, mapped_sigma2 = stream_sigma2(h, sigma, convention)
+    gain2 = h.real * h.real + h.imag * h.imag
+    noise = _complex_noise(rng, symbols.size, sigma)
+    received = _deinterleave(symbols + h.conjugate() / gain2 * noise)
+    return ChannelOutput(received, (carried_sigma2,), (mapped_sigma2,))
+
+
+def stream_sigma2(h: complex, sigma: float, convention: str = "gain_weighted") -> tuple[float, float]:
+    """The variance a stream faded by ``h`` (AWGN: ``h = 1``) carries after
+    MMSE equalization at noise ``sigma``, ``sigma^2 / |h|^2``, and the one
+    its step mapping reads: ``sigma^2 * |h|^2`` under ``"gain_weighted"``,
+    the carried one under ``"mmse"``.  DeepFadeError: ``|h|^2`` is zero."""
+    if convention not in ("gain_weighted", "mmse"):
+        raise ValueError(f"unknown convention {convention!r}; use 'gain_weighted' or 'mmse'")
     gain2 = h.real * h.real + h.imag * h.imag
     if gain2 == 0.0:
         raise DeepFadeError("channel gain is zero; the signal is lost")
-
-    noise = _complex_noise(rng, symbols.size, sigma)
-    received = _deinterleave(symbols + h.conjugate() / gain2 * noise)
-
     sigma2 = sigma * sigma
-    carried_sigma2 = sigma2 / gain2
-    mapped_sigma2 = sigma2 * gain2 if convention == "gain_weighted" else carried_sigma2
-    return ChannelOutput(received, (carried_sigma2,), (mapped_sigma2,))
+    carried = sigma2 / gain2  # may overflow to inf
+    return carried, (sigma2 * gain2 if convention == "gain_weighted" else carried)
 
 
 @dataclass(frozen=True)
 class MimoChannel:
     """MIMO channel matrix with its singular-value decomposition.
 
-    Takes only ``H``, a finite square matrix, and derives the rest from
-    ``numpy.linalg.svd``: ``H = U @ diag(singular_values) @ V^H`` with
-    unitary ``U`` and ``V`` and singular values in descending order.
+    Takes only ``H``, a finite, nonempty square matrix, and derives the
+    rest from ``numpy.linalg.svd``: ``H = U @ diag(singular_values) @ V^H``
+    with unitary ``U`` and ``V`` and singular values in descending order.
     ``H`` is copied, so the caller's array stays writable and later writes
     to it never reach the channel; all four stored arrays are read-only.
     """
@@ -187,8 +186,8 @@ class MimoChannel:
 
     def __post_init__(self):
         H = np.array(self.H, dtype=np.complex128)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError(f"H must be a square matrix, got shape {H.shape}")
+        if H.ndim != 2 or H.shape[0] != H.shape[1] or H.size == 0:
+            raise ValueError(f"H must be a nonempty square matrix, got shape {H.shape}")
         if not np.all(np.isfinite(H)):
             raise ValueError("H must be finite")
         U, s, Vh = np.linalg.svd(H)
@@ -206,7 +205,7 @@ def mimo_svd_decompose(H: np.ndarray) -> MimoChannel:
     """Decompose a finite square channel matrix into parallel subchannels.
 
     The same as ``MimoChannel(H)``; raises ``ValueError`` when ``H`` is not
-    a square 2-D matrix or holds a non-finite entry.
+    a nonempty square 2-D matrix or holds a non-finite entry.
     """
     return MimoChannel(H)
 

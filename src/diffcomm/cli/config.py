@@ -7,14 +7,14 @@ source of shape 8x8x4, loss weights 0.1/0.1, batch 4 at learning rate
 1e-4.  Unknown keys anywhere, type mismatches, and invariant violations
 are rejected with the dotted path of the offending field.
 
-The section dataclasses are the schema.  ``loss``, ``train`` and
-``codec`` are the library's ``LossWeights``, ``TrainConfig`` and
-``CodecArch`` (the last two with the config's own fields added), and
-``schedule`` holds the ``Schedule`` it builds at parse time; those types
-state their defaults and bounds, and ``_take_fields`` re-raises their
-``ConfigurationError`` at the JSON path.  The other sections' fields
-state their defaults and, through ``_field``, their bounds; ``channel``
-is the library's ``Channel`` with its noise grid added.
+The section dataclasses are the schema.  ``channel``, ``loss``,
+``train`` and ``codec`` are the library's ``Channel``, ``LossWeights``,
+``TrainConfig`` and ``CodecArch`` (all but ``loss`` with the config's own
+fields added: the channel's noise grid), and ``schedule`` holds the
+``Schedule`` it builds at parse time; those types state their defaults
+and bounds, and ``_take_fields`` re-raises their ``ConfigurationError``
+at the JSON path.  The other sections' fields state their defaults and,
+through ``_field``, their bounds.
 ``_take_fields`` parses a section, reading each field by
 ``_Section.take`` with the kind its type names, and ``_plain`` writes
 one back out; ``_KEYS`` holds the JSON keys
@@ -37,10 +37,11 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional, Sequence, get_args, get_type_hints
 
+from ..channels import stream_sigma2
 from ..codec import CodecArch, compressed_length, k_from_channel_count
 from ..errors import CompensationInfeasibleError, ConfigurationError, SaturationError
 from ..loss import LossWeights, TrainConfig
-from ..pipeline import Channel
+from ..pipeline import Channel, start_step
 from ..schedule import Schedule, build_linear_schedule, sigma2_to_step, step_to_sigma2
 
 __all__ = [
@@ -195,9 +196,6 @@ class Cell:
 class ChannelConfig(Channel):
     """The library's ``Channel`` and the noise grid of its cells."""
 
-    type: str = _field("awgn", choices=("awgn", "rayleigh", "mimo"))
-    M: int = _field(2, minimum=1)
-    convention: str = _field("gain_weighted", choices=("gain_weighted", "mmse"))
     cells: tuple[Cell, ...] = ()
 
 
@@ -359,43 +357,22 @@ def _parse_cells(sec: _Section) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _stream_sigma2(ch: ChannelConfig, sigma2: float) -> tuple[float, float]:
-    """The variance a stream carries at cell variance ``sigma2`` and the one
-    its step mapping reads, in the channel's own arithmetic (it squares
-    sqrt(sigma^2) again and divides or multiplies by |h|^2): exact for AWGN
-    and a pinned fade, whose |h|^2 is known before any draw."""
-    h = 1.0 if ch.h is None else ch.h
-    gain2 = h.real * h.real + h.imag * h.imag
-    sigma = math.sqrt(sigma2)
-    carried = sigma * sigma / gain2  # may overflow to inf
-    return carried, (sigma * sigma * gain2 if ch.convention == "gain_weighted" else carried)
-
-
 def _cell_step_u(sch: Schedule, ch: ChannelConfig, sigma2: float) -> Optional[int]:
-    """The step a cell's trials map to.  A pinned fade's mapped variance
-    is clipped to step T past the schedule's last variance, as the receive
-    clips it; any other cell maps its nominal variance, None past the last."""
+    """The step a cell's trials map to: for a pinned fade, ``start_step``
+    of its streams' mapped variance, as the trials take it; else that of
+    the nominal variance, None past the schedule's last."""
     if ch.h is not None:
-        return sigma2_to_step(sch, min(_stream_sigma2(ch, sigma2)[1], sch.max_sigma2)).step_u
+        return start_step(sch, stream_sigma2(ch.h, math.sqrt(sigma2), ch.convention)[1]).step_u
     return sigma2_to_step(sch, sigma2).step_u if sigma2 <= sch.max_sigma2 else None
 
 
 def _parse_channel(sec: _Section, sch: Schedule) -> ChannelConfig:
     cells = _parse_cells(sec)
-    h = None
-    h_raw = sec.take_float_list("h")
-    if h_raw is not None:
-        if len(h_raw) != 2:
-            raise ConfigurationError("channel.h", f"expected [re, im], got {len(h_raw)} entries")
-        h = complex(h_raw[0], h_raw[1])
-        if h == 0:
-            raise ConfigurationError("channel.h", "fade coefficient must be nonzero")
-        if h.real * h.real + h.imag * h.imag == 0.0:  # |h|^2 as the channel computes it
-            raise ConfigurationError("channel.h", f"|h|^2 of {h!r} underflows to zero")
+    h = sec.take_float_list("h")
+    if h is not None and len(h) != 2:
+        raise ConfigurationError("channel.h", f"expected [re, im], got {len(h)} entries")
     has_M, has_convention = sec.has("M"), sec.has("convention")
-    out = _take_fields(ChannelConfig, sec, cells=cells, h=h)
-    if h is not None and out.type != "rayleigh":
-        raise ConfigurationError("channel.h", "fixed fade applies to rayleigh channels only")
+    out = _take_fields(ChannelConfig, sec, cells=cells, h=None if h is None else complex(*h))
     if has_M and out.type != "mimo":
         raise ConfigurationError("channel.M", "antenna count applies to mimo channels only")
     if has_convention and out.type != "rayleigh":
@@ -527,10 +504,9 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
             raise ConfigurationError(
                 "channel.M", f"{n // 2} complex symbols do not split into {cfg.channel.M} streams"
             )
-    # An AWGN stream carries its cell's variance and a Rayleigh stream with a
-    # pinned fade sigma^2 / |h|^2, under either convention, known before any
-    # draw (_stream_sigma2).  A compensating mode bounds them by
-    # compensation_variance's limit; an adaptive AWGN cell maps at its
+    # The variance an AWGN stream (h = 1) or a pinned fade's carries is
+    # known before any draw (stream_sigma2).  A compensating mode bounds it
+    # by compensation_variance's limit; an adaptive AWGN cell maps at its
     # variance, which the schedule's last step bounds.  An adaptive fade,
     # even a pinned one, is left to the run, which clips it.
     ch = cfg.channel
@@ -541,7 +517,7 @@ def _cross_validate(cfg: ExperimentConfig, cells_key: str):
     t = cfg.mode.t_target
     bound = sch.max_sigma2 if adaptive else step_to_sigma2(sch, t)
     for i, cell in enumerate(ch.cells):
-        carried = _stream_sigma2(ch, cell.sigma2)[0]
+        carried = stream_sigma2(1.0 if ch.h is None else ch.h, math.sqrt(cell.sigma2))[0]
         if carried > bound:
             if adaptive:
                 exc = SaturationError(carried, bound)

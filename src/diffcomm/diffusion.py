@@ -60,7 +60,9 @@ def _checked(y: np.ndarray) -> np.ndarray:
 
 @runtime_checkable
 class Denoiser(Protocol):
-    """Noise-prediction interface consumed by the reverse process."""
+    """Noise-prediction interface consumed by the reverse process.  The
+    chain denoises a trial's rows joined into one vector per step, which
+    is exact only for a ``predict_noise`` that acts on each element alone."""
 
     def predict_noise(self, y_t: np.ndarray, t: int) -> np.ndarray:
         """Estimate the standard-normal noise present in the latent ``y_t``

@@ -23,10 +23,11 @@ from .channels import (ChannelOutput, awgn_transmit, mimo_svd_decompose, mimo_tr
                        rayleigh_transmit_mmse)
 from .codec import CodecParams, downsample, upsample
 from .diffusion import Denoiser, GaussianSourceModel, _denoise_rows, _Row
+from .errors import ConfigurationError
 from .metrics import mse, ssim_batch
-from .schedule import Schedule, sigma2_to_step
+from .schedule import Schedule, StepMapping, sigma2_to_step
 
-__all__ = ["Channel", "ROUTES", "run_trials"]
+__all__ = ["Channel", "ROUTES", "run_trials", "start_step"]
 
 # Elements per SSIM block: a call scores max(1, this // n) trials
 # per ``ssim_batch`` call, so its buffers do not grow with the trial count.
@@ -45,7 +46,9 @@ class Channel:
     """The channel a trial transmits through: ``"awgn"``, ``"rayleigh"``
     (flat fading with MMSE equalization; ``h`` pins the fade, else each
     trial draws one, and ``convention`` picks the variance its stream
-    maps) or ``"mimo"`` (an ``M`` x ``M`` matrix drawn per trial)."""
+    maps) or ``"mimo"`` (an ``M`` x ``M`` matrix drawn per trial).  A bad
+    field is a ConfigurationError naming it.  A stream's variances are
+    ``channels.stream_sigma2``'s, and its adaptive start ``start_step``'s."""
 
     type: str = "awgn"
     h: Optional[complex] = None
@@ -53,8 +56,27 @@ class Channel:
     convention: str = "gain_weighted"
 
     def __post_init__(self):
-        if self.type not in ("awgn", "rayleigh", "mimo"):
-            raise ValueError(f"unknown channel type {self.type!r}; use 'awgn', 'rayleigh' or 'mimo'")
+        kinds, conventions = ["awgn", "mimo", "rayleigh"], ["gain_weighted", "mmse"]
+        h = self.h
+        if h is not None and h == 0:
+            raise ConfigurationError("h", "fade coefficient must be nonzero")
+        if h is not None and h.real * h.real + h.imag * h.imag == 0.0:  # |h|^2, as stream_sigma2 has it
+            raise ConfigurationError("h", f"|h|^2 of {h!r} underflows to zero")
+        if self.type not in kinds:
+            raise ConfigurationError("type", f"must be one of {kinds}, got {self.type!r}")
+        if self.M < 1:
+            raise ConfigurationError("M", f"must be >= 1, got {self.M}")
+        if self.convention not in conventions:
+            raise ConfigurationError("convention", f"must be one of {conventions}, got {self.convention!r}")
+        if h is not None and self.type != "rayleigh":
+            raise ConfigurationError("h", "fixed fade applies to rayleigh channels only")
+
+
+def start_step(schedule: Schedule, sigma2: float) -> StepMapping:
+    """The step an adaptive stream that maps variance ``sigma2`` starts
+    from: ``sigma2_to_step``'s, with a variance past the schedule's last
+    clipped to it, so that stream starts at step T."""
+    return sigma2_to_step(schedule, min(sigma2, schedule.max_sigma2))
 
 
 def _ssim_window(shape: tuple[int, int, int]) -> Optional[int]:
@@ -96,8 +118,8 @@ def _receive(
     Stream ``i`` of ``M`` is the ``i``-th contiguous ``1/M`` of the
     received ``base`` (``run_trials`` refuses a codec, which would mix
     them, over MIMO).  Adaptive has a row per stream, scaled onto the
-    step its ``mapped_sigma2`` maps to (one ``sigma2_to_step`` call per
-    stream); a stream past the schedule's last variance is clipped to
+    step its ``mapped_sigma2`` starts from (one ``start_step`` call per
+    stream): a stream past the schedule's last variance is clipped to
     it, so its row starts at step T from the stream scaled by
     sqrt(alpha_bar_T); compensate a row per stream that carries its
     ``effective_sigma2`` to ``t_target``, so a pinned fade is held to
@@ -109,14 +131,13 @@ def _receive(
     the reverse steps summed over the rows (trial-steps), the chain's
     steps (the largest start step) and the clipped streams.
     """
-    top = schedule.max_sigma2
     streams = np.split(base, len(out.mapped_sigma2))
     routed = []  # each route's rows, in generator order
     clipped = 0
     for route in routes:
         if route == "adaptive":
-            clipped = sum(s2 > top for s2 in out.mapped_sigma2)
-            maps = [sigma2_to_step(schedule, min(s2, top)) for s2 in out.mapped_sigma2]
+            clipped = sum(s2 > schedule.max_sigma2 for s2 in out.mapped_sigma2)
+            maps = [start_step(schedule, s2) for s2 in out.mapped_sigma2]
             routed.append([_Row(m.scale * s, m.step_u) for s, m in zip(streams, maps)])
         else:  # compensate tops up the streams, forward the clean source
             carried = zip(streams, out.effective_sigma2) if route == "compensate" else [(y0, 0.0)]

@@ -265,7 +265,7 @@ def test_mimo_channel_rejects_a_non_finite_matrix(bad):
         mimo_svd_decompose(H)
 
 
-@pytest.mark.parametrize("H", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+@pytest.mark.parametrize("H", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2)), np.zeros((0, 0))])
 def test_mimo_channel_rejects_a_non_square_matrix(H):
     with pytest.raises(ValueError, match="square"):
         MimoChannel(H)

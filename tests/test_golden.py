@@ -21,10 +21,17 @@ order (so at one thread); for a train config, over the float64 bytes of
 ``codec.npz`` depend on numpy's zip writer).  Like the CSVs, the digests
 are re-pinned only for a named behaviour change; ``--write`` prints both
 digest tables, taken from the runs that write the CSVs, to paste.
+
+For an adaptive simulate config whose step is known at parse time (an
+AWGN channel or a pinned fade, ``KNOWN_STEP``), the CSV's ``step_u``
+must be the step the trials ran: ``run.log``'s ``reverse_steps`` is the
+sum over the rows of ``trials`` times ``step_u``.
 """
 
+import csv
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -301,6 +308,29 @@ def test_recon_table_covers_every_config():
 @pytest.mark.parametrize("name", sorted(RECON_SHA256))
 def test_reconstructions_match_pinned_digest(name, tmp_path):
     assert _run(name, tmp_path)[1] == RECON_SHA256[name]
+
+
+# adaptive simulate configs whose step a trial starts from is known at
+# parse time: an AWGN channel or a pinned fade
+KNOWN_STEP = sorted(
+    name for name, (runner, cfg) in CONFIGS.items()
+    if runner is run_simulate and cfg.get("mode", MODES["adaptive"]) == MODES["adaptive"]
+    and (cfg["channel"]["type"] == "awgn" or "h" in cfg["channel"])
+)
+
+
+def test_known_step_configs_cover_both_conventions_of_a_pinned_fade():
+    assert len(KNOWN_STEP) == 7
+    assert {"simulate-rayleigh-saturating-cell", "simulate-rayleigh-clipped"} <= set(KNOWN_STEP)
+
+
+@pytest.mark.parametrize("name", KNOWN_STEP)
+def test_step_u_is_the_step_the_trials_run(name, tmp_path):
+    # one stream and one route per trial, so a trial runs step_u reverse steps
+    rows = list(csv.DictReader(_run(name, tmp_path)[0].decode("ascii").splitlines()))
+    log = (tmp_path / "out" / "run.log").read_text()
+    reverse_steps = int(re.search(r"^simulate reverse_steps=(\d+) ", log, re.M).group(1))
+    assert reverse_steps == sum(int(row["trials"]) * int(row["step_u"]) for row in rows)
 
 
 @pytest.mark.parametrize("name", ["simulate-mimo-adaptive", "sweep-lambda"])
