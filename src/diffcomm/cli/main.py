@@ -29,18 +29,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_command(name: str, help_text: str, threads: bool) -> argparse.ArgumentParser:
+    for name, help_text in (
+        ("simulate", "run a channel/SNR simulation grid"),
+        ("train", "train the variational codec"),
+        ("sweep", "train and evaluate across a hyperparameter grid"),
+    ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=".", help="directory for output artifacts")
-        if threads:
-            cmd.add_argument("--threads", type=int, default=1, help="worker threads for grid cells")
-        return cmd
-
-    add_run_command("simulate", "run a channel/SNR simulation grid", threads=True)
-    add_run_command("train", "train the variational codec", threads=False)
-    add_run_command("sweep", "train and evaluate across a hyperparameter grid", threads=True)
 
     rep = sub.add_parser("report", help="render a result CSV as an aligned table")
     rep.add_argument("csv", help="path to a CSV produced by another subcommand")
@@ -67,15 +64,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "report":
             sys.stdout.write(render_report(args.csv))
             return 0
-        if args.command != "train" and args.threads < 1:
-            raise ConfigurationError("threads", f"must be >= 1, got {args.threads}")
         cfg = _load_config(args)
         if args.command == "simulate":
-            run_simulate(cfg, out_dir=args.out, threads=args.threads)
+            run_simulate(cfg, out_dir=args.out)
         elif args.command == "train":
             run_train(cfg, out_dir=args.out)
         else:
-            run_sweep(cfg, out_dir=args.out, threads=args.threads)
+            run_sweep(cfg, out_dir=args.out)
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

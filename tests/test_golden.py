@@ -16,7 +16,7 @@ The CSVs print 6 significant digits, so they cannot see a change in the
 last bits of a result.  ``RECON_SHA256`` pins the bits of every config:
 for a simulate or sweep config, a sha256 over the float64 bytes of each
 reconstruction that ``pipeline._receive`` returns, route by route in call
-order (so at one thread); for a train config, over the float64 bytes of
+order; for a train config, over the float64 bytes of
 ``params_to_vector`` of the params ``run_train`` returns (the bytes of
 ``codec.npz`` depend on numpy's zip writer).  Like the CSVs, the digests
 are re-pinned only for a named behaviour change; ``--write`` prints both
@@ -238,10 +238,9 @@ def _write_latents(work: Path) -> str:
     return str(path)
 
 
-def _run(name: str, work: Path, threads: int = 1) -> tuple[bytes, str]:
+def _run(name: str, work: Path) -> tuple[bytes, str]:
     """Run config ``name`` under ``work/out``; returns its results.csv bytes
-    and the digest ``RECON_SHA256`` pins (taken in call order, so it is
-    that digest only at one thread)."""
+    and the digest ``RECON_SHA256`` pins (taken in call order)."""
     runner, cfg = CONFIGS[name]
     if cfg["source"].get("kind") == "file":
         cfg = {**cfg, "source": {**cfg["source"], "path": _write_latents(work)}}
@@ -257,11 +256,9 @@ def _run(name: str, work: Path, threads: int = 1) -> tuple[bytes, str]:
 
     pipeline._receive = recording
     try:
-        if runner is run_train:  # training is serial and takes no thread count
-            params, _ = runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir))
-            digest.update(params_to_vector(params).tobytes())
-        else:
-            runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir), threads=threads)
+        result = runner(parse_config(json.dumps(cfg)), out_dir=str(out_dir))
+        if runner is run_train:
+            digest.update(params_to_vector(result[0]).tobytes())
     finally:
         pipeline._receive = receive
     return (out_dir / "results.csv").read_bytes(), digest.hexdigest()
@@ -332,10 +329,6 @@ def test_step_u_is_the_step_the_trials_run(name, tmp_path):
     reverse_steps = int(re.search(r"^simulate reverse_steps=(\d+) ", log, re.M).group(1))
     assert reverse_steps == sum(int(row["trials"]) * int(row["step_u"]) for row in rows)
 
-
-@pytest.mark.parametrize("name", ["simulate-mimo-adaptive", "sweep-lambda"])
-def test_results_csv_matches_golden_at_two_threads(name, tmp_path):
-    _check(name, _run(name, tmp_path, threads=2)[0])
 
 
 def main(argv: list[str]) -> int:

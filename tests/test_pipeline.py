@@ -1,6 +1,7 @@
 """The channel rules the trial pipeline and the config parser share:
 ``Channel`` checks its own fields, ``channels.stream_sigma2`` gives a
-stream's variances and ``pipeline.start_step`` its adaptive start."""
+stream's variances and ``pipeline.start_step`` its adaptive start; and
+``run_trials`` checks its scalar inputs before any draw."""
 
 import math
 
@@ -8,15 +9,18 @@ import numpy as np
 import pytest
 
 from diffcomm import (
+    AnalyticGaussianDenoiser,
     Channel,
     ConfigurationError,
+    GaussianSourceModel,
     awgn_transmit,
     build_linear_schedule,
     rayleigh_transmit_mmse,
+    run_trials,
     sigma2_to_step,
 )
 from diffcomm.channels import stream_sigma2
-from diffcomm.pipeline import start_step
+from diffcomm.pipeline import ROUTES, start_step
 
 SCHEDULE = build_linear_schedule()
 
@@ -24,13 +28,15 @@ SCHEDULE = build_linear_schedule()
 @pytest.mark.parametrize("kwargs, field, message", [
     ({"type": "nope"}, "type", "must be one of ['awgn', 'mimo', 'rayleigh'], got 'nope'"),
     ({"type": "mimo", "M": 0}, "M", "must be >= 1, got 0"),
+    ({"type": "mimo", "M": 2.5}, "M", "must be an integer, got 2.5"),
+    ({"type": "mimo", "M": True}, "M", "must be an integer, got True"),
     ({"type": "rayleigh", "convention": "zf"}, "convention",
      "must be one of ['gain_weighted', 'mmse'], got 'zf'"),
     ({"type": "rayleigh", "h": 0j}, "h", "fade coefficient must be nonzero"),
     ({"type": "rayleigh", "h": 1e-170 + 0j}, "h", "|h|^2 of (1e-170+0j) underflows to zero"),
     ({"type": "awgn", "h": 1 + 0j}, "h", "fixed fade applies to rayleigh channels only"),
     ({"type": "mimo", "h": 0.5 + 0.5j}, "h", "fixed fade applies to rayleigh channels only"),
-], ids=["type", "M", "convention", "h-zero", "h-underflow", "h-awgn", "h-mimo"])
+], ids=["type", "M", "M-float", "M-bool", "convention", "h-zero", "h-underflow", "h-awgn", "h-mimo"])
 def test_channel_rejects_each_bad_field(kwargs, field, message):
     with pytest.raises(ConfigurationError) as info:
         Channel(**kwargs)
@@ -60,3 +66,23 @@ def test_start_step_clips_a_variance_past_the_last_to_step_T(sigma2):
     mapping = start_step(SCHEDULE, sigma2)
     assert mapping == sigma2_to_step(SCHEDULE, SCHEDULE.max_sigma2)
     assert mapping.step_u == SCHEDULE.T
+
+
+def _adaptive_trial(shape, sigma2, rng):
+    model = GaussianSourceModel()
+    return run_trials(SCHEDULE, AnalyticGaussianDenoiser(model, SCHEDULE), model, shape, None,
+                      Channel(), sigma2, ROUTES["adaptive"], 100, [rng])
+
+
+def test_run_trials_rejects_an_odd_latent_without_a_codec_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^total elements must be even for complex transmission, got 3$"):
+        _adaptive_trial((3, 1, 1), 0.5, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
+def test_run_trials_rejects_a_negative_or_non_finite_sigma2(sigma2):
+    with pytest.raises(ValueError, match=rf"^sigma2 must be finite and >= 0, got {sigma2!r}$"):
+        _adaptive_trial((2, 1, 1), sigma2, np.random.default_rng(0))
