@@ -1,14 +1,12 @@
 """Experiment harness: config schema, seeded runners, CSV emission."""
 
 from .config import ExperimentConfig, parse_config, resolved_config
-from .main import main
 from .run import RunResult, emit_csv, render_report, run_simulate, run_sweep, run_train
 
 __all__ = [
     "ExperimentConfig",
     "RunResult",
     "emit_csv",
-    "main",
     "parse_config",
     "render_report",
     "resolved_config",

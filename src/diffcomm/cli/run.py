@@ -33,7 +33,7 @@ import numpy as np
 
 from ..codec import (CodecArch, CodecParams, compressed_length, init_codec, k_from_channel_count,
                      load_codec, save_codec)
-from ..diffusion import AnalyticGaussianDenoiser, GaussianSourceModel
+from ..diffusion import AnalyticGaussianDenoiser, GaussianSourceModel, Source
 from ..errors import ConfigurationError, SaturationError
 from ..loss import LossWeights, train_codec
 from ..metrics import psnr_from_mse
@@ -92,7 +92,7 @@ def _derive_rng(*parts) -> np.random.Generator:
 _UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile)
 
 
-def _load_source(cfg: ExperimentConfig) -> GaussianSourceModel | np.ndarray:
+def _load_source(cfg: ExperimentConfig) -> Source:
     """The configured source, loaded once per run: the Gaussian model, or
     the file's latents as one read-only float64 array of shape (rows, n).
     A file that does not hold finite integer or float latents of the
@@ -130,7 +130,7 @@ def _load_source(cfg: ExperimentConfig) -> GaussianSourceModel | np.ndarray:
     return rows
 
 
-def _training_source(cfg: ExperimentConfig, source: GaussianSourceModel | np.ndarray):
+def _training_source(cfg: ExperimentConfig, source: Source):
     """What a codec trains on: the model, or the file's first ``source.count`` rows, cycled."""
     if isinstance(source, GaussianSourceModel):
         return source
@@ -189,7 +189,7 @@ def _denoiser(cfg: ExperimentConfig) -> AnalyticGaussianDenoiser:
 
 def _run_cell(
     cfg: ExperimentConfig, denoiser: AnalyticGaussianDenoiser,
-    source: GaussianSourceModel | np.ndarray, params: Optional[CodecParams], cell: Cell,
+    source: Source, params: Optional[CodecParams], cell: Cell,
 ) -> tuple[tuple, tuple[int, int, int]]:
     """The cell's CSV row, and the trial-steps, chain steps and clipped
     streams of its trials."""

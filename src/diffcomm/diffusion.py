@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, Union, runtime_checkable
 
 import numpy as np
 
@@ -61,8 +61,9 @@ def _checked(y: np.ndarray) -> np.ndarray:
 @runtime_checkable
 class Denoiser(Protocol):
     """Noise-prediction interface consumed by the reverse process.  The
-    chain denoises a trial's rows joined into one vector per step, which
-    is exact only for a ``predict_noise`` that acts on each element alone."""
+    chain joins a trial's rows into one vector per step only for an
+    ``AnalyticGaussianDenoiser``, whose ``predict_noise`` acts on each
+    element alone; it runs each row of any other denoiser as its own chain."""
 
     def predict_noise(self, y_t: np.ndarray, t: int) -> np.ndarray:
         """Estimate the standard-normal noise present in the latent ``y_t``
@@ -86,6 +87,31 @@ class GaussianSourceModel:
     def draw(self, size: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Source draws of shape ``size``, from one ``rng.standard_normal(size)`` call."""
         return self.mean + math.sqrt(self.variance) * rng.standard_normal(size)
+
+
+Source = Union[GaussianSourceModel, np.ndarray]  # a model, or a dataset of latents as rows
+
+
+def _check_source(source: Source, n: int) -> None:
+    """The one check on a source, made before any draw: ValueError unless it is a
+    model or a dataset of length-``n`` latents, a finite float ``(rows >= 1, n)`` array."""
+    if isinstance(source, GaussianSourceModel):
+        return
+    if not (isinstance(source, np.ndarray) and source.dtype.kind == "f"):
+        got = getattr(source, "dtype", type(source).__name__)
+        raise ValueError(f"dataset must be a float array, got {got}")
+    if source.ndim != 2 or source.shape[0] < 1 or source.shape[1] != n:
+        raise ValueError(f"dataset must have shape (rows >= 1, {n}), got {source.shape}")
+    if not np.all(np.isfinite(source)):
+        raise ValueError("dataset holds non-finite values")
+
+
+def _draw_latents(source: Source, n: int, count: int, rng: np.random.Generator, start: int):
+    """The one reader of a source: ``count`` length-``n`` latents as rows, drawn from a
+    model, or a checked dataset's rows from row ``start`` on, cycled (no ``rng`` draw)."""
+    if isinstance(source, GaussianSourceModel):
+        return source.draw((count, n), rng)
+    return source[(start + np.arange(count)) % len(source)]
 
 
 @dataclass(frozen=True)
@@ -249,7 +275,7 @@ def denoise_from_step(
     """
     _checked(y_u)
     schedule._check_step(u, lo=0)
-    (y,) = _denoise_rows([_Row(y_u, u)], denoiser, schedule, rng)
+    (y,), _ = _denoise_rows([_Row(y_u, u)], denoiser, schedule, rng)
     return y
 
 
@@ -272,7 +298,7 @@ def _denoise_rows(
     denoiser: Denoiser,
     schedule: Schedule,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], int]:
     """Reverse chains of latents (rows), run as one ragged chain: the one
     place that starts a trial's rows and draws their noise.
 
@@ -289,12 +315,19 @@ def _denoise_rows(
     columns first and contiguous in that order: active rows of ``w``
     elements in all take ``table[top - t, :w]`` at step ``t`` (``None`` at
     ``t = 1``).  One row's draw is the table.  Every operation of the step
-    acts on each element alone, as ``AnalyticGaussianDenoiser`` does, so
+    acts on each element alone for an ``AnalyticGaussianDenoiser``, so
     each row's result is bit-identical to its own chain's; one row makes
-    the calls of its own chain exactly.  Returns each row's clean latent,
-    in the given order, as a view of the chain's last array; a row from
-    step 0 is its start itself.
+    the calls of its own chain exactly.  Any other denoiser may not act
+    on each element alone, so its rows are not joined: each runs as its
+    own chain, in the given order, from the same generator, which gives
+    the same starts and draws.  Returns each row's clean latent, in the
+    given order, as a view of its chain's last array (a row from step 0
+    is its start itself), and the ``reverse_step`` calls made: the
+    largest start step when the rows join, else the sum of the rows'.
     """
+    if len(rows) > 1 and type(denoiser) is not AnalyticGaussianDenoiser:
+        chains = [_denoise_rows([row], denoiser, schedule, rng) for row in rows]
+        return [y for (y,), _ in chains], sum(calls for _, calls in chains)
     widths = [row.vector.size for row in rows]
     order = sorted(range(len(rows)), key=lambda i: -rows[i].step)
     joins = [rows[i].step for i in order] + [-1]  # no t reaches the sentinel
@@ -323,4 +356,4 @@ def _denoise_rows(
         y = reverse_step(y, t, denoiser, schedule, table[top - t, : y.size] if t > 1 else None)
     for i in order[:k]:
         starts[i] = y[end[i] - widths[i] : end[i]]
-    return starts
+    return starts, top

@@ -63,12 +63,13 @@ class NumericOverflowError(FloatingPointError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training loss became non-finite. Carries the last finite step."""
+    """Training loss became non-finite at ``step``, the first step to do so,
+    so the last finite step is the one before it."""
 
-    def __init__(self, step: int, last_finite_step: int):
+    def __init__(self, step: int):
         self.step = step
-        self.last_finite_step = last_finite_step
+        self.last_finite_step = step - 1
         super().__init__(
             f"training aborted at step {step}: loss is not finite "
-            f"(last finite step: {last_finite_step})"
+            f"(last finite step: {self.last_finite_step})"
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .codec import (
     vector_to_params,
     zero_grads,
 )
-from .diffusion import GaussianSourceModel
+from .diffusion import Source, _check_source, _draw_latents
 from .errors import ConfigurationError, TrainingDivergedError
 from .metrics import mse, psnr
 
@@ -240,21 +240,8 @@ class TrainRecord:
     eval_psnr: Optional[float] = None
 
 
-SourceLike = Union[GaussianSourceModel, np.ndarray]
-
-
-def _draw_batch(
-    source: SourceLike, n: int, batch: int, rng: np.random.Generator, start: int
-) -> np.ndarray:
-    """``batch`` rows of length ``n``: fresh draws from a Gaussian model, or a
-    dataset's rows from row ``start`` on, cycled (drawing nothing from ``rng``)."""
-    if isinstance(source, GaussianSourceModel):
-        return source.draw((batch, n), rng)
-    return source[(start + np.arange(batch)) % len(source)]
-
-
 def train_codec(
-    source: SourceLike,
+    source: Source,
     sigma: float,
     params: CodecParams,
     weights: LossWeights,
@@ -287,18 +274,11 @@ def train_codec(
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     n, m = params.n, params.m
-    if not isinstance(source, GaussianSourceModel):
-        if not (isinstance(source, np.ndarray) and source.dtype.kind == "f"):
-            got = getattr(source, "dtype", type(source).__name__)
-            raise ValueError(f"dataset must be a float array, got {got}")
-        if source.ndim != 2 or source.shape[0] < 1 or source.shape[1] != n:
-            raise ValueError(f"dataset must have shape (rows >= 1, {n}), got {source.shape}")
-        if not np.all(np.isfinite(source)):
-            raise ValueError("dataset holds non-finite values")
+    _check_source(source, n)
     params = vector_to_params(params, params.flat)
     snr = 1.0 / (sigma * sigma)
 
-    hold_Y = _draw_batch(source, n, cfg.holdout, rng, 0)
+    hold_Y = _draw_latents(source, n, cfg.holdout, rng, 0)
     hold_eps2 = rng.standard_normal((cfg.holdout, m))
     hold_eps_y = rng.standard_normal((cfg.holdout, n))
 
@@ -309,7 +289,7 @@ def train_codec(
     records: list[TrainRecord] = []
 
     for step in range(1, cfg.steps + 1):
-        Y = _draw_batch(source, n, cfg.batch, rng, (step - 1) * cfg.batch)
+        Y = _draw_latents(source, n, cfg.batch, rng, (step - 1) * cfg.batch)
         eps1 = rng.standard_normal((cfg.batch, n))
         eps2 = eps1[:, :m].copy() if cfg.common_noise else rng.standard_normal((cfg.batch, m))
         eps_y = rng.standard_normal((cfg.batch, n))
@@ -318,7 +298,7 @@ def train_codec(
             params, Y, sigma, snr, eps1, eps2, eps_y, weights, out=grads, grad_scale=cfg.lr
         )
         if not math.isfinite(breakdown.total):
-            raise TrainingDivergedError(step=step, last_finite_step=step - 1)
+            raise TrainingDivergedError(step=step)
 
         # g holds the step; velocity = momentum * velocity - g, in place
         if cfg.momentum > 0.0:

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import (ChannelOutput, awgn_transmit, mimo_svd_decompose, mimo_transmit,
                        rayleigh_transmit_mmse)
 from .codec import CodecParams, downsample, upsample
-from .diffusion import Denoiser, GaussianSourceModel, _denoise_rows, _Row
+from .diffusion import Denoiser, Source, _check_source, _denoise_rows, _draw_latents, _Row
 from .errors import ConfigurationError
 from .metrics import mse, ssim_batch
 from .schedule import Schedule, StepMapping, sigma2_to_step
@@ -131,7 +131,7 @@ def _receive(
     rows were denoised in turn, and each route's rows are one contiguous
     run.  Returns each route's rows joined in order, and three counts:
     the reverse steps summed over the rows (trial-steps), the chain's
-    steps (the largest start step) and the clipped streams.
+    ``reverse_step`` calls (chain steps) and the clipped streams.
     """
     streams = np.split(base, len(out.mapped_sigma2))
     routed = []  # each route's rows, in generator order
@@ -145,14 +145,14 @@ def _receive(
             carried = zip(streams, out.effective_sigma2) if route == "compensate" else [(y0, 0.0)]
             routed.append([_Row(v, t_target, s2) for v, s2 in carried])
     rows = [row for route_rows in routed for row in route_rows]
-    ys = iter(_denoise_rows(rows, denoiser, schedule, rng))
+    latents, chain_steps = _denoise_rows(rows, denoiser, schedule, rng)
+    ys = iter(latents)
     recons = [np.concatenate([next(ys) for _ in route_rows]) for route_rows in routed]
-    steps = [row.step for row in rows]
-    return recons, (sum(steps), max(steps), clipped)
+    return recons, (sum(row.step for row in rows), chain_steps, clipped)
 
 
 def run_trials(
-    schedule: Schedule, denoiser: Denoiser, source: GaussianSourceModel | np.ndarray,
+    schedule: Schedule, denoiser: Denoiser, source: Source,
     shape: tuple[int, int, int], params: Optional[CodecParams], channel: Channel,
     sigma2: float, routes: tuple[str, ...], t_target: int, rngs: Sequence[np.random.Generator],
 ) -> tuple[dict[str, list[float]], Optional[float], tuple[int, int, int]]:
@@ -160,7 +160,7 @@ def run_trials(
 
     Trial ``i`` draws everything from ``rngs[i]``: a latent of ``shape``
     from the ``source`` model, or row ``i`` (cycled) of a ``(rows, n)``
-    ``source`` array, which the codec ``params`` (None: no codec) send
+    ``source`` dataset, which the codec ``params`` (None: no codec) send
     over ``channel``.  One ``_receive`` call per trial runs each of
     ``routes`` (``ROUTES`` holds each mode's; ``compensate`` and
     ``forward`` start at ``t_target``) in one chain.  Returns each
@@ -171,8 +171,8 @@ def run_trials(
     step calls that ran them (chain steps) and the streams clipped to
     the schedule's end.  ValueError, before any draw: an unknown or
     repeated route; codec ``params`` over a mimo channel, whose streams a
-    codec mixes; an odd-length latent without a codec to pad it; or a
-    ``sigma2`` that is negative or not finite.
+    codec mixes; an odd-length latent without a codec to pad it; a
+    ``sigma2`` that is negative or not finite; a dataset ``train_codec`` refuses, as it does.
     """
     # compare runs every route
     if not routes or len(set(routes)) < len(routes) or not set(routes) <= set(ROUTES["compare"]):
@@ -184,6 +184,7 @@ def run_trials(
         raise ValueError(f"total elements must be even for complex transmission, got {n}")
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2!r}")
+    _check_source(source, n)
     trials = len(rngs)
     sigma = math.sqrt(sigma2)
     snr_nominal = math.inf if sigma2 == 0.0 else 1.0 / sigma2
@@ -197,10 +198,7 @@ def run_trials(
     ssims: list[float] = []
     totals = [0, 0, 0]  # trial-steps, chain steps, clipped streams
     for trial, rng in enumerate(rngs):
-        if isinstance(source, GaussianSourceModel):
-            y0 = source.draw(n, rng)
-        else:  # a file source cycles through its rows
-            y0 = source[trial % len(source)]
+        y0 = _draw_latents(source, n, 1, rng, trial)[0]  # a dataset cycles through its rows
         transmitted = y0 if params is None else downsample(y0, params)
         out = _transmit(channel, transmitted, sigma, rng)
         base = out.received

@@ -159,8 +159,8 @@ def build_linear_schedule(
     Parameters
     ----------
     T : int
-        Number of steps, at least 1.  ``T = 1`` yields the single beta
-        ``beta_start``.
+        Number of steps, an integer (not a bool) of at least 1.  ``T = 1``
+        yields the single beta ``beta_start``.
     beta_start, beta_end : float
         Endpoints of the beta ramp; require ``0 < beta_start <= beta_end < 1``.
 
@@ -169,7 +169,7 @@ def build_linear_schedule(
     ConfigurationError
         If any argument is out of range.  The message names the field.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
         raise ConfigurationError("T", f"must be an integer >= 1, got {T!r}")
     if not 0.0 < beta_start < 1.0:
         raise ConfigurationError("beta_start", f"must lie in (0, 1), got {beta_start!r}")

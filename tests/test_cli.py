@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 import tracemalloc
 import venv
 from pathlib import Path
@@ -29,7 +30,6 @@ from diffcomm import (
 from diffcomm.cli import (
     RunResult,
     emit_csv,
-    main,
     parse_config,
     render_report,
     resolved_config,
@@ -38,6 +38,7 @@ from diffcomm.cli import (
     run_train,
 )
 from diffcomm.cli import run as run_module
+from diffcomm.cli.main import main
 
 REPO = Path(__file__).resolve().parents[1]
 SMALL_SOURCE = {"shape": [2, 2, 2], "count": 2}
@@ -1233,3 +1234,17 @@ def test_console_script_is_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_module_entry_point_runs_without_a_warning(tmp_path):
+    """``python -m diffcomm.cli.main`` runs the module as ``__main__``; had
+    the package already imported it, runpy would warn that it was found
+    in ``sys.modules`` before execution."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "diffcomm.cli.main", "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "simulate" in proc.stdout

@@ -50,6 +50,17 @@ class _FixedNoise:
         return self.eps
 
 
+class CentringDenoiser:
+    """Test denoiser that is not elementwise: the analytic prediction of
+    its input centred on the input's own mean."""
+
+    def __init__(self, analytic):
+        self.analytic = analytic
+
+    def predict_noise(self, y_t, t):
+        return self.analytic.predict_noise(y_t - y_t.mean(), t)
+
+
 # ---------------------------------------------------------------------------
 # the latent check
 
@@ -564,7 +575,7 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
 
     rng = np.random.default_rng(seed + 1)
     counting = _CountingGenerator(rng)
-    got = diffusion._denoise_rows(rows, den, SHORT, counting)
+    got, calls = diffusion._denoise_rows(rows, den, SHORT, counting)
 
     for want, have, width in zip(expected, got, widths):
         assert have.shape == (width,)
@@ -572,6 +583,7 @@ def test_ragged_chain_matches_each_stream_denoised_in_turn(case):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # one noise draw per row, after its top-up if it has one
     assert counting.calls == len(steps) * (2 if compensate else 1)
+    assert calls == max(steps)  # the joined chain's reverse_step calls
 
 
 def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
@@ -590,12 +602,33 @@ def test_ragged_chain_makes_one_reverse_step_call_per_step(monkeypatch):
     den = AnalyticGaussianDenoiser(GaussianSourceModel(), SHORT)
     steps, widths = [2, 0, 4, 2], [2, 1, 3, 2]
     rows = [diffusion._Row(np.full(w, float(i)), u) for i, (u, w) in enumerate(zip(steps, widths))]
-    got = diffusion._denoise_rows(rows, den, SHORT, np.random.default_rng(0))
+    got, made = diffusion._denoise_rows(rows, den, SHORT, np.random.default_rng(0))
     assert [(t, shape, noise) for t, shape, _, noise in calls] == [
         (4, (3,), (3,)), (3, (3,), (3,)), (2, (7,), (7,)), (1, (7,), None)]
     assert calls[2][2].tolist()[2:] == [0.0, 3.0]  # rows 0 and 3 join after row 2
-    assert [y.shape for y in got] == [(2,), (1,), (3,), (2,)]
+    assert [y.shape for y in got] == [(2,), (1,), (3,), (2,)] and made == len(calls) == 4
     assert got[1] is rows[1].vector
+
+
+@pytest.mark.parametrize("starts", [[(50, None), (50, None)], [(50, None), (30, 0.005), (0, None)]],
+                         ids=["two-from-50", "ragged-and-topped-up"])
+def test_chain_runs_each_row_of_another_denoiser_as_its_own_chain(starts):
+    """Joined, a centring denoiser would see every row's mean: each row of
+    a denoiser other than the analytic one runs as its own chain, in the
+    given order from the same generator, so it equals its own chain bit
+    for bit, and the calls made are the rows' steps summed."""
+    den = CentringDenoiser(AnalyticGaussianDenoiser(GaussianSourceModel(), SCHEDULE))
+    vectors = [np.random.default_rng(i).standard_normal(128) for i in range(len(starts))]
+    rows = [diffusion._Row(v, u, s2) for v, (u, s2) in zip(vectors, starts)]
+    rng = np.random.default_rng(7)
+    got, calls = diffusion._denoise_rows(rows, den, SCHEDULE, rng)
+
+    own_rng = np.random.default_rng(7)
+    for have, row in zip(got, rows):
+        want = denoise_from_step(row.start(SCHEDULE, own_rng), row.step, den, SCHEDULE, own_rng)
+        assert have.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == own_rng.bit_generator.state
+    assert calls == sum(u for u, _ in starts)
 
 
 @pytest.mark.parametrize("u", [0, 1, 145, SCHEDULE.T])

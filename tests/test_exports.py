@@ -1,11 +1,11 @@
 """Public names: every export resolves, the package and its ``cli``
 subpackage export what they import, the channels leave the step mapping
 to the receiver, the pipeline leaves starting chain rows to the engine,
-the CLI imports no other module's private names, the config parser reads
-every scalar through one reader, the codec writes every layer gradient
-through one rule and decodes to plain arrays, every function the
-benchmark tracer wraps still exists, and the README's library example
-runs."""
+the trainer and the pipeline leave the source to ``diffusion``, the CLI
+imports no other module's private names, the config parser reads every
+scalar through one reader, the codec writes every layer gradient through
+one rule and decodes to plain arrays, every function the benchmark
+tracer wraps still exists, and the README's library example runs."""
 
 import ast
 import importlib
@@ -83,6 +83,24 @@ def test_cli_declares_chain_rows_without_starting_them():
     }
     assert "_Row" in imported
     assert imported.isdisjoint({"compensate_to_step", "forward_sample"})
+
+
+def test_loss_and_pipeline_leave_the_source_to_diffusion():
+    """``diffusion`` owns what a source is: its check and its one reader
+    serve ``train_codec`` and ``run_trials``, so neither module names the
+    Gaussian model it would branch on."""
+    package = Path(diffcomm.__file__).parent
+    for name in ("loss.py", "pipeline.py"):
+        tree = ast.parse((package / name).read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert "GaussianSourceModel" not in names, name
 
 
 def test_cli_imports_no_private_name_of_another_module():

@@ -427,14 +427,23 @@ def test_train_accepts_fixed_dataset_and_cycles_it():
     assert not np.array_equal(params_to_vector(p), params_to_vector(r))
 
 
-@pytest.mark.parametrize("source, message", [
-    ([np.zeros(8)] * 3, "dataset must be a float array, got list"),
-    (np.zeros((3, 8), dtype=np.int64), "dataset must be a float array, got int64"),
-    (np.zeros(8), "dataset must have shape (rows >= 1, 8), got (8,)"),
-    (np.zeros((3, 6)), "dataset must have shape (rows >= 1, 8), got (3, 6)"),
-    (np.zeros((0, 8)), "dataset must have shape (rows >= 1, 8), got (0, 8)"),
-    (np.where(np.arange(24).reshape(3, 8) == 13, np.nan, 0.0), "dataset holds non-finite values"),
-], ids=["list", "int", "1-D", "width", "no-rows", "nan"])
+# datasets for latents of 8 elements that a source check refuses, with its
+# message; ``run_trials`` refuses them too (tests/test_pipeline.py)
+MALFORMED_DATASETS = [
+    pytest.param([np.zeros(8)] * 3, "dataset must be a float array, got list", id="list"),
+    pytest.param(np.zeros((3, 8), dtype=np.int64), "dataset must be a float array, got int64",
+                 id="int"),
+    pytest.param(np.zeros(8), "dataset must have shape (rows >= 1, 8), got (8,)", id="1-D"),
+    pytest.param(np.zeros((3, 6)), "dataset must have shape (rows >= 1, 8), got (3, 6)",
+                 id="width"),
+    pytest.param(np.zeros((0, 8)), "dataset must have shape (rows >= 1, 8), got (0, 8)",
+                 id="no-rows"),
+    pytest.param(np.where(np.arange(24).reshape(3, 8) == 13, np.nan, 0.0),
+                 "dataset holds non-finite values", id="nan"),
+]
+
+
+@pytest.mark.parametrize("source, message", MALFORMED_DATASETS)
 def test_train_rejects_a_malformed_dataset(source, message):
     with pytest.raises(ValueError) as info:
         _train(source=source, steps=1)
@@ -461,6 +470,8 @@ def test_train_diverges_with_absurd_learning_rate():
             train_codec(SOURCE, 0.5, p, LossWeights(), cfg, np.random.default_rng(2))
     assert err.value.step >= 1
     assert err.value.last_finite_step == err.value.step - 1
+    assert str(err.value) == (f"training aborted at step {err.value.step}: loss is not finite "
+                              f"(last finite step: {err.value.step - 1})")
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.5, math.nan, math.inf])

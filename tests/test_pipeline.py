@@ -1,7 +1,8 @@
 """The channel rules the trial pipeline and the config parser share:
 ``Channel`` checks its own fields, ``channels.stream_sigma2`` gives a
-stream's variances and ``pipeline.start_step`` its adaptive start; and
-``run_trials`` checks its scalar inputs before any draw."""
+stream's variances and ``pipeline.start_step`` its adaptive start;
+``run_trials`` checks its inputs, a dataset source as ``train_codec``
+does, before any draw; and it counts the reverse steps its chains make."""
 
 import math
 
@@ -19,8 +20,12 @@ from diffcomm import (
     run_trials,
     sigma2_to_step,
 )
+from diffcomm import diffusion
 from diffcomm.channels import stream_sigma2
 from diffcomm.pipeline import ROUTES, start_step
+
+from test_diffusion import CentringDenoiser
+from test_loss import MALFORMED_DATASETS
 
 SCHEDULE = build_linear_schedule()
 
@@ -68,9 +73,10 @@ def test_start_step_clips_a_variance_past_the_last_to_step_T(sigma2):
     assert mapping.step_u == SCHEDULE.T
 
 
-def _adaptive_trial(shape, sigma2, rng):
+def _adaptive_trial(shape, sigma2, rng, source=None):
     model = GaussianSourceModel()
-    return run_trials(SCHEDULE, AnalyticGaussianDenoiser(model, SCHEDULE), model, shape, None,
+    return run_trials(SCHEDULE, AnalyticGaussianDenoiser(model, SCHEDULE),
+                      model if source is None else source, shape, None,
                       Channel(), sigma2, ROUTES["adaptive"], 100, [rng])
 
 
@@ -86,3 +92,36 @@ def test_run_trials_rejects_an_odd_latent_without_a_codec_before_any_draw():
 def test_run_trials_rejects_a_negative_or_non_finite_sigma2(sigma2):
     with pytest.raises(ValueError, match=rf"^sigma2 must be finite and >= 0, got {sigma2!r}$"):
         _adaptive_trial((2, 1, 1), sigma2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("source, message", MALFORMED_DATASETS)
+def test_run_trials_refuses_what_train_codec_refuses_before_any_draw(source, message):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        _adaptive_trial((2, 2, 2), 0.5, rng, source)
+    assert (info.type, str(info.value)) == (ValueError, message)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("centring", [False, True], ids=["analytic", "centring"])
+def test_run_trials_counts_the_reverse_steps_its_chains_make(monkeypatch, centring):
+    """Chain steps are the ``reverse_step`` calls made: the largest start
+    step when a trial's rows join (the analytic denoiser), and the rows'
+    steps summed, the trial-steps, when each row runs as its own chain."""
+    calls = []
+    real = diffusion.reverse_step
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(diffusion, "reverse_step", counting)
+    model = GaussianSourceModel()
+    analytic = AnalyticGaussianDenoiser(model, SCHEDULE)
+    den = CentringDenoiser(analytic) if centring else analytic
+    rngs = [np.random.default_rng(seed) for seed in range(2)]
+    _, _, (steps, chain_steps, _) = run_trials(SCHEDULE, den, model, (4, 2, 1), None,
+                                               Channel("mimo"), 0.05, ROUTES["compare"],
+                                               SCHEDULE.T, rngs)
+    assert chain_steps == len(calls) and (chain_steps == steps) == centring

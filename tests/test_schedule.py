@@ -86,6 +86,9 @@ def test_accessors_validate_step_index():
 def test_builder_rejects_bad_parameters():
     with pytest.raises(ConfigurationError, match="T"):
         build_linear_schedule(T=0)
+    # a bool is an int to isinstance, and True would build a 1-step schedule
+    with pytest.raises(ConfigurationError, match=r"^T: must be an integer >= 1, got True$"):
+        build_linear_schedule(True)
     with pytest.raises(ConfigurationError, match="beta_start"):
         build_linear_schedule(beta_start=0.0)
     with pytest.raises(ConfigurationError, match="beta_end"):
